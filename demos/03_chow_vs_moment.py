@@ -19,8 +19,6 @@ from kstab.chow import (
 from kstab.cycles import moment_matrix, pairing, trace_norm
 from kstab.laurent import LaurentMatrix, LaurentPoly, multiply
 
-np.seterr(all="ignore")
-
 F = HypersurfaceForm.from_dict(3, {(1, 0, 1): 1, (0, 2, 0): -1})  # xz - y^2
 print("hypersurface: xz - y^2 in the projective plane")
 

@@ -16,8 +16,6 @@ from kstab.cycles import (
     transform_cycle,
 )
 
-np.seterr(all="ignore")
-
 
 def rnc3():
     c = np.zeros((4, 4), dtype=complex)

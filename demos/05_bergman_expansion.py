@@ -20,10 +20,8 @@ from kstab.bergman import (
     rho,
     scalar_curvature,
     theta_total_variation,
-    _radial_integral,
 )
-
-np.seterr(all="ignore")
+from kstab.quadrature import radial_integral
 
 round_m = RadialMetric(0.0)
 pert = RadialMetric(0.1)
@@ -39,7 +37,7 @@ print("=== normalization: integral of rho_k equals the section count ===")
 for metric, name in ((round_m, "round"), (pert, "perturbed")):
     for k in (8, 64):
         norms = gram(metric, k)
-        val, _ = _radial_integral(
+        val, _ = radial_integral(
             lambda s: rho(metric, k, s, norms) * k * metric.density(s), tol=1e-11
         )
         print(f"{name:9s} k={k:2d}: integral = {val:.10f} (dim = {k + 1})")
@@ -50,7 +48,7 @@ fit = expansion_fit(pert, [16, 24, 32, 48, 64], grid)
 target = scalar_curvature(pert, grid) / 2
 print("s-grid          :", np.round(grid, 3))
 print("fitted a1       :", np.round(fit.a1, 5))
-print("S/2 (symbolic)  :", np.round(target, 5))
+print("S/2 (exact)     :", np.round(target, 5))
 print("max rel. error  :", f"{np.max(np.abs(fit.a1 - target) / target):.2%}")
 
 print()

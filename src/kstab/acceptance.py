@@ -36,6 +36,7 @@ from kstab.laurent import (
     multiply,
     section_degree,
 )
+from kstab.quadrature import radial_integral
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "format_table"]
 
@@ -344,7 +345,7 @@ def c09_bergman_normalization() -> dict:
     for metric, name in ((bg.RadialMetric(0.0), "round"), (bg.RadialMetric(0.1), "pert")):
         for k in (8, 16, 32, 64):
             norms = bg.gram(metric, k)
-            val, _ = bg._radial_integral(
+            val, _ = radial_integral(
                 lambda s: bg.rho(metric, k, s, norms) * k * metric.density(s),
                 tol=1e-11,
             )

@@ -1,8 +1,11 @@
 """Density of states for circle-invariant metrics on the Riemann sphere.
 
 The metric is given by a radial potential u(s), s = |z|^2, with
-u = log(1 + s) + eps * psi(s) for a decaying bump psi; the associated area
-density is w = (s u')' (total mass one, the polarization class is fixed).
+u = log(1 + s) + eps * psi(s) for a decaying rational bump psi; the
+associated area density is w = (s u')' (total mass one, the polarization
+class is fixed).  w and the scalar curvature are rational functions of s,
+derived once per metric in exact rational arithmetic (``kstab.poly``) and
+evaluated by Horner's rule.
 Level-k sections are the monomials z^j, orthogonal by circle invariance,
 with squared norms computed by radial quadrature.  The density of states
 
@@ -23,13 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import sympy as sp
 from scipy.special import logsumexp
 
-from kstab.quadrature import QuadratureError, csum, panel_rule
+from kstab import poly
+from kstab.quadrature import QuadratureError, panel_rule, radial_integral
 
 __all__ = [
     "RadialMetric",
@@ -46,58 +50,65 @@ __all__ = [
     "metric_from_json",
 ]
 
-_S = sp.Symbol("s", nonnegative=True)
+# Rational functions are pairs (num, den) of exact ascending coefficient
+# lists, kept in lowest terms with a monic denominator; f[::-1] is 1/f.
 
 
-def _default_bump():
-    return _S / (1 + _S) ** 2
+def _ratio(num, den):
+    g = poly.gcd(num, den)
+    num, den = poly.quorem(num, g)[0], poly.quorem(den, g)[0]
+    return [c / den[-1] for c in num], [c / den[-1] for c in den]
+
+
+def _rdiff(f):
+    p, q = f
+    return _ratio(poly.add(poly.mul(poly.deriv(p), q), poly.mul(p, poly.deriv(q)), -1), poly.mul(q, q))
+
+
+def _radd(f, g):
+    return _ratio(poly.add(poly.mul(f[0], g[1]), poly.mul(g[0], f[1])), poly.mul(f[1], g[1]))
+
+
+def _rmul(f, g):
+    return _ratio(poly.mul(f[0], g[0]), poly.mul(f[1], g[1]))
+
+
+def _reval(f, s):
+    """Float evaluation of a rational function on an array of s-values."""
+    return poly.evaluate([float(c) for c in f[0]], s) / poly.evaluate([float(c) for c in f[1]], s)
 
 
 class RadialMetric:
     """Circle-invariant potential u(s) = log(1+s) + eps * psi(s).
 
-    ``bump`` is a sympy expression in one nonnegative symbol, or a pair of
-    ascending coefficient lists (num, den) of a rational function in s.
-    The bump must decay so that s * psi'(s) -> 0; total area is then the
-    same as for the round reference metric.
+    ``bump`` is a pair of ascending coefficient lists (num, den) of the
+    rational function psi = num/den in s; the default is s/(1+s)^2.  The
+    bump must decay so that s * psi'(s) -> 0; total area is then the same
+    as for the round reference metric.
     """
 
     def __init__(self, epsilon: float = 0.0, bump=None, check_points: int = 400):
         self.epsilon = float(epsilon)
-        if bump is None:
-            psi = _default_bump()
-        elif isinstance(bump, (tuple, list)):
-            num, den = bump
-            psi = sp.Poly(list(reversed(num)), _S).as_expr() / sp.Poly(
-                list(reversed(den)), _S
-            ).as_expr()
-        else:
-            psi = sp.sympify(bump)
-        self.psi = psi
-        # exact rational coefficient keeps all downstream expressions rational,
-        # so cancel() normalizes them quickly
-        eps_exact = sp.Rational(__import__("fractions").Fraction(self.epsilon).limit_denominator(10**9))
-        u = sp.log(1 + _S) + eps_exact * psi
-        self._u = u
-        uprime = sp.diff(u, _S)
-        w = sp.cancel(sp.diff(_S * uprime, _S))
-        # scalar curvature S = -(s (log w)')' / w with (log w)' = w'/w
-        logw_term = sp.diff(_S * sp.cancel(sp.diff(w, _S) / w), _S)
-        scal = sp.cancel(-logw_term / w)
-        self._fn_u = sp.lambdify(_S, u, "numpy")
-        self._fn_uprime = sp.lambdify(_S, uprime, "numpy")
-        self._fn_w = sp.lambdify(_S, w, "numpy")
-        self._fn_scal = sp.lambdify(_S, scal, "numpy")
-        self._certify(check_points)
-
-    def _certify(self, npts: int):
+        num, den = bump if bump is not None else ([0, 1], [1, 2, 1])
+        num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
+        if not any(den):
+            raise ValueError("bump denominator is the zero polynomial")
+        self._psi = _ratio(num, den)
+        # the exact rational eps keeps w and S exact
+        eps = Fraction(self.epsilon).limit_denominator(10**9)
+        self._eps = float(eps)
+        # s u' = s/(1+s) + eps * s psi', then w = (s u')'
+        su = _radd(([0, 1], [1, 1]), _rmul(([0, eps], [1]), _rdiff(self._psi)))
+        self._w = _rdiff(su)
+        # S = -(s (log w)')' / w with (log w)' = w'/w
+        s_logw = _rmul(([0, 1], [1]), _rmul(_rdiff(self._w), self._w[::-1]))
+        self._scal = _rmul(([-1], [1]), _rmul(_rdiff(s_logw), self._w[::-1]))
         # certificate: minimum of the density relative to the round one,
         # which stays bounded away from zero for genuine metrics
-        x = np.linspace(1e-6, 1 - 1e-6, npts)
+        x = np.linspace(1e-6, 1 - 1e-6, check_points)
         s = x / (1 - x)
-        w = np.asarray(self._fn_w(s), dtype=float)
-        self.positivity_certificate = float(np.min(w * (1.0 + s) ** 2))
-        if self.positivity_certificate <= 0:
+        self.positivity_certificate = float(np.min(self.density(s) * (1.0 + s) ** 2))
+        if not self.positivity_certificate > 0:  # NaN too: a pole in (0, inf)
             raise ValueError(
                 f"potential is not a metric: density minimum "
                 f"{self.positivity_certificate:g} <= 0 relative to round"
@@ -105,55 +116,26 @@ class RadialMetric:
 
     # evaluated callables ------------------------------------------------
     def u(self, s):
-        return np.asarray(self._fn_u(s), dtype=float)
+        s = np.asarray(s, dtype=float)
+        return np.log1p(s) + self._eps * _reval(self._psi, s)
 
     def density(self, s):
         """Area density w(s) = (s u')'; integrates to 1 over [0, inf)."""
-        return np.asarray(self._fn_w(s), dtype=float)
-
-    def scalar(self, s):
-        return np.asarray(self._fn_scal(s), dtype=float)
-
-    @property
-    def is_round(self) -> bool:
-        return self.epsilon == 0.0
+        return _reval(self._w, np.asarray(s, dtype=float))
 
     def area(self, order: int = 64) -> float:
-        val, _ = _radial_integral(lambda s: self.density(s), tol=1e-12, order=order)
+        val, _ = radial_integral(self.density, tol=1e-12, order=order)
         return val
-
-
-def _radial_integral(f, tol: float, order: int = 32, max_panels: int = 256):
-    """Integral over s in [0, inf) via x = s/(1+s), with panel doubling."""
-
-    def g(x):
-        s = x / (1.0 - x)
-        jac = 1.0 / (1.0 - x) ** 2
-        return f(s) * jac
-
-    panels = 2
-    nodes, weights = panel_rule(order, panels)
-    prev = csum(weights * g(nodes))
-    while panels <= max_panels:
-        panels *= 2
-        nodes, weights = panel_rule(order, panels)
-        cur = csum(weights * g(nodes))
-        err = abs(cur - prev)
-        if err <= tol * max(1.0, abs(cur)):
-            return cur, err
-        prev = cur
-    raise QuadratureError(
-        f"radial quadrature stalled at error {err:g} (tol {tol:g})"
-    )
 
 
 def scalar_curvature(metric: RadialMetric, grid: np.ndarray) -> np.ndarray:
     """Scalar curvature field on a grid of s-values.
 
-    Computed by exact symbolic differentiation of the radial formula
-    S = -(s (log w)')' / w; the round metric gives the constant 2.
+    The radial formula S = -(s (log w)')' / w is derived once per metric
+    in exact rational arithmetic and evaluated by Horner's rule; the round
+    metric gives the constant 2.
     """
-    return metric.scalar(np.asarray(grid, dtype=float))
+    return _reval(metric._scal, np.asarray(grid, dtype=float))
 
 
 def gram(metric: RadialMetric, k: int, tol: float = 1e-12) -> np.ndarray:
@@ -164,38 +146,17 @@ def gram(metric: RadialMetric, k: int, tol: float = 1e-12) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    j = np.arange(k + 1)
-
-    def make_f(scale_log):
-        def f(s):
-            s = np.asarray(s, dtype=float)
-            logs = np.log(s)
-            expo = j[:, None] * logs[None, :] - k * metric.u(s)[None, :]
-            return np.exp(expo - scale_log[:, None]) * metric.density(s)[None, :]
-        return f
-
-    # first pass to find per-j scales, then converge panels
-    nodes, weights = panel_rule(32, 8)
+    j = np.arange(k + 1)[:, None]
+    # a coarse 8-panel pass fixes one exponential scale per j
+    nodes, _ = panel_rule(32, 8)
     s = nodes / (1.0 - nodes)
-    expo = j[:, None] * np.log(s)[None, :] - k * metric.u(s)[None, :]
-    scale_log = np.max(expo, axis=1)
+    scale_log = np.max(j * np.log(s)[None, :] - k * metric.u(s)[None, :], axis=1)
 
-    panels = 8
-    prev = None
-    while panels <= 512:
-        nodes, weights = panel_rule(32, panels)
-        s = nodes / (1.0 - nodes)
-        jac = 1.0 / (1.0 - nodes) ** 2
-        vals = make_f(scale_log)(s) * jac[None, :]
-        cur = vals @ weights
-        if prev is not None:
-            err = np.max(np.abs(cur - prev) / np.abs(cur))
-            if err <= tol:
-                break
-        prev = cur
-        panels *= 2
-    else:
-        raise QuadratureError(f"Gram quadrature stalled (rel change {err:g})")
+    def f(s):
+        expo = j * np.log(s)[None, :] - k * metric.u(s)[None, :]
+        return np.exp(expo - scale_log[:, None]) * metric.density(s)[None, :]
+
+    cur, _ = radial_integral(f, tol, panels=8)
     norms = k * cur * np.exp(scale_log)
     if np.any(norms <= 0):
         raise QuadratureError("nonpositive squared norm; quadrature failed")
@@ -249,7 +210,7 @@ def fs_pullback_form(
 
 
 def theta_total_variation(
-    metric: RadialMetric, k: int, tol: float = 1e-8
+    metric: RadialMetric, k: int, tol: float = 1e-8, norms: Optional[np.ndarray] = None
 ) -> float:
     """Total variation of the discrepancy between the normalized density
     of states volume and the pulled-back Fubini-Study volume.
@@ -257,16 +218,16 @@ def theta_total_variation(
     Integrates |rho_k w / P(k) - w_FS,k| over the sphere with
     P(k) = (k+1)/k; zero exactly for the round metric.
     """
-    norms = gram(metric, k)
+    if norms is None:
+        norms = gram(metric, k)
     p_k = (k + 1.0) / k
 
     def f(s):
-        s = np.asarray(s, dtype=float)
         r = rho(metric, k, s, norms)
         wk = fs_pullback_form(metric, k, s, norms)
         return np.abs(r * metric.density(s) / p_k - wk)
 
-    val, _ = _radial_integral(f, tol=tol)
+    val, _ = radial_integral(f, tol=tol)
     return val
 
 
@@ -280,13 +241,17 @@ class FitResult:
 
 
 def expansion_fit(
-    metric: RadialMetric, klist: Sequence[int], grid: np.ndarray
+    metric: RadialMetric,
+    klist: Sequence[int],
+    grid: np.ndarray,
+    norms: Optional[Mapping[int, np.ndarray]] = None,
 ) -> FitResult:
     """Pointwise extrapolation of the first density-of-states correction.
 
     Fits k (rho_k - 1) = a1 + c / k over the supplied levels and returns
     the a1 field together with the second-order remainder fields
-    k^2 (rho_k - 1 - a1/k).
+    k^2 (rho_k - 1 - a1/k).  ``norms`` maps levels to Gram norms already
+    computed; the others are computed here.
     """
     klist = tuple(int(k) for k in klist)
     if len(klist) < 3:
@@ -294,7 +259,7 @@ def expansion_fit(
     grid = np.asarray(grid, dtype=float)
     ys = []
     for k in klist:
-        r = rho(metric, k, grid)
+        r = rho(metric, k, grid, (norms or {}).get(k))
         ys.append(k * (r - 1.0))
     y = np.stack(ys)  # (nk, ngrid)
     design = np.stack([np.ones(len(klist)), 1.0 / np.asarray(klist, dtype=float)], axis=1)
@@ -323,15 +288,12 @@ def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float], tol: f
     j = np.arange(k + 1)
 
     def f(s):
-        s = np.asarray(s, dtype=float)
-        logs = np.log(s)
-        base = j[:, None] * logs[None, :] - np.log(norms)[:, None]
-        lt0 = logsumexp(base, axis=0)
+        base = j[:, None] * np.log(s)[None, :] - np.log(norms)[:, None]
         num, sign = logsumexp(base, axis=0, b=a[:, None], return_sign=True)
-        h = sign * np.exp(num - lt0)
+        h = sign * np.exp(num - logsumexp(base, axis=0))
         return h * fs_pullback_form(metric, k, s, norms)
 
-    val, _ = _radial_integral(f, tol=tol)
+    val, _ = radial_integral(f, tol=tol)
     return val
 
 
@@ -341,9 +303,7 @@ def image_cycle(metric: RadialMetric, k: int):
     from kstab.cycles import Component, ProjectiveCycle
 
     norms = gram(metric, k)
-    coeffs = np.zeros((k + 1, k + 1), dtype=complex)
-    for j in range(k + 1):
-        coeffs[j, j] = 1.0 / np.sqrt(norms[j])
+    coeffs = np.diag(1.0 / np.sqrt(norms)).astype(complex)
     return ProjectiveCycle(k, [Component(coeffs)])
 
 

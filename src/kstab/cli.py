@@ -11,7 +11,6 @@ CSV.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -89,15 +88,6 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _threads(value):
-    if value is not None:
-        return value
-    env = os.environ.get("KSTAB_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 @click.group()
 def main():
     """Stability invariants of polarized degenerations."""
@@ -109,7 +99,6 @@ _common = [
     click.option(
         "--format", "--report", "fmt", type=click.Choice(["json", "csv"]), default="json"
     ),
-    click.option("--threads", type=int, default=None, help="worker count (or KSTAB_THREADS)"),
 ]
 
 
@@ -121,7 +110,7 @@ def _with_common(fn):
 
 @main.command("factorize")
 @_with_common
-def cmd_factorize(input_path, out, fmt, threads):
+def cmd_factorize(input_path, out, fmt):
     """Normal form left * t^A * right of a loop."""
     obj = _load_json(input_path)
     try:
@@ -151,17 +140,20 @@ def cmd_factorize(input_path, out, fmt, threads):
 @_with_common
 @click.option("--k", "krange", default="1:10", help="Chow table levels lo:hi")
 @click.option("--sign", type=click.Choice(["calibrated", "flipped"]), default="calibrated")
-def cmd_futaki(input_path, out, fmt, threads, krange, sign):
+def cmd_futaki(input_path, out, fmt, krange, sign):
     """Exact weight polynomial, Chow table and Futaki invariant."""
     obj = _load_json(input_path)
     try:
         ws = wt.weight_system_from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
         sys.exit(_fail(EXIT_PARSE, f"bad weight system: {exc}"))
-    lo, hi = _parse_range_pair(krange)
+    try:
+        lo, hi = _parse_range_pair(krange)
+    except ValueError as exc:
+        sys.exit(_fail(EXIT_PARSE, f"bad level range {krange!r}: {exc}"))
     sign_val = wt.CALIBRATED_SIGN if sign == "calibrated" else -wt.CALIBRATED_SIGN
     try:
-        report = wt.weight_report(ws, kmax=hi, sign_convention=sign_val)
+        report = wt.weight_report(ws, kmin=lo, kmax=hi, sign_convention=sign_val)
     except ValueError as exc:
         sys.exit(_fail(EXIT_INVARIANT, str(exc)))
     _emit(report, out, fmt)
@@ -173,7 +165,7 @@ def cmd_futaki(input_path, out, fmt, threads, krange, sign):
 @click.option("--sign", type=click.Choice(["calibrated", "flipped"]), default="calibrated")
 @click.option("--order", default=48, type=int, help="quadrature order")
 @click.option("--tol", default=1e-6, type=float)
-def cmd_chow(input_path, out, fmt, threads, loop_path, sign, order, tol):
+def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
     """Chow weight of a hypersurface degeneration, with the central-fiber
     pairing check for plane conics."""
     form_obj = _load_json(input_path)
@@ -212,7 +204,7 @@ def cmd_chow(input_path, out, fmt, threads, loop_path, sign, order, tol):
 @_with_common
 @click.option("--order", default=48, type=int, help="quadrature order")
 @click.option("--tol", default=1e-8, type=float)
-def cmd_moment(input_path, out, fmt, threads, order, tol):
+def cmd_moment(input_path, out, fmt, order, tol):
     """Trace-free moment matrix of a parametrized cycle."""
     obj = _load_json(input_path)
     if order < 1 or tol <= 0:
@@ -245,7 +237,7 @@ def cmd_moment(input_path, out, fmt, threads, order, tol):
 @click.option("--tol", default=1e-8, type=float)
 @click.option("--max-steps", default=500, type=int)
 @click.option("--order", default=32, type=int)
-def cmd_balance(input_path, out, fmt, threads, tol, max_steps, order):
+def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     """Balanced-embedding iteration; CSV of residuals per step."""
     obj = _load_json(input_path)
     if tol <= 0 or max_steps < 1 or order < 1:
@@ -281,99 +273,89 @@ def cmd_balance(input_path, out, fmt, threads, tol, max_steps, order):
 
 
 def _parse_range_pair(text):
-    parts = text.split(":")
+    """Parse 'lo:hi' or 'hi' (lo = 1) with 1 <= lo <= hi; ValueError otherwise."""
+    parts = [int(x) for x in text.split(":")]
     if len(parts) == 1:
-        return 1, int(parts[0])
-    return int(parts[0]), int(parts[1])
+        parts.insert(0, 1)
+    if len(parts) != 2 or not 1 <= parts[0] <= parts[1]:
+        raise ValueError("expected lo:hi with 1 <= lo <= hi")
+    return parts[0], parts[1]
 
 
 def _parse_klist(text):
-    """Parse k ranges: '8:64:double' doubles, 'a:b:step' steps, 'a,b,c' lists."""
-    if "," in text:
-        return [int(x) for x in text.split(",")]
+    """Parse k ranges: '8:64:double' doubles, 'a:b:step' steps, 'a,b,c' lists.
+
+    Raises ValueError unless there are levels and they are distinct and >= 1."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [int(parts[0])]
-    lo, hi = int(parts[0]), int(parts[1])
-    if len(parts) == 2:
-        return list(range(lo, hi + 1))
-    if parts[2] == "double":
-        ks = []
-        k = lo
-        while k <= hi:
+    if "," in text or len(parts) == 1:
+        ks = [int(x) for x in text.split(",")]
+    elif len(parts) == 3 and parts[2] == "double":
+        ks, k = [], int(parts[0])
+        while 0 < k <= int(parts[1]):
             ks.append(k)
             k *= 2
-        return ks
-    return list(range(lo, hi + 1, int(parts[2])))
+    elif len(parts) <= 3:
+        ks = list(range(int(parts[0]), int(parts[1]) + 1, int(parts[2]) if len(parts) == 3 else 1))
+    else:
+        raise ValueError("expected lo:hi, lo:hi:step or lo:hi:double")
+    if not ks or min(ks) < 1 or len(set(ks)) != len(ks):
+        raise ValueError("levels must be a nonempty set of distinct integers >= 1")
+    return ks
 
 
 @main.command("bergman")
 @_with_common
 @click.option("--k", "krange", default="8:64:double", help="levels, e.g. 8:64:double")
 @click.option("--grid", default=100, type=int, help="number of radial grid points")
-@click.option("--tol", default=1e-10, type=float)
-def cmd_bergman(input_path, out, fmt, threads, krange, grid, tol):
+def cmd_bergman(input_path, out, fmt, krange, grid):
     """Density-of-states run: rho, fitted first correction, discrepancy."""
     obj = _load_json(input_path)
     try:
         metric = bg.metric_from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         sys.exit(_fail(EXIT_PARSE, f"bad metric input: {exc}"))
-    klist = _parse_klist(krange)
-    if not klist:
-        sys.exit(_fail(EXIT_PARSE, f"empty level range {krange!r}"))
-    if grid < 1 or tol <= 0:
-        sys.exit(_fail(EXIT_PARSE, "grid must be >= 1 and tol positive"))
+    try:
+        klist = _parse_klist(krange)
+    except ValueError as exc:
+        sys.exit(_fail(EXIT_PARSE, f"bad level range {krange!r}: {exc}"))
+    if grid < 1:
+        sys.exit(_fail(EXIT_PARSE, "grid must be >= 1"))
     s_grid = bg.default_grid(grid)
     try:
-        # per-level work units are independent; results are keyed by level
-        # so the outcome does not depend on scheduling
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-            rho_futs = {k: pool.submit(bg.rho, metric, k, s_grid) for k in klist}
-            tv_futs = {
-                k: pool.submit(bg.theta_total_variation, metric, k) for k in klist
-            }
-            rhos = {k: f.result() for k, f in rho_futs.items()}
-            tvs = {k: f.result() for k, f in tv_futs.items()}
+        # one Gram pass per level feeds rho, the discrepancy and the fit
+        norms = {k: bg.gram(metric, k) for k in klist}
+        rhos = {k: bg.rho(metric, k, s_grid, norms[k]) for k in klist}
+        tvs = {k: bg.theta_total_variation(metric, k, norms=norms[k]) for k in klist}
         a1 = (
-            bg.expansion_fit(metric, klist, s_grid).a1
+            bg.expansion_fit(metric, klist, s_grid, norms).a1
             if len(klist) >= 3
             else np.full(grid, np.nan)
         )
     except QuadratureError as exc:
         sys.exit(_fail(EXIT_NONCONVERGENCE, str(exc)))
-    def _clean(x):
-        return None if np.isnan(x) else float(x)
-
-    rows = []
-    for k in klist:
-        for i, s in enumerate(s_grid):
-            rows.append(
-                {
-                    "k": k,
-                    "gridpoint": float(s),
-                    "rho": float(rhos[k][i]),
-                    "a1_fit": float(a1[i]) if not np.isnan(a1[i]) else "",
-                    "theta_tv": tvs[k],
-                }
-            )
     if fmt == "csv":
-        _emit({"columns": ["k", "gridpoint", "rho", "a1_fit", "theta_tv"], "rows": rows}, out, fmt)
-    else:
-        _emit(
+        rows = [
             {
-                "k": klist,
-                "grid": [float(s) for s in s_grid],
-                "rho": {str(k): [float(x) for x in rhos[k]] for k in klist},
-                "a1_fit": [_clean(x) for x in a1],
-                "theta_tv": {str(k): tvs[k] for k in klist},
-                "positivity_certificate": metric.positivity_certificate,
-            },
-            out,
-            fmt,
-        )
+                "k": k,
+                "gridpoint": float(s),
+                "rho": float(rhos[k][i]),
+                "a1_fit": "" if np.isnan(a1[i]) else float(a1[i]),
+                "theta_tv": tvs[k],
+            }
+            for k in klist
+            for i, s in enumerate(s_grid)
+        ]
+        data = {"columns": ["k", "gridpoint", "rho", "a1_fit", "theta_tv"], "rows": rows}
+    else:
+        data = {
+            "k": klist,
+            "grid": [float(s) for s in s_grid],
+            "rho": {str(k): [float(x) for x in rhos[k]] for k in klist},
+            "a1_fit": [None if np.isnan(x) else float(x) for x in a1],
+            "theta_tv": {str(k): tvs[k] for k in klist},
+            "positivity_certificate": metric.positivity_certificate,
+        }
+    _emit(data, out, fmt)
 
 
 @main.command("verify")
@@ -382,7 +364,6 @@ def cmd_bergman(input_path, out, fmt, threads, krange, grid, tol):
 def cmd_verify(out, only):
     """Run the acceptance suite and print one pass/fail line per criterion."""
     numbers = [int(x) for x in only.split(",")] if only else None
-    np.seterr(all="ignore")
     results = acc.run_all(numbers)
     table = acc.format_table(results)
     if out:

@@ -269,7 +269,8 @@ def balance_iterate(
                 note="second-moment matrix lost positivity",
             )
         g = evecs @ np.diag((n1 * evals) ** -0.5) @ evecs.conj().T
-        g_total = g @ g_total
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows on degenerating orbits
+            g_total = g @ g_total
         current = transform_cycle(current, g)
         # projective rescale per component for numerical hygiene
         for c in current.components:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from kstab import poly
+
 __all__ = [
     "CALIBRATED_SIGN",
     "Geometry",
@@ -183,28 +185,12 @@ def fit_exact_polynomial(points, degree):
         for j, (xj, _) in enumerate(points):
             if j == i:
                 continue
-            num = _poly_mul_linear(num, -Fraction(xj))
+            num = poly.mul(num, [-Fraction(xj), 1])
             denom *= Fraction(xi) - Fraction(xj)
         scale = Fraction(yi) / denom
         for d, c in enumerate(num):
             coeffs[d] += scale * c
     return coeffs
-
-
-def _poly_mul_linear(coeffs, c0):
-    """Multiply coefficient list (ascending) by (x + c0)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for d, c in enumerate(coeffs):
-        out[d] += c * c0
-        out[d + 1] += c
-    return out
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -242,10 +228,10 @@ class TauPolynomial:
         return self.hilbert[-2] / self.volume
 
     def tau_at(self, k) -> Fraction:
-        return _poly_eval(self.coeffs, Fraction(k))
+        return poly.evaluate(self.coeffs, Fraction(k))
 
     def sections_at(self, k) -> Fraction:
-        return _poly_eval(self.hilbert, Fraction(k))
+        return poly.evaluate(self.hilbert, Fraction(k))
 
 
 def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN, k0: int = 1) -> TauPolynomial:
@@ -272,13 +258,13 @@ def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN, k0: int = 
     coeffs = fit_exact_polynomial(tau_pts[: n + 2], n + 1)
     hilbert = fit_exact_polynomial(dim_pts[: n + 1], n)
     for k, y in tau_pts[n + 2:]:
-        if _poly_eval(coeffs, k) != y:
+        if poly.evaluate(coeffs, k) != y:
             raise ValueError(
                 "not eventually polynomial: weight sums disagree at level "
                 f"{k}; unsupported weight data"
             )
     for k, y in dim_pts[n + 1:]:
-        if _poly_eval(hilbert, k) != y:
+        if poly.evaluate(hilbert, k) != y:
             raise ValueError(
                 "not eventually polynomial: dimension counts disagree at "
                 f"level {k}; unsupported weight data"
@@ -346,8 +332,11 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def weight_report(w: WeightSystem, kmax: int = 10, sign_convention: int = CALIBRATED_SIGN) -> dict:
-    """Full exact report: tau coefficients, I, V, alpha_1, Ch_k table, Futaki."""
+def weight_report(
+    w: WeightSystem, kmax: int = 10, sign_convention: int = CALIBRATED_SIGN, kmin: int = 1
+) -> dict:
+    """Full exact report: tau coefficients, I, V, alpha_1, Ch_k table for
+    levels kmin..kmax, Futaki."""
     tau = tau_poly(w, sign_convention)
     return {
         "dim": w.dim,
@@ -363,6 +352,6 @@ def weight_report(w: WeightSystem, kmax: int = 10, sign_convention: int = CALIBR
         "I": _frac_str(I_coefficient(tau)),
         "V": _frac_str(tau.volume),
         "alpha1": _frac_str(tau.alpha1),
-        "chow": {str(k): _frac_str(chow_k(tau, k)) for k in range(1, kmax + 1)},
+        "chow": {str(k): _frac_str(chow_k(tau, k)) for k in range(kmin, kmax + 1)},
         "futaki": _frac_str(futaki(tau)),
     }

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-np.seterr(all="ignore")
-
 
 @pytest.fixture
 def rng():

@@ -18,8 +18,8 @@ from kstab.bergman import (
     rho,
     scalar_curvature,
     theta_total_variation,
-    _radial_integral,
 )
+from kstab.quadrature import radial_integral
 
 
 @pytest.fixture(scope="module")
@@ -64,19 +64,35 @@ class TestScalarCurvature:
         s = default_grid(50)
         assert np.allclose(scalar_curvature(round_metric, s), 2.0)
 
-    def test_homothety(self):
-        # scaling the potential by c scales the curvature by 1/c
-        import sympy as sp
+    @pytest.mark.parametrize(
+        "epsilon, bump",
+        [
+            (0.0, None),
+            (0.1, None),
+            (0.04, ([0, 1, 3], [1, 3, 3, 1])),
+            (0.15, ([0, 2, 1], [1, 3, 3, 1])),
+        ],
+        ids=["round", "shipped-bump", "bench-bump-a1-b3", "bench-bump-a2-b1"],
+    )
+    def test_matches_sympy_oracle(self, epsilon, bump):
+        # w = (s u')' and S = -(s (log w)')' / w from sympy diff/cancel,
+        # evaluated exactly at each point, against the rational-arithmetic
+        # metric over eighteen decades of s
+        sp = pytest.importorskip("sympy")
+        from fractions import Fraction
 
-        sym = sp.Symbol("s", nonnegative=True)
-        base = RadialMetric(0.05)
-        # potential u2 = 2 * u1, expressed as log(1+s) + 1.0 * bump
-        bump2 = sp.log(1 + sym) + sp.Rational(1, 10) * sym / (1 + sym) ** 2
-        scaled = RadialMetric(1.0, bump=bump2)
-        s = np.array([0.2, 1.0, 4.0])
-        assert np.allclose(
-            scalar_curvature(scaled, s), scalar_curvature(base, s) / 2, rtol=1e-10
-        )
+        s = sp.Symbol("s", positive=True)
+        num, den = bump if bump is not None else ([0, 1], [1, 2, 1])
+        psi = sp.Poly(num[::-1], s).as_expr() / sp.Poly(den[::-1], s).as_expr()
+        eps = sp.Rational(Fraction(epsilon).limit_denominator(10**9))
+        u = sp.log(1 + s) + eps * psi
+        w = sp.cancel(sp.diff(s * sp.diff(u, s), s))
+        scal = sp.cancel(-sp.diff(s * sp.cancel(sp.diff(w, s) / w), s) / w)
+        metric = RadialMetric(epsilon, bump=bump)
+        pts = np.logspace(-9, 9, 37)
+        for expr, got in ((w, metric.density(pts)), (scal, scalar_curvature(metric, pts))):
+            want = np.array([float(expr.subs(s, sp.Rational(x))) for x in pts])
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
     def test_linearization_in_epsilon(self):
         eps = 1e-4
@@ -123,7 +139,7 @@ class TestRho:
         for metric in (round_metric, perturbed):
             for k in (8, 16):
                 norms = gram(metric, k)
-                val, _ = _radial_integral(
+                val, _ = radial_integral(
                     lambda s: rho(metric, k, s, norms) * k * metric.density(s),
                     tol=1e-11,
                 )
@@ -174,7 +190,7 @@ class TestPullbackForm:
     def test_cohomology_class(self, perturbed):
         for k in (8, 32):
             norms = gram(perturbed, k)
-            val, _ = _radial_integral(
+            val, _ = radial_integral(
                 lambda s: fs_pullback_form(perturbed, k, s, norms), tol=1e-10
             )
             assert abs(val - 1.0) < 1e-8
@@ -195,7 +211,7 @@ class TestThetaDecay:
     def test_first_order_coefficient(self, perturbed):
         """TV * k converges to the integral of |a1 - mean| against the area
         form; this pins the observed 1/k rate for non-constant curvature."""
-        pred, _ = _radial_integral(
+        pred, _ = radial_integral(
             lambda s: np.abs(scalar_curvature(perturbed, s) / 2 - 1.0)
             * perturbed.density(s),
             tol=1e-8,

@@ -49,6 +49,14 @@ class TestFutakiCommand:
         rep = json.loads(res.output)
         assert rep["I"] == "-1/2"
 
+    def test_level_range_lower_bound(self, runner):
+        res = run(runner, "futaki", "--input", str(DATA / "conic_weights.json"), "--k", "5:10")
+        assert res.exit_code == 0
+        full = json.loads(run(runner, "futaki", "--input", str(DATA / "conic_weights.json")).output)
+        rep = json.loads(res.output)
+        assert sorted(map(int, rep["chow"])) == list(range(5, 11))
+        assert rep["chow"] == {k: v for k, v in full["chow"].items() if int(k) >= 5}
+
 
 class TestFactorizeCommand:
     def test_conic_loop(self, runner):
@@ -153,6 +161,24 @@ class TestBergmanCommand:
         rep = json.loads(res.output)
         assert rep["k"] == [4, 8, 16]
 
+    def test_one_gram_pass_per_level(self, runner, monkeypatch):
+        import kstab.bergman as bg
+
+        calls = []
+        real = bg.gram
+
+        def counting(metric, k, *args, **kwargs):
+            calls.append(k)
+            return real(metric, k, *args, **kwargs)
+
+        monkeypatch.setattr(bg, "gram", counting)
+        res = run(
+            runner, "bergman", "--input", str(DATA / "bump_metric.json"),
+            "--k", "4:16:double", "--grid", "3",
+        )
+        assert res.exit_code == 0
+        assert sorted(calls) == [4, 8, 16]
+
 
 class TestErrors:
     def test_malformed_json_exit_2(self, runner, tmp_path):
@@ -179,6 +205,42 @@ class TestErrors:
         )
         res = runner.invoke(main, ["factorize", "--input", str(loop)])
         assert res.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [
+        ("futaki", "foo"),
+        ("futaki", "0"),
+        ("futaki", "0:10"),
+        ("futaki", "10:5"),
+        ("futaki", "1:2:3"),
+        ("futaki", ""),
+        ("bergman", "0"),
+        ("bergman", "foo"),
+        ("bergman", "0:8:double"),
+        ("bergman", "-4,8,16"),
+        ("bergman", "8,8,16"),
+        ("bergman", "4:16:0"),
+        ("bergman", "4:16:x"),
+        ("bergman", "1:2:3:4"),
+    ],
+)
+def test_malformed_levels_exit_2(runner, command, value):
+    inputs = {"futaki": "conic_weights.json", "bergman": "round_metric.json"}
+    res = runner.invoke(main, [command, "--input", str(DATA / inputs[command]), "--k", value])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert [line for line in res.stderr.splitlines() if line.startswith("error:")] == res.stderr.splitlines()
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_cli_import_leaves_out_sympy():
+    code = "import sys, kstab.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestVerifySubset:
