@@ -337,8 +337,12 @@ def metric_from_json(obj) -> RadialMetric:
     "den": [...]}}; "default" uses s/(1+s)^2."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("metric input must be a JSON object")
     eps = float(obj.get("epsilon", 0.0))
     bump = obj.get("bump")
+    if bump is not None and not isinstance(bump, dict):
+        raise ValueError("\"bump\" must be a JSON object")
     if bump is None or bump.get("type") == "default":
         return RadialMetric(epsilon=eps)
     if bump.get("type") != "rational":

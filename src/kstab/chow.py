@@ -8,6 +8,12 @@ weight is the exact rational
 
     ord_t(det g) / (N + 1)  -  ord_t(coefficients of F(adj(g) x)) / (d N).
 
+Only the order and the lowest coefficients of F(adj(g) x) are needed, so
+they are read off its expansion modulo t^K, after shifting adj(g) by the
+lowest order of its entries; K starts at 1 and doubles until some
+coefficient is nonzero, up to the full t-span of the form.  The full
+expansion (``transformed_form``) is the same computation at the full span.
+
 Orientation is calibrated once and frozen: weights live on the section
 side, so the dual pairing generator of a cycle-side loop is MINUS its
 exponent diagonal.  With that convention the Chow weight of a pure
@@ -29,7 +35,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from kstab.cycles import Component, ProjectiveCycle, moment_matrix, pairing
-from kstab.laurent import LaurentMatrix, LaurentPoly, factorize
+from kstab.laurent import LaurentMatrix, LaurentPoly, _ser_add_mul, _window_list, factorize
 
 __all__ = [
     "HypersurfaceForm",
@@ -56,47 +62,6 @@ def _cx(value) -> Tuple[Fraction, Fraction]:
     return (Fraction(value), _ZERO)
 
 
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _is_czero(a) -> bool:
-    return not a[0] and not a[1]
-
-
-# A Laurent polynomial over complex rationals: dict exponent -> (re, im).
-def _lc_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, v in b.items():
-        w = _cadd(out.get(e, (_ZERO, _ZERO)), v)
-        if _is_czero(w):
-            out.pop(e, None)
-        else:
-            out[e] = w
-    return out
-
-
-def _lc_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = e1 + e2
-            w = _cadd(out.get(e, (_ZERO, _ZERO)), _cmul(v1, v2))
-            if _is_czero(w):
-                out.pop(e, None)
-            else:
-                out[e] = w
-    return out
-
-
-def _lc_from_poly(p: LaurentPoly) -> dict:
-    return {e: (v, _ZERO) for e, v in p.coeffs.items()}
-
-
 @dataclass(frozen=True)
 class HypersurfaceForm:
     """Multivariate form: map from exponent tuples to complex-rational
@@ -117,11 +82,13 @@ class HypersurfaceForm:
                 degree = sum(exps)
             elif sum(exps) != degree:
                 raise ValueError("form is not homogeneous")
+            if degree < 1 or min(exps) < 0:
+                raise ValueError("a hypersurface form needs degree >= 1 and exponents >= 0")
             if isinstance(coeff, dict):
                 lc = {int(e): _cx(v) for e, v in coeff.items()}
             else:
                 lc = {0: _cx(coeff)}
-            lc = {e: v for e, v in lc.items() if not _is_czero(v)}
+            lc = {e: v for e, v in lc.items() if any(v)}
             if lc:
                 out[exps] = lc
         if not out:
@@ -143,51 +110,6 @@ class HypersurfaceForm:
         )
 
 
-def _substitute(form: HypersurfaceForm, rows) -> HypersurfaceForm:
-    """Substitute x_a -> sum_b rows[a][b] * y_b (rows: complex-rational
-    Laurent coefficients), expanding exactly."""
-    n = form.nvars
-    # linear forms as multivariate polys: dict[exps] -> laurent-complex
-    linear = []
-    for a in range(n):
-        lf: dict = {}
-        for b in range(n):
-            lc = rows[a][b]
-            if lc:
-                exps = tuple(1 if i == b else 0 for i in range(n))
-                lf[exps] = lc
-        linear.append(lf)
-
-    def mv_mul(p: dict, q: dict) -> dict:
-        out: dict = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                cur = out.get(e)
-                prod = _lc_mul(c1, c2)
-                out[e] = _lc_add(cur, prod) if cur else prod
-                if not out[e]:
-                    del out[e]
-        return out
-
-    one = {tuple(0 for _ in range(n)): {0: (Fraction(1), _ZERO)}}
-    result: dict = {}
-    for exps, coeff in form.monomials.items():
-        term = one
-        for a, e in enumerate(exps):
-            for _ in range(e):
-                term = mv_mul(term, linear[a])
-        for mono, lc in term.items():
-            scaled = _lc_mul(lc, coeff)
-            cur = result.get(mono)
-            result[mono] = _lc_add(cur, scaled) if cur else scaled
-            if not result[mono]:
-                del result[mono]
-    if not result:
-        raise ValueError("transformed form vanished identically")
-    return HypersurfaceForm(n, result)
-
-
 def _adjugate(g: LaurentMatrix) -> LaurentMatrix:
     n = g.size
     if n == 1:
@@ -207,14 +129,10 @@ def _adjugate(g: LaurentMatrix) -> LaurentMatrix:
     return LaurentMatrix(out)
 
 
-def transformed_form(
-    form: HypersurfaceForm, g: LaurentMatrix, convention: str = "calibrated"
-) -> HypersurfaceForm:
-    """Coefficient path of the moved hypersurface.
-
-    ``calibrated``: substitute the adjugate of g (the Chow-coordinate path of
-    the cycle family g(t) * {F = 0}).  ``flipped``: substitute g itself.
-    """
+def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
+    """Lifted form, rows of P = t^(-nu) m with nu the lowest entry order of m,
+    the order shift d*nu of F(m x) = t^(d nu) F(P x), and the span of t-powers
+    F(P x) can have."""
     if g.size != form.nvars:
         raise ValueError("loop size does not match the number of variables")
     if convention == "calibrated":
@@ -223,12 +141,97 @@ def transformed_form(
         m = g
     else:
         raise ValueError("convention must be 'calibrated' or 'flipped'")
-    rows = [[_lc_from_poly(m.entries[a][b]) for b in range(g.size)] for a in range(g.size)]
-    return _substitute(form.canonical_lift(), rows)
+    lifted = form.canonical_lift()
+    nonzero = [p for row in m.entries for p in row if not p.is_zero]
+    nu = min((p.ord() for p in nonzero), default=0)
+    rows = [[p.shift(-nu) for p in row] for row in m.entries]
+    p_deg = max((p.deg() for p in nonzero), default=nu) - nu
+    c_deg = max(max(lc) for lc in lifted.monomials.values())
+    return lifted, rows, form.degree * nu, form.degree * p_deg + c_deg + 1
 
 
-def _form_ord(form: HypersurfaceForm) -> int:
-    return min(min(lc) for lc in form.monomials.values())
+def _mv_mul(p: dict, q: dict, K: int) -> dict:
+    """Product of two forms in y whose coefficients are series mod t^K."""
+    out: dict = {}
+    for e1, s1 in p.items():
+        for e2, s2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = _ser_add_mul(out.get(e) or [_ZERO] * K, s1, s2, K)
+    return out
+
+
+def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
+    """Coefficients of F(P y) modulo t^K: {y-exponents: (re, im)} with re and
+    im length-K lists.
+
+    The powers l_a^j of the linear forms l_a = sum_b P[a][b] y_b are real
+    rational and computed once for j up to the top exponent of x_a in F;
+    each monomial of F is a product of them, and F's complex coefficients
+    enter only when the products are summed.
+    """
+    n = lifted.nvars
+    powers = []
+    for a in range(n):
+        linear = {
+            tuple(int(i == b) for i in range(n)): _window_list(p, K)
+            for b, p in enumerate(rows[a])
+            if not p.is_zero
+        }
+        pw = [None, linear]
+        for _ in range(2, max(e[a] for e in lifted.monomials) + 1):
+            pw.append(_mv_mul(pw[-1], linear, K))
+        powers.append(pw)
+    out: dict = {}
+    for exps, lc in lifted.monomials.items():
+        term = {(0,) * n: [Fraction(1)] + [_ZERO] * (K - 1)}
+        for a, e in enumerate(exps):
+            if e:
+                term = _mv_mul(term, powers[a][e], K)
+        c_re, c_im = [_ZERO] * K, [_ZERO] * K
+        for e, (re, im) in lc.items():
+            if e < K:
+                c_re[e], c_im[e] = re, im
+        for mono, ser in term.items():
+            re, im = out.setdefault(mono, ([_ZERO] * K, [_ZERO] * K))
+            _ser_add_mul(re, c_re, ser, K)
+            _ser_add_mul(im, c_im, ser, K)
+    return out
+
+
+def transformed_form(
+    form: HypersurfaceForm, g: LaurentMatrix, convention: str = "calibrated"
+) -> HypersurfaceForm:
+    """Coefficient path of the moved hypersurface, expanded in full.
+
+    ``calibrated``: substitute the adjugate of g (the Chow-coordinate path of
+    the cycle family g(t) * {F = 0}).  ``flipped``: substitute g itself.
+    """
+    lifted, rows, shift, span = _substitution(form, g, convention)
+    monomials = {}
+    for mono, (re, im) in _window(lifted, rows, span).items():
+        lc = {e + shift: (re[e], im[e]) for e in range(span) if re[e] or im[e]}
+        if lc:
+            monomials[mono] = lc
+    if not monomials:
+        raise ValueError("transformed form vanished identically")
+    return HypersurfaceForm(form.nvars, monomials)
+
+
+def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
+    """t-order of the coefficients of F(m x) and the coefficients at that
+    order, from the first of the windows t^1, t^2, t^4, ... (capped at the
+    full span) that holds a nonzero coefficient."""
+    lifted, rows, shift, span = _substitution(form, g, convention)
+    K = 1
+    while True:
+        K = min(K, span)
+        win = _window(lifted, rows, K)
+        o = min((e for re, im in win.values() for e in range(K) if re[e] or im[e]), default=None)
+        if o is not None:
+            return o + shift, {mono: (re[o], im[o]) for mono, (re, im) in win.items() if re[o] or im[o]}
+        if K == span:
+            raise ValueError("transformed form vanished identically")
+        K *= 2
 
 
 def chow_weight(
@@ -261,8 +264,7 @@ def chow_weight(
     det = g.det()
     if det.is_zero:
         raise ValueError("degenerate loop")
-    path = transformed_form(form, g, convention)
-    a_ord = _form_ord(path)
+    a_ord, _ = _lowest_terms(form, g, convention)
     if convention == "calibrated":
         return Fraction(det.ord(), N + 1) - Fraction(a_ord, d * (n + 1))
     return Fraction(a_ord, d * (n + 1)) - Fraction(det.ord(), N + 1)
@@ -271,14 +273,8 @@ def chow_weight(
 def central_fiber_form(form: HypersurfaceForm, g: LaurentMatrix) -> Dict[tuple, complex]:
     """Initial form of the family at t = 0: lowest-order coefficients of the
     transformed form, as floating complex numbers."""
-    path = transformed_form(form, g, "calibrated")
-    m = _form_ord(path)
-    out = {}
-    for exps, lc in path.monomials.items():
-        v = lc.get(m)
-        if v is not None:
-            out[exps] = complex(float(v[0]), float(v[1]))
-    return out
+    _, lowest = _lowest_terms(form, g, "calibrated")
+    return {exps: complex(float(re), float(im)) for exps, (re, im) in lowest.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +464,8 @@ def check_chow_inequality(
 def form_from_json(obj, nvars: Optional[int] = None) -> HypersurfaceForm:
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("form input must be a JSON object")
     if "components" in obj and "form" not in obj:
         raise ValueError(
             "Chow form unavailable: input is a parametrized cycle, not a "
@@ -475,6 +473,8 @@ def form_from_json(obj, nvars: Optional[int] = None) -> HypersurfaceForm:
         )
     if "form" in obj:
         obj = obj["form"]
+        if not isinstance(obj, dict):
+            raise ValueError("\"form\" must be a JSON object")
     mono = {}
     for key, val in obj.items():
         exps = tuple(int(x) for x in key.split(","))
@@ -482,6 +482,8 @@ def form_from_json(obj, nvars: Optional[int] = None) -> HypersurfaceForm:
             mono[exps] = (Fraction(val[0]).limit_denominator(10**12), Fraction(val[1]).limit_denominator(10**12))
         else:
             mono[exps] = val
+    if not mono:
+        raise ValueError("zero form")
     nv = nvars or len(next(iter(mono)))
     return HypersurfaceForm.from_dict(nv, mono)
 

@@ -34,16 +34,19 @@ EXIT_INVARIANT = 3
 EXIT_NONCONVERGENCE = 4
 
 
-def _load_json(path):
+def _read_input(path, parser, what):
+    """Parse a JSON input file with ``parser``; any malformed input exits 2."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
-        raise click.exceptions.Exit(_fail(EXIT_PARSE, f"input file not found: {path}"))
+        sys.exit(_fail(EXIT_PARSE, f"input file not found: {path}"))
     except json.JSONDecodeError as exc:
-        raise click.exceptions.Exit(
-            _fail(EXIT_PARSE, f"malformed JSON in {path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
-        )
+        sys.exit(_fail(EXIT_PARSE, f"malformed JSON in {path}: line {exc.lineno} col {exc.colno}: {exc.msg}"))
+    try:
+        return parser(obj)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        sys.exit(_fail(EXIT_PARSE, f"bad {what}: {exc}"))
 
 
 def _fail(code, message):
@@ -112,11 +115,7 @@ def _with_common(fn):
 @_with_common
 def cmd_factorize(input_path, out, fmt):
     """Normal form left * t^A * right of a loop."""
-    obj = _load_json(input_path)
-    try:
-        g = loop_from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad loop input: {exc}"))
+    g = _read_input(input_path, loop_from_json, "loop input")
     try:
         fac = factorize(g)
     except DegenerateLoopError as exc:
@@ -142,11 +141,7 @@ def cmd_factorize(input_path, out, fmt):
 @click.option("--sign", type=click.Choice(["calibrated", "flipped"]), default="calibrated")
 def cmd_futaki(input_path, out, fmt, krange, sign):
     """Exact weight polynomial, Chow table and Futaki invariant."""
-    obj = _load_json(input_path)
-    try:
-        ws = wt.weight_system_from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad weight system: {exc}"))
+    ws = _read_input(input_path, wt.weight_system_from_json, "weight system")
     try:
         lo, hi = _parse_range_pair(krange)
     except ValueError as exc:
@@ -168,13 +163,10 @@ def cmd_futaki(input_path, out, fmt, krange, sign):
 def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
     """Chow weight of a hypersurface degeneration, with the central-fiber
     pairing check for plane conics."""
-    form_obj = _load_json(input_path)
-    loop_obj = _load_json(loop_path)
-    try:
-        form = cw.form_from_json(form_obj)
-        g = loop_from_json(loop_obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad input: {exc}"))
+    form = _read_input(input_path, cw.form_from_json, "form input")
+    g = _read_input(loop_path, loop_from_json, "loop input")
+    if order < 1:
+        sys.exit(_fail(EXIT_PARSE, "order must be >= 1"))
     convention = "calibrated" if sign == "calibrated" else "flipped"
     try:
         ch = cw.chow_weight(form, g, convention=convention)
@@ -206,13 +198,9 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
 @click.option("--tol", default=1e-8, type=float)
 def cmd_moment(input_path, out, fmt, order, tol):
     """Trace-free moment matrix of a parametrized cycle."""
-    obj = _load_json(input_path)
+    cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
     if order < 1 or tol <= 0:
         sys.exit(_fail(EXIT_PARSE, "order must be >= 1 and tol positive"))
-    try:
-        cycle = cy.cycle_from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad cycle input: {exc}"))
     try:
         res = cy.moment_matrix(cycle, order=order, tol=tol)
     except QuadratureError as exc:
@@ -239,13 +227,9 @@ def cmd_moment(input_path, out, fmt, order, tol):
 @click.option("--order", default=32, type=int)
 def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     """Balanced-embedding iteration; CSV of residuals per step."""
-    obj = _load_json(input_path)
+    cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
     if tol <= 0 or max_steps < 1 or order < 1:
         sys.exit(_fail(EXIT_PARSE, "tol, max-steps and order must be positive"))
-    try:
-        cycle = cy.cycle_from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad cycle input: {exc}"))
     res = cy.balance_iterate(cycle, max_steps=max_steps, tol=tol, order=order)
     data = {
         "columns": ["step", "residual"],
@@ -309,11 +293,7 @@ def _parse_klist(text):
 @click.option("--grid", default=100, type=int, help="number of radial grid points")
 def cmd_bergman(input_path, out, fmt, krange, grid):
     """Density-of-states run: rho, fitted first correction, discrepancy."""
-    obj = _load_json(input_path)
-    try:
-        metric = bg.metric_from_json(obj)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad metric input: {exc}"))
+    metric = _read_input(input_path, bg.metric_from_json, "metric input")
     try:
         klist = _parse_klist(krange)
     except ValueError as exc:
@@ -363,7 +343,13 @@ def cmd_bergman(input_path, out, fmt, krange, grid):
 @click.option("--only", default=None, help="comma-separated criterion numbers")
 def cmd_verify(out, only):
     """Run the acceptance suite and print one pass/fail line per criterion."""
-    numbers = [int(x) for x in only.split(",")] if only else None
+    known = {c[0] for c in acc.CRITERIA}
+    try:
+        numbers = [int(x) for x in only.split(",")] if only else None
+        if numbers and not known.issuperset(numbers):
+            raise ValueError
+    except ValueError:
+        sys.exit(_fail(EXIT_PARSE, f"bad --only {only!r}: expected criterion numbers from 1..{max(known)}"))
     results = acc.run_all(numbers)
     table = acc.format_table(results)
     if out:

@@ -293,6 +293,8 @@ def cycle_from_json(obj) -> ProjectiveCycle:
     if isinstance(obj, str):
         obj = json.loads(obj)
     ambient = int(obj["ambient"])
+    if ambient < 1:
+        raise ValueError(f"ambient dimension must be >= 1, got {ambient}")
     comps = []
     for c in obj["components"]:
         rows = []
@@ -302,7 +304,14 @@ def cycle_from_json(obj) -> ProjectiveCycle:
         arr = np.zeros((len(rows), width), dtype=complex)
         for i, r in enumerate(rows):
             arr[i, : len(r)] = r
-        comps.append(Component(arr, int(c.get("multiplicity", 1))))
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coefficients must be finite")
+        comp = Component(arr, int(c.get("multiplicity", 1)))
+        if comp.degree < 1:
+            raise ValueError("component of degree 0: a curve needs a nonconstant parametrization")
+        comps.append(comp)
+    if not comps:
+        raise ValueError("cycle has no components")
     return ProjectiveCycle(ambient, comps)
 
 

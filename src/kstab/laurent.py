@@ -90,7 +90,10 @@ class LaurentPoly:
     @classmethod
     def from_triples(cls, triples) -> "LaurentPoly":
         """Build from ``[[exp, num, den], ...]`` triples."""
-        return cls((int(e), Fraction(int(n), int(d))) for e, n, d in triples)
+        triples = [(int(e), int(n), int(d)) for e, n, d in triples]
+        if any(d == 0 for _, _, d in triples):
+            raise ValueError("coefficient with denominator 0")
+        return cls((e, Fraction(n, d)) for e, n, d in triples)
 
     # -- structure ----------------------------------------------------
     @property
@@ -407,28 +410,14 @@ def _ser_is_zero(a) -> bool:
     return all(not v for v in a)
 
 
-def _ser_mul(a, b, K):
-    out = [_ZERO] * K
+def _ser_add_mul(acc, a, b, K):
+    """acc + a*b modulo t^K, accumulated into acc (all length-K lists)."""
     for i, av in enumerate(a):
         if av:
-            top = K - i
-            bi = b[:top]
-            for j, bv in enumerate(bi):
+            for j, bv in enumerate(b[: K - i]):
                 if bv:
-                    out[i + j] += av * bv
-    return out
-
-def _ser_sub_mul(a, mu, b, K):
-    """a - mu*b, all length-K coefficient lists."""
-    out = list(a)
-    for i, mv in enumerate(mu):
-        if mv:
-            top = K - i
-            bi = b[:top]
-            for j, bv in enumerate(bi):
-                if bv:
-                    out[i + j] -= mv * bv
-    return out
+                    acc[i + j] += av * bv
+    return acc
 
 
 def _ser_inv_unit(a, K):
@@ -481,7 +470,7 @@ def _echelon(rows, size, K):
         # normalize the pivot row so its cstar entry becomes exactly t^m
         unit = rows[istar][cstar][m:] + [_ZERO] * m
         uinv = _ser_inv_unit(unit, K)
-        rows[istar] = [_ser_mul(uinv, col, K) for col in rows[istar]]
+        rows[istar] = [_ser_add_mul([_ZERO] * K, uinv, col, K) for col in rows[istar]]
 
         for i in active:
             if i == istar:
@@ -489,9 +478,9 @@ def _echelon(rows, size, K):
             ent = rows[i][cstar]
             if _ser_is_zero(ent):
                 continue
-            mu = ent[m:] + [_ZERO] * m  # ord(ent) >= m, exact monomial division
+            neg_mu = [-v for v in ent[m:]] + [_ZERO] * m  # ord(ent) >= m: exact division by t^m
             rows[i] = [
-                _ser_sub_mul(rows[i][c], mu, rows[istar][c], K) for c in range(size)
+                _ser_add_mul(list(rows[i][c]), neg_mu, rows[istar][c], K) for c in range(size)
             ]
 
         sigma[pos] = cstar
@@ -503,10 +492,10 @@ def _echelon(rows, size, K):
     for k in range(1, size):
         for j in range(k - 1, -1, -1):
             beta = basis[k][sigma[j]]
-            q = beta[wts[j]:] + [_ZERO] * wts[j]
-            if not _ser_is_zero(q):
+            neg_q = [-v for v in beta[wts[j]:]] + [_ZERO] * wts[j]
+            if not _ser_is_zero(neg_q):
                 basis[k] = [
-                    _ser_sub_mul(basis[k][c], q, basis[j][c], K) for c in range(size)
+                    _ser_add_mul(list(basis[k][c]), neg_q, basis[j][c], K) for c in range(size)
                 ]
     return sigma, wts, basis
 
@@ -697,6 +686,8 @@ def loop_from_json(obj) -> LaurentMatrix:
     if isinstance(obj, str):
         obj = json.loads(obj)
     size = int(obj["size"])
+    if size < 1:
+        raise ValueError(f"loop size must be positive, got {size}")
     flat = obj["entries"]
     if len(flat) != size * size:
         raise ValueError(

@@ -1,14 +1,17 @@
 """Moment matrices, Chow weights, the pairing inequality, and balancing."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import kstab.chow as chow_module
 from kstab.acceptance import CONIC_FORM, random_admissible_loop, rnc3_cycle
 from kstab.chow import (
     HypersurfaceForm,
+    _adjugate,
     central_fiber_cycle,
     central_fiber_form,
     check_chow_inequality,
@@ -16,6 +19,7 @@ from kstab.chow import (
     form_from_json,
     form_to_json,
     section_diagonal,
+    transformed_form,
 )
 from kstab.cycles import (
     Component,
@@ -29,7 +33,7 @@ from kstab.cycles import (
     trace_norm,
     transform_cycle,
 )
-from kstab.laurent import LaurentMatrix
+from kstab.laurent import LaurentMatrix, LaurentPoly
 from kstab.quadrature import QuadratureError
 
 
@@ -164,6 +168,140 @@ class TestChowWeight:
         assert chow_weight(CONIC_FORM, g) == Fraction(1, 3)
         fiber = central_fiber_cycle(CONIC_FORM, g)
         assert [c.multiplicity for c in fiber.components] == [2]
+
+
+def _random_poly(rng, terms, low=0):
+    return LaurentPoly(
+        {rng.randint(low, low + 2): Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+         for _ in range(terms)}
+    )
+
+
+def _ldu_loop(rng, n):
+    """L t^D U with L lower, U upper unitriangular and t-dependent entries."""
+    zero = LaurentPoly()
+    low = LaurentMatrix([
+        [LaurentPoly({0: rng.choice([1, -2, 3])}) if i == j
+         else (_random_poly(rng, rng.randint(0, 2)) if i > j else zero) for j in range(n)]
+        for i in range(n)
+    ])
+    up = LaurentMatrix([
+        [LaurentPoly.one() if i == j
+         else (_random_poly(rng, rng.randint(0, 2), low=-1) if i < j else zero) for j in range(n)]
+        for i in range(n)
+    ])
+    mid = LaurentMatrix.exponent_diagonal([rng.randint(-2, 3) for _ in range(n)])
+    return low @ mid @ up
+
+
+def _random_form(rng, n, d):
+    """Complex and t-dependent coefficients on a random set of monomials."""
+    mono = {}
+    for exps in itertools.product(range(d + 1), repeat=n):
+        if sum(exps) == d and rng.random() < 0.7:
+            re, im = Fraction(rng.choice([-4, -1, 1, 2]), rng.choice([1, 3])), Fraction(rng.choice([0, rng.randint(-2, 2)]))
+            mono[exps] = {rng.randint(-1, 2): (re, im), rng.randint(0, 3): (im, re)} if rng.random() < 0.3 else (re, im)
+    mono.setdefault((d,) + (0,) * (n - 1), 1)
+    return HypersurfaceForm.from_dict(n, mono)
+
+
+def _expand_reference(form, m):
+    """F(m x) by plain Laurent-polynomial arithmetic on the real and
+    imaginary parts: {y-exponents: {t-exponent: (re, im)}}."""
+    n = form.nvars
+    out = {}
+    for exps, lc in form.monomials.items():
+        term = {(0,) * n: LaurentPoly.one()}
+        for a, e in enumerate(exps):
+            for _ in range(e):
+                nxt = {}
+                for mono, c in term.items():
+                    for b in range(n):
+                        key = tuple(k + (i == b) for i, k in enumerate(mono))
+                        nxt[key] = nxt.get(key, LaurentPoly()) + c * m.entries[a][b]
+                term = nxt
+        c_re = LaurentPoly({e: v[0] for e, v in lc.items()})
+        c_im = LaurentPoly({e: v[1] for e, v in lc.items()})
+        for mono, c in term.items():
+            re, im = out.get(mono, (LaurentPoly(), LaurentPoly()))
+            out[mono] = (re + c_re * c, im + c_im * c)
+    expanded = {}
+    for mono, (re, im) in out.items():
+        lc = {e: (re.coefficient(e), im.coefficient(e)) for e in set(re.coeffs) | set(im.coeffs)}
+        if lc:
+            expanded[mono] = lc
+    return expanded
+
+
+def _full_span_answer(form, g, convention):
+    """Chow weight and lowest coefficients read off the full expansion."""
+    path = transformed_form(form, g, convention)
+    order = min(min(lc) for lc in path.monomials.values())
+    lowest = {mono: complex(*map(float, lc[order])) for mono, lc in path.monomials.items() if order in lc}
+    N, d, det_ord = g.size - 1, form.degree, g.det().ord()
+    ch = Fraction(det_ord, N + 1) - Fraction(order, d * N)
+    return (ch if convention == "calibrated" else -ch), lowest
+
+
+class TestWindowedOrder:
+    """The doubling window against the full-span expansion."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_span(self, seed):
+        rng = random.Random(seed)
+        for _ in range(8):
+            n = rng.randint(2, 4)
+            d = rng.randint(1, 3 if n < 4 else 2)
+            g, form = _ldu_loop(rng, n), _random_form(rng, n, d)
+            for convention in ("calibrated", "flipped"):
+                ch, lowest = _full_span_answer(form, g, convention)
+                assert chow_weight(form, g, convention=convention) == ch
+                if convention == "calibrated":
+                    assert central_fiber_form(form, g) == lowest
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_span_matches_plain_expansion(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(5):
+            n = rng.randint(2, 3)
+            g, form = _ldu_loop(rng, n), _random_form(rng, n, rng.randint(1, 2))
+            for convention, m in (("calibrated", _adjugate(g)), ("flipped", g)):
+                assert transformed_form(form, g, convention).monomials == _expand_reference(form.canonical_lift(), m)
+
+    def test_cancellation_doubles_window(self, monkeypatch):
+        # F = x0 - x1 under adj(g) = [[1, 0], [1, t^5]]: F(adj(g) x) = -t^5 y1,
+        # order 5 above d * nu = 0, so windows 1, 2 and 4 are all zero
+        t5 = LaurentPoly.t_power(5)
+        g = LaurentMatrix([[t5, LaurentPoly()], [-LaurentPoly.one(), LaurentPoly.one()]])
+        form = HypersurfaceForm.from_dict(2, {(1, 0): 1, (0, 1): -1})
+        sizes = []
+        real = chow_module._window
+        monkeypatch.setattr(
+            chow_module, "_window", lambda f, rows, K: sizes.append(K) or real(f, rows, K)
+        )
+        assert chow_weight(form, g) == Fraction(5, 2) - 5
+        assert sizes == [1, 2, 4, 6]
+        assert central_fiber_form(form, g) == {(0, 1): -1}
+        assert chow_weight(form, g, convention="flipped") == _full_span_answer(form, g, "flipped")[0]
+
+    def test_vanishing_form_raises(self):
+        # adj of the singular [[1, 1], [1, 1]] kills x0 + x1
+        one = LaurentPoly.one()
+        g = LaurentMatrix([[one, one], [one, one]])
+        form = HypersurfaceForm.from_dict(2, {(1, 0): 1, (0, 1): 1})
+        for fn in (central_fiber_form, transformed_form):
+            with pytest.raises(ValueError, match="vanished identically"):
+                fn(form, g)
+
+    def test_does_not_expand_the_full_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full expansion requested")
+
+        expected = chow_weight(CONIC_FORM, conic_loop())
+        monkeypatch.setattr(chow_module, "transformed_form", refuse)
+        assert chow_weight(CONIC_FORM, conic_loop()) == expected == Fraction(1, 12)
+        assert set(central_fiber_form(CONIC_FORM, conic_loop())) == {(1, 0, 1)}
+        assert len(central_fiber_cycle(CONIC_FORM, conic_loop()).components) == 2
 
 
 class TestCentralFiber:

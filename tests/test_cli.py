@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from kstab.cli import main
 
@@ -241,6 +244,134 @@ def test_cli_import_leaves_out_sympy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Leaves stay small: an exponent or a degree read from the input sets the
+# size of the exact computation, and this test is about exit codes.
+_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 12) | st.text(max_size=3)
+    | st.floats(-10, 10) | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _put(doc, path, value):
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = _put(doc[path[0]], path[1:], value)
+    return out
+
+
+@st.composite
+def _malformed(draw, name):
+    """A shipped input with one node replaced, any small JSON value, or raw text."""
+    valid = json.loads((DATA / name).read_text())
+    kind = draw(st.sampled_from(["mutate", "mutate", "mutate", "json", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=8))
+    if kind == "json":
+        return json.dumps(draw(_JSON))
+    path = draw(st.sampled_from(list(_paths(valid))))
+    return json.dumps(_put(valid, path, draw(_JSON)))
+
+
+_COMMANDS = {
+    "factorize": (["conic_loop.json"], {}),
+    "chow": (["conic_form.json", "conic_loop.json"],
+             {"--sign": ["calibrated", "flipped"], "--order": ["-1", "0", "1", "48"], "--tol": ["-1", "1e-6"]}),
+    "moment": (["line_cycle.json"], {"--order": ["-1", "0", "1", "48"], "--tol": ["-1", "0", "1e-8"]}),
+    "balance": (["rnc3_distorted_cycle.json"],
+                {"--max-steps": ["-1", "0", "1", "5"], "--order": ["0", "1", "32"], "--tol": ["0", "1e-8"]}),
+    "bergman": (["bump_metric.json"], {"--k": ["4,8", "0", "8:4", "4:16:double"], "--grid": ["-1", "0", "3"]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=25, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_inputs_exit_cleanly(runner, command, data):
+    files, options = _COMMANDS[command]
+    texts = [data.draw(_malformed(name)) for name in files]
+    if len(texts) == 2 and data.draw(st.booleans()):
+        keep = data.draw(st.sampled_from([0, 1]))
+        texts[keep] = (DATA / files[keep]).read_text()
+    args = [command]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(Path(tmp) / f"in{i}.json")
+            paths[-1].write_text(text)
+        args += ["--input", str(paths[0])]
+        if command == "chow":
+            args += ["--loop", str(paths[1])]
+        for opt, values in options.items():
+            if data.draw(st.booleans()):
+                args += [opt, data.draw(st.sampled_from(values))]
+        _assert_clean_exit(runner.invoke(main, args))
+
+
+_DEGREE_0_CYCLE = {"ambient": 2, "components": [{"coeffs": [[[1, 0], [0, 0]], [[0, 0]], [[1, 0]]]}]}
+_DENOMINATOR_0_LOOP = {"size": 1, "entries": [[[0, 1, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("chow", {"--input": [1, 2], "--loop": "conic_loop.json"}),
+        ("chow", {"--input": "conic_form.json", "--loop": _DENOMINATOR_0_LOOP}),
+        ("factorize", {"--input": _DENOMINATOR_0_LOOP}),
+        ("bergman", {"--input": [1, 2]}),
+        ("moment", {"--input": _DEGREE_0_CYCLE}),
+        ("balance", {"--input": _DEGREE_0_CYCLE}),
+    ],
+)
+def test_malformed_input_exit_2(runner, tmp_path, command, inputs):
+    args = [command]
+    for opt, value in inputs.items():
+        path = DATA / value if isinstance(value, str) else tmp_path / f"{opt[2:]}.json"
+        if not isinstance(value, str):
+            path.write_text(json.dumps(value))
+        args += [opt, str(path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    _assert_clean_exit(res)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(only=st.text(alphabet="0123456789,- x", min_size=1, max_size=6))
+def test_verify_only_malformed_exit_2(runner, only):
+    # a list of valid criterion numbers (int() allows padding) would run the suite
+    try:
+        numbers = [int(p) for p in only.split(",")]
+    except ValueError:
+        numbers = [0]
+    assume(not all(1 <= n <= 13 for n in numbers))
+    res = runner.invoke(main, ["verify", "--only", only])
+    assert res.exit_code == 2
+    _assert_clean_exit(res)
+
+
+def _assert_clean_exit(res):
+    assert res.exit_code in {0, 2, 3, 4}, res.exception
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output + res.stderr
+    if res.exit_code in (2, 3):
+        assert [line for line in res.stderr.splitlines() if line.startswith("error:")] == res.stderr.splitlines()
+        assert len(res.stderr.splitlines()) == 1
 
 
 class TestVerifySubset:
