@@ -24,6 +24,7 @@ from kstab import cycles as cy
 from kstab import weights as wt
 from kstab.laurent import (
     DegenerateLoopError,
+    FactorizationError,
     factorize,
     loop_from_json,
 )
@@ -118,7 +119,7 @@ def cmd_factorize(input_path, out, fmt):
     g = _read_input(input_path, loop_from_json, "loop input")
     try:
         fac = factorize(g)
-    except DegenerateLoopError as exc:
+    except (DegenerateLoopError, FactorizationError) as exc:
         sys.exit(_fail(EXIT_INVARIANT, str(exc)))
     from kstab.laurent import loop_to_json
 
@@ -187,6 +188,8 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
                     "section_diagonal": list(chk.exponents),
                 }
             )
+        except FactorizationError as exc:
+            sys.exit(_fail(EXIT_INVARIANT, str(exc)))
         except QuadratureError as exc:
             sys.exit(_fail(EXIT_NONCONVERGENCE, str(exc)))
     _emit(data, out, fmt)

@@ -20,9 +20,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from kstab import poly
+
 __all__ = [
     "DegenerateLoopError",
     "ZeroLaurentError",
+    "FactorizationError",
     "LaurentPoly",
     "LaurentMatrix",
     "LoopFactorization",
@@ -46,6 +49,11 @@ class DegenerateLoopError(ValueError):
 
 class ZeroLaurentError(ValueError):
     """Raised when an order/degree is requested of the zero element."""
+
+
+class FactorizationError(ArithmeticError):
+    """Raised when a computed factorization fails its exact check (an
+    internal invariant; the CLI exits 3)."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -257,31 +265,34 @@ class LaurentMatrix:
         return out
 
     def det(self) -> LaurentPoly:
-        """Exact determinant by cofactor expansion with memoization."""
+        """Exact determinant by fraction-free (Bareiss) elimination over Q[t].
+
+        The entries are shifted by t^(-nu), nu the lowest entry order, so the
+        elimination runs on polynomials; at step k every entry becomes
+        (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), a division that is exact.
+        """
         n = self.size
-        cache = {}
-
-        def minor(rows: int, start: int) -> LaurentPoly:
-            # rows: bitmask of remaining row indices; expand along column `start`
-            if rows in cache:
-                return cache[rows]
-            idx = [i for i in range(n) if rows >> i & 1]
-            if len(idx) == 1:
-                res = self.entries[idx[0]][start]
-            else:
-                res = LaurentPoly.zero()
-                sign = 1
-                for pos, i in enumerate(idx):
-                    a = self.entries[i][start]
-                    if not a.is_zero:
-                        sub = minor(rows & ~(1 << i), start + 1)
-                        term = a * sub
-                        res = res + (term if sign > 0 else -term)
-                    sign = -sign
-            cache[rows] = res
-            return res
-
-        return minor((1 << n) - 1, 0)
+        nu = min((p.ord() for row in self.entries for p in row if not p.is_zero), default=0)
+        a = [
+            [[] if p.is_zero else _window_list(p, p.deg() + 1) for p in row]
+            for row in self.shift(-nu).entries
+        ]
+        sign, prev = 1, [_ONE]
+        for k in range(n - 1):
+            piv = next((r for r in range(k, n) if a[r][k]), None)
+            if piv is None:
+                return LaurentPoly.zero()
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            akk, row_k = a[k][k], a[k]
+            for row in a[k + 1 :]:
+                aik = row[k]
+                for j in range(k + 1, n):
+                    num = poly.add(poly.mul(akk, row[j]), poly.mul(aik, row_k[j]), -1)
+                    row[j] = poly.quorem(num, prev)[0] if k else num
+            prev = akk
+        return LaurentPoly({e + n * nu: sign * v for e, v in enumerate(a[-1][-1]) if v})
 
     def value_at_zero(self):
         """Matrix of constant coefficients; requires no negative exponents."""
@@ -508,9 +519,17 @@ def _series_to_poly(ser, down: int) -> LaurentPoly:
 def factorize(g: LaurentMatrix) -> LoopFactorization:
     """Factor a loop into the normal form left * t^A * right.
 
-    Raises :class:`DegenerateLoopError` when det g = 0.  The result is
-    deterministic: weights are sorted nonincreasing and ties between equal
-    weights keep the original basis order.
+    Raises :class:`DegenerateLoopError` when det g = 0, and
+    :class:`FactorizationError` if the result fails its exact check.  The
+    result is deterministic: weights are sorted nonincreasing and ties
+    between equal weights keep the original basis order.
+
+    The echelon runs on the entries modulo t^K, with K = 1, 2, 4, ... until
+    it finds all n pivots.  Each pivot has the least order among the active
+    entries, so every elimination is exact modulo t^K and any window that
+    finds the pivots gives the exact answer.  The weights of the shifted
+    loop t^(-nu) g are >= 0 and sum to its ord det, so the window
+    t^(ord det + 1) always finds them.
     """
     det = g.det()
     if det.is_zero:
@@ -521,30 +540,21 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
         (p.ord() for row in g.entries for p in row if not p.is_zero), default=0
     )
     shifted = g.shift(-nu)  # polynomial entries
-    det_ord_shifted = det.ord() - n * nu  # = sum of shifted weights
-    span = max(
-        (p.deg() for row in shifted.entries for p in row if not p.is_zero), default=0
-    )
-    K = max(span + 2 * det_ord_shifted + 8, 16)
-
-    for _attempt in range(6):
-        rows = [
-            [
-                _window_list(shifted.entries[i][j], K)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+    cap = det.ord() - n * nu + 1
+    K = 1
+    while True:
+        rows = [[_window_list(p, K) for p in row] for row in shifted.entries]
         try:
             sigma, wts, basis = _echelon(rows, n, K)
+            break
         except _WindowTooSmall:
-            K *= 2
-            continue
-        fac = _assemble(g, sigma, wts, basis, nu, det)
-        if fac is not None:
-            return fac
-        K *= 2
-    raise RuntimeError("loop factorization failed to stabilize; window exhausted")
+            if K == cap:
+                raise FactorizationError(f"no pivot within the window t^{cap}") from None
+            K = min(2 * K, cap)
+    fac = _assemble(g, sigma, wts, basis, nu, det)
+    if fac is None:
+        raise FactorizationError("loop factorization failed its exact check")
+    return fac
 
 
 def _window_list(p: LaurentPoly, K: int):
@@ -556,7 +566,7 @@ def _window_list(p: LaurentPoly, K: int):
 
 
 def _assemble(g, sigma, wts, basis, nu, det):
-    """Build and exactly verify the factorization; None on window corruption."""
+    """Build and exactly verify the factorization; None if a check fails."""
     n = g.size
     weights = tuple(w + nu for w in wts)
     if any(weights[k] < weights[k + 1] for k in range(n - 1)):

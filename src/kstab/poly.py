@@ -26,9 +26,11 @@ def add(a, b, c=1):
 
 def mul(a, b):
     out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
     return out
 
 
@@ -40,10 +42,13 @@ def quorem(a, b):
     """Quotient and remainder of a by a nonzero trimmed b."""
     rem = [Fraction(c) for c in _trim(a)]
     quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i in reversed(range(len(quo))):
-        c = quo[i] = rem[i + len(b) - 1] / b[-1]
-        for j, y in enumerate(b):
-            rem[i + j] -= c * y
+        r = rem[i + len(b) - 1]
+        if r:
+            c = quo[i] = r / b[-1]
+            for j, y in terms:
+                rem[i + j] -= c * y
     return _trim(quo), _trim(rem[: len(b) - 1])
 
 

@@ -350,6 +350,24 @@ def test_malformed_input_exit_2(runner, tmp_path, command, inputs):
     _assert_clean_exit(res)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["factorize", "--input", "conic_loop.json"],
+        ["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"],
+    ],
+    ids=["factorize", "chow"],
+)
+def test_failed_factorization_check_exit_3(runner, monkeypatch, args):
+    from kstab import laurent
+
+    monkeypatch.setattr(laurent, "_assemble", lambda *a: None)
+    res = runner.invoke(main, [str(DATA / a) if a.endswith(".json") else a for a in args])
+    assert res.exit_code == 3
+    assert res.stderr == "error: loop factorization failed its exact check\n"
+    _assert_clean_exit(res)
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(only=st.text(alphabet="0123456789,- x", min_size=1, max_size=6))

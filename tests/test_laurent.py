@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from kstab import laurent
 from kstab.acceptance import random_loop, structured_loop
 from kstab.laurent import (
     DegenerateLoopError,
@@ -31,6 +32,80 @@ def diag(*exps):
     return LaurentMatrix.exponent_diagonal(list(exps))
 
 
+def ltdu_loop(rng, n, terms):
+    """Dense L t^D U loop and its weights: L lower triangular with a rational
+    unit diagonal, U upper unitriangular, off-diagonal entries with ``terms``
+    monomials t^0 .. t^(terms-1)."""
+
+    def entry():
+        return lp({e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in range(terms)})
+
+    def unit():
+        return lp({0: Fraction(rng.choice([1, -1, 2, -2]), rng.choice([1, 2]))})
+
+    low = LaurentMatrix(
+        [[unit() if i == j else (entry() if i > j else lp({})) for j in range(n)] for i in range(n)]
+    )
+    up = LaurentMatrix(
+        [[lp({0: 1}) if i == j else (entry() if i < j else lp({})) for j in range(n)] for i in range(n)]
+    )
+    d = [rng.randint(-2, 2) for _ in range(n)]
+    return multiply(multiply(low, diag(*d)), up), tuple(sorted(d, reverse=True))
+
+
+def cofactor_det(g):
+    """Reference determinant: cofactor expansion along the columns, memoized
+    over the 2^n row subsets."""
+    n = g.size
+    cache = {}
+
+    def minor(rows, start):
+        if rows in cache:
+            return cache[rows]
+        idx = [i for i in range(n) if rows >> i & 1]
+        if len(idx) == 1:
+            res = g.entries[idx[0]][start]
+        else:
+            res = LaurentPoly.zero()
+            for pos, i in enumerate(idx):
+                a = g.entries[i][start]
+                if not a.is_zero:
+                    term = a * minor(rows & ~(1 << i), start + 1)
+                    res = res + (term if pos % 2 == 0 else -term)
+        cache[rows] = res
+        return res
+
+    return minor((1 << n) - 1, 0)
+
+
+def fixed_window_factorize(g):
+    """The echelon and its exact check at the fixed window span + 2 ord det + 8
+    (at least 16) that factorize used before it doubled its window."""
+    det = g.det()
+    n = g.size
+    nu = min(p.ord() for row in g.entries for p in row if not p.is_zero)
+    shifted = g.shift(-nu)
+    span = max(p.deg() for row in shifted.entries for p in row if not p.is_zero)
+    K = max(span + 2 * (det.ord() - n * nu) + 8, 16)
+    rows = [[laurent._window_list(p, K) for p in row] for row in shifted.entries]
+    sigma, wts, basis = laurent._echelon(rows, n, K)
+    return laurent._assemble(g, sigma, wts, basis, nu, det)
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """The windows K that factorize runs its echelon at, in order."""
+    seen = []
+    echelon = laurent._echelon
+
+    def spy(rows, size, K):
+        seen.append(K)
+        return echelon(rows, size, K)
+
+    monkeypatch.setattr(laurent, "_echelon", spy)
+    return seen
+
+
 class TestLaurentPoly:
     def test_ord_deg(self):
         p = lp({-2: 1, 3: Fraction(1, 2)})
@@ -47,6 +122,80 @@ class TestLaurentPoly:
     def test_triple_roundtrip(self):
         p = lp({-1: Fraction(2, 3), 4: -5})
         assert LaurentPoly.from_triples(p.to_triples()) == p
+
+
+def _random_entry(rng):
+    if rng.random() < 0.25:
+        return lp({})
+    return lp(
+        {
+            rng.randint(-4, 4): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3))
+        }
+    )
+
+
+def _det_cases():
+    """Seeded (kind, loop) pairs, n = 1..7: random entries with negative
+    exponents and rational coefficients; loops with a zero row, a zero column,
+    or a row that is a combination of two others."""
+    rng = random.Random(1968)
+    cases = []
+    for n in range(1, 8):
+        for kind in ("random", "zero_row", "zero_col", "dependent"):
+            entries = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
+            k = rng.randrange(n)
+            if kind == "zero_row":
+                entries[k] = [lp({})] * n
+            elif kind == "zero_col":
+                for row in entries:
+                    row[k] = lp({})
+            elif kind == "dependent":
+                if n == 1:
+                    continue
+                others = [r for r in range(n) if r != k]
+                i, j = rng.choice(others), rng.choice(others)
+                entries[k] = [
+                    a.shift(-1) + b.scale(Fraction(-2, 3)) for a, b in zip(entries[i], entries[j])
+                ]
+            cases.append((kind, LaurentMatrix(entries)))
+    return cases
+
+
+class TestDet:
+    def test_matches_cofactor_expansion(self):
+        for _, g in _det_cases():
+            assert g.det() == cofactor_det(g)
+
+    def test_matches_sympy(self):
+        sp = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        t = sp.Symbol("t")
+        ring = sp.QQ[t]
+        for _, g in _det_cases():
+            nu = min((p.ord() for row in g.entries for p in row if not p.is_zero), default=0)
+            m = DomainMatrix(
+                [[ring.from_sympy(sum((sp.Rational(v.numerator, v.denominator) * t ** (e - nu)
+                                       for e, v in p.coeffs.items()), sp.Integer(0)))
+                  for p in row] for row in g.entries],
+                (g.size, g.size),
+                ring,
+            )
+            want = sp.Poly(ring.to_sympy(m.det()), t)
+            got = {e - g.size * nu: v for e, v in g.det().coeffs.items()}
+            assert got == {e: Fraction(int(c.p), int(c.q)) for (e,), c in want.terms() if c}
+
+    def test_degenerate_loops_vanish(self):
+        for kind, g in _det_cases():
+            if kind != "random":
+                assert g.det().is_zero
+
+    def test_pole_order_is_minus_weight_sum_dense_n12(self):
+        g, weights = ltdu_loop(random.Random(12), 12, 2)
+        f = factorize(g)
+        assert f.weights == weights
+        assert det_pole_order(g) == -sum(f.weights)
 
 
 class TestMultiply:
@@ -105,6 +254,38 @@ class TestFactorize:
         g = LaurentMatrix([[lp({0: 1}), lp({0: 1})], [lp({0: 1}), lp({0: 1})]])
         with pytest.raises(DegenerateLoopError):
             factorize(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            LaurentMatrix([[lp({1: 1}), lp({2: 1})], [lp({-1: 1}), lp({0: 1})]]),
+            LaurentMatrix([[lp({0: 2, 5: 1}), lp({})], [lp({-3: 1}), lp({})]]),
+        ],
+    )
+    def test_degenerate_message(self, g):
+        with pytest.raises(DegenerateLoopError, match=r"^degenerate loop: determinant vanishes identically$"):
+            factorize(g)
+
+    @pytest.mark.parametrize("terms", [1, 2])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_doubling_window_matches_fixed_window(self, windows, n, terms):
+        g, weights = ltdu_loop(random.Random(f"window:{n}:{terms}"), n, terms)
+        f = factorize(g)
+        used = list(windows)
+        ref = fixed_window_factorize(g)
+        assert (f.left, f.right, f.weights, f.order) == (ref.left, ref.right, ref.weights, ref.order)
+        assert f.weights == weights
+        nu = min(p.ord() for row in g.entries for p in row if not p.is_zero)
+        cap = -det_pole_order(g) - n * nu + 1
+        assert used == [min(2**i, cap) for i in range(len(used))]
+        assert used[-1] <= cap
+
+    def test_window_independent_of_exponent_size(self, windows):
+        """The window follows ord det, not the largest exponent of the loop."""
+        g = LaurentMatrix([[lp({0: 1}), lp({8000: 1})], [lp({}), lp({0: 1})]])
+        f = factorize(g)
+        assert f.weights == (0, 0) and f.reassemble() == g
+        assert windows == [1]
 
     def test_unit_diagonal_placement(self):
         # degeneration living on the second coordinate forces the order
