@@ -198,7 +198,10 @@ def fs_pullback_form(
     if norms is None:
         norms = gram(metric, k)
     s = np.asarray(grid, dtype=float)
-    lt0, lt1, lt2 = _log_moments(metric, k, norms, s)
+    return _pullback(k, s, *_log_moments(metric, k, norms, s))
+
+
+def _pullback(k, s, lt0, lt1, lt2):
     a = np.exp(lt1 - lt0)
     b = np.exp(lt2 - lt0)
     density = (b - a * a) / (k * s)
@@ -222,10 +225,10 @@ def theta_total_variation(
         norms = gram(metric, k)
     p_k = (k + 1.0) / k
 
-    def f(s):
-        r = rho(metric, k, s, norms)
-        wk = fs_pullback_form(metric, k, s, norms)
-        return np.abs(r * metric.density(s) / p_k - wk)
+    def f(s):  # one pass over the moments serves both rho and the form
+        lt = _log_moments(metric, k, norms, s)
+        r = np.exp(lt[0] - k * metric.u(s))
+        return np.abs(r * metric.density(s) / p_k - _pullback(k, s, *lt))
 
     val, _ = radial_integral(f, tol=tol)
     return val

@@ -68,8 +68,9 @@ class Component:
         """Values, shape (N+1, len(s))."""
         d = self.coeffs.shape[1] - 1
         out = np.broadcast_to(self.coeffs[:, d][:, None], (self.ambient_count, len(s))).copy()
-        for j in range(d - 1, -1, -1):
-            out = out * s[None, :] + self.coeffs[:, j][:, None]
+        for j in range(d - 1, -1, -1):  # in place: no fresh (N+1, len(s)) array per step
+            out *= s[None, :]
+            out += self.coeffs[:, j][:, None]
         return out
 
     def eval_deriv(self, s: np.ndarray) -> np.ndarray:
@@ -79,7 +80,8 @@ class Component:
         dc = self.coeffs[:, 1:] * np.arange(1, d + 1)[None, :]
         out = np.broadcast_to(dc[:, d - 1][:, None], (self.ambient_count, len(s))).copy()
         for j in range(d - 2, -1, -1):
-            out = out * s[None, :] + dc[:, j][:, None]
+            out *= s[None, :]
+            out += dc[:, j][:, None]
         return out
 
 

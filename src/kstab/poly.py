@@ -31,7 +31,7 @@ def mul(a, b):
         if x:
             for j, y in terms:
                 out[i + j] += x * y
-    return out
+    return _trim(out)
 
 
 def deriv(a):

@@ -18,6 +18,7 @@ matches the moment pairing of the central fiber computed by quadrature
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -234,6 +235,24 @@ class TauPolynomial:
         return poly.evaluate(self.hilbert, Fraction(k))
 
 
+def _level_sums(w: WeightSystem, k: int):
+    """Number and total weight of the level-k sections, from closed forms.
+
+    The C(m-1+j, m-1) degree-j monomials in m generators use each generator
+    with mean exponent j/m, so their weights total C(m-1+j, m) sum(w).  A
+    hypersurface drops the multiples of a degree-d monomial of weight lambda
+    (one exists, see WeightSystem): level k - d, shifted by lambda.
+    """
+    m, s = w.ambient_count, sum(w.generators)
+    count, total = math.comb(m - 1 + k, m - 1), math.comb(m - 1 + k, m) * s
+    if w.geometry.kind == "hypersurface" and k >= w.geometry.degree:
+        j = k - w.geometry.degree
+        sub = math.comb(m - 1 + j, m - 1)
+        count -= sub
+        total -= math.comb(m - 1 + j, m) * s + w.geometry.initial_weight * sub
+    return count, total
+
+
 def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN, k0: int = 1) -> TauPolynomial:
     """Fit the exact weight-sum polynomial and Hilbert data of a system.
 
@@ -251,24 +270,20 @@ def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN, k0: int = 
         k0 = max(k0, w.geometry.degree - n - 1)
     k0 = max(k0, 1)
     levels = list(range(k0, k0 + n + 5))
-    data = {k: induced_weights(w, k) for k in levels}
-    tau_pts = [(k, sign_convention * sum(data[k])) for k in levels]
-    dim_pts = [(k, len(data[k])) for k in levels]
+    data = {k: _level_sums(w, k) for k in levels}
+    tau_pts = [(k, sign_convention * data[k][1]) for k in levels]
+    dim_pts = [(k, data[k][0]) for k in levels]
 
     coeffs = fit_exact_polynomial(tau_pts[: n + 2], n + 1)
     hilbert = fit_exact_polynomial(dim_pts[: n + 1], n)
-    for k, y in tau_pts[n + 2:]:
-        if poly.evaluate(coeffs, k) != y:
-            raise ValueError(
-                "not eventually polynomial: weight sums disagree at level "
-                f"{k}; unsupported weight data"
-            )
-    for k, y in dim_pts[n + 1:]:
-        if poly.evaluate(hilbert, k) != y:
-            raise ValueError(
-                "not eventually polynomial: dimension counts disagree at "
-                f"level {k}; unsupported weight data"
-            )
+    checks = (("weight sums", coeffs, tau_pts[n + 2:]), ("dimension counts", hilbert, dim_pts[n + 1:]))
+    for what, fit, pts in checks:
+        for k, y in pts:
+            if poly.evaluate(fit, k) != y:
+                raise ValueError(
+                    f"not eventually polynomial: {what} disagree at level {k}; "
+                    "unsupported weight data"
+                )
     return TauPolynomial(dim=n, coeffs=tuple(coeffs), hilbert=tuple(hilbert))
 
 

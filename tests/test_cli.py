@@ -60,6 +60,29 @@ class TestFutakiCommand:
         assert sorted(map(int, rep["chow"])) == list(range(5, 11))
         assert rep["chow"] == {k: v for k, v in full["chow"].items() if int(k) >= 5}
 
+    @pytest.mark.parametrize("geometry", [
+        {"type": "projective"},
+        {"type": "hypersurface", "degree": 3, "initial_weight": 3},
+    ], ids=["projective", "hypersurface"])
+    def test_dimension_30(self, tmp_path, geometry):
+        # One generator per coordinate of P^30 (P^31 for the hypersurface); the
+        # level-k monomials number C(30 + k, 30), far too many to list.
+        gens = list(range(31 if geometry["type"] == "projective" else 32))
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"dim": 30, "generators": gens, "geometry": geometry}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kstab.cli", "futaki", "--input", str(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        conic = json.loads(run(CliRunner(), "futaki", "--input", str(DATA / "conic_weights.json")).output)
+        assert rep.keys() == conic.keys()
+        assert len(rep["tau_coefficients"]) == 32 and len(rep["hilbert_coefficients"]) == 31
+        assert sorted(map(int, rep["chow"])) == list(range(1, 11))
+        if geometry["type"] == "projective":
+            assert rep["futaki"] == "0/1"
+
 
 class TestFactorizeCommand:
     def test_conic_loop(self, runner):

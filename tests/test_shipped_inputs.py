@@ -61,12 +61,3 @@ def test_crossing_lines_reports_nonconvergence():
     )
     assert res.exit_code == 4  # reported, with the residual trace emitted
 
-
-def test_weight_suite_parses():
-    suite = json.loads((DATA / "weight_suite.json").read_text())
-    assert len(suite) == 20
-    from kstab.weights import weight_system_from_json
-
-    for obj in suite:
-        ws = weight_system_from_json(obj)
-        assert ws.is_normalized and not ws.is_trivial

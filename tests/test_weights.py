@@ -6,10 +6,12 @@ the production counting path.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import kstab.weights
 from kstab.acceptance import shipped_weight_suite
 from kstab.weights import (
     CALIBRATED_SIGN,
@@ -52,6 +54,34 @@ def enumerate_induced(ws, k):
         for w in _monomial_weights(ws.generators, k - ws.geometry.degree):
             weights.remove(w + ws.geometry.initial_weight)
     return weights
+
+
+def multiset_tau(ws, sign):
+    """tau_poly by enumeration: fit the sums and the lengths of the level-k
+    weight multisets from ``induced_weights`` on the same window."""
+    n = ws.dim
+    k0 = max(1, ws.geometry.degree - n - 1) if ws.geometry.kind == "hypersurface" else 1
+    levels = range(k0, k0 + n + 2)
+    data = [induced_weights(ws, k) for k in levels]
+    coeffs = fit_exact_polynomial([(k, sign * sum(d)) for k, d in zip(levels, data)], n + 1)
+    hilbert = fit_exact_polynomial([(k, len(d)) for k, d in zip(levels, data)][: n + 1], n)
+    return TauPolynomial(n, coeffs, hilbert)
+
+
+def random_systems(seed):
+    """Two seeded systems per dimension 0..5 and geometry: projective and
+    hypersurfaces of degree 1..4, weights in -3..3 (negative, with repeats),
+    and an initial weight read off a random degree-d monomial."""
+    rng = random.Random(seed)
+    for n in range(6):
+        for d in (None, 1, 2, 3, 4):
+            for _ in range(2):
+                if d is None:
+                    yield WeightSystem(n, [rng.randint(-3, 3) for _ in range(n + 1)], PROJ)
+                    continue
+                gens = [rng.randint(-3, 3) for _ in range(n + 2)]
+                lam = sum(rng.choice(gens) for _ in range(d))
+                yield WeightSystem(n, gens, Geometry("hypersurface", d, lam))
 
 
 class TestInducedWeights:
@@ -141,6 +171,28 @@ class TestTauPolynomial:
         g1 = tau_poly(WeightSystem(2, (0, 2, 5), PROJ))
         g2 = tau_poly(WeightSystem(2, (5, 0, 2), PROJ))
         assert g1.coeffs == g2.coeffs and g1.hilbert == g2.hilbert
+
+    @pytest.mark.parametrize("sign", [CALIBRATED_SIGN, -CALIBRATED_SIGN])
+    def test_closed_forms_match_enumeration(self, sign):
+        systems = list(random_systems(seed=5))
+        assert any(min(ws.generators) < 0 for ws in systems)
+        assert any(len(set(ws.generators)) < len(ws.generators) for ws in systems)
+        assert any(ws.geometry.kind == "hypersurface" and ws.geometry.degree - ws.dim - 1 > 1
+                   for ws in systems)
+        for ws in systems:
+            tau = tau_poly(ws, sign)
+            assert tau == multiset_tau(ws, sign), ws
+
+    def test_no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tau_poly enumerated the monomials")
+
+        monkeypatch.setattr(kstab.weights, "induced_weights", refuse)
+        monkeypatch.setattr(kstab.weights, "_weight_distribution", refuse)
+        assert tau_poly(conic()).coeffs == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
+        assert weight_report(conic(), kmax=4)["futaki"] == "1/8"
+        big = WeightSystem(30, range(32), Geometry("hypersurface", 3, 3))
+        assert len(weight_report(big)["tau_coefficients"]) == 32
 
     def test_high_degree_window_shift(self):
         # section counts of a quartic curve are polynomial only from level 2;
