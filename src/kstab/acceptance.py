@@ -51,10 +51,6 @@ class CriterionResult:
     budget: float
     expected_failure: bool = False
 
-    @property
-    def within_budget(self) -> bool:
-        return self.elapsed <= self.budget
-
 
 # ---------------------------------------------------------------------------
 # shared generators (deterministic)

@@ -37,7 +37,6 @@ from kstab.quadrature import QuadratureError, panel_rule, radial_integral
 
 __all__ = [
     "RadialMetric",
-    "BergmanData",
     "scalar_curvature",
     "gram",
     "rho",
@@ -314,25 +313,6 @@ def default_grid(npts: int = 100, lo: float = 0.02, hi: float = 0.98) -> np.ndar
     """Interior grid of s-values, uniform in x = s/(1+s)."""
     x = np.linspace(lo, hi, npts)
     return x / (1.0 - x)
-
-
-@dataclass
-class BergmanData:
-    """One level's worth of density-of-states data."""
-
-    k: int
-    gram_norms: np.ndarray
-    grid: np.ndarray
-    rho: np.ndarray
-    a1_fit: Optional[np.ndarray] = None
-    remainder: Optional[np.ndarray] = None
-
-    @classmethod
-    def compute(cls, metric: RadialMetric, k: int, grid: Optional[np.ndarray] = None) -> "BergmanData":
-        if grid is None:
-            grid = default_grid()
-        norms = gram(metric, k)
-        return cls(k=k, gram_norms=norms, grid=grid, rho=rho(metric, k, grid, norms))
 
 
 def metric_from_json(obj) -> RadialMetric:

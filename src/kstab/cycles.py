@@ -66,23 +66,22 @@ class Component:
 
     def eval(self, s: np.ndarray) -> np.ndarray:
         """Values, shape (N+1, len(s))."""
-        d = self.coeffs.shape[1] - 1
-        out = np.broadcast_to(self.coeffs[:, d][:, None], (self.ambient_count, len(s))).copy()
-        for j in range(d - 1, -1, -1):  # in place: no fresh (N+1, len(s)) array per step
-            out *= s[None, :]
-            out += self.coeffs[:, j][:, None]
-        return out
+        return self.coeffs @ _powers(s, self.coeffs.shape[1] - 1)
 
     def eval_deriv(self, s: np.ndarray) -> np.ndarray:
         d = self.coeffs.shape[1] - 1
         if d == 0:
             return np.zeros((self.ambient_count, len(s)), dtype=complex)
-        dc = self.coeffs[:, 1:] * np.arange(1, d + 1)[None, :]
-        out = np.broadcast_to(dc[:, d - 1][:, None], (self.ambient_count, len(s))).copy()
-        for j in range(d - 2, -1, -1):
-            out *= s[None, :]
-            out += dc[:, j][:, None]
-        return out
+        return (self.coeffs[:, 1:] * np.arange(1, d + 1)[None, :]) @ _powers(s, d - 1)
+
+
+def _powers(s: np.ndarray, d: int) -> np.ndarray:
+    """Monomials 1, s, ..., s^d at the points ``s``, shape (d+1, len(s))."""
+    out = np.empty((d + 1, len(s)), dtype=complex)
+    out[0] = 1.0
+    for j in range(1, d + 1):
+        np.multiply(out[j - 1], s, out=out[j])
+    return out
 
 
 @dataclass
@@ -114,19 +113,23 @@ class MomentResult:
     order: int
 
 
-def _component_raw(comp: Component, order: int):
-    """Second-moment matrix and mass of one component at a given order.
+# Nodes per block when a chart is evaluated for moment_matrix: bounds the
+# (N+1) x nodes arrays of large cycles at high order.
+_BLOCK = 4096
 
-    Integrates over both charts of the parametrizing sphere; the chart at
-    infinity uses the reversed coefficient array, so the integrand is smooth
-    on each closed disc.
+
+def _raw_moments(n1: int, charts):
+    """Second-moment matrix (Hermitian) and mass summed over chart blocks.
+
+    ``charts`` yields ``(multiplicity, p, dp, w)``: a chart's values ``p``
+    and derivatives ``dp`` (shape (N+1, nodes)) at nodes of the disc rule
+    with weights ``w``.  The chart at infinity of a curve is the chart of
+    its reversed coefficient array, so the integrand is smooth on each
+    closed disc.
     """
-    nodes, w = disc_rule(order)
-    total = None
+    raw = np.zeros((n1, n1), dtype=complex)
     mass = 0.0
-    for part in (comp, comp.reversed()):
-        p = part.eval(nodes)
-        dp = part.eval_deriv(nodes)
+    for mult, p, dp, w in charts:
         norm2 = np.sum(np.abs(p) ** 2, axis=0)
         if np.any(norm2 == 0.0):
             raise QuadratureError("parametrization with base points: |p(s)| = 0")
@@ -134,24 +137,26 @@ def _component_raw(comp: Component, order: int):
         pd = np.sum(dp * np.conj(p), axis=0)
         kappa = (dd * norm2 - np.abs(pd) ** 2) / norm2**2  # FS density / pi
         wk = w * kappa
-        mass += csum(wk)
-        contrib = np.einsum("k,ak,bk->ab", wk, p, np.conj(p) / norm2[None, :])
-        total = contrib if total is None else total + contrib
-    return total, mass
+        raw += mult * ((p * (wk / norm2)) @ p.conj().T)
+        mass += mult * csum(wk)
+    return 0.5 * (raw + raw.conj().T), mass  # Hermitian by construction up to roundoff
 
 
 def _cycle_raw(cycle: ProjectiveCycle, order: int):
-    n1 = cycle.ambient_dim + 1
-    raw = np.zeros((n1, n1), dtype=complex)
-    mass = 0.0
+    """Raw second moments and mass of a cycle, walking each chart of each
+    component over blocks of ``_BLOCK`` nodes."""
     if not cycle.components:
         raise ValueError("cycle has no parametrized components")
-    for comp in cycle.components:
-        m, mm = _component_raw(comp, order)
-        raw += comp.multiplicity * m
-        mass += comp.multiplicity * mm
-    raw = 0.5 * (raw + raw.conj().T)  # Hermitian by construction up to roundoff
-    return raw, mass
+    nodes, w = disc_rule(order)
+
+    def charts():
+        for comp in cycle.components:
+            for part in (comp, comp.reversed()):
+                for lo in range(0, len(nodes), _BLOCK):
+                    s = nodes[lo:lo + _BLOCK]
+                    yield comp.multiplicity, part.eval(s), part.eval_deriv(s), w[lo:lo + _BLOCK]
+
+    return _raw_moments(cycle.ambient_dim + 1, charts())
 
 
 def trace_free(m: np.ndarray) -> np.ndarray:
@@ -241,45 +246,72 @@ def balance_iterate(
     ``max_steps`` and numerical breakdown along a degenerating orbit are
     reported in the result, not raised: both signal an unstable or
     borderline cycle.
+
+    The charts are linear in the coefficients.  The monomials 1, s, ...,
+    s^deg of each component, and their reversal for the chart at infinity
+    (reversal commutes with an invertible G, which keeps the degree), are
+    evaluated at the disc nodes once per run; a step multiplies them by the
+    current coefficients, one matrix product per component.  The
+    coefficients are the input's times the steps' G, rescaled after each
+    step to largest modulus one: a product of the G alone would overflow
+    off the span of a component that spans fewer coordinates than the
+    ambient space.
     """
     n1 = cycle.ambient_dim + 1
-    current = cycle
+    if not cycle.components:
+        raise ValueError("cycle has no parametrized components")
+    nodes, w = disc_rule(order)
+    m2 = 2 * len(nodes)
+    w2 = np.concatenate([w, w])  # both charts in one block
+    comps, kernels = [], []
+    for comp in cycle.components:
+        d = comp.degree
+        basis = Component(np.eye(d + 1))
+        rev = basis.reversed()
+        kernels.append(np.hstack(
+            [basis.eval(nodes), rev.eval(nodes), basis.eval_deriv(nodes), rev.eval_deriv(nodes)]
+        ))
+        comps.append(Component(comp.coeffs, comp.multiplicity))
+
+    def charts():
+        for comp, kernel in zip(comps, kernels):
+            vals = comp.coeffs[:, :kernel.shape[0]] @ kernel
+            yield comp.multiplicity, vals[:, :m2], vals[:, m2:], w2
+
     g_total = np.eye(n1, dtype=complex)
     residuals: List[float] = []
+    converged, note, step = False, "", max_steps
     for step in range(max_steps + 1):
         try:
-            raw, mass = _cycle_raw(current, order)
+            raw, mass = _raw_moments(n1, charts())
             raw = raw / mass
             res = trace_norm(trace_free(raw))
         except (QuadratureError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            return BalanceResult(
-                current, residuals, False, step, g_total,
-                note=f"iteration broke down: {exc}",
-            )
+            note = f"iteration broke down: {exc}"
+            break
         residuals.append(res)
         if not np.isfinite(res):
-            return BalanceResult(
-                current, residuals, False, step, g_total,
-                note="iteration broke down: nonfinite residual",
-            )
-        if res <= tol:
-            return BalanceResult(current, residuals, True, step, g_total)
+            note = "iteration broke down: nonfinite residual"
+            break
+        converged = res <= tol
+        if converged:
+            break
         evals, evecs = np.linalg.eigh(raw)
         if np.any(evals <= 0):
-            return BalanceResult(
-                current, residuals, False, step, g_total,
-                note="second-moment matrix lost positivity",
-            )
+            note = "second-moment matrix lost positivity"
+            break
         g = evecs @ np.diag((n1 * evals) ** -0.5) @ evecs.conj().T
         with np.errstate(over="ignore", invalid="ignore"):  # overflows on degenerating orbits
             g_total = g @ g_total
-        current = transform_cycle(current, g)
         # projective rescale per component for numerical hygiene
-        for c in current.components:
+        for c in comps:
+            c.coeffs = g @ c.coeffs
             scale = np.max(np.abs(c.coeffs))
             if scale > 0:
                 c.coeffs = c.coeffs / scale
-    return BalanceResult(current, residuals, False, max_steps, g_total)
+    return BalanceResult(
+        ProjectiveCycle(cycle.ambient_dim, comps), residuals, converged, step, g_total, note
+    )
 
 
 # ---------------------------------------------------------------------------

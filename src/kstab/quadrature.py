@@ -11,6 +11,7 @@ independent of evaluation order to roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,6 +35,21 @@ def csum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel())
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The cached arrays are shared by every caller, so they are read-only."""
+    x, w = roots_legendre(order)
+    return _read_only(x, w)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def disc_rule(order: int):
     """Nodes and weights for (1/pi) * integral over the unit disc.
 
@@ -41,11 +57,11 @@ def disc_rule(order: int):
     (1/pi) * int_{|s|<=1} f dA ~= sum w_i f(s_i).  Radially the rule is
     Gauss-Legendre in rho = r^2 on [0, 1]; in angle it is the equispaced
     (trapezoidal) rule, which is spectrally accurate for periodic smooth
-    integrands.
+    integrands.  The arrays are read-only.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    x, wx = roots_legendre(order)
+    x, wx = _legendre(order)
     rho = 0.5 * (x + 1.0)
     wrho = 0.5 * wx
     m = 2 * order + 1
@@ -53,15 +69,15 @@ def disc_rule(order: int):
     r = np.sqrt(rho)
     nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     weights = np.repeat(wrho / m, m)
-    return nodes, weights
+    return _read_only(nodes, weights)
 
 
 def panel_rule(order: int, panels: int):
-    """Composite Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = roots_legendre(order)
+    """Composite Gauss-Legendre nodes/weights on [0, 1], read-only."""
+    x, w = _legendre(order)
     h = 1.0 / panels
     left = np.arange(panels)[:, None] * h
-    return (left + 0.5 * h * (x + 1.0)).ravel(), np.tile(0.5 * h * w, panels)
+    return _read_only((left + 0.5 * h * (x + 1.0)).ravel(), np.tile(0.5 * h * w, panels))
 
 
 def radial_integral(f, tol: float, panels: int = 2, order: int = 32):

@@ -36,7 +36,6 @@ __all__ = [
     "I_coefficient",
     "chow_k",
     "futaki",
-    "relative_futaki",
     "fit_exact_polynomial",
     "weight_system_from_json",
     "weight_report",
@@ -293,10 +292,16 @@ def I_coefficient(tau: TauPolynomial) -> Fraction:
 
 
 def chow_k(tau: TauPolynomial, k: int) -> Fraction:
-    """Chow number tau_k / (N(k)+1) - k I / V at level k."""
+    """Chow number tau_k / (N(k)+1) - k I / V at level k.
+
+    Raises ValueError at a level where the Hilbert polynomial N(k)+1 is 0
+    (for example k = 1 on a plane quintic, N(k)+1 = 5k - 5)."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    return tau.tau_at(k) / tau.sections_at(k) - Fraction(k) * I_coefficient(tau) / tau.volume
+    sections = tau.sections_at(k)
+    if sections == 0:
+        raise ValueError(f"the Hilbert polynomial vanishes at level {k}")
+    return tau.tau_at(k) / sections - Fraction(k) * I_coefficient(tau) / tau.volume
 
 
 def futaki(tau: TauPolynomial) -> Fraction:
@@ -308,20 +313,6 @@ def futaki(tau: TauPolynomial) -> Fraction:
     I = tau.coeffs[-1]
     J = tau.coeffs[-2]
     return (J - I * tau.alpha1) / tau.volume
-
-
-def relative_futaki(tau1: TauPolynomial, tau2: TauPolynomial) -> Fraction:
-    """Futaki invariant of the difference of two weight polynomials."""
-    if tau1.dim != tau2.dim:
-        raise ValueError("dimension mismatch between weight polynomials")
-    if tau1.hilbert != tau2.hilbert:
-        raise ValueError("Hilbert data mismatch between weight polynomials")
-    diff = TauPolynomial(
-        dim=tau1.dim,
-        coeffs=tuple(a - b for a, b in zip(tau1.coeffs, tau2.coeffs)),
-        hilbert=tau1.hilbert,
-    )
-    return futaki(diff)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +342,16 @@ def weight_report(
     w: WeightSystem, kmax: int = 10, sign_convention: int = CALIBRATED_SIGN, kmin: int = 1
 ) -> dict:
     """Full exact report: tau coefficients, I, V, alpha_1, Ch_k table for
-    levels kmin..kmax, Futaki."""
+    levels kmin..kmax, Futaki.
+
+    ``Ch_k`` is null at a level where the Hilbert polynomial vanishes, and
+    then a ``note`` names those levels."""
     tau = tau_poly(w, sign_convention)
-    return {
+    chow = {
+        str(k): _frac_str(chow_k(tau, k)) if tau.sections_at(k) else None
+        for k in range(kmin, kmax + 1)
+    }
+    report = {
         "dim": w.dim,
         "generators": list(w.generators),
         "geometry": {
@@ -367,6 +365,12 @@ def weight_report(
         "I": _frac_str(I_coefficient(tau)),
         "V": _frac_str(tau.volume),
         "alpha1": _frac_str(tau.alpha1),
-        "chow": {str(k): _frac_str(chow_k(tau, k)) for k in range(kmin, kmax + 1)},
+        "chow": chow,
         "futaki": _frac_str(futaki(tau)),
     }
+    null = [k for k, v in chow.items() if v is None]
+    if null:
+        report["note"] = (
+            f"Ch_k is null at k = {', '.join(null)}: the Hilbert polynomial N(k) + 1 vanishes there"
+        )
+    return report

@@ -7,7 +7,6 @@ import pytest
 
 from kstab.bergman import (
     RadialMetric,
-    BergmanData,
     default_grid,
     expansion_fit,
     fs_pullback_form,
@@ -255,11 +254,3 @@ class TestBergmanMoment:
             res = moment_matrix(image_cycle(round_metric, k), order=32)
             norms.append(trace_norm(res.matrix))
         assert max(norms) < 1e-10
-
-
-class TestBergmanData:
-    def test_compute(self, perturbed):
-        data = BergmanData.compute(perturbed, 8)
-        assert data.k == 8
-        assert np.all(data.gram_norms > 0)
-        assert data.rho.shape == data.grid.shape

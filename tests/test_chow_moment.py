@@ -1,8 +1,10 @@
 """Moment matrices, Chow weights, the pairing inequality, and balancing."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from kstab.chow import (
     section_diagonal,
     transformed_form,
 )
+import kstab.quadrature as quadrature_module
+from kstab.bergman import image_cycle, metric_from_json
 from kstab.cycles import (
     Component,
     ProjectiveCycle,
@@ -34,7 +38,9 @@ from kstab.cycles import (
     transform_cycle,
 )
 from kstab.laurent import LaurentMatrix, LaurentPoly
-from kstab.quadrature import QuadratureError
+from kstab.quadrature import QuadratureError, csum, disc_rule
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def line_cycle():
@@ -374,6 +380,151 @@ class TestBalance:
         res = balance_iterate(distorted, max_steps=40, tol=1e-10, order=24)
         assert not res.converged
         assert len(res.residuals) >= 1
+
+
+# -- reference: the per-step balance loop before the precomputed kernel ----------
+
+
+def _horner(coeffs, s):
+    out = np.broadcast_to(coeffs[:, -1][:, None], (coeffs.shape[0], len(s))).copy()
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        out = out * s[None, :] + coeffs[:, j][:, None]
+    return out
+
+
+def _reference_cycle_raw(cycle, order):
+    """Horner charts at every call and a 3-operand einsum per chart."""
+    nodes, w = disc_rule(order)
+    n1 = cycle.ambient_dim + 1
+    raw, mass = np.zeros((n1, n1), dtype=complex), 0.0
+    for comp in cycle.components:
+        for part in (comp, comp.reversed()):
+            c = part.coeffs
+            p = _horner(c, nodes)
+            dp = _horner(c[:, 1:] * np.arange(1, c.shape[1])[None, :], nodes)
+            norm2 = np.sum(np.abs(p) ** 2, axis=0)
+            if np.any(norm2 == 0.0):
+                raise QuadratureError("parametrization with base points: |p(s)| = 0")
+            dd = np.sum(dp * np.conj(dp), axis=0).real
+            pd = np.sum(dp * np.conj(p), axis=0)
+            wk = w * (dd * norm2 - np.abs(pd) ** 2) / norm2**2
+            mass += comp.multiplicity * csum(wk)
+            raw += comp.multiplicity * np.einsum("k,ak,bk->ab", wk, p, np.conj(p) / norm2[None, :])
+    return 0.5 * (raw + raw.conj().T), mass
+
+
+def _reference_moment(cycle, order):
+    raw1, _ = _reference_cycle_raw(cycle, order)
+    raw2, mass2 = _reference_cycle_raw(cycle, 2 * order)
+    v = float(cycle.total_degree)
+    return trace_free(raw2 / v), mass2, float(np.max(np.abs(raw2 - raw1))) / v
+
+
+def _reference_balance(cycle, max_steps=500, tol=1e-8, order=32):
+    """(cycle, residuals, converged, steps, transform, note) of the old loop:
+    transform the cycle and re-evaluate its charts at every step."""
+    n1 = cycle.ambient_dim + 1
+    current, g_total, residuals = cycle, np.eye(n1, dtype=complex), []
+    for step in range(max_steps + 1):
+        try:
+            raw, mass = _reference_cycle_raw(current, order)
+            raw = raw / mass
+            res = trace_norm(trace_free(raw))
+        except (QuadratureError, np.linalg.LinAlgError) as exc:
+            return current, residuals, False, step, g_total, f"iteration broke down: {exc}"
+        residuals.append(res)
+        if res <= tol:
+            return current, residuals, True, step, g_total, ""
+        evals, evecs = np.linalg.eigh(raw)
+        if np.any(evals <= 0):
+            return current, residuals, False, step, g_total, "second-moment matrix lost positivity"
+        g = evecs @ np.diag((n1 * evals) ** -0.5) @ evecs.conj().T
+        g_total = g @ g_total
+        current = transform_cycle(current, g)
+        for c in current.components:
+            c.coeffs = c.coeffs / np.max(np.abs(c.coeffs))
+    return current, residuals, False, max_steps, g_total, ""
+
+
+def _bump_image(k):
+    return image_cycle(metric_from_json(json.loads((DATA / "bump_metric.json").read_text())), k)
+
+
+def _two_conics():
+    """Two conics in P^2 meeting in four points, the second of multiplicity 2."""
+    std = np.eye(3, dtype=complex)
+    moved = np.array([[1, 0.5, 0.2], [0.1, 1, 0.3j], [0.4, 0, 1]]) @ std
+    return ProjectiveCycle(2, [Component(std), Component(moved, multiplicity=2)])
+
+
+# (cycle, balance_iterate options)
+_KERNEL_CASES = {
+    "rnc3_distorted": (lambda: rnc3_cycle(np.diag([2.0, 1.0, 1.0, 1.0])), {}),
+    **{f"image_k{k}": ((lambda k=k: _bump_image(k)), {}) for k in range(4, 9)},
+    "two_conics": (_two_conics, {"tol": 1e-6, "order": 16}),
+}
+
+
+class TestBalanceKernel:
+    """The precomputed kernel against the per-step reference loop."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
+    def test_matches_reference_loop(self, name):
+        make, options = _KERNEL_CASES[name]
+        cycle = make()
+        res = balance_iterate(cycle, **options)
+        ref_cycle, ref_res, converged, steps, transform, note = _reference_balance(cycle, **options)
+        assert converged and res.converged and res.steps == steps and res.note == note
+        assert np.max(np.abs(np.array(res.residuals) - ref_res)) < 1e-12
+        assert np.max(np.abs(res.transform - transform)) < 1e-12 * np.max(np.abs(transform))
+        for c, ref in zip(res.cycle.components, ref_cycle.components):
+            assert c.multiplicity == ref.multiplicity
+            assert np.max(np.abs(c.coeffs - ref.coeffs)) < 1e-12
+
+    def test_crossing_lines_break_down_like_the_reference(self):
+        # the breakdown step depends on roundoff; the residuals before it do not
+        cycle = cycle_from_json(json.loads((DATA / "crossing_lines_cycle.json").read_text()))
+        res = balance_iterate(cycle)
+        _, ref_res, _, _, _, ref_note = _reference_balance(cycle)
+        assert not res.converged
+        assert res.note == ref_note == "second-moment matrix lost positivity"
+        n = min(len(res.residuals), len(ref_res))
+        assert n > 10
+        assert np.max(np.abs(np.array(res.residuals[:n]) - ref_res[:n])) < 1e-12
+
+    @pytest.mark.parametrize("name, order", [
+        ("rnc3_distorted", 40), ("image_k8", 48), ("two_conics", 24)])
+    def test_moment_matches_einsum_reference(self, name, order):
+        # order 48 puts 4656 and 18528 nodes per chart: more than one block
+        cycle = _KERNEL_CASES[name][0]()
+        matrix, volume, quad_error = _reference_moment(cycle, order)
+        res = moment_matrix(cycle, order=order)
+        assert np.max(np.abs(res.matrix - matrix)) < 1e-13
+        assert abs(res.volume - volume) < 1e-13
+        assert abs(res.quad_error - quad_error) < 1e-13
+
+    def test_charts_evaluated_once_per_run(self, monkeypatch):
+        calls = []
+        real = Component.eval
+        monkeypatch.setattr(Component, "eval", lambda self, s: calls.append(1) or real(self, s))
+        cycle = _two_conics()
+        res = balance_iterate(cycle, max_steps=20, order=16)
+        assert res.steps == 20
+        assert len(calls) == 2 * len(cycle.components)
+
+    def test_legendre_rule_computed_once_per_order(self, monkeypatch):
+        orders = []
+        real = quadrature_module.roots_legendre
+        monkeypatch.setattr(quadrature_module, "roots_legendre", lambda n: orders.append(n) or real(n))
+        quadrature_module._legendre.cache_clear()
+        try:
+            balance_iterate(_two_conics(), max_steps=5, order=20)
+            balance_iterate(rnc3_cycle(np.diag([2.0, 1.0, 1.0, 1.0])), order=20)
+            moment_matrix(line_cycle(), order=20)
+            moment_matrix(line_cycle(), order=20)
+        finally:
+            quadrature_module._legendre.cache_clear()
+        assert sorted(orders) == [20, 40]
 
 
 class TestJsonInterfaces:

@@ -60,6 +60,19 @@ class TestFutakiCommand:
         assert sorted(map(int, rep["chow"])) == list(range(5, 11))
         assert rep["chow"] == {k: v for k, v in full["chow"].items() if int(k) >= 5}
 
+    def test_vanishing_hilbert_level_is_null(self, runner, tmp_path):
+        # plane quintic: N(k) + 1 = 5k - 5 vanishes at k = 1
+        path = tmp_path / "quintic.json"
+        path.write_text(json.dumps({"dim": 1, "generators": [0, 1, 2], "geometry": {
+            "type": "hypersurface", "degree": 5, "initial_weight": 0}}))
+        res = run(runner, "futaki", "--input", str(path), "--k", "1:3")
+        assert res.exit_code == 0
+        rep = json.loads(res.output)
+        assert rep["chow"] == {"1": None, "2": "0/1", "3": "3/2"}
+        assert "k = 1" in rep["note"]
+        conic = json.loads(run(runner, "futaki", "--input", str(DATA / "conic_weights.json")).output)
+        assert "note" not in conic
+
     @pytest.mark.parametrize("geometry", [
         {"type": "projective"},
         {"type": "hypersurface", "degree": 3, "initial_weight": 3},
@@ -149,6 +162,12 @@ class TestBalanceCommand:
             ],
         )
         assert res.exit_code == 4
+
+    def test_crossing_lines_break_down(self, runner):
+        res = runner.invoke(main, ["balance", "--input", str(DATA / "crossing_lines_cycle.json")])
+        assert res.exit_code == 4
+        rep = json.loads(res.stdout)
+        assert not rep["converged"] and rep["note"] == "second-moment matrix lost positivity"
 
 
 class TestBergmanCommand:
@@ -312,6 +331,7 @@ def _malformed(draw, name):
 
 _COMMANDS = {
     "factorize": (["conic_loop.json"], {}),
+    "futaki": (["conic_weights.json"], {"--k": ["1:3", "0", "3:1", "1:10"], "--sign": ["calibrated", "flipped"]}),
     "chow": (["conic_form.json", "conic_loop.json"],
              {"--sign": ["calibrated", "flipped"], "--order": ["-1", "0", "1", "48"], "--tol": ["-1", "1e-6"]}),
     "moment": (["line_cycle.json"], {"--order": ["-1", "0", "1", "48"], "--tol": ["-1", "0", "1e-8"]}),

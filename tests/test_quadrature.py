@@ -27,6 +27,12 @@ class TestDiscRule:
         assert abs(csum((w * (s**3)).real)) < 1e-14
 
 
+    def test_rules_are_read_only(self):
+        for arr in (*disc_rule(8), *panel_rule(8, 4)):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestPanels:
     def test_panel_rule_integrates_poly(self):
         x, w = panel_rule(8, 4)

@@ -24,7 +24,6 @@ from kstab.weights import (
     futaki,
     gap,
     induced_weights,
-    relative_futaki,
     tau_poly,
     weight_report,
     weight_system_from_json,
@@ -241,29 +240,6 @@ class TestInvariants:
         tau = tau_poly(conic())
         assert isinstance(futaki(tau), Fraction)
         assert isinstance(chow_k(tau, 7), Fraction)
-
-
-class TestRelativeFutaki:
-    def test_self_difference(self):
-        tau = tau_poly(conic())
-        assert relative_futaki(tau, tau) == 0
-
-    def test_against_zero(self):
-        tau = tau_poly(conic())
-        zero = TauPolynomial(1, (0, 0, 0), tau.hilbert)
-        assert relative_futaki(tau, zero) == futaki(tau)
-
-    def test_product_twist_difference(self):
-        t1 = tau_poly(conic())
-        t2 = tau_poly(WeightSystem(1, (1, 1, 0), Geometry("hypersurface", 2, 1)))
-        assert t1.hilbert == t2.hilbert
-        assert relative_futaki(t1, t2) == futaki(t1) - futaki(t2)
-
-    def test_hilbert_mismatch(self):
-        t1 = tau_poly(conic())
-        t2 = tau_poly(WeightSystem(1, (0, 1), PROJ))
-        with pytest.raises(ValueError):
-            relative_futaki(t1, t2)
 
 
 class TestReportAndJson:
