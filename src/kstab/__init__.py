@@ -6,38 +6,4 @@ balanced-embedding iteration, and density-of-states asymptotics for circle
 invariant metrics on the Riemann sphere.
 """
 
-from kstab.bergman import RadialMetric, expansion_fit, gram, rho
-from kstab.chow import HypersurfaceForm, check_chow_inequality, chow_weight
-from kstab.cycles import (
-    Component,
-    ProjectiveCycle,
-    balance_iterate,
-    moment_matrix,
-    pairing,
-    trace_norm,
-)
-from kstab.laurent import (
-    DegenerateLoopError,
-    LaurentMatrix,
-    LaurentPoly,
-    LoopFactorization,
-    det_pole_order,
-    factorize,
-    loop_from_json,
-    loop_to_json,
-    multiply,
-    normalize,
-    pole_order_vector,
-    section_degree,
-)
-from kstab.weights import (
-    Geometry,
-    WeightSystem,
-    chow_k,
-    futaki,
-    gap,
-    induced_weights,
-    tau_poly,
-)
-
 __version__ = "0.1.0"

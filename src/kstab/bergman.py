@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from kstab import poly
 from kstab.quadrature import QuadratureError, panel_rule, radial_integral
@@ -162,6 +161,20 @@ def gram(metric: RadialMetric, k: int, tol: float = 1e-12) -> np.ndarray:
     return norms
 
 
+def _logsumexp(a: np.ndarray, b: Optional[np.ndarray] = None, return_sign: bool = False):
+    """log|sum_i b_i exp(a_i)| over axis 0, shifted by the largest a_i.
+
+    A column whose a_i are all -inf, or whose weighted sum is zero, gives
+    -inf (with sign 0 when ``return_sign``)."""
+    shift = np.max(a, axis=0)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    terms = np.exp(a - shift)
+    total = np.sum(terms if b is None else b * terms, axis=0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(total)) + shift
+    return (out, np.sign(total)) if return_sign else out
+
+
 def _log_moments(metric: RadialMetric, k: int, norms: np.ndarray, s: np.ndarray):
     """log T_p(s) for T_p = sum_j j^p s^j / ||z^j||^2, p = 0, 1, 2."""
     j = np.arange(k + 1)
@@ -169,10 +182,10 @@ def _log_moments(metric: RadialMetric, k: int, norms: np.ndarray, s: np.ndarray)
         logs = np.log(s)
         base = j[:, None] * logs[None, :] - np.log(norms)[:, None]
     base[0] = -np.log(norms[0])  # s^0 = 1 even at s = 0
-    lt0 = logsumexp(base, axis=0)
+    lt0 = _logsumexp(base)
     # j = 0 contributes zero to T1, T2; drop it so the logsumexp weights stay positive
-    lt1 = logsumexp(base[1:], axis=0, b=j[1:, None].astype(float))
-    lt2 = logsumexp(base[1:], axis=0, b=(j[1:, None] ** 2).astype(float))
+    lt1 = _logsumexp(base[1:], b=j[1:, None].astype(float))
+    lt2 = _logsumexp(base[1:], b=(j[1:, None] ** 2).astype(float))
     return lt0, lt1, lt2
 
 
@@ -291,8 +304,8 @@ def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float], tol: f
 
     def f(s):
         base = j[:, None] * np.log(s)[None, :] - np.log(norms)[:, None]
-        num, sign = logsumexp(base, axis=0, b=a[:, None], return_sign=True)
-        h = sign * np.exp(num - logsumexp(base, axis=0))
+        num, sign = _logsumexp(base, b=a[:, None], return_sign=True)
+        h = sign * np.exp(num - _logsumexp(base))
         return h * fs_pullback_form(metric, k, s, norms)
 
     val, _ = radial_integral(f, tol=tol)

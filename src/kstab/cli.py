@@ -5,30 +5,29 @@ violations (mathematically invalid data), 4 numerical non-convergence
 (a residual report is still written).  Reports are deterministic for a
 fixed configuration: exact rationals are printed as "num/den" strings,
 floats with shortest round-trip repr in JSON and 17 significant digits in
-CSV.
+CSV.  The numeric modules (and numpy) are imported inside the commands
+that use them, so the exact commands ``factorize`` and ``futaki`` start
+without numpy.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
 
 import click
-import numpy as np
 
-from kstab import acceptance as acc
-from kstab import bergman as bg
-from kstab import chow as cw
-from kstab import cycles as cy
 from kstab import weights as wt
 from kstab.laurent import (
     DegenerateLoopError,
     FactorizationError,
     factorize,
     loop_from_json,
+    loop_to_json,
 )
-from kstab.quadrature import QuadratureError
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -70,22 +69,24 @@ def _emit(data, out, fmt):
 def _csv_cell(v):
     if isinstance(v, float):
         return f"{v:.17g}"
+    if isinstance(v, (list, dict)):
+        return json.dumps(v, sort_keys=True)
     return str(v)
 
 
 def _to_csv(data):
+    """Rows as one line each under ``columns``; a flat dict as key,value
+    lines, nested values as JSON text in a quoted cell."""
     rows = data.get("rows")
     if rows is None:
-        # flat dict -> two-column csv
-        lines = ["key,value"]
-        for k in sorted(data):
-            lines.append(f"{k},{_csv_cell(data[k])}")
-        return "\n".join(lines)
-    header = data["columns"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in header))
-    return "\n".join(lines)
+        header, table = ["key", "value"], [[k, data[k]] for k in sorted(data)]
+    else:
+        header, table = data["columns"], [[row[c] for c in data["columns"]] for row in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in line] for line in table)
+    return buf.getvalue()[:-1]
 
 
 def _frac(x: Fraction) -> str:
@@ -121,8 +122,6 @@ def cmd_factorize(input_path, out, fmt):
         fac = factorize(g)
     except (DegenerateLoopError, FactorizationError) as exc:
         sys.exit(_fail(EXIT_INVARIANT, str(exc)))
-    from kstab.laurent import loop_to_json
-
     _emit(
         {
             "weights": list(fac.weights),
@@ -164,6 +163,9 @@ def cmd_futaki(input_path, out, fmt, krange, sign):
 def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
     """Chow weight of a hypersurface degeneration, with the central-fiber
     pairing check for plane conics."""
+    from kstab import chow as cw
+    from kstab.quadrature import QuadratureError
+
     form = _read_input(input_path, cw.form_from_json, "form input")
     g = _read_input(loop_path, loop_from_json, "loop input")
     if order < 1:
@@ -201,6 +203,9 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
 @click.option("--tol", default=1e-8, type=float)
 def cmd_moment(input_path, out, fmt, order, tol):
     """Trace-free moment matrix of a parametrized cycle."""
+    from kstab import cycles as cy
+    from kstab.quadrature import QuadratureError
+
     cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
     if order < 1 or tol <= 0:
         sys.exit(_fail(EXIT_PARSE, "order must be >= 1 and tol positive"))
@@ -230,6 +235,8 @@ def cmd_moment(input_path, out, fmt, order, tol):
 @click.option("--order", default=32, type=int)
 def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     """Balanced-embedding iteration; CSV of residuals per step."""
+    from kstab import cycles as cy
+
     cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
     if tol <= 0 or max_steps < 1 or order < 1:
         sys.exit(_fail(EXIT_PARSE, "tol, max-steps and order must be positive"))
@@ -296,6 +303,11 @@ def _parse_klist(text):
 @click.option("--grid", default=100, type=int, help="number of radial grid points")
 def cmd_bergman(input_path, out, fmt, krange, grid):
     """Density-of-states run: rho, fitted first correction, discrepancy."""
+    import numpy as np
+
+    from kstab import bergman as bg
+    from kstab.quadrature import QuadratureError
+
     metric = _read_input(input_path, bg.metric_from_json, "metric input")
     try:
         klist = _parse_klist(krange)
@@ -346,6 +358,8 @@ def cmd_bergman(input_path, out, fmt, krange, grid):
 @click.option("--only", default=None, help="comma-separated criterion numbers")
 def cmd_verify(out, only):
     """Run the acceptance suite and print one pass/fail line per criterion."""
+    from kstab import acceptance as acc
+
     known = {c[0] for c in acc.CRITERIA}
     try:
         numbers = [int(x) for x in only.split(",")] if only else None

@@ -15,7 +15,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureError",
@@ -40,7 +40,7 @@ def _legendre(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
 
     The cached arrays are shared by every caller, so they are read-only."""
-    x, w = roots_legendre(order)
+    x, w = leggauss(order)
     return _read_only(x, w)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from kstab.bergman import (
     RadialMetric,
+    _logsumexp,
     default_grid,
     expansion_fit,
     fs_pullback_form,
@@ -101,6 +102,39 @@ class TestScalarCurvature:
         # first-order coefficient agrees to 1% of its scale between step sizes
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(fd - fd2)) < 0.01 * scale
+
+
+class TestLogSumExpOracle:
+    @pytest.fixture
+    def oracle(self):
+        return pytest.importorskip("scipy.special").logsumexp
+
+    def test_signed_weights(self, oracle, rng):
+        a = rng.normal(scale=30.0, size=(40, 7))
+        b = rng.normal(size=(40, 1))
+        got, sign = _logsumexp(a, b=b, return_sign=True)
+        want, want_sign = oracle(a, axis=0, b=b, return_sign=True)
+        assert np.array_equal(sign, want_sign)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-13)
+        assert np.allclose(_logsumexp(a), oracle(a, axis=0), rtol=1e-14, atol=1e-13)
+
+    def test_minus_inf_column(self, oracle):
+        # the s = 0 column of _log_moments: s^j = 0 for every j >= 1
+        base = np.array([[-1.0, -1.0], [-np.inf, 2.0], [-np.inf, 3.0]])
+        b = np.array([[1.0], [4.0]])
+        assert np.allclose(_logsumexp(base), oracle(base, axis=0), rtol=1e-15, atol=0.0)
+        got, want = _logsumexp(base[1:], b=b), oracle(base[1:], axis=0, b=b)
+        assert got[0] == want[0] == -np.inf
+        assert got[1] == pytest.approx(want[1], rel=1e-15)
+
+    def test_zero_weighted_sum(self, oracle):
+        a = np.array([[0.5, 1.0], [0.5, 2.0]])
+        b = np.array([[1.0], [-1.0]])
+        got, sign = _logsumexp(a, b=b, return_sign=True)
+        want, want_sign = oracle(a, axis=0, b=b, return_sign=True)
+        assert sign[0] == want_sign[0] == 0.0 and got[0] == want[0] == -np.inf
+        assert sign[1] == want_sign[1] == -1.0
+        assert got[1] == pytest.approx(want[1], rel=1e-15)
 
 
 class TestGram:

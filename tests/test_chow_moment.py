@@ -514,8 +514,8 @@ class TestBalanceKernel:
 
     def test_legendre_rule_computed_once_per_order(self, monkeypatch):
         orders = []
-        real = quadrature_module.roots_legendre
-        monkeypatch.setattr(quadrature_module, "roots_legendre", lambda n: orders.append(n) or real(n))
+        real = quadrature_module.leggauss
+        monkeypatch.setattr(quadrature_module, "leggauss", lambda n: orders.append(n) or real(n))
         quadrature_module._legendre.cache_clear()
         try:
             balance_iterate(_two_conics(), max_steps=5, order=20)

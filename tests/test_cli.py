@@ -1,5 +1,7 @@
 """Command line interface: schemas, determinism, exit codes."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -286,6 +288,72 @@ def test_cli_import_leaves_out_sympy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Run one command in a fresh interpreter; report its exit code and which of
+# numpy, scipy and sympy it loaded.
+_LOADED = """
+import json, sys, kstab.cli
+try:
+    kstab.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+heavy = sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy', 'sympy'})
+print(json.dumps([code, heavy]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["factorize", "--input", "conic_loop.json"], ["numpy", "scipy", "sympy"]),
+        (["futaki", "--input", "conic_weights.json", "--k", "1:10"], ["numpy", "scipy", "sympy"]),
+        (["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"], ["scipy", "sympy"]),
+        (["moment", "--input", "line_cycle.json", "--order", "48"], ["scipy", "sympy"]),
+        (["balance", "--input", "rnc3_distorted_cycle.json", "--format", "csv"], ["scipy", "sympy"]),
+        (["bergman", "--input", "bump_metric.json", "--k", "8:32:double", "--grid", "20"], ["scipy", "sympy"]),
+        (["verify"], ["scipy", "sympy"]),
+    ],
+    ids=["factorize", "futaki", "chow", "moment", "balance", "bergman", "verify"],
+)
+def test_command_leaves_out_heavy_imports(args, absent):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, timeout=120
+    )
+    code, heavy = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert not set(heavy) & set(absent)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["futaki", "--input", "conic_weights.json", "--k", "1:3"],
+        ["moment", "--input", "line_cycle.json"],
+        ["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"],
+        ["factorize", "--input", "conic_loop.json"],
+    ],
+    ids=["futaki", "moment", "chow", "factorize"],
+)
+def test_flat_csv_has_two_columns(runner, args):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in args]
+    rep = json.loads(run(runner, *argv).output)
+    res = run(runner, *argv, "--format", "csv")
+    assert res.exit_code == 0
+    rows = list(csv.reader(io.StringIO(res.output)))
+    assert all(len(row) == 2 for row in rows)
+    assert rows[0] == ["key", "value"]
+    assert [key for key, _ in rows[1:]] == sorted(rep)
+    for key, value in rows[1:]:
+        if isinstance(rep[key], (list, dict)):
+            assert json.loads(value) == rep[key]
+
+
+def test_row_csv_is_unquoted(runner):
+    res = run(runner, "balance", "--input", str(DATA / "rnc3_distorted_cycle.json"), "--format", "csv")
+    lines = res.output.splitlines()
+    assert [",".join(row) for row in csv.reader(lines)] == lines
 
 
 # Leaves stay small: an exponent or a degree read from the input sets the

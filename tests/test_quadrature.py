@@ -5,6 +5,7 @@ import pytest
 
 from kstab.quadrature import (
     QuadratureError,
+    _legendre,
     csum,
     disc_rule,
     panel_rule,
@@ -31,6 +32,19 @@ class TestDiscRule:
         for arr in (*disc_rule(8), *panel_rule(8, 4)):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+class TestLegendreOracle:
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        for n in range(1, 257):
+            x, w = _legendre(n)
+            xs, ws = special.roots_legendre(n)
+            assert np.max(np.abs(x - xs)) <= 1e-15
+            # relative to the total weight 2; the tiny end weights differ by up
+            # to 3e-10 relative, as much as each rule differs from a 50-digit one
+            assert np.max(np.abs(w - ws)) <= 1e-13 * 2.0
+            assert np.max(np.abs(w - ws) / ws) <= 1e-9
 
 
 class TestPanels:
