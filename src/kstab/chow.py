@@ -32,10 +32,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from kstab.cycles import Component, ProjectiveCycle, moment_matrix, pairing
-from kstab.laurent import LaurentMatrix, LaurentPoly, _ser_add_mul, _window_list, factorize
+from kstab.laurent import LaurentMatrix, LaurentPoly, factorize
 
 __all__ = [
     "HypersurfaceForm",
@@ -151,18 +148,19 @@ def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
 
 
 def _mv_mul(p: dict, q: dict, K: int) -> dict:
-    """Product of two forms in y whose coefficients are series mod t^K."""
+    """Product modulo t^K of two forms in y with Laurent coefficients."""
     out: dict = {}
     for e1, s1 in p.items():
         for e2, s2 in q.items():
             e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = _ser_add_mul(out.get(e) or [_ZERO] * K, s1, s2, K)
+            term = s1.mul(s2, K)
+            out[e] = out[e] + term if e in out else term
     return out
 
 
 def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
     """Coefficients of F(P y) modulo t^K: {y-exponents: (re, im)} with re and
-    im length-K lists.
+    im Laurent polynomials.
 
     The powers l_a^j of the linear forms l_a = sum_b P[a][b] y_b are real
     rational and computed once for j up to the top exponent of x_a in F;
@@ -173,7 +171,7 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
     powers = []
     for a in range(n):
         linear = {
-            tuple(int(i == b) for i in range(n)): _window_list(p, K)
+            tuple(int(i == b) for i in range(n)): p.truncate(K)
             for b, p in enumerate(rows[a])
             if not p.is_zero
         }
@@ -181,20 +179,18 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         for _ in range(2, max(e[a] for e in lifted.monomials) + 1):
             pw.append(_mv_mul(pw[-1], linear, K))
         powers.append(pw)
+    zero = LaurentPoly.zero()
     out: dict = {}
     for exps, lc in lifted.monomials.items():
-        term = {(0,) * n: [Fraction(1)] + [_ZERO] * (K - 1)}
+        term = None
         for a, e in enumerate(exps):
             if e:
-                term = _mv_mul(term, powers[a][e], K)
-        c_re, c_im = [_ZERO] * K, [_ZERO] * K
-        for e, (re, im) in lc.items():
-            if e < K:
-                c_re[e], c_im[e] = re, im
+                term = powers[a][e] if term is None else _mv_mul(term, powers[a][e], K)
+        c_re = LaurentPoly({e: re for e, (re, _) in lc.items()})
+        c_im = LaurentPoly({e: im for e, (_, im) in lc.items()})
         for mono, ser in term.items():
-            re, im = out.setdefault(mono, ([_ZERO] * K, [_ZERO] * K))
-            _ser_add_mul(re, c_re, ser, K)
-            _ser_add_mul(im, c_im, ser, K)
+            re, im = out.get(mono, (zero, zero))
+            out[mono] = (re + c_re.mul(ser, K), im + c_im.mul(ser, K))
     return out
 
 
@@ -209,7 +205,8 @@ def transformed_form(
     lifted, rows, shift, span = _substitution(form, g, convention)
     monomials = {}
     for mono, (re, im) in _window(lifted, rows, span).items():
-        lc = {e + shift: (re[e], im[e]) for e in range(span) if re[e] or im[e]}
+        ts = sorted(re.coeffs.keys() | im.coeffs.keys())
+        lc = {e + shift: (re.coefficient(e), im.coefficient(e)) for e in ts}
         if lc:
             monomials[mono] = lc
     if not monomials:
@@ -226,9 +223,10 @@ def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
     while True:
         K = min(K, span)
         win = _window(lifted, rows, K)
-        o = min((e for re, im in win.values() for e in range(K) if re[e] or im[e]), default=None)
+        o = min((p.ord() for pair in win.values() for p in pair if not p.is_zero), default=None)
         if o is not None:
-            return o + shift, {mono: (re[o], im[o]) for mono, (re, im) in win.items() if re[o] or im[o]}
+            lowest = ((mono, (re.coefficient(o), im.coefficient(o))) for mono, (re, im) in win.items())
+            return o + shift, {mono: c for mono, c in lowest if any(c)}
         if K == span:
             raise ValueError("transformed form vanished identically")
         K *= 2
@@ -277,127 +275,14 @@ def central_fiber_form(form: HypersurfaceForm, g: LaurentMatrix) -> Dict[tuple, 
     return {exps: complex(float(re), float(im)) for exps, (re, im) in lowest.items()}
 
 
-# ---------------------------------------------------------------------------
-# degenerate/smooth plane conics as parametrized cycles
-# ---------------------------------------------------------------------------
+def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> "ProjectiveCycle":
+    """Cycle of the flat limit at t = 0 for plane-conic degenerations (see
+    :func:`kstab.cycles.conic_cycle`)."""
+    from kstab.cycles import conic_cycle
 
-
-def _conic_matrix(mono: Dict[tuple, complex]) -> np.ndarray:
-    q = np.zeros((3, 3), dtype=complex)
-    for exps, c in mono.items():
-        idx = [i for i, e in enumerate(exps) for _ in range(e)]
-        if len(idx) != 2:
-            raise ValueError("not a quadratic form")
-        i, j = idx
-        q[i, j] += c / (1 if i == j else 2)
-        if i != j:
-            q[j, i] += c / 2
-    return q
-
-
-def _line_cycle_between(p: np.ndarray, q: np.ndarray, mult: int) -> Component:
-    coeffs = np.stack([q, p], axis=1)  # q + s p
-    return Component(coeffs, mult)
-
-
-def _point_on_conic(q: np.ndarray, rng_seed: int = 0) -> np.ndarray:
-    """A point p with p^T q p = 0, found on a generic line."""
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(64):
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        # solve (a + s b)^T q (a + s b) = 0
-        c2 = b @ q @ b
-        c1 = a @ q @ b + b @ q @ a
-        c0 = a @ q @ a
-        if abs(c2) < 1e-13:
-            continue
-        disc = np.sqrt(c1 * c1 - 4 * c2 * c0 + 0j)
-        for root in ((-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)):
-            p = a + root * b
-            nrm = np.linalg.norm(p)
-            if nrm > 1e-9:
-                p = p / nrm
-                if abs(p @ q @ p) < 1e-9:
-                    return p
-    raise RuntimeError("failed to find a point on the conic")
-
-
-def _parametrize_smooth_conic(q: np.ndarray) -> Component:
-    """Degree-2 rational parametrization x(s) = (v^T q v) p - 2 (p^T q v) v
-    for v = v0 + s v1, with p on the conic."""
-    p = _point_on_conic(q)
-    # choose v0, v1 spanning a complement of p
-    basis = np.eye(3, dtype=complex)
-    idx = np.argsort(np.abs(p))[::-1]
-    v0, v1 = basis[idx[1]], basis[idx[2]]
-
-    def coeff(vv0, vv1):
-        # expand in s: v = v0 + s v1
-        a0 = vv0 @ q @ vv0
-        a1 = vv0 @ q @ vv1 + vv1 @ q @ vv0
-        a2 = vv1 @ q @ vv1
-        b0 = p @ q @ vv0 + vv0 @ q @ p
-        b1 = p @ q @ vv1 + vv1 @ q @ p
-        # x(s) = (a0 + a1 s + a2 s^2) p - (b0 + b1 s) (v0 + s v1)
-        c0 = a0 * p - b0 * vv0
-        c1 = a1 * p - b1 * vv0 - b0 * vv1
-        c2 = a2 * p - b1 * vv1
-        return np.stack([c0, c1, c2], axis=1)
-
-    coeffs = coeff(v0, v1)
-    comp = Component(coeffs)
-    if comp.degree != 2:
-        raise RuntimeError("conic parametrization degenerated")
-    return comp
-
-
-def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> ProjectiveCycle:
-    """Cycle of the flat limit at t = 0 for plane-conic degenerations.
-
-    Classifies the initial quadratic form by rank: rank 3 gives a smooth
-    conic, rank 2 two distinct lines, rank 1 a double line.
-    """
     if form.nvars != 3 or form.degree != 2:
         raise ValueError("central fiber cycles are implemented for plane conics")
-    mono = central_fiber_form(form, g)
-    q = _conic_matrix(mono)
-    q = q / np.max(np.abs(q))
-    svals = np.linalg.svd(q, compute_uv=False)
-    rank = int(np.sum(svals > 1e-9 * svals[0]))
-    if rank == 3:
-        return ProjectiveCycle(2, [_parametrize_smooth_conic(q)])
-    if rank == 1:
-        # q = c l l^T: the line l = 0 doubled
-        _, _, vh = np.linalg.svd(q)
-        l = vh[0].conj()
-        comp = _line_component(l, 2)
-        return ProjectiveCycle(2, [comp])
-    # rank 2: two lines through the kernel point
-    _, _, vh = np.linalg.svd(q)
-    kernel = vh[2].conj()
-    pts = []
-    rng = np.random.default_rng(1)
-    while len(pts) < 2:
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        c2, c1, c0 = b @ q @ b, a @ q @ b + b @ q @ a, a @ q @ a
-        if abs(c2) < 1e-12:
-            continue
-        disc = np.sqrt(c1 * c1 - 4 * c2 * c0 + 0j)
-        if abs(disc) < 1e-10:
-            continue
-        pts = [a + ((-c1 + s * disc) / (2 * c2)) * b for s in (1, -1)]
-    comps = [_line_cycle_between(kernel, pt / np.linalg.norm(pt), 1) for pt in pts]
-    return ProjectiveCycle(2, comps)
-
-
-def _line_component(l: np.ndarray, mult: int) -> Component:
-    """Parametrize the line l . x = 0 in P^2."""
-    # two independent points on the line: null space of l
-    _, _, vh = np.linalg.svd(l[None, :])
-    p, q = vh[1].conj(), vh[2].conj()
-    return _line_cycle_between(p, q, mult)
+    return conic_cycle(central_fiber_form(form, g))
 
 
 @dataclass
@@ -423,7 +308,7 @@ def section_diagonal(g: LaurentMatrix) -> tuple:
 
 def check_chow_inequality(
     g: LaurentMatrix,
-    central: ProjectiveCycle,
+    central: "ProjectiveCycle",
     form: Optional[HypersurfaceForm] = None,
     ch: Optional[Fraction] = None,
     order: int = 48,
@@ -436,6 +321,8 @@ def check_chow_inequality(
     or the hypersurface form must be supplied.  Equality is expected, up to
     quadrature error, for pure exponent loops t^A.
     """
+    from kstab.cycles import moment_matrix, pairing
+
     if ch is None:
         if form is None:
             raise ValueError("need either ch or the hypersurface form")

@@ -5,9 +5,10 @@ violations (mathematically invalid data), 4 numerical non-convergence
 (a residual report is still written).  Reports are deterministic for a
 fixed configuration: exact rationals are printed as "num/den" strings,
 floats with shortest round-trip repr in JSON and 17 significant digits in
-CSV.  The numeric modules (and numpy) are imported inside the commands
-that use them, so the exact commands ``factorize`` and ``futaki`` start
-without numpy.
+CSV, and booleans and None as the JSON literals in both.  The numeric
+modules (and numpy) are imported inside the commands that use them, so
+``factorize``, ``futaki`` and ``chow`` on a form that is not a plane conic
+run without numpy.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _emit(data, out, fmt):
 def _csv_cell(v):
     if isinstance(v, float):
         return f"{v:.17g}"
-    if isinstance(v, (list, dict)):
+    if isinstance(v, (list, dict, bool)) or v is None:
         return json.dumps(v, sort_keys=True)
     return str(v)
 
@@ -164,7 +165,6 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
     """Chow weight of a hypersurface degeneration, with the central-fiber
     pairing check for plane conics."""
     from kstab import chow as cw
-    from kstab.quadrature import QuadratureError
 
     form = _read_input(input_path, cw.form_from_json, "form input")
     g = _read_input(loop_path, loop_from_json, "loop input")
@@ -177,6 +177,8 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
         sys.exit(_fail(EXIT_INVARIANT, str(exc)))
     data = {"chow_weight": _frac(ch), "convention": convention}
     if form.nvars == 3 and form.degree == 2 and convention == "calibrated":
+        from kstab.quadrature import QuadratureError
+
         try:
             fiber = cw.central_fiber_cycle(form, g)
             chk = cw.check_chow_inequality(g, fiber, ch=ch, order=order, tol=tol)

@@ -12,6 +12,12 @@ integer exponent diagonal, and ``right`` is a polynomial matrix with unit
 diagonal that is triangular with bounded entry degrees in the basis order
 that sorts the exponents.  All arithmetic in this module is exact; no
 floating point is used anywhere.
+
+A :class:`LaurentPoly` is an integer offset times a trimmed
+:mod:`kstab.poly` coefficient list, the one exact polynomial format of the
+package: sums and products (optionally truncated below t^K) go through
+``poly.add`` and ``poly.mul``, and the factorization and the Chow window
+work on entries truncated modulo t^K.
 """
 
 from __future__ import annotations
@@ -63,24 +69,24 @@ def _as_fraction(x) -> Fraction:
 
 
 class LaurentPoly:
-    """Finite Laurent polynomial sum_e c_e t^e with rational coefficients."""
+    """Finite Laurent polynomial t^low * (coef[0] + coef[1] t + ...) over Q.
 
-    __slots__ = ("_c",)
+    ``low`` is an integer offset and ``coef`` a trimmed :mod:`kstab.poly`
+    list whose first entry is nonzero; zero is low = 0, coef = [].  Values
+    are immutable, so shifted copies share their lists.
+    """
+
+    __slots__ = ("low", "coef")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e, v in items:
-                v = _as_fraction(v)
-                if v:
-                    e = int(e)
-                    w = c.get(e, _ZERO) + v
-                    if w:
-                        c[e] = w
-                    else:
-                        del c[e]
-        self._c = c
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        items = [(int(e), v) for e, v in ((e, _as_fraction(v)) for e, v in items) if v]
+        low = min((e for e, _ in items), default=0)
+        coef = [_ZERO] * (max((e for e, _ in items), default=low - 1) - low + 1)
+        for e, v in items:
+            coef[e - low] += v
+        stripped = _laurent(low, coef)
+        self.low, self.coef = stripped.low, stripped.coef
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -106,91 +112,80 @@ class LaurentPoly:
     # -- structure ----------------------------------------------------
     @property
     def coeffs(self) -> dict:
-        return dict(self._c)
+        return {self.low + i: v for i, v in enumerate(self.coef) if v}
 
     def coefficient(self, e: int) -> Fraction:
-        return self._c.get(int(e), _ZERO)
+        i = int(e) - self.low
+        return self.coef[i] if 0 <= i < len(self.coef) else _ZERO
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.coef
 
     def ord(self) -> int:
         """Lowest exponent with nonzero coefficient."""
-        if not self._c:
+        if not self.coef:
             raise ZeroLaurentError("zero Laurent polynomial has no order")
-        return min(self._c)
+        return self.low
 
     def deg(self) -> int:
-        if not self._c:
+        if not self.coef:
             raise ZeroLaurentError("zero Laurent polynomial has no degree")
-        return max(self._c)
+        return self.low + len(self.coef) - 1
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, _ZERO) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
-
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        if not (self.coef and other.coef):
+            return other if not self.coef else self
+        low, a, b = self.low, self.coef, other.coef
+        if other.low != low:
+            pad = [_ZERO] * abs(other.low - low)
+            low, a, b = (low, a, pad + b) if other.low > low else (other.low, b, pad + a)
+        return _laurent(low, poly.add(a, b))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, _ZERO) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
+    def __neg__(self) -> "LaurentPoly":
+        return _laurent(self.low, [-v for v in self.coef])
+
+    def mul(self, other: "LaurentPoly", K=None) -> "LaurentPoly":
+        """Product, or only its terms below t^K when K is given."""
+        low = self.low + other.low
+        # the lowest coefficients multiply to a nonzero one: nothing to strip
+        coef = poly.mul(self.coef, other.coef, None if K is None else K - low)
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
+        out.low, out.coef = (low, coef) if coef else (0, [])
         return out
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self.mul(other)
+
+    def truncate(self, K: int) -> "LaurentPoly":
+        """The terms below t^K."""
+        return _laurent(self.low, self.coef[: max(K - self.low, 0)])
 
     def scale(self, c) -> "LaurentPoly":
         c = _as_fraction(c)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {} if not c else {e: v * c for e, v in self._c.items()}
-        return out
+        return _laurent(self.low, [v * c for v in self.coef] if c else [])
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by t^e."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k + e: v for k, v in self._c.items()}
-        return out
+        return _laurent(self.low + e, self.coef)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return self.low == other.low and self.coef == other.coef
 
     def to_triples(self):
-        return [
-            [e, v.numerator, v.denominator] for e, v in sorted(self._c.items())
-        ]
+        return [[e, v.numerator, v.denominator] for e, v in self.coeffs.items()]
 
     def __repr__(self) -> str:
-        if not self._c:
+        if not self.coef:
             return "0"
         parts = []
-        for e, v in sorted(self._c.items()):
+        for e, v in self.coeffs.items():
             if e == 0:
                 parts.append(f"{v}")
             elif e == 1:
@@ -198,6 +193,19 @@ class LaurentPoly:
             else:
                 parts.append(f"{v}*t^{e}")
         return " + ".join(parts)
+
+
+def _laurent(low: int, coef) -> LaurentPoly:
+    """t^low * coef as a LaurentPoly, the zeros at both ends of coef removed."""
+    if not (coef and coef[0] and coef[-1]):
+        start = next((i for i, v in enumerate(coef) if v), len(coef))
+        end = len(coef)
+        while end > start and not coef[end - 1]:
+            end -= 1
+        low, coef = (low + start, coef[start:end]) if start < end else (0, [])
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.low, out.coef = low, coef
+    return out
 
 
 class LaurentMatrix:
@@ -265,21 +273,15 @@ class LaurentMatrix:
         return out
 
     def det(self) -> LaurentPoly:
-        """Exact determinant by fraction-free (Bareiss) elimination over Q[t].
-
-        The entries are shifted by t^(-nu), nu the lowest entry order, so the
-        elimination runs on polynomials; at step k every entry becomes
+        """Exact determinant by fraction-free (Bareiss) elimination over
+        Q[t, 1/t]: at step k every entry becomes
         (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), a division that is exact.
         """
         n = self.size
-        nu = min((p.ord() for row in self.entries for p in row if not p.is_zero), default=0)
-        a = [
-            [[] if p.is_zero else _window_list(p, p.deg() + 1) for p in row]
-            for row in self.shift(-nu).entries
-        ]
-        sign, prev = 1, [_ONE]
+        a = [list(row) for row in self.entries]
+        sign, prev = 1, None
         for k in range(n - 1):
-            piv = next((r for r in range(k, n) if a[r][k]), None)
+            piv = next((r for r in range(k, n) if not a[r][k].is_zero), None)
             if piv is None:
                 return LaurentPoly.zero()
             if piv != k:
@@ -287,12 +289,14 @@ class LaurentMatrix:
                 sign = -sign
             akk, row_k = a[k][k], a[k]
             for row in a[k + 1 :]:
-                aik = row[k]
+                neg_aik = -row[k]
                 for j in range(k + 1, n):
-                    num = poly.add(poly.mul(akk, row[j]), poly.mul(aik, row_k[j]), -1)
-                    row[j] = poly.quorem(num, prev)[0] if k else num
+                    num = akk * row[j] + neg_aik * row_k[j]
+                    if k:  # exact: prev.coef has a nonzero constant term
+                        num = _laurent(num.low - prev.low, poly.quorem(num.coef, prev.coef)[0])
+                    row[j] = num
             prev = akk
-        return LaurentPoly({e + n * nu: sign * v for e, v in enumerate(a[-1][-1]) if v})
+        return a[-1][-1] if sign > 0 else -a[-1][-1]
 
     def value_at_zero(self):
         """Matrix of constant coefficients; requires no negative exponents."""
@@ -402,52 +406,12 @@ class LoopFactorization:
 
 
 # ---------------------------------------------------------------------------
-# factorization: valuation echelon over a truncated power-series window
+# factorization: valuation echelon on entries truncated modulo t^K
 # ---------------------------------------------------------------------------
 
 
 class _WindowTooSmall(Exception):
     pass
-
-
-def _ser_ord(a):
-    for i, v in enumerate(a):
-        if v:
-            return i
-    return None
-
-
-def _ser_is_zero(a) -> bool:
-    return all(not v for v in a)
-
-
-def _ser_add_mul(acc, a, b, K):
-    """acc + a*b modulo t^K, accumulated into acc (all length-K lists)."""
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b[: K - i]):
-                if bv:
-                    acc[i + j] += av * bv
-    return acc
-
-
-def _ser_inv_unit(a, K):
-    """Inverse of a unit power series (a[0] != 0) modulo t^K."""
-    inv = [_ZERO] * K
-    inv0 = 1 / a[0]
-    inv[0] = inv0
-    for m in range(1, K):
-        acc = _ZERO
-        top = min(m, len(a) - 1)
-        for i in range(1, top + 1):
-            ai = a[i]
-            if ai:
-                w = inv[m - i]
-                if w:
-                    acc += ai * w
-        if acc:
-            inv[m] = -acc * inv0
-    return inv
 
 
 def _echelon(rows, size, K):
@@ -467,53 +431,40 @@ def _echelon(rows, size, K):
         best = None  # (ord, -coord, row)
         for i in active:
             for c in range(size):
-                o = _ser_ord(rows[i][c])
-                if o is None:
-                    continue
-                key = (o, -c, i)
-                if best is None or key < best:
-                    best = key
+                p = rows[i][c]
+                if not p.is_zero:
+                    key = (p.ord(), -c, i)
+                    if best is None or key < best:
+                        best = key
         if best is None:
             raise _WindowTooSmall
         m, negc, istar = best
         cstar = -negc
 
         # normalize the pivot row so its cstar entry becomes exactly t^m
-        unit = rows[istar][cstar][m:] + [_ZERO] * m
-        uinv = _ser_inv_unit(unit, K)
-        rows[istar] = [_ser_add_mul([_ZERO] * K, uinv, col, K) for col in rows[istar]]
+        uinv = _laurent(0, poly.inv(rows[istar][cstar].coef, K))
+        piv_row = rows[istar] = [uinv.mul(p, K) for p in rows[istar]]
 
         for i in active:
-            if i == istar:
-                continue
             ent = rows[i][cstar]
-            if _ser_is_zero(ent):
+            if i == istar or ent.is_zero:
                 continue
-            neg_mu = [-v for v in ent[m:]] + [_ZERO] * m  # ord(ent) >= m: exact division by t^m
-            rows[i] = [
-                _ser_add_mul(list(rows[i][c]), neg_mu, rows[istar][c], K) for c in range(size)
-            ]
+            neg_mu = -ent.shift(-m)  # ord(ent) >= m: exact division by t^m
+            rows[i] = [p + neg_mu.mul(q, K) for p, q in zip(rows[i], piv_row)]
 
         sigma[pos] = cstar
         wts[pos] = m
-        basis[pos] = rows[istar]
+        basis[pos] = piv_row
         active.remove(istar)
 
     # second pass: reduce entries below each pivot exponent window
     for k in range(1, size):
         for j in range(k - 1, -1, -1):
             beta = basis[k][sigma[j]]
-            neg_q = [-v for v in beta[wts[j]:]] + [_ZERO] * wts[j]
-            if not _ser_is_zero(neg_q):
-                basis[k] = [
-                    _ser_add_mul(list(basis[k][c]), neg_q, basis[j][c], K) for c in range(size)
-                ]
+            neg_q = (beta.truncate(wts[j]) - beta).shift(-wts[j])
+            if not neg_q.is_zero:
+                basis[k] = [p + neg_q.mul(q, K) for p, q in zip(basis[k], basis[j])]
     return sigma, wts, basis
-
-
-def _series_to_poly(ser, down: int) -> LaurentPoly:
-    """Interpret a window series divided by t^down as a Laurent polynomial."""
-    return LaurentPoly({e - down: v for e, v in enumerate(ser) if v})
 
 
 def factorize(g: LaurentMatrix) -> LoopFactorization:
@@ -543,7 +494,7 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
     cap = det.ord() - n * nu + 1
     K = 1
     while True:
-        rows = [[_window_list(p, K) for p in row] for row in shifted.entries]
+        rows = [[p.truncate(K) for p in row] for row in shifted.entries]
         try:
             sigma, wts, basis = _echelon(rows, n, K)
             break
@@ -555,14 +506,6 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
     if fac is None:
         raise FactorizationError("loop factorization failed its exact check")
     return fac
-
-
-def _window_list(p: LaurentPoly, K: int):
-    out = [_ZERO] * K
-    for e, v in p.coeffs.items():
-        if 0 <= e < K:
-            out[e] = v
-    return out
 
 
 def _assemble(g, sigma, wts, basis, nu, det):
@@ -577,16 +520,15 @@ def _assemble(g, sigma, wts, basis, nu, det):
     for k in range(n):
         right_entries[sigma[k]][sigma[k]] = one
         for j in range(k):
-            ser = basis[k][sigma[j]]
-            o = _ser_ord(ser)
-            if o is None:
+            p = basis[k][sigma[j]]
+            if p.is_zero:
                 continue
-            if o < wts[k]:
+            if p.ord() < wts[k]:
                 return None
-            right_entries[sigma[k]][sigma[j]] = _series_to_poly(ser, wts[k])
+            right_entries[sigma[k]][sigma[j]] = p.shift(-wts[k])
         # positions sigma[k], sigma[j] with j > k must vanish
         for j in range(k + 1, n):
-            if not _ser_is_zero(basis[k][sigma[j]]):
+            if not basis[k][sigma[j]].is_zero:
                 return None
     right = LaurentMatrix(right_entries)
 

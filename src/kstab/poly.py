@@ -1,5 +1,10 @@
 """Dense univariate polynomials as ascending coefficient lists (p[i] is the
-coefficient of x^i), exact over Fraction; zero is the empty list.
+coefficient of x^i), exact over Fraction; zero is the empty list and every
+result is trimmed of trailing zeros.
+
+This is the one coefficient format of the exact code: ``kstab.laurent``
+stores a Laurent polynomial as a power of t times such a list, and ``mul``
+(optionally truncated below x^K) is the one coefficient convolution.
 ``evaluate`` is Horner's rule and also takes float coefficients with a
 numpy array argument.
 """
@@ -7,13 +12,14 @@ numpy array argument.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 
-__all__ = ["add", "mul", "deriv", "quorem", "gcd", "evaluate"]
+__all__ = ["add", "mul", "inv", "deriv", "quorem", "gcd", "evaluate"]
+
+_ZERO = Fraction(0)
 
 
 def _trim(p):
-    p = list(p)
+    """Drop the trailing zeros of the list p, in place."""
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -21,16 +27,44 @@ def _trim(p):
 
 def add(a, b, c=1):
     """a + c * b."""
-    return _trim(x + c * y for x, y in zip_longest(a, b, fillvalue=0))
+    if c != 1:
+        b = [c * y for y in b]
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        if y:
+            out[i] += y
+    return _trim(out)
 
 
-def mul(a, b):
-    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
+def mul(a, b, K=None):
+    """a * b, or only its terms below x^K when K is given."""
+    n = len(a) + len(b) - 1
+    if K is not None and K < n:
+        n = K
+    if n <= 0 or not a or not b:
+        return []
+    if len(a) == 1:  # a constant: most products in the Chow window
+        return _trim([a[0] * y for y in b[:n]])
+    out = [_ZERO] * n
+    terms = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a[:n]):
         if x:
             for j, y in terms:
-                out[i + j] += x * y
+                k = i + j
+                if k >= n:
+                    break
+                out[k] = out[k] + x * y if out[k] else x * y  # no sum with zero
+    return _trim(out)
+
+
+def inv(a, K):
+    """Inverse modulo x^K of a power series with a[0] != 0."""
+    out = [1 / Fraction(a[0])]
+    for m in range(1, K):
+        terms = (a[i] * out[m - i] for i in range(1, min(m, len(a) - 1) + 1) if a[i])
+        out.append(-sum(terms, _ZERO) * out[0])
     return _trim(out)
 
 
@@ -40,7 +74,7 @@ def deriv(a):
 
 def quorem(a, b):
     """Quotient and remainder of a by a nonzero trimmed b."""
-    rem = [Fraction(c) for c in _trim(a)]
+    rem = _trim([Fraction(c) for c in a])
     quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
     terms = [(j, y) for j, y in enumerate(b) if y]
     for i in reversed(range(len(quo))):
@@ -54,7 +88,7 @@ def quorem(a, b):
 
 def gcd(a, b):
     """Monic greatest common divisor over the rationals (Euclid)."""
-    a, b = _trim(a), _trim(b)
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
         a, b = b, quorem(a, b)[1]
     return [Fraction(c) / a[-1] for c in a]

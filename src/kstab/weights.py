@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from kstab import poly
+from kstab.laurent import LaurentPoly
 
 __all__ = [
     "CALIBRATED_SIGN",
@@ -113,24 +114,17 @@ def _degree_sums(weights, d):
 
 
 def _weight_distribution(weights, k):
-    """dict weight -> number of degree-k monomials with that weight."""
-    # DP over generators; counts monomials (multisets), not sequences.
-    table = {0: {0: 1}}  # degree -> {weight: count} using first m generators
+    """dict weight -> number of degree-k monomials with that weight.
+
+    levels[j] is sum t^(weight of m) over the degree-j monomials m in the
+    generators taken so far; a generator of weight w adds to level j the
+    monomials that use it, t^w times the updated level j - 1.
+    """
+    levels = [LaurentPoly.one()] + [LaurentPoly.zero()] * k
     for w in weights:
-        new = {}
-        for deg in range(k + 1):
-            row = {}
-            for j in range(deg + 1):  # exponent of the current generator
-                prev = table.get(deg - j)
-                if not prev:
-                    continue
-                shift = j * w
-                for wt, cnt in prev.items():
-                    row[wt + shift] = row.get(wt + shift, 0) + cnt
-            if row:
-                new[deg] = row
-        table = new
-    return table.get(k, {})
+        for j in range(1, k + 1):
+            levels[j] = levels[j] + levels[j - 1].shift(w)
+    return {e: int(c) for e, c in levels[k].coeffs.items()}
 
 
 def induced_weights(w: WeightSystem, k: int):
@@ -172,25 +166,21 @@ def gap(weights) -> int:
 def fit_exact_polynomial(points, degree):
     """Exact polynomial coefficients (ascending) through the given points.
 
-    ``points`` is a list of (x, y) pairs with len == degree + 1; Lagrange
-    interpolation over Fractions.
+    ``points`` is a list of (x, y) pairs with len == degree + 1.  Newton
+    divided differences over Fractions, then the Newton form expanded by
+    Horner's rule: O(degree^2) operations.
     """
     if len(points) != degree + 1:
         raise ValueError("need exactly degree + 1 sample points")
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(points):
-        # numerator polynomial prod_{j != i} (x - xj), then scale
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = poly.mul(num, [-Fraction(xj), 1])
-            denom *= Fraction(xi) - Fraction(xj)
-        scale = Fraction(yi) / denom
-        for d, c in enumerate(num):
-            coeffs[d] += scale * c
-    return coeffs
+    xs = [Fraction(x) for x, _ in points]
+    dd = [Fraction(y) for _, y in points]
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = []
+    for x, c in zip(reversed(xs), reversed(dd)):
+        coeffs = poly.add(poly.mul(coeffs, [-x, Fraction(1)]), [c])
+    return coeffs + [Fraction(0)] * (degree + 1 - len(coeffs))
 
 
 @dataclass(frozen=True)

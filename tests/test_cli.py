@@ -309,15 +309,18 @@ print(json.dumps([code, heavy]), file=sys.stderr)
         (["factorize", "--input", "conic_loop.json"], ["numpy", "scipy", "sympy"]),
         (["futaki", "--input", "conic_weights.json", "--k", "1:10"], ["numpy", "scipy", "sympy"]),
         (["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"], ["scipy", "sympy"]),
+        (["chow", "--input", "CUBIC", "--loop", "conic_loop.json"], ["numpy", "scipy", "sympy"]),
         (["moment", "--input", "line_cycle.json", "--order", "48"], ["scipy", "sympy"]),
         (["balance", "--input", "rnc3_distorted_cycle.json", "--format", "csv"], ["scipy", "sympy"]),
         (["bergman", "--input", "bump_metric.json", "--k", "8:32:double", "--grid", "20"], ["scipy", "sympy"]),
         (["verify"], ["scipy", "sympy"]),
     ],
-    ids=["factorize", "futaki", "chow", "moment", "balance", "bergman", "verify"],
+    ids=["factorize", "futaki", "chow", "chow-cubic", "moment", "balance", "bergman", "verify"],
 )
-def test_command_leaves_out_heavy_imports(args, absent):
-    argv = [str(DATA / a) if a.endswith(".json") else a for a in args]
+def test_command_leaves_out_heavy_imports(args, absent, tmp_path):
+    cubic = tmp_path / "cubic.json"
+    cubic.write_text(json.dumps({"form": {"3,0,0": [1, 0], "0,3,0": [1, 0], "0,0,3": [1, 0]}}))
+    argv = [str(cubic) if a == "CUBIC" else str(DATA / a) if a.endswith(".json") else a for a in args]
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, timeout=120
     )
@@ -346,8 +349,7 @@ def test_flat_csv_has_two_columns(runner, args):
     assert rows[0] == ["key", "value"]
     assert [key for key, _ in rows[1:]] == sorted(rep)
     for key, value in rows[1:]:
-        if isinstance(rep[key], (list, dict)):
-            assert json.loads(value) == rep[key]
+        assert value == rep[key] if isinstance(rep[key], str) else json.loads(value) == rep[key]
 
 
 def test_row_csv_is_unquoted(runner):

@@ -87,7 +87,7 @@ def fixed_window_factorize(g):
     shifted = g.shift(-nu)
     span = max(p.deg() for row in shifted.entries for p in row if not p.is_zero)
     K = max(span + 2 * (det.ord() - n * nu) + 8, 16)
-    rows = [[laurent._window_list(p, K) for p in row] for row in shifted.entries]
+    rows = [[p.truncate(K) for p in row] for row in shifted.entries]
     sigma, wts, basis = laurent._echelon(rows, n, K)
     return laurent._assemble(g, sigma, wts, basis, nu, det)
 

@@ -1,8 +1,16 @@
 """Dense coefficient-list polynomials: zero is the empty list."""
 
+import random
 from fractions import Fraction
 
+import pytest
+
 from kstab import poly
+from kstab.laurent import LaurentPoly
+
+
+def _random_list(rng, length):
+    return poly.add([], [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(length)])
 
 
 def test_mul_by_zero_is_empty():
@@ -14,3 +22,27 @@ def test_mul_by_zero_is_empty():
 def test_mul_trims_and_multiplies():
     assert poly.mul([1, 1], [-1, 1]) == [-1, 0, 1]
     assert poly.mul([Fraction(1, 2), 0], [2]) == [1]
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 5, 8, 13, 40])
+def test_truncated_mul_is_the_full_product_cut(K):
+    rng = random.Random(K)
+    for _ in range(20):
+        a, b = _random_list(rng, rng.randint(0, 9)), _random_list(rng, rng.randint(0, 9))
+        assert poly.mul(a, b, K) == poly.add([], poly.mul(a, b)[:K])
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 12])
+def test_series_inverse(K):
+    rng = random.Random(K)
+    for _ in range(10):
+        a = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))] + _random_list(rng, rng.randint(0, 6))
+        assert poly.mul(poly.inv(a, K), a, K) == [1]
+
+
+def test_laurent_with_negative_offset_round_trips_through_triples():
+    p = LaurentPoly({-3: Fraction(2, 3), -1: -5, 2: Fraction(1, 7)})
+    assert p.ord() == -3 and p.deg() == 2
+    assert p.to_triples() == [[-3, 2, 3], [-1, -5, 1], [2, 1, 7]]
+    assert LaurentPoly.from_triples(p.to_triples()) == p
+    assert p.shift(3).ord() == 0 and p.shift(3).shift(-3) == p

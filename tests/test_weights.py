@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import kstab.weights
+from kstab import poly
 from kstab.acceptance import shipped_weight_suite
 from kstab.weights import (
     CALIBRATED_SIGN,
@@ -53,6 +54,26 @@ def enumerate_induced(ws, k):
         for w in _monomial_weights(ws.generators, k - ws.geometry.degree):
             weights.remove(w + ws.geometry.initial_weight)
     return weights
+
+
+def lagrange_fit(points, degree):
+    """Reference fit: Lagrange interpolation over Fractions (cubic in the
+    degree)."""
+    assert len(points) == degree + 1
+    coeffs = [Fraction(0)] * (degree + 1)
+    for i, (xi, yi) in enumerate(points):
+        # numerator polynomial prod_{j != i} (x - xj), then scale
+        num = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            num = poly.mul(num, [-Fraction(xj), 1])
+            denom *= Fraction(xi) - Fraction(xj)
+        scale = Fraction(yi) / denom
+        for d, c in enumerate(num):
+            coeffs[d] += scale * c
+    return coeffs
 
 
 def multiset_tau(ws, sign):
@@ -165,6 +186,23 @@ class TestTauPolynomial:
         assert coeffs == [Fraction(0), Fraction(0), Fraction(1)]
         with pytest.raises(ValueError):
             fit_exact_polynomial(pts, 3)
+
+    @pytest.mark.parametrize(
+        "ws",
+        [WeightSystem(30, range(31), PROJ), WeightSystem(30, range(32), Geometry("hypersurface", 3, 3))],
+        ids=["projective", "hypersurface"],
+    )
+    def test_newton_fit_matches_lagrange_at_dimension_30(self, monkeypatch, ws):
+        newton = tau_poly(ws)
+        monkeypatch.setattr(kstab.weights, "fit_exact_polynomial", lagrange_fit)
+        assert newton == tau_poly(ws)
+
+    def test_newton_fit_matches_lagrange_on_random_points(self):
+        rng = random.Random(8)
+        for degree in range(9):
+            xs = rng.sample(range(-20, 20), degree + 1)
+            pts = [(Fraction(x, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for x in xs]
+            assert fit_exact_polynomial(pts, degree) == lagrange_fit(pts, degree)
 
     def test_permutation_invariance(self):
         g1 = tau_poly(WeightSystem(2, (0, 2, 5), PROJ))
