@@ -186,8 +186,8 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         for a, e in enumerate(exps):
             if e:
                 term = powers[a][e] if term is None else _mv_mul(term, powers[a][e], K)
-        c_re = LaurentPoly({e: re for e, (re, _) in lc.items()})
-        c_im = LaurentPoly({e: im for e, (_, im) in lc.items()})
+        c_re = LaurentPoly({e: re for e, (re, _) in lc.items() if e < K})
+        c_im = LaurentPoly({e: im for e, (_, im) in lc.items() if e < K})
         for mono, ser in term.items():
             re, im = out.get(mono, (zero, zero))
             out[mono] = (re + c_re.mul(ser, K), im + c_im.mul(ser, K))

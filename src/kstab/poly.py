@@ -39,23 +39,25 @@ def add(a, b, c=1):
 
 
 def mul(a, b, K=None):
-    """a * b, or only its terms below x^K when K is given."""
+    """a * b, or only its terms below x^K when K is given.
+
+    The first coefficient of the shorter factor times the longer factor
+    starts the product, so a constant factor costs one multiplication per
+    term and no addition to zero.
+    """
+    if len(a) < len(b):
+        a, b = b, a
     n = len(a) + len(b) - 1
-    if K is not None and K < n:
-        n = K
-    if n <= 0 or not a or not b:
+    if K is not None:
+        n = min(n, K)
+    if n <= 0 or not b:
         return []
-    if len(a) == 1:  # a constant: most products in the Chow window
-        return _trim([a[0] * y for y in b[:n]])
-    out = [_ZERO] * n
-    terms = [(j, y) for j, y in enumerate(b[:n]) if y]
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in terms:
-                k = i + j
-                if k >= n:
-                    break
-                out[k] = out[k] + x * y if out[k] else x * y  # no sum with zero
+    out = [b[0] * x for x in a[:n]] + [_ZERO] * (n - len(a))
+    for j, y in enumerate(b[1:n], 1):
+        if y:
+            for i, x in enumerate(a[: n - j]):
+                if x:
+                    out[i + j] += x * y
     return _trim(out)
 
 

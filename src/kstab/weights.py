@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Optional
 
 from kstab import poly
-from kstab.laurent import LaurentPoly
 
 __all__ = [
     "CALIBRATED_SIGN",
@@ -116,15 +115,17 @@ def _degree_sums(weights, d):
 def _weight_distribution(weights, k):
     """dict weight -> number of degree-k monomials with that weight.
 
-    levels[j] is sum t^(weight of m) over the degree-j monomials m in the
-    generators taken so far; a generator of weight w adds to level j the
-    monomials that use it, t^w times the updated level j - 1.
+    levels[j] counts the degree-j monomials in the generators taken so far
+    by weight; a generator of weight w adds to level j the monomials that
+    use it, level j - 1 (already updated) shifted by w.
     """
-    levels = [LaurentPoly.one()] + [LaurentPoly.zero()] * k
+    levels = [{0: 1}] + [{} for _ in range(k)]
     for w in weights:
         for j in range(1, k + 1):
-            levels[j] = levels[j] + levels[j - 1].shift(w)
-    return {e: int(c) for e, c in levels[k].coeffs.items()}
+            level = levels[j]
+            for wt, cnt in levels[j - 1].items():
+                level[wt + w] = level.get(wt + w, 0) + cnt
+    return levels[k]
 
 
 def induced_weights(w: WeightSystem, k: int):

@@ -299,6 +299,19 @@ class TestWindowedOrder:
             with pytest.raises(ValueError, match="vanished identically"):
                 fn(form, g)
 
+    def test_sparse_form_coefficient(self, capped_python):
+        # the t^(10^9) term lies far beyond the first window, which already
+        # holds the answer; storing it densely would take gigabytes
+        proc = capped_python(
+            "from kstab.chow import HypersurfaceForm, chow_weight\n"
+            "from kstab.laurent import LaurentMatrix\n"
+            "f = HypersurfaceForm.from_dict(3, {(2, 0, 0): {0: 1, 10**9: 1}, (0, 2, 0): 1, (0, 0, 2): -1})\n"
+            "print(chow_weight(f, LaurentMatrix.exponent_diagonal([0, 1, 2])))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        form = HypersurfaceForm.from_dict(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
+        assert proc.stdout.strip() == str(chow_weight(form, LaurentMatrix.exponent_diagonal([0, 1, 2])))
+
     def test_does_not_expand_the_full_form(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("full expansion requested")

@@ -24,6 +24,18 @@ def test_mul_trims_and_multiplies():
     assert poly.mul([Fraction(1, 2), 0], [2]) == [1]
 
 
+def test_mul_matches_schoolbook():
+    # zeros anywhere, the leading one included, and factors of either length order
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b = ([Fraction(rng.randint(-2, 2)) for _ in range(rng.randint(0, 6))] for _ in "ab")
+        full = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                full[i + j] += x * y
+        assert poly.mul(a, b) == poly.mul(b, a) == poly.add([], full)
+
+
 @pytest.mark.parametrize("K", [0, 1, 2, 3, 5, 8, 13, 40])
 def test_truncated_mul_is_the_full_product_cut(K):
     rng = random.Random(K)

@@ -129,6 +129,21 @@ class TestInducedWeights:
         for k in range(1, 8):
             assert len(induced_weights(ws, k)) == 2 * k + 1
 
+    @pytest.mark.parametrize("ws", [
+        WeightSystem(1, (0, 10**9), PROJ),
+        WeightSystem(1, (0, 10**9, 3 * 10**9), Geometry("hypersurface", 2, 10**9)),
+    ], ids=["projective", "hypersurface"])
+    def test_sparse_large_weights(self, capped_python, ws):
+        # a weight span of 10^9 or more, with a handful of monomials
+        proc = capped_python(
+            "from kstab.weights import Geometry, WeightSystem, gap, induced_weights\n"
+            f"ws = {ws!r}\n"
+            "print([induced_weights(ws, 3), gap(induced_weights(ws, 3))])\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = enumerate_induced(ws, 3)
+        assert proc.stdout.strip() == str([expected, max(expected) - min(expected)])
+
     def test_inconsistent_initial_weight(self):
         with pytest.raises(ValueError):
             WeightSystem(1, (0, 0, -1), Geometry("hypersurface", 2, 7))
