@@ -233,6 +233,19 @@ class BalanceResult:
     note: str = ""
 
 
+# Differences kept by the Anderson mixing of balance_iterate.
+_MEMORY = 6
+
+# Failures that make a balance evaluation invalid.
+_BREAKDOWN = (QuadratureError, np.linalg.LinAlgError, FloatingPointError)
+
+
+def _hermitian_fn(x: np.ndarray, fn) -> np.ndarray:
+    """fn applied to the eigenvalues of a Hermitian matrix."""
+    evals, evecs = np.linalg.eigh(x)
+    return (evecs * fn(evals)) @ evecs.conj().T
+
+
 def balance_iterate(
     cycle: ProjectiveCycle,
     max_steps: int = 500,
@@ -241,77 +254,141 @@ def balance_iterate(
 ) -> BalanceResult:
     """Drive a cycle toward the zero of the moment map.
 
-    Each step replaces coordinates z by G z with G the normalized inverse
-    square root of the raw second-moment matrix.  The trace norm of the
-    moment matrix is recorded at every step.  Non-convergence within
-    ``max_steps`` and numerical breakdown along a degenerating orbit are
-    reported in the result, not raised: both signal an unstable or
-    borderline cycle.
+    The unknown is a Hermitian metric H = exp(x) on the homogeneous
+    coordinates, x trace-free; its cycle is the input with coordinates z
+    replaced by exp(x/2) z, each component rescaled to largest coefficient
+    modulus one (exp(x/2) grows without bound off the span of a component
+    that spans fewer coordinates than the ambient space).  The plain map (Donaldson's T-iteration) is
+    H' = H^(1/2) (n1 raw)^(-1) H^(1/2), with raw the second-moment matrix
+    of the cycle of H divided by its mass and n1 the number of
+    coordinates.  Up to a unitary change of coordinates, which leaves the
+    moment matrix's trace norm alone, it is the step z -> (n1 raw)^(-1/2) z,
+    and its fixed points are the balanced metrics.
+
+    The iteration is Anderson mixing (Walker and Ni, 2011) of the plain map
+    on the real and imaginary parts of x, with a memory of ``_MEMORY``
+    differences.  A mixed iterate is accepted only if its evaluation is
+    valid, its raw matrix is positive definite, and its residual, the trace
+    norm of the moment matrix, is below the current one.  Otherwise the
+    history is cleared and the plain step is taken, so a step costs at most
+    two moment evaluations.  An evaluation is invalid when a chart has a
+    base point, a value is not finite, or the mass differs from the total
+    degree by more than 1e-6 of it: a degree-d cycle has Fubini-Study mass
+    d, so a drift is quadrature failure along a degenerating orbit.
+
+    ``residuals`` holds one entry per accepted iterate, the input first,
+    and ``steps`` counts the accepted steps.  ``transform`` is exp(x/2)
+    scaled to largest eigenvalue one; it maps each input component to a
+    multiple of the returned one.  Neither non-convergence within
+    ``max_steps`` nor a breakdown raises: the run ends not converged, and
+    when a plain step's evaluation is invalid, or an accepted iterate's raw
+    matrix is not positive definite, ``note`` says why ("iteration broke
+    down: ...").  Both signal an unstable or borderline cycle.
 
     The charts are linear in the coefficients.  The monomials 1, s, ...,
     s^deg of each component, and their reversal for the chart at infinity
-    (reversal commutes with an invertible G, which keeps the degree), are
-    evaluated at the disc nodes once per run; a step multiplies them by the
-    current coefficients, one matrix product per component.  The
-    coefficients are the input's times the steps' G, rescaled after each
-    step to largest modulus one: a product of the G alone would overflow
-    off the span of a component that spans fewer coordinates than the
-    ambient space.
+    (reversal commutes with an invertible transform, which keeps the
+    degree), are evaluated at the disc nodes once per run; an evaluation
+    multiplies them by the current coefficients, one matrix product per
+    component.
     """
     n1 = cycle.ambient_dim + 1
     if not cycle.components:
         raise ValueError("cycle has no parametrized components")
+    degree = cycle.total_degree
     nodes, w = disc_rule(order)
     m2 = 2 * len(nodes)
     w2 = np.concatenate([w, w])  # both charts in one block
-    comps, kernels = [], []
+    kernels = []
     for comp in cycle.components:
-        d = comp.degree
-        basis = Component(np.eye(d + 1))
+        basis = Component(np.eye(comp.degree + 1))
         rev = basis.reversed()
         kernels.append(np.hstack(
             [basis.eval(nodes), rev.eval(nodes), basis.eval_deriv(nodes), rev.eval_deriv(nodes)]
         ))
-        comps.append(Component(comp.coeffs, comp.multiplicity))
 
-    def charts():
-        for comp, kernel in zip(comps, kernels):
-            vals = comp.coeffs[:, :kernel.shape[0]] @ kernel
-            yield comp.multiplicity, vals[:, :m2], vals[:, m2:], w2
+    def components(half):
+        out = []
+        for comp, kernel in zip(cycle.components, kernels):
+            c = half @ comp.coeffs[:, :kernel.shape[0]]
+            out.append(Component(c / np.max(np.abs(c)), comp.multiplicity))
+        return out
 
-    g_total = np.eye(n1, dtype=complex)
+    def evaluate(x):
+        """Residual at the metric exp(x) and the plain map's image of x, or
+        None for the image where the raw matrix is not positive definite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows on degenerating orbits
+            half = _hermitian_fn(x, lambda e: np.exp(e / 2))
+            comps = components(half)
+        if not all(np.all(np.isfinite(c.coeffs)) for c in comps):
+            raise FloatingPointError("metric is not finite")
+
+        def charts():
+            for c, kernel in zip(comps, kernels):
+                vals = c.coeffs @ kernel
+                yield c.multiplicity, vals[:, :m2], vals[:, m2:], w2
+
+        raw, mass = _raw_moments(n1, charts())
+        if abs(mass - degree) > 1e-6 * degree:
+            raise QuadratureError(f"cycle mass {mass:.9g} does not match degree {degree}")
+        raw = raw / mass
+        res = trace_norm(trace_free(raw))
+        evals, evecs = np.linalg.eigh(raw)
+        if not np.all(evals > 0):
+            return res, None
+        a = half @ ((evecs / (n1 * evals)) @ evecs.conj().T) @ half
+        with np.errstate(divide="ignore", invalid="ignore"):
+            image = trace_free(_hermitian_fn(0.5 * (a + a.conj().T), np.log))
+        if not np.all(np.isfinite(image)):
+            raise FloatingPointError("metric is not finite")
+        return res, image
+
+    def mixed(history):
+        """Anderson extrapolation from (x, image) pairs as real vectors."""
+        xs, gs = (np.array(v) for v in zip(*history))
+        fs = gs - xs
+        gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
+        v = gs[-1] - np.diff(gs, axis=0).T @ gamma
+        x = v.view(complex).reshape(n1, n1)
+        return 0.5 * (x + x.conj().T)
+
+    x = np.zeros((n1, n1), dtype=complex)
     residuals: List[float] = []
-    converged, note, step = False, "", max_steps
-    for step in range(max_steps + 1):
+    history: List[tuple] = []
+    note = ""
+    try:
+        res, image = evaluate(x)
+        residuals.append(res)
+    except _BREAKDOWN as exc:
+        note = f"iteration broke down: {exc}"
+    while not note and residuals[-1] > tol and len(residuals) <= max_steps:
+        if image is None:
+            note = "iteration broke down: second-moment matrix lost positivity"
+            break
+        history = (history + [(x.view(float).ravel(), image.view(float).ravel())])[-_MEMORY - 1:]
+        if len(history) > 1:
+            try:
+                trial = mixed(history)
+                res, trial_image = evaluate(trial)
+            except _BREAKDOWN:
+                trial_image = None
+            if trial_image is not None and res < residuals[-1]:
+                x, image = trial, trial_image
+                residuals.append(res)
+                continue
+            history = history[-1:]
         try:
-            raw, mass = _raw_moments(n1, charts())
-            raw = raw / mass
-            res = trace_norm(trace_free(raw))
-        except (QuadratureError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            res, next_image = evaluate(image)
+        except _BREAKDOWN as exc:
             note = f"iteration broke down: {exc}"
             break
+        x, image = image, next_image
         residuals.append(res)
-        if not np.isfinite(res):
-            note = "iteration broke down: nonfinite residual"
-            break
-        converged = res <= tol
-        if converged:
-            break
-        evals, evecs = np.linalg.eigh(raw)
-        if np.any(evals <= 0):
-            note = "second-moment matrix lost positivity"
-            break
-        g = evecs @ np.diag((n1 * evals) ** -0.5) @ evecs.conj().T
-        with np.errstate(over="ignore", invalid="ignore"):  # overflows on degenerating orbits
-            g_total = g @ g_total
-        # projective rescale per component for numerical hygiene
-        for c in comps:
-            c.coeffs = g @ c.coeffs
-            scale = np.max(np.abs(c.coeffs))
-            if scale > 0:
-                c.coeffs = c.coeffs / scale
+    converged = bool(residuals) and residuals[-1] <= tol
+    transform = _hermitian_fn(x, lambda e: np.exp((e - e.max()) / 2))
     return BalanceResult(
-        ProjectiveCycle(cycle.ambient_dim, comps), residuals, converged, step, g_total, note
+        ProjectiveCycle(cycle.ambient_dim, components(transform)),
+        residuals, converged, max(len(residuals) - 1, 0), transform, note,
     )
 
 

@@ -62,6 +62,12 @@ class FactorizationError(ArithmeticError):
     internal invariant; the CLI exits 3)."""
 
 
+# Largest exponent span (highest minus lowest exponent with a nonzero
+# coefficient) of a polynomial read from triples: coefficients are stored
+# densely, so the span, not the number of terms, sets time and memory.
+MAX_SPAN = 2 ** 20
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -103,10 +109,16 @@ class LaurentPoly:
 
     @classmethod
     def from_triples(cls, triples) -> "LaurentPoly":
-        """Build from ``[[exp, num, den], ...]`` triples."""
+        """Build from ``[[exp, num, den], ...]`` triples whose nonzero terms
+        span at most ``MAX_SPAN`` exponents."""
         triples = [(int(e), int(n), int(d)) for e, n, d in triples]
         if any(d == 0 for _, _, d in triples):
             raise ValueError("coefficient with denominator 0")
+        exps = [e for e, n, _ in triples if n]
+        if exps and max(exps) - min(exps) > MAX_SPAN:
+            raise ValueError(
+                f"exponents {min(exps)}..{max(exps)} span more than 2^20 = {MAX_SPAN}"
+            )
         return cls((e, Fraction(n, d)) for e, n, d in triples)
 
     # -- structure ----------------------------------------------------

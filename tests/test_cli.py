@@ -169,7 +169,10 @@ class TestBalanceCommand:
         res = runner.invoke(main, ["balance", "--input", str(DATA / "crossing_lines_cycle.json")])
         assert res.exit_code == 4
         rep = json.loads(res.stdout)
-        assert not rep["converged"] and rep["note"] == "second-moment matrix lost positivity"
+        # quadrature fails along the degenerating orbit: the mass leaves 2
+        assert not rep["converged"] and rep["steps"] == len(rep["residuals"]) - 1
+        assert rep["note"].startswith("iteration broke down: cycle mass ")
+        assert rep["note"].endswith(" does not match degree 2")
 
 
 class TestBergmanCommand:
@@ -461,6 +464,22 @@ def test_malformed_input_exit_2(runner, tmp_path, command, inputs):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     _assert_clean_exit(res)
+
+
+@pytest.mark.parametrize("command", ["factorize", "chow"])
+def test_wide_loop_entry_exit_2(capped_python, tmp_path, command):
+    # dense storage of an entry 1 + t^(10^9) would need gigabytes
+    loop = tmp_path / "loop.json"
+    entries = [[[0, 1, 1], [10**9, 1, 1]], [], [], [], [[0, 1, 1]], [], [], [], [[0, 1, 1]]]
+    loop.write_text(json.dumps({"size": 3, "entries": entries}))
+    args = [command, "--input", str(loop)]
+    if command == "chow":
+        args = [command, "--input", str(DATA / "conic_form.json"), "--loop", str(loop)]
+    proc = capped_python(f"import sys\nfrom kstab.cli import main\nsys.argv[1:] = {args!r}\nmain()\n")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "error: bad loop input: exponents 0..1000000000 span more than 2^20 = 1048576\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,12 @@ class TestLaurentPoly:
         p = lp({-1: Fraction(2, 3), 4: -5})
         assert LaurentPoly.from_triples(p.to_triples()) == p
 
+    def test_triples_span_at_most_2_20(self):
+        p = LaurentPoly.from_triples([[-5, 1, 1], [2**20 - 5, 3, 2], [2**30, 0, 1]])
+        assert p.ord() == -5 and p.deg() == 2**20 - 5
+        with pytest.raises(ValueError, match=r"exponents -5\.\.1048572 span more than 2\^20"):
+            LaurentPoly.from_triples([[-5, 1, 1], [2**20 - 4, 3, 2]])
+
 
 def _random_entry(rng):
     if rng.random() < 0.25:
