@@ -19,7 +19,9 @@ metric has S = 2).
 All radial differentiation of rho_k uses the closed-form moment identities
 of the weight distribution nu_s(j) proportional to s^j / ||z^j||^2 — the
 pulled-back Fubini-Study density at level k is exactly Var_{nu_s}(j)/(k s) —
-never finite differences.
+never finite differences.  Each node set costs one exponential over the
+(k+1) x nodes array of s^j / ||z^j||^2; the moment sums are read off one
+small matrix product with it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from kstab import poly
-from kstab.quadrature import QuadratureError, panel_rule, radial_integral
+from kstab.quadrature import QuadratureError, radial_integral
 
 __all__ = [
     "RadialMetric",
@@ -140,19 +142,24 @@ def gram(metric: RadialMetric, k: int, tol: float = 1e-12) -> np.ndarray:
     """Squared norms ||z^j||^2, j = 0..k, by adaptive radial quadrature.
 
     The Gram matrix of the monomial basis is diagonal by circle symmetry;
-    only the diagonal is returned.
+    only the diagonal is returned.  The first quadrature level (8 panels)
+    fixes one exponential scale per j, so every level is evaluated once.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    j = np.arange(k + 1)[:, None]
-    # a coarse 8-panel pass fixes one exponential scale per j
-    nodes, _ = panel_rule(32, 8)
-    s = nodes / (1.0 - nodes)
-    scale_log = np.max(j * np.log(s)[None, :] - k * metric.u(s)[None, :], axis=1)
+    jf = np.arange(k + 1, dtype=float)
+    scale_log = None
 
     def f(s):
-        expo = j * np.log(s)[None, :] - k * metric.u(s)[None, :]
-        return np.exp(expo - scale_log[:, None]) * metric.density(s)[None, :]
+        nonlocal scale_log
+        e = np.multiply.outer(jf, np.log(s))
+        e -= k * metric.u(s)
+        if scale_log is None:
+            scale_log = e.max(axis=1)
+        e -= scale_log[:, None]
+        np.exp(e, out=e)
+        e *= metric.density(s)
+        return e
 
     cur, _ = radial_integral(f, tol, panels=8)
     norms = k * cur * np.exp(scale_log)
@@ -161,32 +168,34 @@ def gram(metric: RadialMetric, k: int, tol: float = 1e-12) -> np.ndarray:
     return norms
 
 
-def _logsumexp(a: np.ndarray, b: Optional[np.ndarray] = None, return_sign: bool = False):
-    """log|sum_i b_i exp(a_i)| over axis 0, shifted by the largest a_i.
+def _moment_sums(norms: np.ndarray, s: np.ndarray, *weights: np.ndarray):
+    """T_p = sum_j j^p s^j / ||z^j||^2 for p = 0, 1, 2, then sum_j a_j s^j /
+    ||z^j||^2 for each weight row a, at each s, from one exponential.
 
-    A column whose a_i are all -inf, or whose weighted sum is zero, gives
-    -inf (with sign 0 when ``return_sign``)."""
-    shift = np.max(a, axis=0)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    terms = np.exp(a - shift)
-    total = np.sum(terms if b is None else b * terms, axis=0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.abs(total)) + shift
-    return (out, np.sign(total)) if return_sign else out
-
-
-def _log_moments(metric: RadialMetric, k: int, norms: np.ndarray, s: np.ndarray):
-    """log T_p(s) for T_p = sum_j j^p s^j / ||z^j||^2, p = 0, 1, 2."""
-    j = np.arange(k + 1)
+    Returns (T, shift) with the sums equal to T exp(shift): E = exp(j log s
+    - log ||z^j||^2 - shift) with the largest exponent per column as shift,
+    then T = rows @ E.  At s = 0 only j = 0 contributes.
+    """
+    jf = np.arange(len(norms), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(s)
-        base = j[:, None] * logs[None, :] - np.log(norms)[:, None]
-    base[0] = -np.log(norms[0])  # s^0 = 1 even at s = 0
-    lt0 = _logsumexp(base)
-    # j = 0 contributes zero to T1, T2; drop it so the logsumexp weights stay positive
-    lt1 = _logsumexp(base[1:], b=j[1:, None].astype(float))
-    lt2 = _logsumexp(base[1:], b=(j[1:, None] ** 2).astype(float))
-    return lt0, lt1, lt2
+        e = np.multiply.outer(jf, np.log(s))
+    e[0] = 0.0  # s^0 = 1 even at s = 0
+    e -= np.log(norms)[:, None]
+    shift = e.max(axis=0)
+    e -= shift
+    np.exp(e, out=e)
+    return np.vstack([jf ** np.arange(3)[:, None], *weights]) @ e, shift
+
+
+def _pullback(k, s, t):
+    """Var_{nu_s}(j) / (k s) from the moment sums T_0, T_1, T_2."""
+    a = t[1] / t[0]
+    density = (t[2] / t[0] - a * a) / (k * s)
+    if np.any(density <= 0):
+        raise QuadratureError(
+            "pulled-back form lost positivity; level k too small for this grid"
+        )
+    return density
 
 
 def rho(metric: RadialMetric, k: int, grid: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
@@ -194,8 +203,8 @@ def rho(metric: RadialMetric, k: int, grid: np.ndarray, norms: Optional[np.ndarr
     if norms is None:
         norms = gram(metric, k)
     s = np.asarray(grid, dtype=float)
-    lt0, _, _ = _log_moments(metric, k, norms, s)
-    return np.exp(lt0 - k * metric.u(s))
+    t, shift = _moment_sums(norms, s)
+    return np.exp(np.log(t[0]) + shift - k * metric.u(s))
 
 
 def fs_pullback_form(
@@ -210,18 +219,7 @@ def fs_pullback_form(
     if norms is None:
         norms = gram(metric, k)
     s = np.asarray(grid, dtype=float)
-    return _pullback(k, s, *_log_moments(metric, k, norms, s))
-
-
-def _pullback(k, s, lt0, lt1, lt2):
-    a = np.exp(lt1 - lt0)
-    b = np.exp(lt2 - lt0)
-    density = (b - a * a) / (k * s)
-    if np.any(density <= 0):
-        raise QuadratureError(
-            "pulled-back form lost positivity; level k too small for this grid"
-        )
-    return density
+    return _pullback(k, s, _moment_sums(norms, s)[0])
 
 
 def theta_total_variation(
@@ -237,10 +235,10 @@ def theta_total_variation(
         norms = gram(metric, k)
     p_k = (k + 1.0) / k
 
-    def f(s):  # one pass over the moments serves both rho and the form
-        lt = _log_moments(metric, k, norms, s)
-        r = np.exp(lt[0] - k * metric.u(s))
-        return np.abs(r * metric.density(s) / p_k - _pullback(k, s, *lt))
+    def f(s):  # one exponential serves both rho and the form
+        t, shift = _moment_sums(norms, s)
+        r = np.exp(np.log(t[0]) + shift - k * metric.u(s))
+        return np.abs(r * metric.density(s) / p_k - _pullback(k, s, t))
 
     val, _ = radial_integral(f, tol=tol)
     return val
@@ -300,13 +298,10 @@ def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float], tol: f
     if a.shape[0] != k + 1:
         raise ValueError(f"weight vector must have length k+1 = {k + 1}")
     norms = gram(metric, k)
-    j = np.arange(k + 1)
 
-    def f(s):
-        base = j[:, None] * np.log(s)[None, :] - np.log(norms)[:, None]
-        num, sign = _logsumexp(base, b=a[:, None], return_sign=True)
-        h = sign * np.exp(num - _logsumexp(base))
-        return h * fs_pullback_form(metric, k, s, norms)
+    def f(s):  # H_A = (a @ E) / (1 @ E), signed
+        t, _ = _moment_sums(norms, s, a)
+        return t[3] / t[0] * _pullback(k, s, t)
 
     val, _ = radial_integral(f, tol=tol)
     return val

@@ -68,6 +68,11 @@ class FactorizationError(ArithmeticError):
 MAX_SPAN = 2 ** 20
 
 
+def _check_span(exps, what="exponents"):
+    if exps and max(exps) - min(exps) > MAX_SPAN:
+        raise ValueError(f"{what} {min(exps)}..{max(exps)} span more than 2^20 = {MAX_SPAN}")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -114,11 +119,7 @@ class LaurentPoly:
         triples = [(int(e), int(n), int(d)) for e, n, d in triples]
         if any(d == 0 for _, _, d in triples):
             raise ValueError("coefficient with denominator 0")
-        exps = [e for e, n, _ in triples if n]
-        if exps and max(exps) - min(exps) > MAX_SPAN:
-            raise ValueError(
-                f"exponents {min(exps)}..{max(exps)} span more than 2^20 = {MAX_SPAN}"
-            )
+        _check_span([e for e, n, _ in triples if n])
         return cls((e, Fraction(n, d)) for e, n, d in triples)
 
     # -- structure ----------------------------------------------------
@@ -661,6 +662,10 @@ def loop_from_json(obj) -> LaurentMatrix:
         [LaurentPoly.from_triples(flat[i * size + j]) for j in range(size)]
         for i in range(size)
     ]
+    # the factorization window runs over the whole loop's spread, so it is
+    # bounded too, not only each entry's
+    ends = [e for row in entries for p in row if p.coef for e in (p.ord(), p.deg())]
+    _check_span(ends, "loop exponents")
     return LaurentMatrix(entries)
 
 

@@ -1,13 +1,16 @@
 """Density-of-states tests: Gram norms, normalization, expansion, decay."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kstab import quadrature
 from kstab.bergman import (
     RadialMetric,
-    _logsumexp,
+    _moment_sums,
     default_grid,
     expansion_fit,
     fs_pullback_form,
@@ -105,36 +108,180 @@ class TestScalarCurvature:
 
 
 class TestLogSumExpOracle:
+    """The moment kernel's sums against scipy's logsumexp of the exponents
+    j log s - log ||z^j||^2: log|T| + shift and sign(T) are its value."""
+
     @pytest.fixture
     def oracle(self):
         return pytest.importorskip("scipy.special").logsumexp
 
+    @staticmethod
+    def _exponents(norms, s):
+        j = np.arange(len(norms))[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            base = j * np.log(s)[None, :] - np.log(norms)[:, None]
+        base[0] = -np.log(norms[0])
+        return base
+
     def test_signed_weights(self, oracle, rng):
-        a = rng.normal(scale=30.0, size=(40, 7))
-        b = rng.normal(size=(40, 1))
-        got, sign = _logsumexp(a, b=b, return_sign=True)
-        want, want_sign = oracle(a, axis=0, b=b, return_sign=True)
-        assert np.array_equal(sign, want_sign)
-        assert np.allclose(got, want, rtol=1e-14, atol=1e-13)
-        assert np.allclose(_logsumexp(a), oracle(a, axis=0), rtol=1e-14, atol=1e-13)
+        norms = np.exp(rng.normal(scale=30.0, size=40))
+        s = np.exp(rng.normal(size=7))
+        b = rng.normal(size=40)
+        t, shift = _moment_sums(norms, s, b)
+        base = self._exponents(norms, s)
+        want, want_sign = oracle(base, axis=0, b=b[:, None], return_sign=True)
+        assert np.array_equal(np.sign(t[3]), want_sign)
+        assert np.allclose(np.log(np.abs(t[3])) + shift, want, rtol=1e-14, atol=1e-13)
+        assert np.allclose(np.log(t[0]) + shift, oracle(base, axis=0), rtol=1e-14, atol=1e-13)
 
     def test_minus_inf_column(self, oracle):
-        # the s = 0 column of _log_moments: s^j = 0 for every j >= 1
-        base = np.array([[-1.0, -1.0], [-np.inf, 2.0], [-np.inf, 3.0]])
-        b = np.array([[1.0], [4.0]])
-        assert np.allclose(_logsumexp(base), oracle(base, axis=0), rtol=1e-15, atol=0.0)
-        got, want = _logsumexp(base[1:], b=b), oracle(base[1:], axis=0, b=b)
-        assert got[0] == want[0] == -np.inf
-        assert got[1] == pytest.approx(want[1], rel=1e-15)
+        # the s = 0 column: s^j = 0 for every j >= 1, only j = 0 is left
+        norms = np.array([np.e, np.exp(-2.0), np.exp(-3.0)])
+        s = np.array([0.0, 1.0])
+        t, shift = _moment_sums(norms, s)
+        base = self._exponents(norms, s)
+        assert np.allclose(np.log(t[0]) + shift, oracle(base, axis=0), rtol=1e-15, atol=0.0)
+        want = oracle(base[1:], axis=0, b=np.array([[1.0], [4.0]]))  # T_2: j^2 = 1, 4
+        assert t[2, 0] == 0.0 and want[0] == -np.inf
+        assert np.log(t[2, 1]) + shift[1] == pytest.approx(want[1], rel=1e-15)
+        r = rho(RadialMetric(0.1), 8, s)
+        assert np.all(np.isfinite(r)) and np.all(r > 0)
 
     def test_zero_weighted_sum(self, oracle):
-        a = np.array([[0.5, 1.0], [0.5, 2.0]])
-        b = np.array([[1.0], [-1.0]])
-        got, sign = _logsumexp(a, b=b, return_sign=True)
-        want, want_sign = oracle(a, axis=0, b=b, return_sign=True)
-        assert sign[0] == want_sign[0] == 0.0 and got[0] == want[0] == -np.inf
-        assert sign[1] == want_sign[1] == -1.0
-        assert got[1] == pytest.approx(want[1], rel=1e-15)
+        # moment_from_bergman's H_A = (a @ E) / (1 @ E) is 0 in the first column
+        norms, s = np.ones(2), np.array([1.0, 2.0])
+        a = np.array([1.0, -1.0])
+        t, shift = _moment_sums(norms, s, a)
+        want, want_sign = oracle(self._exponents(norms, s), axis=0, b=a[:, None], return_sign=True)
+        assert t[3, 0] / t[0, 0] == 0.0
+        assert want_sign[0] == 0.0 and want[0] == -np.inf
+        assert np.sign(t[3, 1]) == want_sign[1] == -1.0
+        assert np.log(-t[3, 1]) + shift[1] == pytest.approx(want[1], rel=1e-15)
+
+
+# Reference formulas: Gram norms with a separate 8-panel scale pass, and
+# the moments T_p as three shifted log-sum-exps, each over its own
+# exponential.
+def _reference_gram(metric, k, tol=1e-12):
+    j = np.arange(k + 1)[:, None]
+    nodes, _ = quadrature.panel_rule(32, 8)
+    s = nodes / (1.0 - nodes)
+    scale_log = np.max(j * np.log(s)[None, :] - k * metric.u(s)[None, :], axis=1)
+
+    def f(s):
+        expo = j * np.log(s)[None, :] - k * metric.u(s)[None, :]
+        return np.exp(expo - scale_log[:, None]) * metric.density(s)[None, :]
+
+    cur, _ = radial_integral(f, tol, panels=8)
+    return k * cur * np.exp(scale_log)
+
+
+def _reference_logsumexp(a, b=None, return_sign=False):
+    shift = np.max(a, axis=0)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    terms = np.exp(a - shift)
+    total = np.sum(terms if b is None else b * terms, axis=0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(total)) + shift
+    return (out, np.sign(total)) if return_sign else out
+
+
+def _reference_log_moments(k, norms, s, dtype=float):
+    j = np.arange(k + 1, dtype=dtype)
+    s = np.asarray(s, dtype=dtype)
+    base = j[:, None] * np.log(s)[None, :] - np.log(norms.astype(dtype))[:, None]
+    return (
+        _reference_logsumexp(base),
+        _reference_logsumexp(base[1:], b=j[1:, None]),
+        _reference_logsumexp(base[1:], b=j[1:, None] ** 2),
+    )
+
+
+def _reference_rho(metric, k, s, norms):
+    return np.exp(_reference_log_moments(k, norms, s)[0] - k * metric.u(s))
+
+
+def _reference_pullback(k, s, norms, dtype=float):
+    lt0, lt1, lt2 = _reference_log_moments(k, norms, s, dtype)
+    a, b = np.exp(lt1 - lt0), np.exp(lt2 - lt0)
+    return ((b - a * a) / (k * np.asarray(s, dtype=dtype))).astype(float)
+
+
+def _reference_moment(metric, k, a, tol=1e-10):
+    norms = gram(metric, k)
+    j = np.arange(k + 1)
+
+    def f(s):
+        base = j[:, None] * np.log(s)[None, :] - np.log(norms)[:, None]
+        num, sign = _reference_logsumexp(base, b=a[:, None], return_sign=True)
+        h = sign * np.exp(num - _reference_logsumexp(base))
+        return h * _reference_pullback(k, s, norms)
+
+    return radial_integral(f, tol=tol)[0]
+
+
+# one of the benchmark's metrics: eps in [0.035, 0.045], bump s (a + b s) / (1+s)^3
+BENCH_METRIC = RadialMetric(0.04, bump=([0, 1, 3], [1, 3, 3, 1]))
+
+
+@pytest.fixture(scope="module")
+def shipped_and_bench():
+    data = Path(__file__).resolve().parent.parent / "data" / "bump_metric.json"
+    return {"shipped": metric_from_json(json.loads(data.read_text())), "bench": BENCH_METRIC}
+
+
+class TestMomentKernel:
+    @pytest.mark.parametrize("k", [2, 64, 256, 512])
+    def test_gram_evaluates_each_level_once(self, k, monkeypatch):
+        metric = RadialMetric(0.04, bump=([0, 1, 3], [1, 3, 3, 1]))
+        calls = []
+        u = metric.u
+        monkeypatch.setattr(metric, "u", lambda s: calls.append(len(s)) or u(s))
+        gram(metric, k)
+        # levels of 8, 16, ... panels of order 32, each once; the reference
+        # evaluated the 8-panel level twice, once for the scale alone
+        assert calls == [256 * 2**i for i in range(len(calls))]
+        assert len(calls) == (2 if k <= 256 else 3)
+
+    @pytest.mark.parametrize("k", [8, 64, 512, 1024])
+    @pytest.mark.parametrize("name", ["shipped", "bench"])
+    def test_gram_bitwise_equal_to_reference(self, shipped_and_bench, name, k):
+        metric = shipped_and_bench[name]
+        assert np.array_equal(gram(metric, k), _reference_gram(metric, k))
+
+    @pytest.mark.parametrize("k", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("name", ["shipped", "bench"])
+    def test_rho_matches_reference(self, shipped_and_bench, name, k):
+        metric = shipped_and_bench[name]
+        s, norms = default_grid(400), gram(metric, k)
+        want = _reference_rho(metric, k, s, norms)
+        assert np.max(np.abs(rho(metric, k, s, norms) / want - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("k", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("name", ["shipped", "bench"])
+    def test_pullback_matches_reference(self, shipped_and_bench, name, k):
+        # T2/T0 - (T1/T0)^2 cancels by up to k s; the reference's exp(lt1 - lt0)
+        # carries an error of |lt| ulps into it (8.5e-9 relative at k = 1024 in
+        # double), so the reference is evaluated in extended precision
+        if np.finfo(np.longdouble).eps >= 1e-18:
+            pytest.skip("long double is no wider than double here")
+        metric = shipped_and_bench[name]
+        s, norms = default_grid(400), gram(metric, k)
+        want = _reference_pullback(k, s, norms, np.longdouble)
+        assert np.max(np.abs(fs_pullback_form(metric, k, s, norms) / want - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("k", [16, 64, 256, 1024])
+    def test_pullback_exact_on_round_metric(self, round_metric, k):
+        s = default_grid(400)
+        got = fs_pullback_form(round_metric, k, s)
+        assert np.max(np.abs(got / round_metric.density(s) - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("k", [3, 4, 8])
+    @pytest.mark.parametrize("name", ["round_metric", "perturbed"])
+    def test_moment_matches_reference(self, request, name, k):
+        metric = request.getfixturevalue(name)
+        for a in (np.linspace(-1.0, 1.0, k + 1) ** 3, np.eye(k + 1)[0], np.ones(k + 1)):
+            assert abs(moment_from_bergman(metric, k, a) - _reference_moment(metric, k, a)) < 1e-12
 
 
 class TestGram:

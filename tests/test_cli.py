@@ -466,19 +466,35 @@ def test_malformed_input_exit_2(runner, tmp_path, command, inputs):
     _assert_clean_exit(res)
 
 
-@pytest.mark.parametrize("command", ["factorize", "chow"])
-def test_wide_loop_entry_exit_2(capped_python, tmp_path, command):
-    # dense storage of an entry 1 + t^(10^9) would need gigabytes
+def _run_loop(capped_python, tmp_path, command, entries):
     loop = tmp_path / "loop.json"
-    entries = [[[0, 1, 1], [10**9, 1, 1]], [], [], [], [[0, 1, 1]], [], [], [], [[0, 1, 1]]]
     loop.write_text(json.dumps({"size": 3, "entries": entries}))
     args = [command, "--input", str(loop)]
     if command == "chow":
         args = [command, "--input", str(DATA / "conic_form.json"), "--loop", str(loop)]
-    proc = capped_python(f"import sys\nfrom kstab.cli import main\nsys.argv[1:] = {args!r}\nmain()\n")
+    return capped_python(f"import sys\nfrom kstab.cli import main\nsys.argv[1:] = {args!r}\nmain()\n")
+
+
+@pytest.mark.parametrize("command", ["factorize", "chow"])
+def test_wide_loop_entry_exit_2(capped_python, tmp_path, command):
+    # dense storage of an entry 1 + t^(10^9) would need gigabytes
+    entries = [[[0, 1, 1], [10**9, 1, 1]], [], [], [], [[0, 1, 1]], [], [], [], [[0, 1, 1]]]
+    proc = _run_loop(capped_python, tmp_path, command, entries)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
         "error: bad loop input: exponents 0..1000000000 span more than 2^20 = 1048576\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["factorize", "chow"])
+def test_wide_loop_exit_2(capped_python, tmp_path, command):
+    # diag(1, 1, t^(2^20 + 1)): each entry is one term, but the factorization
+    # window would run over the whole loop's spread
+    entries = [[[0, 1, 1]], [], [], [], [[0, 1, 1]], [], [], [], [[2**20 + 1, 1, 1]]]
+    proc = _run_loop(capped_python, tmp_path, command, entries)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "error: bad loop input: loop exponents 0..1048577 span more than 2^20 = 1048576\n"
     )
 
 

@@ -129,6 +129,15 @@ class TestLaurentPoly:
         with pytest.raises(ValueError, match=r"exponents -5\.\.1048572 span more than 2\^20"):
             LaurentPoly.from_triples([[-5, 1, 1], [2**20 - 4, 3, 2]])
 
+    def test_loop_span_at_most_2_20(self):
+        def diag(lo, hi):
+            return {"size": 2, "entries": [[[lo, 1, 1]], [], [[3, 0, 1]], [[hi, 1, 1]]]}
+
+        g = laurent.loop_from_json(diag(-3, 2**20 - 3))
+        assert g.entries[1][1].deg() == 2**20 - 3
+        with pytest.raises(ValueError, match=r"loop exponents -3\.\.1048574 span more than 2\^20"):
+            laurent.loop_from_json(diag(-3, 2**20 - 2))
+
 
 def _random_entry(rng):
     if rng.random() < 0.25:
