@@ -11,7 +11,6 @@ import random
 from kstab.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    det_pole_order,
     factorize,
     multiply,
     normalize,
@@ -61,4 +60,4 @@ for trial in range(4):
         continue
     d = section_degree(g, gamma)
     print(f"arc {trial}: degree {d}  (bounds 0 .. 2)")
-print("determinant pole order:", det_pole_order(g), "= minus the weight sum")
+print("determinant pole order:", -g.det().ord(), "= minus the weight sum")

@@ -26,7 +26,6 @@ small matrix product with it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -87,7 +86,7 @@ class RadialMetric:
     as for the round reference metric.
     """
 
-    def __init__(self, epsilon: float = 0.0, bump=None, check_points: int = 400):
+    def __init__(self, epsilon: float = 0.0, bump=None):
         self.epsilon = float(epsilon)
         num, den = bump if bump is not None else ([0, 1], [1, 2, 1])
         num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
@@ -105,7 +104,7 @@ class RadialMetric:
         self._scal = _rmul(([-1], [1]), _rmul(_rdiff(s_logw), self._w[::-1]))
         # certificate: minimum of the density relative to the round one,
         # which stays bounded away from zero for genuine metrics
-        x = np.linspace(1e-6, 1 - 1e-6, check_points)
+        x = np.linspace(1e-6, 1 - 1e-6, 400)
         s = x / (1 - x)
         self.positivity_certificate = float(np.min(self.density(s) * (1.0 + s) ** 2))
         if not self.positivity_certificate > 0:  # NaN too: a pole in (0, inf)
@@ -123,10 +122,6 @@ class RadialMetric:
         """Area density w(s) = (s u')'; integrates to 1 over [0, inf)."""
         return _reval(self._w, np.asarray(s, dtype=float))
 
-    def area(self, order: int = 64) -> float:
-        val, _ = radial_integral(self.density, tol=1e-12, order=order)
-        return val
-
 
 def scalar_curvature(metric: RadialMetric, grid: np.ndarray) -> np.ndarray:
     """Scalar curvature field on a grid of s-values.
@@ -138,8 +133,9 @@ def scalar_curvature(metric: RadialMetric, grid: np.ndarray) -> np.ndarray:
     return _reval(metric._scal, np.asarray(grid, dtype=float))
 
 
-def gram(metric: RadialMetric, k: int, tol: float = 1e-12) -> np.ndarray:
-    """Squared norms ||z^j||^2, j = 0..k, by adaptive radial quadrature.
+def gram(metric: RadialMetric, k: int) -> np.ndarray:
+    """Squared norms ||z^j||^2, j = 0..k, by adaptive radial quadrature to a
+    relative change of 1e-12 in every norm.
 
     The Gram matrix of the monomial basis is diagonal by circle symmetry;
     only the diagonal is returned.  The first quadrature level (8 panels)
@@ -161,7 +157,7 @@ def gram(metric: RadialMetric, k: int, tol: float = 1e-12) -> np.ndarray:
         e *= metric.density(s)
         return e
 
-    cur, _ = radial_integral(f, tol, panels=8)
+    cur, _ = radial_integral(f, 1e-12, panels=8)
     norms = k * cur * np.exp(scale_log)
     if np.any(norms <= 0):
         raise QuadratureError("nonpositive squared norm; quadrature failed")
@@ -222,14 +218,12 @@ def fs_pullback_form(
     return _pullback(k, s, _moment_sums(norms, s)[0])
 
 
-def theta_total_variation(
-    metric: RadialMetric, k: int, tol: float = 1e-8, norms: Optional[np.ndarray] = None
-) -> float:
+def theta_total_variation(metric: RadialMetric, k: int, norms: Optional[np.ndarray] = None) -> float:
     """Total variation of the discrepancy between the normalized density
     of states volume and the pulled-back Fubini-Study volume.
 
-    Integrates |rho_k w / P(k) - w_FS,k| over the sphere with
-    P(k) = (k+1)/k; zero exactly for the round metric.
+    Integrates |rho_k w / P(k) - w_FS,k| over the sphere, to a change of
+    1e-8, with P(k) = (k+1)/k; zero exactly for the round metric.
     """
     if norms is None:
         norms = gram(metric, k)
@@ -240,7 +234,7 @@ def theta_total_variation(
         r = np.exp(np.log(t[0]) + shift - k * metric.u(s))
         return np.abs(r * metric.density(s) / p_k - _pullback(k, s, t))
 
-    val, _ = radial_integral(f, tol=tol)
+    val, _ = radial_integral(f, tol=1e-8)
     return val
 
 
@@ -287,12 +281,13 @@ def expansion_fit(
     return FitResult(a1=a1, remainders=rem, klist=klist, residual=residual, condition=cond)
 
 
-def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float], tol: float = 1e-10) -> float:
+def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float]) -> float:
     """Moment pairing <M_k, A> for a diagonal weight vector A on the
     level-k monomial basis, via the density-of-states representation.
 
-    Integrates H_A * w_FS,k over the sphere, where H_A is the rho-weighted
-    average of the eigenvalues at each point.  Requires len(a) == k + 1.
+    Integrates H_A * w_FS,k over the sphere, to a change of 1e-10, where
+    H_A is the rho-weighted average of the eigenvalues at each point.
+    Requires len(a) == k + 1.
     """
     a = np.asarray(a, dtype=float)
     if a.shape[0] != k + 1:
@@ -303,7 +298,7 @@ def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float], tol: f
         t, _ = _moment_sums(norms, s, a)
         return t[3] / t[0] * _pullback(k, s, t)
 
-    val, _ = radial_integral(f, tol=tol)
+    val, _ = radial_integral(f, tol=1e-10)
     return val
 
 
@@ -326,10 +321,6 @@ def default_grid(npts: int = 100, lo: float = 0.02, hi: float = 0.98) -> np.ndar
 def metric_from_json(obj) -> RadialMetric:
     """Parse {"epsilon": e, "bump": {"type": "rational", "num": [...],
     "den": [...]}}; "default" uses s/(1+s)^2."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict):
-        raise ValueError("metric input must be a JSON object")
     eps = float(obj.get("epsilon", 0.0))
     bump = obj.get("bump")
     if bump is not None and not isinstance(bump, dict):

@@ -26,10 +26,8 @@ all signs reversed) is available behind a flag.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Dict, Optional, Tuple
 
 from kstab.laurent import LaurentMatrix, LaurentPoly, factorize
@@ -44,7 +42,6 @@ __all__ = [
     "ChowCheck",
     "check_chow_inequality",
     "form_from_json",
-    "form_to_json",
 ]
 
 _ZERO = Fraction(0)
@@ -232,33 +229,20 @@ def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
         K *= 2
 
 
-def chow_weight(
-    form: HypersurfaceForm,
-    g: LaurentMatrix,
-    volume: Optional[Fraction] = None,
-    ambient: Optional[int] = None,
-    convention: str = "calibrated",
-) -> Fraction:
+def chow_weight(form: HypersurfaceForm, g: LaurentMatrix, convention: str = "calibrated") -> Fraction:
     """Exact Chow weight of the degeneration of {F = 0} along the loop g.
 
     Only the hypersurface case is supported (cycle dimension n = N - 1),
     where the Chow coordinates of the cycle are the coefficients of its
-    defining form.  ``volume`` defaults to deg(F) / n! and is validated
-    against it when supplied.
+    defining form.  The ambient dimension N is the loop size minus one, and
+    the volume is that of a degree-d hypersurface, deg(F) / n!, so neither
+    is an argument.
     """
     N = g.size - 1
-    if ambient is not None and ambient != N:
-        raise ValueError(f"ambient dimension {ambient} does not match loop size")
     n = N - 1
     if n < 0:
         raise ValueError("ambient projective space must have dimension >= 1")
     d = form.degree
-    expected_v = Fraction(d, factorial(n))
-    if volume is not None and Fraction(volume) != expected_v:
-        raise ValueError(
-            f"volume {volume} inconsistent with a degree-{d} hypersurface "
-            f"(expected {expected_v})"
-        )
     det = g.det()
     if det.is_zero:
         raise ValueError("degenerate loop")
@@ -348,11 +332,8 @@ def check_chow_inequality(
 # ---------------------------------------------------------------------------
 
 
-def form_from_json(obj, nvars: Optional[int] = None) -> HypersurfaceForm:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict):
-        raise ValueError("form input must be a JSON object")
+def form_from_json(obj) -> HypersurfaceForm:
+    """Parse a form; its number of variables is the length of a key."""
     if "components" in obj and "form" not in obj:
         raise ValueError(
             "Chow form unavailable: input is a parametrized cycle, not a "
@@ -371,17 +352,4 @@ def form_from_json(obj, nvars: Optional[int] = None) -> HypersurfaceForm:
             mono[exps] = val
     if not mono:
         raise ValueError("zero form")
-    nv = nvars or len(next(iter(mono)))
-    return HypersurfaceForm.from_dict(nv, mono)
-
-
-def form_to_json(form: HypersurfaceForm) -> dict:
-    out = {}
-    for exps, lc in form.monomials.items():
-        key = ",".join(str(e) for e in exps)
-        if set(lc) == {0}:
-            re, im = lc[0]
-            out[key] = [float(re), float(im)]
-        else:
-            out[key] = {str(e): [float(v[0]), float(v[1])] for e, v in lc.items()}
-    return {"form": out}
+    return HypersurfaceForm.from_dict(len(next(iter(mono))), mono)

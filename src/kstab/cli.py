@@ -36,7 +36,8 @@ EXIT_NONCONVERGENCE = 4
 
 
 def _read_input(path, parser, what):
-    """Parse a JSON input file with ``parser``; any malformed input exits 2."""
+    """Parse a JSON input file whose top level is an object with ``parser``;
+    any malformed input exits 2."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -44,6 +45,8 @@ def _read_input(path, parser, what):
         sys.exit(_fail(EXIT_PARSE, f"input file not found: {path}"))
     except json.JSONDecodeError as exc:
         sys.exit(_fail(EXIT_PARSE, f"malformed JSON in {path}: line {exc.lineno} col {exc.colno}: {exc.msg}"))
+    if not isinstance(obj, dict):
+        sys.exit(_fail(EXIT_PARSE, f"bad {what}: the top level of {path} is not a JSON object"))
     try:
         return parser(obj)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
@@ -102,9 +105,7 @@ def main():
 _common = [
     click.option("--input", "input_path", required=True, help="input JSON file"),
     click.option("--out", default=None, help="output file (stdout when omitted)"),
-    click.option(
-        "--format", "--report", "fmt", type=click.Choice(["json", "csv"]), default="json"
-    ),
+    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),
 ]
 
 
@@ -243,21 +244,13 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     if tol <= 0 or max_steps < 1 or order < 1:
         sys.exit(_fail(EXIT_PARSE, "tol, max-steps and order must be positive"))
     res = cy.balance_iterate(cycle, max_steps=max_steps, tol=tol, order=order)
-    data = {
-        "columns": ["step", "residual"],
-        "rows": [{"step": i, "residual": r} for i, r in enumerate(res.residuals)],
-        "converged": res.converged,
-        "steps": res.steps,
-        "note": res.note,
-    }
-    if fmt == "json":
-        data = {
-            "converged": res.converged,
-            "steps": res.steps,
-            "residuals": res.residuals,
-            "final_residual": res.residuals[-1] if res.residuals else None,
-            "note": res.note,
-        }
+    data = {"converged": res.converged, "steps": res.steps, "note": res.note}
+    if fmt == "csv":
+        data["columns"] = ["step", "residual"]
+        data["rows"] = [{"step": i, "residual": r} for i, r in enumerate(res.residuals)]
+    else:
+        data["residuals"] = res.residuals
+        data["final_residual"] = res.residuals[-1] if res.residuals else None
     _emit(data, out, fmt)
     if not res.converged:
         click.echo(

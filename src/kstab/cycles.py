@@ -11,7 +11,6 @@ moment matrix, driving stable cycles to the balanced locus.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -32,7 +31,6 @@ __all__ = [
     "transform_cycle",
     "conic_cycle",
     "cycle_from_json",
-    "cycle_to_json",
 ]
 
 
@@ -165,17 +163,14 @@ def trace_free(m: np.ndarray) -> np.ndarray:
     return m - (np.trace(m) / n) * np.eye(n, dtype=m.dtype)
 
 
-def moment_matrix(
-    cycle: ProjectiveCycle,
-    order: int = 48,
-    tol: float = 1e-8,
-    check_degree: bool = True,
-) -> MomentResult:
+def moment_matrix(cycle: ProjectiveCycle, order: int = 48, tol: float = 1e-8) -> MomentResult:
     """Trace-free second-moment matrix of a cycle, with error estimate.
 
     The quadrature is run at ``order`` and ``2 * order``; the reported
     error is the largest entrywise difference.  If it exceeds ``tol`` the
-    quadrature is considered non-convergent.
+    quadrature is considered non-convergent, and so it is when the mass
+    differs from the total degree by more than max(1e-6, 100 * error)
+    (a sign of base points).
     """
     raw1, _ = _cycle_raw(cycle, order)
     raw2, mass2 = _cycle_raw(cycle, 2 * order)
@@ -185,7 +180,7 @@ def moment_matrix(
             f"moment quadrature error estimate {err:g} exceeds tol {tol:g}; "
             "increase the order"
         )
-    if check_degree and abs(mass2 - cycle.total_degree) > max(1e-6, 100 * err):
+    if abs(mass2 - cycle.total_degree) > max(1e-6, 100 * err):
         raise QuadratureError(
             f"cycle mass {mass2:.12g} does not match nominal degree "
             f"{cycle.total_degree}; parametrization may have base points"
@@ -523,8 +518,6 @@ def cycle_from_json(obj) -> ProjectiveCycle:
     "multiplicity": m}, ...]}; each component's coeffs has one list of
     [re, im] pairs per homogeneous coordinate, ascending in the parameter.
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     ambient = int(obj["ambient"])
     if ambient < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {ambient}")
@@ -546,18 +539,3 @@ def cycle_from_json(obj) -> ProjectiveCycle:
     if not comps:
         raise ValueError("cycle has no components")
     return ProjectiveCycle(ambient, comps)
-
-
-def cycle_to_json(cycle: ProjectiveCycle) -> dict:
-    comps = []
-    for c in cycle.components:
-        comps.append(
-            {
-                "coeffs": [
-                    [[float(z.real), float(z.imag)] for z in coord]
-                    for coord in c.coeffs
-                ],
-                "multiplicity": c.multiplicity,
-            }
-        )
-    return {"ambient": cycle.ambient_dim, "components": comps}

@@ -22,7 +22,6 @@ work on entries truncated modulo t^K.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +39,6 @@ __all__ = [
     "normalize",
     "pole_order_vector",
     "section_degree",
-    "det_pole_order",
     "loop_from_json",
     "loop_to_json",
 ]
@@ -396,16 +394,9 @@ class LoopFactorization:
     right: LaurentMatrix
     order: tuple
 
-    @property
-    def size(self) -> int:
-        return self.left.size
-
     def exponent_vector(self):
         """Exponents placed on the original basis: e[order[k]] = weights[k]."""
-        e = [0] * self.size
-        for k, c in enumerate(self.order):
-            e[c] = self.weights[k]
-        return e
+        return _on_basis(self.order, self.weights)
 
     def middle(self) -> LaurentMatrix:
         return LaurentMatrix.exponent_diagonal(self.exponent_vector())
@@ -454,9 +445,14 @@ def _echelon(rows, size, K):
         m, negc, istar = best
         cstar = -negc
 
-        # normalize the pivot row so its cstar entry becomes exactly t^m
-        uinv = _laurent(0, poly.inv(rows[istar][cstar].coef, K))
-        piv_row = rows[istar] = [uinv.mul(p, K) for p in rows[istar]]
+        # normalize the pivot row so its cstar entry becomes exactly t^m; the
+        # unit's inverse is needed only below t^(K - least order of the rest)
+        piv_row = rows[istar]
+        rest = [p.ord() for c, p in enumerate(piv_row) if c != cstar and not p.is_zero]
+        if rest:
+            uinv = _laurent(0, poly.inv(piv_row[cstar].coef, K - min(rest)))
+            piv_row = rows[istar] = [uinv.mul(p, K) for p in piv_row]
+        piv_row[cstar] = LaurentPoly.t_power(m)
 
         for i in active:
             ent = rows[i][cstar]
@@ -553,7 +549,7 @@ def _assemble(g, sigma, wts, basis, nu, det):
                 return None
 
     rinv = _invert_unitriangular(right, sigma)
-    left = multiply(g, rinv).scale_columns(_negated_exponents(sigma, weights, n))
+    left = multiply(g, rinv).scale_columns([-e for e in _on_basis(sigma, weights)])
 
     if not left.is_holomorphic():
         return None
@@ -570,10 +566,11 @@ def _assemble(g, sigma, wts, basis, nu, det):
     return fac
 
 
-def _negated_exponents(sigma, weights, n):
-    e = [0] * n
-    for k, c in enumerate(sigma):
-        e[c] = -weights[k]
+def _on_basis(order, weights):
+    """e[order[k]] = weights[k]."""
+    e = [0] * len(order)
+    for c, w in zip(order, weights):
+        e[c] = w
     return e
 
 
@@ -634,22 +631,12 @@ def section_degree(g: LaurentMatrix, gamma) -> int:
     return pole_order_vector(g.apply(cleared))
 
 
-def det_pole_order(g: LaurentMatrix) -> int:
-    """Pole order at t = 0 of det g."""
-    det = g.det()
-    if det.is_zero:
-        raise DegenerateLoopError("degenerate loop: determinant vanishes identically")
-    return -det.ord()
-
-
 # ---------------------------------------------------------------------------
 # JSON interface:  {"size": n, "entries": [[[exp, num, den], ...], ...]}
 # ---------------------------------------------------------------------------
 
 
 def loop_from_json(obj) -> LaurentMatrix:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     size = int(obj["size"])
     if size < 1:
         raise ValueError(f"loop size must be positive, got {size}")

@@ -80,9 +80,10 @@ def panel_rule(order: int, panels: int):
     return _read_only((left + 0.5 * h * (x + 1.0)).ravel(), np.tile(0.5 * h * w, panels))
 
 
-def radial_integral(f, tol: float, panels: int = 2, order: int = 32):
-    """Integral over s in [0, inf) via x = s/(1+s), doubling the panels
-    from ``panels`` up to 512 until the change is within ``tol``.
+def radial_integral(f, tol: float, panels: int = 2):
+    """Integral over s in [0, inf) via x = s/(1+s) on order-32 Gauss-Legendre
+    panels, doubling the panels from ``panels`` up to 512 until the change is
+    within ``tol``.
 
     ``f`` maps an array of s-values to one value per node (summed with
     ``csum``, change relative to max(1, |value|)) or to a stack of rows
@@ -90,7 +91,7 @@ def radial_integral(f, tol: float, panels: int = 2, order: int = 32):
     (value, last change)."""
     prev, err = None, float("inf")
     while panels <= 512:
-        nodes, weights = panel_rule(order, panels)
+        nodes, weights = panel_rule(32, panels)
         jac = 1.0 / (1.0 - nodes) ** 2
         vals = np.asarray(f(nodes / (1.0 - nodes)), dtype=float) * jac
         if vals.ndim == 1:

@@ -17,7 +17,6 @@ matches the moment pairing of the central fiber computed by quadrature
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,22 +242,20 @@ def _level_sums(w: WeightSystem, k: int):
     return count, total
 
 
-def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN, k0: int = 1) -> TauPolynomial:
+def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN) -> TauPolynomial:
     """Fit the exact weight-sum polynomial and Hilbert data of a system.
 
-    The polynomial is fitted on n + 2 consecutive levels starting at ``k0``
+    The polynomial is fitted on n + 2 consecutive levels starting at k0 = 1
     and verified at three further levels; disagreement raises ValueError
     ("not eventually polynomial"), signalling unsupported weight data.
-    For hypersurfaces of degree d the window starts no earlier than
-    d - n - 1, the first level at which the section counts agree with
-    their polynomial extension.
+    For hypersurfaces of degree d the window starts at k0 = max(1, d - n - 1),
+    the first level at which the section counts agree with their polynomial
+    extension.
     """
     if sign_convention not in (1, -1):
         raise ValueError("sign convention must be +1 or -1")
     n = w.dim
-    if w.geometry.kind == "hypersurface":
-        k0 = max(k0, w.geometry.degree - n - 1)
-    k0 = max(k0, 1)
+    k0 = max(1, w.geometry.degree - n - 1) if w.geometry.kind == "hypersurface" else 1
     levels = list(range(k0, k0 + n + 5))
     data = {k: _level_sums(w, k) for k in levels}
     tau_pts = [(k, sign_convention * data[k][1]) for k in levels]
@@ -312,8 +309,6 @@ def futaki(tau: TauPolynomial) -> Fraction:
 
 
 def weight_system_from_json(obj) -> WeightSystem:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     geo = obj["geometry"]
     geometry = Geometry(
         kind=geo["type"],

@@ -37,8 +37,8 @@ def perturbed():
 
 class TestRadialMetric:
     def test_area_is_one(self, round_metric, perturbed):
-        assert round_metric.area() == pytest.approx(1.0, abs=1e-12)
-        assert perturbed.area() == pytest.approx(1.0, abs=1e-10)
+        assert radial_integral(round_metric.density, tol=1e-12)[0] == pytest.approx(1.0, abs=1e-12)
+        assert radial_integral(perturbed.density, tol=1e-12)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_positivity_certificate(self, perturbed):
         assert perturbed.positivity_certificate > 0.5

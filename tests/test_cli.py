@@ -242,6 +242,11 @@ class TestErrors:
         res = runner.invoke(main, ["moment", "--input", "/nonexistent.json"])
         assert res.exit_code == 2
 
+    def test_report_is_not_an_option(self, runner):
+        res = runner.invoke(main, ["factorize", "--input", str(DATA / "conic_loop.json"), "--report", "csv"])
+        assert res.exit_code == 2
+        assert "No such option '--report'" in res.stderr
+
     def test_degenerate_loop_exit_3(self, runner, tmp_path):
         loop = tmp_path / "loop.json"
         # two identical rows: determinant zero

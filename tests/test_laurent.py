@@ -13,7 +13,6 @@ from kstab.laurent import (
     LaurentMatrix,
     LaurentPoly,
     ZeroLaurentError,
-    det_pole_order,
     factorize,
     loop_from_json,
     loop_to_json,
@@ -210,7 +209,7 @@ class TestDet:
         g, weights = ltdu_loop(random.Random(12), 12, 2)
         f = factorize(g)
         assert f.weights == weights
-        assert det_pole_order(g) == -sum(f.weights)
+        assert g.det().ord() == sum(f.weights)
 
 
 class TestMultiply:
@@ -291,7 +290,7 @@ class TestFactorize:
         assert (f.left, f.right, f.weights, f.order) == (ref.left, ref.right, ref.weights, ref.order)
         assert f.weights == weights
         nu = min(p.ord() for row in g.entries for p in row if not p.is_zero)
-        cap = -det_pole_order(g) - n * nu + 1
+        cap = g.det().ord() - n * nu + 1
         assert used == [min(2**i, cap) for i in range(len(used))]
         assert used[-1] <= cap
 
@@ -301,6 +300,24 @@ class TestFactorize:
         f = factorize(g)
         assert f.weights == (0, 0) and f.reassemble() == g
         assert windows == [1]
+
+    @pytest.mark.parametrize("unit, top", [({0: 1}, 2**20), ({0: 1, 1: 1}, 2**16)],
+                             ids=["diag(1, t^2^20)", "diag(1+t, t^65536)"])
+    def test_pivot_inverse_follows_the_row(self, capped_python, unit, top):
+        """A pivot row's unit is inverted only to the precision its other
+        entries use, so a wide spread between one-term rows costs no time."""
+        proc = capped_python(
+            "import time\n"
+            "from kstab.laurent import LaurentMatrix, LaurentPoly, factorize\n"
+            f"g = LaurentMatrix([[LaurentPoly({unit!r}), LaurentPoly()], [LaurentPoly(), LaurentPoly.t_power({top})]])\n"
+            "t0 = time.perf_counter()\n"
+            "f = factorize(g)\n"
+            "print(*f.weights, time.perf_counter() - t0)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        high, low, seconds = proc.stdout.split()
+        assert (int(high), int(low)) == (top, 0)
+        assert float(seconds) < 0.1
 
     def test_unit_diagonal_placement(self):
         # degeneration living on the second coordinate forces the order
@@ -424,14 +441,14 @@ class TestPoleOrders:
         assert pole_order_vector(g.apply(gamma)) == 2
 
     def test_det_pole_order(self):
-        assert det_pole_order(LaurentMatrix.identity(2)) == 0
-        assert det_pole_order(diag(0, 1)) == -1
+        assert LaurentMatrix.identity(2).det().ord() == 0
+        assert diag(0, 1).det().ord() == 1
 
     def test_det_equals_minus_weight_sum(self):
         rng = random.Random(31)
         for _ in range(15):
             g = random_loop(rng, rng.randint(2, 4))
-            assert det_pole_order(g) == -sum(factorize(g).weights)
+            assert g.det().ord() == sum(factorize(g).weights)
 
 
 class TestSectionDegree:

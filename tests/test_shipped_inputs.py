@@ -61,3 +61,26 @@ def test_crossing_lines_reports_nonconvergence():
     )
     assert res.exit_code == 4  # reported, with the residual trace emitted
 
+
+# The command line each shipped input is read by, ending at its option.
+READERS = {
+    "bump_metric.json": ["bergman", "--input"],
+    "conic_form.json": ["chow", "--loop", str(DATA / "conic_loop.json"), "--input"],
+    "conic_loop.json": ["factorize", "--input"],
+    "conic_weights.json": ["futaki", "--input"],
+    "crossing_lines_cycle.json": ["balance", "--input"],
+    "line_cycle.json": ["moment", "--input"],
+    "rnc3_cycle.json": ["moment", "--input"],
+    "rnc3_distorted_cycle.json": ["balance", "--input"],
+    "round_metric.json": ["bergman", "--input"],
+}
+
+
+@pytest.mark.parametrize("fname", sorted(p.name for p in DATA.glob("*.json")))
+def test_double_encoded_input_exits_2(tmp_path, fname):
+    """A file whose top level is a JSON string holding an input is not one."""
+    path = tmp_path / fname
+    path.write_text(json.dumps((DATA / fname).read_text()))
+    res = CliRunner().invoke(main, READERS[fname] + [str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
