@@ -242,9 +242,6 @@ def theta_total_variation(metric: RadialMetric, k: int, norms: Optional[np.ndarr
 class FitResult:
     a1: np.ndarray
     remainders: np.ndarray  # shape (len(klist), len(grid))
-    klist: tuple
-    residual: float
-    condition: float
 
 
 def expansion_fit(
@@ -273,12 +270,10 @@ def expansion_fit(
     cond = float(np.linalg.cond(design))
     if cond > 1e8:
         raise ValueError(f"ill-conditioned expansion fit (cond {cond:g})")
-    sol, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    a1 = sol[0]
+    a1 = np.linalg.lstsq(design, y, rcond=None)[0][0]
     # k^2 (rho_k - 1 - a1/k) = k (y_k - a1)
     rem = np.stack([klist[i] * (ys[i] - a1) for i in range(len(klist))])
-    residual = float(np.sqrt(np.mean((design @ sol - y) ** 2)))
-    return FitResult(a1=a1, remainders=rem, klist=klist, residual=residual, condition=cond)
+    return FitResult(a1=a1, remainders=rem)
 
 
 def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float]) -> float:

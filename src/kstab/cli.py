@@ -34,6 +34,10 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NONCONVERGENCE = 4
 
+# Largest --order: the Gauss-Legendre rule of order n (2n in moment) comes
+# from the eigenvalues of a dense n x n matrix.
+_MAX_ORDER = 512
+
 
 def _read_input(path, parser, what):
     """Parse a JSON input file whose top level is an object with ``parser``;
@@ -169,8 +173,8 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
 
     form = _read_input(input_path, cw.form_from_json, "form input")
     g = _read_input(loop_path, loop_from_json, "loop input")
-    if order < 1:
-        sys.exit(_fail(EXIT_PARSE, "order must be >= 1"))
+    if not 1 <= order <= _MAX_ORDER:
+        sys.exit(_fail(EXIT_PARSE, f"order must be in 1..{_MAX_ORDER}"))
     convention = "calibrated" if sign == "calibrated" else "flipped"
     try:
         ch = cw.chow_weight(form, g, convention=convention)
@@ -210,8 +214,8 @@ def cmd_moment(input_path, out, fmt, order, tol):
     from kstab.quadrature import QuadratureError
 
     cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
-    if order < 1 or tol <= 0:
-        sys.exit(_fail(EXIT_PARSE, "order must be >= 1 and tol positive"))
+    if not 1 <= order <= _MAX_ORDER or tol <= 0:
+        sys.exit(_fail(EXIT_PARSE, f"order must be in 1..{_MAX_ORDER} and tol positive"))
     try:
         res = cy.moment_matrix(cycle, order=order, tol=tol)
     except QuadratureError as exc:
@@ -241,8 +245,8 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     from kstab import cycles as cy
 
     cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
-    if tol <= 0 or max_steps < 1 or order < 1:
-        sys.exit(_fail(EXIT_PARSE, "tol, max-steps and order must be positive"))
+    if tol <= 0 or max_steps < 1 or not 1 <= order <= _MAX_ORDER:
+        sys.exit(_fail(EXIT_PARSE, f"tol and max-steps must be positive and order in 1..{_MAX_ORDER}"))
     res = cy.balance_iterate(cycle, max_steps=max_steps, tol=tol, order=order)
     data = {"converged": res.converged, "steps": res.steps, "note": res.note}
     if fmt == "csv":

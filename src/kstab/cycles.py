@@ -11,7 +11,7 @@ moment matrix, driving stable cycles to the balanced locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -58,39 +58,17 @@ class Component:
             raise ValueError("component has identically zero parametrization")
         return int(nz[-1])
 
-    def reversed(self) -> "Component":
-        """Parametrization in the chart at infinity: s^deg * p(1/s)."""
-        d = self.degree
-        return Component(self.coeffs[:, d::-1], self.multiplicity)
-
-    def eval(self, s: np.ndarray) -> np.ndarray:
-        """Values, shape (N+1, len(s))."""
-        return self.coeffs @ _powers(s, self.coeffs.shape[1] - 1)
-
-    def eval_deriv(self, s: np.ndarray) -> np.ndarray:
-        d = self.coeffs.shape[1] - 1
-        if d == 0:
-            return np.zeros((self.ambient_count, len(s)), dtype=complex)
-        return (self.coeffs[:, 1:] * np.arange(1, d + 1)[None, :]) @ _powers(s, d - 1)
-
-
-def _powers(s: np.ndarray, d: int) -> np.ndarray:
-    """Monomials 1, s, ..., s^d at the points ``s``, shape (d+1, len(s))."""
-    out = np.empty((d + 1, len(s)), dtype=complex)
-    out[0] = 1.0
-    for j in range(1, d + 1):
-        np.multiply(out[j - 1], s, out=out[j])
-    return out
-
 
 @dataclass
 class ProjectiveCycle:
     """Weighted union of parametrized rational curves in P^N."""
 
     ambient_dim: int
-    components: List[Component] = field(default_factory=list)
+    components: List[Component]
 
     def __post_init__(self):
+        if not self.components:
+            raise ValueError("cycle has no parametrized components")
         for c in self.components:
             if c.ambient_count != self.ambient_dim + 1:
                 raise ValueError(
@@ -112,50 +90,79 @@ class MomentResult:
     order: int
 
 
-# Nodes per block when a chart is evaluated for moment_matrix: bounds the
-# (N+1) x nodes arrays of large cycles at high order.
-_BLOCK = 4096
+def _kernel(d: int, s: np.ndarray) -> np.ndarray:
+    """Chart values per coefficient of a degree-d curve at the nodes ``s``.
 
-
-def _raw_moments(n1: int, charts):
-    """Second-moment matrix (Hermitian) and mass summed over chart blocks.
-
-    ``charts`` yields ``(multiplicity, p, dp, w)``: a chart's values ``p``
-    and derivatives ``dp`` (shape (N+1, nodes)) at nodes of the disc rule
-    with weights ``w``.  The chart at infinity of a curve is the chart of
-    its reversed coefficient array, so the integrand is smooth on each
-    closed disc.
+    Four blocks of ``len(s)`` columns side by side: the monomials s^j
+    (row j = 0..d), their reversal s^(d-j) for the chart at infinity
+    s^d p(1/s), and the derivatives of both.  A coefficient array ``c`` of
+    shape (N+1, d+1) has its values and derivatives on both charts in
+    ``c @ _kernel(d, s)``, and the integrand is smooth on each closed disc.
     """
+    m = len(s)
+    kernel = np.empty((d + 1, 4 * m), dtype=complex)
+    powers, reverse, deriv, deriv_reverse = (kernel[:, i * m:(i + 1) * m] for i in range(4))
+    powers[0] = 1.0
+    for j in range(1, d + 1):
+        np.multiply(powers[j - 1], s, out=powers[j])
+    reverse[:] = powers[::-1]
+    deriv[0] = 0.0
+    np.multiply(np.arange(1, d + 1)[:, None], powers[:-1], out=deriv[1:])
+    deriv_reverse[:] = deriv[::-1]
+    return kernel
+
+
+def _raw_moments(n1: int, parts, w: np.ndarray, buffer: np.ndarray):
+    """Second-moment matrix (Hermitian) and mass of a set of charts.
+
+    ``parts`` holds ``(multiplicity, c, _kernel(d, s))`` per component, with
+    ``c`` its (N+1) x (d+1) coefficients, for nodes ``s`` of the disc rule
+    with weights ``w``.  The chart values ``c @ kernel`` go to ``buffer``
+    (at least 4 (N+1) len(s) entries): a fresh array per call costs page
+    faults, so callers keep one for all their calls.
+    """
+    m2 = 2 * len(w)
+    w2 = np.concatenate([w, w])  # both charts
+    vals = buffer[:2 * n1 * m2].reshape(n1, 2 * m2)
     raw = np.zeros((n1, n1), dtype=complex)
     mass = 0.0
-    for mult, p, dp, w in charts:
+    for mult, c, kernel in parts:
+        np.matmul(c, kernel, out=vals)
+        del kernel  # free a block's kernel before the temporaries below: page faults
+        p, dp = vals[:, :m2], vals[:, m2:]
         norm2 = np.sum(np.abs(p) ** 2, axis=0)
         if np.any(norm2 == 0.0):
             raise QuadratureError("parametrization with base points: |p(s)| = 0")
         dd = np.sum(dp * np.conj(dp), axis=0).real
         pd = np.sum(dp * np.conj(p), axis=0)
         kappa = (dd * norm2 - np.abs(pd) ** 2) / norm2**2  # FS density / pi
-        wk = w * kappa
+        wk = w2 * kappa
         raw += mult * ((p * (wk / norm2)) @ p.conj().T)
         mass += mult * csum(wk)
     return 0.5 * (raw + raw.conj().T), mass  # Hermitian by construction up to roundoff
 
 
+# Nodes per kernel in moment_matrix: bounds the kernel and the (N+1) x nodes
+# chart arrays of large cycles at high order.
+_BLOCK = 1024
+
+
 def _cycle_raw(cycle: ProjectiveCycle, order: int):
-    """Raw second moments and mass of a cycle, walking each chart of each
-    component over blocks of ``_BLOCK`` nodes."""
-    if not cycle.components:
-        raise ValueError("cycle has no parametrized components")
+    """Raw second moments and mass of a cycle, one kernel per component and
+    block of ``_BLOCK`` nodes."""
     nodes, w = disc_rule(order)
-
-    def charts():
-        for comp in cycle.components:
-            for part in (comp, comp.reversed()):
-                for lo in range(0, len(nodes), _BLOCK):
-                    s = nodes[lo:lo + _BLOCK]
-                    yield comp.multiplicity, part.eval(s), part.eval_deriv(s), w[lo:lo + _BLOCK]
-
-    return _raw_moments(cycle.ambient_dim + 1, charts())
+    n1 = cycle.ambient_dim + 1
+    degrees = [c.degree for c in cycle.components]
+    raw, mass = np.zeros((n1, n1), dtype=complex), 0.0
+    buffer = np.empty(4 * n1 * _BLOCK, dtype=complex)
+    for lo in range(0, len(nodes), _BLOCK):
+        s = nodes[lo:lo + _BLOCK]
+        parts = ((c.multiplicity, c.coeffs[:, :d + 1], _kernel(d, s))
+                 for c, d in zip(cycle.components, degrees))
+        block_raw, block_mass = _raw_moments(n1, parts, w[lo:lo + _BLOCK], buffer)
+        raw += block_raw
+        mass += block_mass
+    return raw, mass
 
 
 def trace_free(m: np.ndarray) -> np.ndarray:
@@ -193,16 +200,12 @@ def moment_matrix(cycle: ProjectiveCycle, order: int = 48, tol: float = 1e-8) ->
 
 
 def pairing(m: np.ndarray, a) -> float:
-    """<M, A> = sum_a M_aa A_a for diagonal A; trace(M A) in general."""
+    """<M, A> = sum_a M_aa A_a for the diagonal A with entries ``a``."""
     m = np.asarray(m)
     a = np.asarray(a)
-    if a.ndim == 1:
-        if a.shape[0] != m.shape[0]:
-            raise ValueError("size mismatch between matrix and weight vector")
-        return float(np.real(np.sum(np.diagonal(m) * a)))
-    if a.shape != m.shape:
-        raise ValueError("size mismatch between matrices")
-    return float(np.real(np.trace(m @ a)))
+    if a.shape != (m.shape[0],):
+        raise ValueError("size mismatch between matrix and weight vector")
+    return float(np.real(np.sum(np.diagonal(m) * a)))
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -280,27 +283,17 @@ def balance_iterate(
     matrix is not positive definite, ``note`` says why ("iteration broke
     down: ...").  Both signal an unstable or borderline cycle.
 
-    The charts are linear in the coefficients.  The monomials 1, s, ...,
-    s^deg of each component, and their reversal for the chart at infinity
-    (reversal commutes with an invertible transform, which keeps the
-    degree), are evaluated at the disc nodes once per run; an evaluation
-    multiplies them by the current coefficients, one matrix product per
-    component.
+    The charts are linear in the coefficients, and reversal commutes with
+    an invertible transform, which keeps the degree: each component's
+    ``_kernel`` is evaluated at the disc nodes once per run, and an
+    evaluation multiplies it by the current coefficients, one matrix
+    product per component.
     """
     n1 = cycle.ambient_dim + 1
-    if not cycle.components:
-        raise ValueError("cycle has no parametrized components")
     degree = cycle.total_degree
     nodes, w = disc_rule(order)
-    m2 = 2 * len(nodes)
-    w2 = np.concatenate([w, w])  # both charts in one block
-    kernels = []
-    for comp in cycle.components:
-        basis = Component(np.eye(comp.degree + 1))
-        rev = basis.reversed()
-        kernels.append(np.hstack(
-            [basis.eval(nodes), rev.eval(nodes), basis.eval_deriv(nodes), rev.eval_deriv(nodes)]
-        ))
+    kernels = [_kernel(comp.degree, nodes) for comp in cycle.components]
+    buffer = np.empty(4 * n1 * len(nodes), dtype=complex)
 
     def components(half):
         out = []
@@ -317,13 +310,8 @@ def balance_iterate(
             comps = components(half)
         if not all(np.all(np.isfinite(c.coeffs)) for c in comps):
             raise FloatingPointError("metric is not finite")
-
-        def charts():
-            for c, kernel in zip(comps, kernels):
-                vals = c.coeffs @ kernel
-                yield c.multiplicity, vals[:, :m2], vals[:, m2:], w2
-
-        raw, mass = _raw_moments(n1, charts())
+        parts = [(c.multiplicity, c.coeffs, kernel) for c, kernel in zip(comps, kernels)]
+        raw, mass = _raw_moments(n1, parts, w, buffer)
         if abs(mass - degree) > 1e-6 * degree:
             raise QuadratureError(f"cycle mass {mass:.9g} does not match degree {degree}")
         raw = raw / mass
@@ -523,11 +511,8 @@ def cycle_from_json(obj) -> ProjectiveCycle:
         raise ValueError(f"ambient dimension must be >= 1, got {ambient}")
     comps = []
     for c in obj["components"]:
-        rows = []
-        for coord in c["coeffs"]:
-            rows.append([complex(re, im) for re, im in coord])
-        width = max(len(r) for r in rows)
-        arr = np.zeros((len(rows), width), dtype=complex)
+        rows = [[complex(re, im) for re, im in coord] for coord in c["coeffs"]]
+        arr = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
         for i, r in enumerate(rows):
             arr[i, : len(r)] = r
         if not np.all(np.isfinite(arr)):
@@ -536,6 +521,4 @@ def cycle_from_json(obj) -> ProjectiveCycle:
         if comp.degree < 1:
             raise ValueError("component of degree 0: a curve needs a nonconstant parametrization")
         comps.append(comp)
-    if not comps:
-        raise ValueError("cycle has no components")
     return ProjectiveCycle(ambient, comps)

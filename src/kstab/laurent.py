@@ -176,10 +176,6 @@ class LaurentPoly:
         """The terms below t^K."""
         return _laurent(self.low, self.coef[: max(K - self.low, 0)])
 
-    def scale(self, c) -> "LaurentPoly":
-        c = _as_fraction(c)
-        return _laurent(self.low, [v * c for v in self.coef] if c else [])
-
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by t^e."""
         return _laurent(self.low + e, self.coef)
@@ -249,10 +245,6 @@ class LaurentMatrix:
                 for i in range(size)
             ]
         )
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):

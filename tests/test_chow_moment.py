@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from kstab.chow import (
     transformed_form,
 )
 import kstab.quadrature as quadrature_module
-from kstab.bergman import image_cycle, metric_from_json
+from kstab.bergman import RadialMetric, image_cycle, metric_from_json
 from kstab.cycles import (
     Component,
     ProjectiveCycle,
@@ -101,6 +102,24 @@ class TestMomentMatrix:
     def test_error_estimate_reported(self):
         res = moment_matrix(line_cycle(), order=16)
         assert res.quad_error < 1e-10
+
+    def test_cycle_needs_a_component(self):
+        with pytest.raises(ValueError, match="no parametrized components"):
+            ProjectiveCycle(2, [])
+
+    def test_memory_flat_in_order(self):
+        # the charts are evaluated in blocks of nodes, so quadrupling the
+        # node count leaves the peak about where it was
+        cycle = image_cycle(RadialMetric(0.1), 64)
+        peaks = []
+        for order in (48, 96):
+            tracemalloc.start()
+            try:
+                moment_matrix(cycle, order=order)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0]
 
 
 class TestPairingAndTraceNorm:
@@ -400,8 +419,7 @@ def _reference_cycle_raw(cycle, order):
     n1 = cycle.ambient_dim + 1
     raw, mass = np.zeros((n1, n1), dtype=complex), 0.0
     for comp in cycle.components:
-        for part in (comp, comp.reversed()):
-            c = part.coeffs
+        for c in (comp.coeffs, comp.coeffs[:, comp.degree::-1]):
             p = _horner(c, nodes)
             dp = _horner(c[:, 1:] * np.arange(1, c.shape[1])[None, :], nodes)
             norm2 = np.sum(np.abs(p) ** 2, axis=0)
@@ -576,12 +594,12 @@ class TestBalanceKernel:
 
     def test_charts_evaluated_once_per_run(self, monkeypatch):
         calls = []
-        real = Component.eval
-        monkeypatch.setattr(Component, "eval", lambda self, s: calls.append(1) or real(self, s))
+        real = cycles_module._kernel
+        monkeypatch.setattr(cycles_module, "_kernel", lambda d, s: calls.append(d) or real(d, s))
         cycle = _two_conics()
         res = balance_iterate(cycle, max_steps=20, order=16)
         assert res.steps == 20
-        assert len(calls) == 2 * len(cycle.components)
+        assert calls == [c.degree for c in cycle.components]
 
     def test_legendre_rule_computed_once_per_order(self, monkeypatch):
         orders = []
@@ -599,6 +617,24 @@ class TestBalanceKernel:
 
 
 class TestJsonInterfaces:
+    def test_zero_padding_changes_nothing(self):
+        # trailing zero coefficients, ragged or padded past the degree, are
+        # the same curve: same moment matrix, same balance iterates
+        obj = json.loads((DATA / "rnc3_distorted_cycle.json").read_text())
+        rows = obj["components"][0]["coeffs"]
+        ragged = [row[:max(i for i, c in enumerate(row) if c != [0.0, 0.0]) + 1] for row in rows]
+        padded = [row + [[0.0, 0.0]] * 2 for row in rows]
+        assert {len(r) for r in ragged} == {1, 2, 3, 4}
+        runs = []
+        for coeffs in (rows, ragged, padded):
+            cycle = cycle_from_json({"ambient": 3, "components": [{"coeffs": coeffs}]})
+            res = balance_iterate(cycle)
+            runs.append((moment_matrix(cycle).matrix, res.steps, res.residuals))
+        for matrix, steps, residuals in runs[1:]:
+            assert np.array_equal(matrix, runs[0][0])
+            assert steps == runs[0][1] and residuals == runs[0][2]
+        assert runs[0][1] > 1
+
     def test_form_parse(self):
         f = form_from_json({"form": {"1,0,1": [1, 0], "0,2,0": [-1, 0]}})
         assert f.degree == 2 and f.nvars == 3

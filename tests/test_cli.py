@@ -503,6 +503,26 @@ def test_wide_loop_exit_2(capped_python, tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("order", ["513", "20000"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["moment", "--input", "line_cycle.json"],
+        ["balance", "--input", "rnc3_distorted_cycle.json"],
+        ["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"],
+    ],
+    ids=["moment", "balance", "chow"],
+)
+def test_order_above_512_exit_2(capped_python, args, order):
+    # the Gauss-Legendre rule of order n needs a dense n x n matrix: at
+    # order 20000, 3.2 GB
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in args] + ["--order", order]
+    proc = capped_python(f"import sys\nfrom kstab.cli import main\nsys.argv[1:] = {argv!r}\nmain()\n")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("error:") == 1 and "1..512" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "args",
     [

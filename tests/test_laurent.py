@@ -170,7 +170,7 @@ def _det_cases():
                 others = [r for r in range(n) if r != k]
                 i, j = rng.choice(others), rng.choice(others)
                 entries[k] = [
-                    a.shift(-1) + b.scale(Fraction(-2, 3)) for a, b in zip(entries[i], entries[j])
+                    a.shift(-1) + b.mul(LaurentPoly({0: Fraction(-2, 3)})) for a, b in zip(entries[i], entries[j])
                 ]
             cases.append((kind, LaurentMatrix(entries)))
     return cases
