@@ -21,11 +21,14 @@ exponent loop t^A equals the pairing of the central fiber's moment matrix
 with the section diagonal -A, it agrees with the k = 1 Chow number of the
 weight-polynomial module, and for a general loop it is bounded above by
 the central-fiber pairing.  The mirrored convention (substitute g itself,
-all signs reversed) is available behind a flag.
+all signs reversed) is available behind a flag.  The central fiber of a
+plane conic is decomposed exactly along the loop's torus in the frame of
+L(0), the left normal-form factor at t = 0, and mapped back by L(0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -36,7 +39,6 @@ __all__ = [
     "HypersurfaceForm",
     "chow_weight",
     "transformed_form",
-    "central_fiber_form",
     "central_fiber_cycle",
     "section_diagonal",
     "ChowCheck",
@@ -252,21 +254,72 @@ def chow_weight(form: HypersurfaceForm, g: LaurentMatrix, convention: str = "cal
     return Fraction(a_ord, d * (n + 1)) - Fraction(det.ord(), N + 1)
 
 
-def central_fiber_form(form: HypersurfaceForm, g: LaurentMatrix) -> Dict[tuple, complex]:
-    """Initial form of the family at t = 0: lowest-order coefficients of the
-    transformed form, as floating complex numbers."""
-    _, lowest = _lowest_terms(form, g, "calibrated")
-    return {exps: complex(float(re), float(im)) for exps, (re, im) in lowest.items()}
+def _cmul(u, v):
+    """Product of two exact complex rationals (re, im)."""
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
 def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> "ProjectiveCycle":
-    """Cycle of the flat limit at t = 0 for plane-conic degenerations (see
-    :func:`kstab.cycles.conic_cycle`)."""
-    from kstab.cycles import conic_cycle
+    """Cycle of the flat limit X_0 = lim g(t) {F = 0} of a plane conic, in
+    the original coordinates, built exactly from the loop's torus.
+
+    With g = L t^A R factored, the form of Y_0 = L(0)^(-1) X_0 is
+    X_0(L(0) y), substituted exactly into the lowest coefficients.  A limit
+    invariant under a nontrivial torus has its form supported on a lattice
+    segment with primitive direction delta, so that
+    Y_0 = y^mu prod_r (y^delta+ - r y^delta-): the coordinate line
+    {y_a = 0} with multiplicity mu_a and, for each root r of the edge
+    polynomial, the monomial curve s -> (c_a s^p_a) with p orthogonal to
+    delta and c^delta = r.  A double root is an exact zero discriminant
+    of the edge coefficients.  Each component is mapped back by L(0).
+    Raises ValueError when the form of Y_0 is not supported on a segment,
+    as for a loop whose weights are all equal (g = t^c L(t), a change of
+    frame) and a conic that is not toric.
+    """
+    import numpy as np
+
+    from kstab.cycles import Component, ProjectiveCycle
 
     if form.nvars != 3 or form.degree != 2:
         raise ValueError("central fiber cycles are implemented for plane conics")
-    return conic_cycle(central_fiber_form(form, g))
+    _, lowest = _lowest_terms(form, g, "calibrated")
+    fac = factorize(g)
+    l0 = fac.left.value_at_zero()
+    frame = [[LaurentPoly({0: v}) for v in row] for row in l0]
+    y0 = _window(HypersurfaceForm(3, {e: {0: c} for e, c in lowest.items()}), frame, 1)
+    coeff = {e: (re.coefficient(0), im.coefficient(0)) for e, (re, im) in y0.items()}
+    support = sorted(e for e, c in coeff.items() if any(c))
+    first, last = support[0], support[-1]  # lexicographic order runs along a line
+    m = math.gcd(*(b - a for a, b in zip(first, last)))
+    delta = [(b - a) // (m or 1) for a, b in zip(first, last)]
+    edge = [coeff.get(tuple(a + k * d for a, d in zip(first, delta)), (_ZERO, _ZERO)) for k in range(m + 1)]
+    if sum(any(c) for c in edge) != len(support):
+        raise ValueError(
+            "the central fiber is not torus-invariant in the frame of L(0): its form "
+            f"is not supported on a lattice segment (loop weights {list(fac.weights)})"
+        )
+    parts = []
+    for a, mult in enumerate(min(u, v) for u, v in zip(first, last)):
+        if mult:
+            line = np.zeros((3, 2))
+            line[[b for b in range(3) if b != a], [0, 1]] = 1.0
+            parts.append((line, mult))
+    z = [complex(float(re), float(im)) for re, im in edge]
+    if m == 2 and _cmul(edge[1], edge[1]) == tuple(4 * x for x in _cmul(edge[0], edge[2])):
+        roots = [(-z[1] / (2 * z[2]), 2)]
+    else:
+        roots = [(r, 1) for r in np.roots(z[::-1])]
+    p = [delta[1] - delta[2], delta[2] - delta[0], delta[0] - delta[1]]
+    p = [x - min(p) for x in p]
+    p = [x // (math.gcd(*p) or 1) for x in p]
+    for r, mult in roots:
+        curve = np.zeros((3, max(p) + 1), dtype=complex)
+        curve[range(3), p] = np.exp(np.log(r) * np.array(delta) / np.dot(delta, delta))
+        parts.append((curve, mult))
+    l0 = np.array(l0, dtype=float)
+    # orthonormal points on a line keep its quadrature well conditioned
+    return ProjectiveCycle(2, [Component(np.linalg.qr(l0 @ c)[0] if c.shape[1] == 2 else l0 @ c, mult)
+                               for c, mult in parts])
 
 
 @dataclass

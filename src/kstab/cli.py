@@ -38,6 +38,11 @@ EXIT_NONCONVERGENCE = 4
 # from the eigenvalues of a dense n x n matrix.
 _MAX_ORDER = 512
 
+# Largest bergman level and --grid: gram's arrays grow with the level, rho's
+# with level x grid; 8192 is the level the Gram quadrature is meant to reach.
+_MAX_LEVEL = 8192
+_MAX_GRID = 4096
+
 
 def _read_input(path, parser, what):
     """Parse a JSON input file whose top level is an object with ``parser``;
@@ -197,6 +202,8 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
                     "section_diagonal": list(chk.exponents),
                 }
             )
+        except ValueError as exc:  # no torus decomposition of the central fiber
+            data["note"] = f"no central-fiber pairing: {exc}"
         except FactorizationError as exc:
             sys.exit(_fail(EXIT_INVARIANT, str(exc)))
         except QuadratureError as exc:
@@ -247,7 +254,10 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
     if tol <= 0 or max_steps < 1 or not 1 <= order <= _MAX_ORDER:
         sys.exit(_fail(EXIT_PARSE, f"tol and max-steps must be positive and order in 1..{_MAX_ORDER}"))
-    res = cy.balance_iterate(cycle, max_steps=max_steps, tol=tol, order=order)
+    try:
+        res = cy.balance_iterate(cycle, max_steps=max_steps, tol=tol, order=order)
+    except ValueError as exc:
+        sys.exit(_fail(EXIT_PARSE, str(exc)))
     data = {"converged": res.converged, "steps": res.steps, "note": res.note}
     if fmt == "csv":
         data["columns"] = ["step", "residual"]
@@ -278,7 +288,8 @@ def _parse_range_pair(text):
 def _parse_klist(text):
     """Parse k ranges: '8:64:double' doubles, 'a:b:step' steps, 'a,b,c' lists.
 
-    Raises ValueError unless there are levels and they are distinct and >= 1."""
+    Raises ValueError unless there are levels and they are distinct and in
+    1..8192 (a range is checked before it is listed)."""
     parts = text.split(":")
     if "," in text or len(parts) == 1:
         ks = [int(x) for x in text.split(",")]
@@ -288,12 +299,12 @@ def _parse_klist(text):
             ks.append(k)
             k *= 2
     elif len(parts) <= 3:
-        ks = list(range(int(parts[0]), int(parts[1]) + 1, int(parts[2]) if len(parts) == 3 else 1))
+        ks = range(int(parts[0]), int(parts[1]) + 1, int(parts[2]) if len(parts) == 3 else 1)
     else:
         raise ValueError("expected lo:hi, lo:hi:step or lo:hi:double")
-    if not ks or min(ks) < 1 or len(set(ks)) != len(ks):
-        raise ValueError("levels must be a nonempty set of distinct integers >= 1")
-    return ks
+    if not ks or min(ks) < 1 or max(ks) > _MAX_LEVEL or len(set(ks)) != len(ks):
+        raise ValueError(f"levels must be a nonempty set of distinct integers in 1..{_MAX_LEVEL}")
+    return list(ks)
 
 
 @main.command("bergman")
@@ -312,8 +323,8 @@ def cmd_bergman(input_path, out, fmt, krange, grid):
         klist = _parse_klist(krange)
     except ValueError as exc:
         sys.exit(_fail(EXIT_PARSE, f"bad level range {krange!r}: {exc}"))
-    if grid < 1:
-        sys.exit(_fail(EXIT_PARSE, "grid must be >= 1"))
+    if not 1 <= grid <= _MAX_GRID:
+        sys.exit(_fail(EXIT_PARSE, f"grid must be in 1..{_MAX_GRID}"))
     s_grid = bg.default_grid(grid)
     try:
         # one Gram pass per level feeds rho, the discrepancy and the fit

@@ -12,7 +12,7 @@ moment matrix, driving stable cycles to the balanced locus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "trace_free",
     "balance_iterate",
     "transform_cycle",
-    "conic_cycle",
     "cycle_from_json",
 ]
 
@@ -234,6 +233,9 @@ class BalanceResult:
 # Differences kept by the Anderson mixing of balance_iterate.
 _MEMORY = 6
 
+# Most complex entries (512 MiB) of balance_iterate's kernels and chart values.
+_MAX_ENTRIES = 2 ** 25
+
 # Failures that make a balance evaluation invalid.
 _BREAKDOWN = (QuadratureError, np.linalg.LinAlgError, FloatingPointError)
 
@@ -287,11 +289,15 @@ def balance_iterate(
     an invertible transform, which keeps the degree: each component's
     ``_kernel`` is evaluated at the disc nodes once per run, and an
     evaluation multiplies it by the current coefficients, one matrix
-    product per component.
+    product per component.  Raises ValueError, before allocating, when
+    these 4 x nodes x (sum of (d + 1) + N + 1) entries exceed _MAX_ENTRIES.
     """
     n1 = cycle.ambient_dim + 1
     degree = cycle.total_degree
     nodes, w = disc_rule(order)
+    entries = 4 * len(nodes) * (sum(c.degree + 1 for c in cycle.components) + n1)
+    if entries > _MAX_ENTRIES:
+        raise ValueError(f"balancing at order {order} needs {entries} > 2^25 complex kernel entries; lower the order")
     kernels = [_kernel(comp.degree, nodes) for comp in cycle.components]
     buffer = np.empty(4 * n1 * len(nodes), dtype=complex)
 
@@ -373,127 +379,6 @@ def balance_iterate(
         ProjectiveCycle(cycle.ambient_dim, components(transform)),
         residuals, converged, max(len(residuals) - 1, 0), transform, note,
     )
-
-
-# ---------------------------------------------------------------------------
-# plane conics as parametrized cycles
-# ---------------------------------------------------------------------------
-
-
-def _conic_matrix(mono: Dict[tuple, complex]) -> np.ndarray:
-    q = np.zeros((3, 3), dtype=complex)
-    for exps, c in mono.items():
-        idx = [i for i, e in enumerate(exps) for _ in range(e)]
-        if len(idx) != 2:
-            raise ValueError("not a quadratic form")
-        i, j = idx
-        q[i, j] += c / (1 if i == j else 2)
-        if i != j:
-            q[j, i] += c / 2
-    return q
-
-
-def _line_cycle_between(p: np.ndarray, q: np.ndarray, mult: int) -> Component:
-    coeffs = np.stack([q, p], axis=1)  # q + s p
-    return Component(coeffs, mult)
-
-
-def _point_on_conic(q: np.ndarray, rng_seed: int = 0) -> np.ndarray:
-    """A point p with p^T q p = 0, found on a generic line."""
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(64):
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        # solve (a + s b)^T q (a + s b) = 0
-        c2 = b @ q @ b
-        c1 = a @ q @ b + b @ q @ a
-        c0 = a @ q @ a
-        if abs(c2) < 1e-13:
-            continue
-        disc = np.sqrt(c1 * c1 - 4 * c2 * c0 + 0j)
-        for root in ((-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)):
-            p = a + root * b
-            nrm = np.linalg.norm(p)
-            if nrm > 1e-9:
-                p = p / nrm
-                if abs(p @ q @ p) < 1e-9:
-                    return p
-    raise RuntimeError("failed to find a point on the conic")
-
-
-def _parametrize_smooth_conic(q: np.ndarray) -> Component:
-    """Degree-2 rational parametrization x(s) = (v^T q v) p - 2 (p^T q v) v
-    for v = v0 + s v1, with p on the conic."""
-    p = _point_on_conic(q)
-    # choose v0, v1 spanning a complement of p
-    basis = np.eye(3, dtype=complex)
-    idx = np.argsort(np.abs(p))[::-1]
-    v0, v1 = basis[idx[1]], basis[idx[2]]
-
-    def coeff(vv0, vv1):
-        # expand in s: v = v0 + s v1
-        a0 = vv0 @ q @ vv0
-        a1 = vv0 @ q @ vv1 + vv1 @ q @ vv0
-        a2 = vv1 @ q @ vv1
-        b0 = p @ q @ vv0 + vv0 @ q @ p
-        b1 = p @ q @ vv1 + vv1 @ q @ p
-        # x(s) = (a0 + a1 s + a2 s^2) p - (b0 + b1 s) (v0 + s v1)
-        c0 = a0 * p - b0 * vv0
-        c1 = a1 * p - b1 * vv0 - b0 * vv1
-        c2 = a2 * p - b1 * vv1
-        return np.stack([c0, c1, c2], axis=1)
-
-    coeffs = coeff(v0, v1)
-    comp = Component(coeffs)
-    if comp.degree != 2:
-        raise RuntimeError("conic parametrization degenerated")
-    return comp
-
-
-def _line_component(l: np.ndarray, mult: int) -> Component:
-    """Parametrize the line l . x = 0 in P^2."""
-    # two independent points on the line: null space of l
-    _, _, vh = np.linalg.svd(l[None, :])
-    p, q = vh[1].conj(), vh[2].conj()
-    return _line_cycle_between(p, q, mult)
-
-
-def conic_cycle(mono: Dict[tuple, complex]) -> ProjectiveCycle:
-    """Cycle of the plane conic with the given quadratic monomial
-    coefficients.
-
-    Classifies the form by rank: rank 3 gives a smooth conic, rank 2 two
-    distinct lines, rank 1 a double line.
-    """
-    q = _conic_matrix(mono)
-    q = q / np.max(np.abs(q))
-    svals = np.linalg.svd(q, compute_uv=False)
-    rank = int(np.sum(svals > 1e-9 * svals[0]))
-    if rank == 3:
-        return ProjectiveCycle(2, [_parametrize_smooth_conic(q)])
-    if rank == 1:
-        # q = c l l^T: the line l = 0 doubled
-        _, _, vh = np.linalg.svd(q)
-        l = vh[0].conj()
-        comp = _line_component(l, 2)
-        return ProjectiveCycle(2, [comp])
-    # rank 2: two lines through the kernel point
-    _, _, vh = np.linalg.svd(q)
-    kernel = vh[2].conj()
-    pts = []
-    rng = np.random.default_rng(1)
-    while len(pts) < 2:
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        c2, c1, c0 = b @ q @ b, a @ q @ b + b @ q @ a, a @ q @ a
-        if abs(c2) < 1e-12:
-            continue
-        disc = np.sqrt(c1 * c1 - 4 * c2 * c0 + 0j)
-        if abs(disc) < 1e-10:
-            continue
-        pts = [a + ((-c1 + s * disc) / (2 * c2)) * b for s in (1, -1)]
-    comps = [_line_cycle_between(kernel, pt / np.linalg.norm(pt), 1) for pt in pts]
-    return ProjectiveCycle(2, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from kstab.chow import (
     HypersurfaceForm,
     _adjugate,
     central_fiber_cycle,
-    central_fiber_form,
     check_chow_inequality,
     chow_weight,
     form_from_json,
@@ -38,7 +37,7 @@ from kstab.cycles import (
     trace_norm,
     transform_cycle,
 )
-from kstab.laurent import LaurentMatrix, LaurentPoly
+from kstab.laurent import LaurentMatrix, LaurentPoly, factorize
 from kstab.quadrature import QuadratureError, csum, disc_rule
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -52,6 +51,13 @@ def line_cycle():
 
 def conic_loop():
     return LaurentMatrix.exponent_diagonal([0, 0, 1])
+
+
+def central_form(form, g):
+    """Lowest coefficients of F(adj(g) x), the form of the central fiber, as
+    complex numbers."""
+    _, lowest = chow_module._lowest_terms(form, g, "calibrated")
+    return {exps: complex(float(re), float(im)) for exps, (re, im) in lowest.items()}
 
 
 def random_unitary(rng, n):
@@ -278,7 +284,7 @@ class TestWindowedOrder:
                 ch, lowest = _full_span_answer(form, g, convention)
                 assert chow_weight(form, g, convention=convention) == ch
                 if convention == "calibrated":
-                    assert central_fiber_form(form, g) == lowest
+                    assert central_form(form, g) == lowest
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_span_matches_plain_expansion(self, seed):
@@ -302,7 +308,7 @@ class TestWindowedOrder:
         )
         assert chow_weight(form, g) == Fraction(5, 2) - 5
         assert sizes == [1, 2, 4, 6]
-        assert central_fiber_form(form, g) == {(0, 1): -1}
+        assert central_form(form, g) == {(0, 1): -1}
         assert chow_weight(form, g, convention="flipped") == _full_span_answer(form, g, "flipped")[0]
 
     def test_vanishing_form_raises(self):
@@ -310,7 +316,7 @@ class TestWindowedOrder:
         one = LaurentPoly.one()
         g = LaurentMatrix([[one, one], [one, one]])
         form = HypersurfaceForm.from_dict(2, {(1, 0): 1, (0, 1): 1})
-        for fn in (central_fiber_form, transformed_form):
+        for fn in (central_form, transformed_form):
             with pytest.raises(ValueError, match="vanished identically"):
                 fn(form, g)
 
@@ -334,8 +340,88 @@ class TestWindowedOrder:
         expected = chow_weight(CONIC_FORM, conic_loop())
         monkeypatch.setattr(chow_module, "transformed_form", refuse)
         assert chow_weight(CONIC_FORM, conic_loop()) == expected == Fraction(1, 12)
-        assert set(central_fiber_form(CONIC_FORM, conic_loop())) == {(1, 0, 1)}
+        assert set(central_form(CONIC_FORM, conic_loop())) == {(1, 0, 1)}
         assert len(central_fiber_cycle(CONIC_FORM, conic_loop()).components) == 2
+
+
+def _complex_conic(rng):
+    """A plane conic with complex rational coefficients on all six monomials."""
+    def value():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    mono = {e: (value(), value()) for e in itertools.product(range(3), repeat=3) if sum(e) == 2}
+    mono[(2, 0, 0)] = (1, 1)
+    return HypersurfaceForm.from_dict(3, mono)
+
+
+def _torus_loops(rng, count):
+    """L t^D U loops whose weights are not all equal and with L(0) != I in
+    their normal form."""
+    loops = []
+    while len(loops) < count:
+        g = _ldu_loop(rng, 3)
+        fac = factorize(g)
+        if len(set(fac.weights)) > 1 and fac.left.value_at_zero() != np.eye(3).tolist():
+            loops.append(g)
+    return loops
+
+
+def _off_central_form(form, g, fiber):
+    """Largest |F_0(x(s))| relative to the sum of F_0's coefficient moduli
+    times max |x_a(s)|^2, over the fiber's components at seven parameter
+    values, with F_0 the float central form."""
+    f0 = central_form(form, g)
+    scale = sum(abs(c) for c in f0.values())
+    worst = 0.0
+    for comp in fiber.components:
+        for s in 0.3 + 0.9 * np.exp(2j * np.pi * np.arange(7) / 7):
+            x = comp.coeffs @ s ** np.arange(comp.coeffs.shape[1])
+            value = sum(c * np.prod(x ** np.array(e)) for e, c in f0.items())
+            worst = max(worst, abs(value) / (scale * np.max(np.abs(x)) ** 2))
+    return worst
+
+
+class TestTorusFiber:
+    """The central fiber decomposed along the loop's torus in the frame of
+    L(0) and mapped back."""
+
+    def check(self, form, g):
+        fiber = central_fiber_cycle(form, g)
+        assert sum(c.multiplicity * c.degree for c in fiber.components) == 2
+        assert _off_central_form(form, g, fiber) <= 1e-9
+        assert check_chow_inequality(g, fiber, form=form, order=48).quad_error <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ldu_loops(self, seed):
+        rng = random.Random(1300 + seed)
+        for g in _torus_loops(rng, 5):
+            self.check(_complex_conic(rng), g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complex_conics_under_admissible_loops(self, seed):
+        rng = random.Random(1310 + seed)
+        for _ in range(5):
+            self.check(_complex_conic(rng), random_admissible_loop(rng)[0])
+
+    def test_double_line_is_exact(self):
+        square = HypersurfaceForm.from_dict(3, {(2, 0, 0): 1, (1, 1, 0): (0, 2), (0, 2, 0): -1})
+        fiber = central_fiber_cycle(square, LaurentMatrix.identity(3))
+        assert [(c.degree, c.multiplicity) for c in fiber.components] == [(1, 2)]
+        self.check(square, LaurentMatrix.identity(3))
+
+    def test_trivial_degeneration_of_a_non_toric_conic(self):
+        form = HypersurfaceForm.from_dict(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): 1})
+        with pytest.raises(ValueError, match="not supported on a lattice segment"):
+            central_fiber_cycle(form, LaurentMatrix.identity(3))
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        class Refuse:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.random.{name} used")
+
+        monkeypatch.setattr(np, "random", Refuse())
+        for exps in ([0, 0, 0], [0, 0, 1], [0, 1, 0]):  # smooth conic, line pair, double line
+            central_fiber_cycle(CONIC_FORM, LaurentMatrix.exponent_diagonal(exps))
 
 
 class TestCentralFiber:
@@ -343,7 +429,7 @@ class TestCentralFiber:
         fiber = central_fiber_cycle(CONIC_FORM, conic_loop())
         assert len(fiber.components) == 2
         assert fiber.total_degree == 2
-        mono = central_fiber_form(CONIC_FORM, conic_loop())
+        mono = central_form(CONIC_FORM, conic_loop())
         assert set(mono) == {(1, 0, 1)}
 
     def test_identity_limit_smooth(self):

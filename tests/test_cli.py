@@ -124,6 +124,19 @@ class TestChowCommand:
         assert rep["inequality_satisfied"] is True
         assert abs(rep["pairing"] - 1 / 12) < 1e-6
 
+    def test_trivial_degeneration_notes_no_pairing(self, runner, tmp_path):
+        # x0^2 + x1^2 + x2^2 + x0 x1 is not toric, and the identity loop
+        # leaves it where it is: no torus decomposes the central fiber
+        form, loop = tmp_path / "form.json", tmp_path / "loop.json"
+        form.write_text(json.dumps({"form": {"2,0,0": [1, 0], "0,2,0": [1, 0], "0,0,2": [1, 0], "1,1,0": [1, 0]}}))
+        loop.write_text(json.dumps({"size": 3, "entries": [[[0, 1, 1]], [], [], [], [[0, 1, 1]], [], [], [], [[0, 1, 1]]]}))
+        res = run(runner, "chow", "--input", str(form), "--loop", str(loop))
+        assert res.exit_code == 0
+        rep = json.loads(res.output)
+        assert set(rep) == {"chow_weight", "convention", "note"}
+        assert rep["chow_weight"] == "0/1"
+        assert rep["note"].startswith("no central-fiber pairing: ")
+
 
 class TestMomentCommand:
     def test_line(self, runner):
@@ -578,3 +591,33 @@ def test_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "factorize" in proc.stdout
+
+
+def test_balance_kernel_bound_exit_2(capped_python, tmp_path):
+    # the degree-64 image cycle at order 512 needs 2.7e8 complex kernel
+    # entries (4.4 GB); at the default order 32 it stays under the bound
+    from kstab.bergman import RadialMetric, image_cycle
+    from kstab.cycles import balance_iterate
+
+    cycle = image_cycle(RadialMetric(0.1), 64)
+    balance_iterate(cycle, max_steps=1)
+    path = tmp_path / "image64.json"
+    path.write_text(json.dumps({"ambient": cycle.ambient_dim, "components": [
+        {"coeffs": [[[z.real, z.imag] for z in row] for row in c.coeffs], "multiplicity": c.multiplicity}
+        for c in cycle.components]}))
+    argv = ["balance", "--input", str(path), "--order", "512"]
+    proc = capped_python(f"import sys\nfrom kstab.cli import main\nsys.argv[1:] = {argv!r}\nmain()\n")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("error:") == 1 and "2^25" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("option", [["--k", "100000000"], ["--k", "1:100000000"], ["--grid", "100000000"]],
+                         ids=["level", "range", "grid"])
+def test_bergman_bounds_exit_2(capped_python, option):
+    # gram at level 10^8 asked for 191 GiB, and rho on 10^8 grid points for 763 MiB
+    argv = ["bergman", "--input", str(DATA / "bump_metric.json")] + option
+    proc = capped_python(f"import sys\nfrom kstab.cli import main\nsys.argv[1:] = {argv!r}\nmain()\n")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("error:") == 1 and ("1..8192" in proc.stderr or "1..4096" in proc.stderr)
+    assert proc.stdout == ""
