@@ -106,25 +106,6 @@ class HypersurfaceForm:
         )
 
 
-def _adjugate(g: LaurentMatrix) -> LaurentMatrix:
-    n = g.size
-    if n == 1:
-        return LaurentMatrix([[LaurentPoly.one()]])
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = LaurentMatrix(
-                [
-                    [g.entries[r][c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-            )
-            d = minor.det()
-            out[i][j] = d if (i + j) % 2 == 0 else -d
-    return LaurentMatrix(out)
-
-
 def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
     """Lifted form, rows of P = t^(-nu) m with nu the lowest entry order of m,
     the order shift d*nu of F(m x) = t^(d nu) F(P x), and the span of t-powers
@@ -132,7 +113,7 @@ def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
     if g.size != form.nvars:
         raise ValueError("loop size does not match the number of variables")
     if convention == "calibrated":
-        m = _adjugate(g)
+        m = g.adjugate()
     elif convention == "flipped":
         m = g
     else:
@@ -147,14 +128,13 @@ def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
 
 
 def _mv_mul(p: dict, q: dict, K: int) -> dict:
-    """Product modulo t^K of two forms in y with Laurent coefficients."""
+    """Product modulo t^K of two forms in y with Laurent coefficients; the
+    products that land on one monomial are added once."""
     out: dict = {}
     for e1, s1 in p.items():
         for e2, s2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            term = s1.mul(s2, K)
-            out[e] = out[e] + term if e in out else term
-    return out
+            out.setdefault(tuple(a + b for a, b in zip(e1, e2)), []).append(s1.mul(s2, K))
+    return {e: LaurentPoly.sum(terms) for e, terms in out.items()}
 
 
 def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
@@ -178,7 +158,6 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         for _ in range(2, max(e[a] for e in lifted.monomials) + 1):
             pw.append(_mv_mul(pw[-1], linear, K))
         powers.append(pw)
-    zero = LaurentPoly.zero()
     out: dict = {}
     for exps, lc in lifted.monomials.items():
         term = None
@@ -188,9 +167,10 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         c_re = LaurentPoly({e: re for e, (re, _) in lc.items() if e < K})
         c_im = LaurentPoly({e: im for e, (_, im) in lc.items() if e < K})
         for mono, ser in term.items():
-            re, im = out.get(mono, (zero, zero))
-            out[mono] = (re + c_re.mul(ser, K), im + c_im.mul(ser, K))
-    return out
+            re, im = out.setdefault(mono, ([], []))
+            re.append(c_re.mul(ser, K))
+            im.append(c_im.mul(ser, K))
+    return {mono: (LaurentPoly.sum(re), LaurentPoly.sum(im)) for mono, (re, im) in out.items()}
 
 
 def transformed_form(

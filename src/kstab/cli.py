@@ -183,7 +183,7 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
     convention = "calibrated" if sign == "calibrated" else "flipped"
     try:
         ch = cw.chow_weight(form, g, convention=convention)
-    except (ValueError, DegenerateLoopError) as exc:
+    except (ValueError, FactorizationError) as exc:
         sys.exit(_fail(EXIT_INVARIANT, str(exc)))
     data = {"chow_weight": _frac(ch), "convention": convention}
     if form.nvars == 3 and form.degree == 2 and convention == "calibrated":

@@ -13,15 +13,23 @@ diagonal that is triangular with bounded entry degrees in the basis order
 that sorts the exponents.  All arithmetic in this module is exact; no
 floating point is used anywhere.
 
-A :class:`LaurentPoly` is an integer offset times a trimmed
-:mod:`kstab.poly` coefficient list, the one exact polynomial format of the
-package: sums and products (optionally truncated below t^K) go through
-``poly.add`` and ``poly.mul``, and the factorization and the Chow window
-work on entries truncated modulo t^K.
+A :class:`LaurentPoly` is an integer offset times a trimmed list of integer
+numerators over one positive denominator, in lowest terms (the layout of
+FLINT's ``fmpq_poly``), the one exact polynomial format of the package:
+products (optionally truncated below t^K) run on the integer lists through
+``poly.mul``, sums rescale to the least common denominator, and
+``Fraction`` appears only where coefficients are read out.  Determinants
+are Bareiss elimination over Z[t, 1/t], and they and adjugates check
+themselves at one point modulo a prime; the factorization and the Chow
+window work on entries truncated modulo t^K.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +52,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DegenerateLoopError(ValueError):
@@ -56,8 +63,8 @@ class ZeroLaurentError(ValueError):
 
 
 class FactorizationError(ArithmeticError):
-    """Raised when a computed factorization fails its exact check (an
-    internal invariant; the CLI exits 3)."""
+    """Raised when a computed factorization, determinant or adjugate fails
+    its exact check (an internal invariant; the CLI exits 3)."""
 
 
 # Largest exponent span (highest minus lowest exponent with a nonzero
@@ -71,31 +78,28 @@ def _check_span(exps, what="exponents"):
         raise ValueError(f"{what} {min(exps)}..{max(exps)} span more than 2^20 = {MAX_SPAN}")
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 class LaurentPoly:
-    """Finite Laurent polynomial t^low * (coef[0] + coef[1] t + ...) over Q.
+    """Finite Laurent polynomial t^low * (coef[0] + coef[1] t + ...) / den over Q.
 
-    ``low`` is an integer offset and ``coef`` a trimmed :mod:`kstab.poly`
-    list whose first entry is nonzero; zero is low = 0, coef = [].  Values
-    are immutable, so shifted copies share their lists.
+    ``low`` is an integer offset, ``coef`` a list of integer numerators whose
+    first and last entries are nonzero, and ``den`` a positive integer that
+    shares no factor with all of ``coef``; zero is low = 0, coef = [],
+    den = 1.  The form is canonical, so equal values have equal fields.
+    Values are immutable, so shifted copies share their lists.
     """
 
-    __slots__ = ("low", "coef")
+    __slots__ = ("low", "coef", "den")
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        items = [(int(e), v) for e, v in ((e, _as_fraction(v)) for e, v in items) if v]
+        items = [(int(e), v) for e, v in ((e, Fraction(v)) for e, v in items) if v]
+        den = math.lcm(*(v.denominator for _, v in items))
         low = min((e for e, _ in items), default=0)
-        coef = [_ZERO] * (max((e for e, _ in items), default=low - 1) - low + 1)
+        coef = [0] * (max((e for e, _ in items), default=low - 1) - low + 1)
         for e, v in items:
-            coef[e - low] += v
-        stripped = _laurent(low, coef)
-        self.low, self.coef = stripped.low, stripped.coef
+            coef[e - low] += v.numerator * (den // v.denominator)
+        out = _laurent(low, coef, den)
+        self.low, self.coef, self.den = out.low, out.coef, out.den
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -104,11 +108,11 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: _ONE})
+        return _new(0, [1], 1)
 
     @classmethod
     def t_power(cls, e: int, c=1) -> "LaurentPoly":
-        return cls({int(e): _as_fraction(c)})
+        return cls({int(e): c})
 
     @classmethod
     def from_triples(cls, triples) -> "LaurentPoly":
@@ -123,11 +127,11 @@ class LaurentPoly:
     # -- structure ----------------------------------------------------
     @property
     def coeffs(self) -> dict:
-        return {self.low + i: v for i, v in enumerate(self.coef) if v}
+        return {self.low + i: Fraction(v, self.den) for i, v in enumerate(self.coef) if v}
 
     def coefficient(self, e: int) -> Fraction:
         i = int(e) - self.low
-        return self.coef[i] if 0 <= i < len(self.coef) else _ZERO
+        return Fraction(self.coef[i], self.den) if 0 <= i < len(self.coef) else _ZERO
 
     @property
     def is_zero(self) -> bool:
@@ -145,74 +149,90 @@ class LaurentPoly:
         return self.low + len(self.coef) - 1
 
     # -- arithmetic ---------------------------------------------------
+    @staticmethod
+    def sum(terms) -> "LaurentPoly":
+        """Sum of Laurent polynomials, accumulated in one integer list over
+        the least common multiple of their denominators and reduced once."""
+        out, low, den = [], 0, 1
+        for p in terms:
+            if not p.coef:
+                continue
+            if not out:
+                out, low, den = list(p.coef), p.low, p.den
+                continue
+            if p.den != den:
+                m = math.lcm(den, p.den)
+                out, den = [m // den * x for x in out], m
+            if p.low < low:
+                out[:0] = [0] * (low - p.low)
+                low = p.low
+            i, j = p.low - low, p.low - low + len(p.coef)
+            out += [0] * (j - len(out))
+            f = den // p.den
+            out[i:j] = [x + f * y for x, y in zip(out[i:j], p.coef)]
+        return _laurent(low, out, den)
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not (self.coef and other.coef):
-            return other if not self.coef else self
-        low, a, b = self.low, self.coef, other.coef
-        if other.low != low:
-            pad = [_ZERO] * abs(other.low - low)
-            low, a, b = (low, a, pad + b) if other.low > low else (other.low, b, pad + a)
-        return _laurent(low, poly.add(a, b))
+        return LaurentPoly.sum((self, other))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return _laurent(self.low, [-v for v in self.coef])
+        return _new(self.low, [-v for v in self.coef], self.den)
 
     def mul(self, other: "LaurentPoly", K=None) -> "LaurentPoly":
         """Product, or only its terms below t^K when K is given."""
         low = self.low + other.low
         # the lowest coefficients multiply to a nonzero one: nothing to strip
         coef = poly.mul(self.coef, other.coef, None if K is None else K - low)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.low, out.coef = (low, coef) if coef else (0, [])
-        return out
+        return _laurent(low, coef, self.den * other.den)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self.mul(other)
 
     def truncate(self, K: int) -> "LaurentPoly":
         """The terms below t^K."""
-        return _laurent(self.low, self.coef[: max(K - self.low, 0)])
+        return _laurent(self.low, self.coef[: max(K - self.low, 0)], self.den)
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by t^e."""
-        return _laurent(self.low + e, self.coef)
+        return _new(self.low + e if self.coef else 0, self.coef, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.low == other.low and self.coef == other.coef
+        return (self.low, self.den, self.coef) == (other.low, other.den, other.coef)
 
     def to_triples(self):
         return [[e, v.numerator, v.denominator] for e, v in self.coeffs.items()]
 
     def __repr__(self) -> str:
-        if not self.coef:
-            return "0"
-        parts = []
-        for e, v in self.coeffs.items():
-            if e == 0:
-                parts.append(f"{v}")
-            elif e == 1:
-                parts.append(f"{v}*t")
-            else:
-                parts.append(f"{v}*t^{e}")
-        return " + ".join(parts)
+        terms = (f"{v}" if e == 0 else f"{v}*t" if e == 1 else f"{v}*t^{e}" for e, v in self.coeffs.items())
+        return " + ".join(terms) or "0"
 
 
-def _laurent(low: int, coef) -> LaurentPoly:
-    """t^low * coef as a LaurentPoly, the zeros at both ends of coef removed."""
+def _new(low: int, coef, den: int) -> LaurentPoly:
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.low, out.coef, out.den = low, coef, den
+    return out
+
+
+def _laurent(low: int, coef, den: int = 1) -> LaurentPoly:
+    """t^low * coef / den in canonical form, for integers coef and den > 0:
+    the zeros at both ends of coef removed and the common factor of den and
+    coef divided out."""
     if not (coef and coef[0] and coef[-1]):
         start = next((i for i, v in enumerate(coef) if v), len(coef))
         end = len(coef)
         while end > start and not coef[end - 1]:
             end -= 1
         low, coef = (low + start, coef[start:end]) if start < end else (0, [])
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.low, out.coef = low, coef
-    return out
+    if den != 1:
+        g = math.gcd(den, *coef)
+        if g != 1:
+            coef, den = [v // g for v in coef], den // g
+    return _new(low, coef, den)
 
 
 class LaurentMatrix:
@@ -229,22 +249,13 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls, size: int) -> "LaurentMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return cls(
-            [[one if i == j else zero for j in range(size)] for i in range(size)]
-        )
+        return cls.exponent_diagonal([0] * size)
 
     @classmethod
     def exponent_diagonal(cls, exps) -> "LaurentMatrix":
         """diag(t^{e_0}, ..., t^{e_N})."""
-        size = len(exps)
         zero = LaurentPoly.zero()
-        return cls(
-            [
-                [LaurentPoly.t_power(exps[i]) if i == j else zero for j in range(size)]
-                for i in range(size)
-            ]
-        )
+        return cls([[LaurentPoly.t_power(e) if i == j else zero for j in range(len(exps))] for i, e in enumerate(exps)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):
@@ -267,51 +278,41 @@ class LaurentMatrix:
         """Matrix times a vector of Laurent polynomials."""
         if len(vector) != self.size:
             raise ValueError("vector length does not match loop size")
-        out = []
-        for i in range(self.size):
-            acc = LaurentPoly.zero()
-            for j in range(self.size):
-                acc = acc + self.entries[i][j] * vector[j]
-            out.append(acc)
-        return out
+        return [LaurentPoly.sum(p * v for p, v in zip(row, vector)) for row in self.entries]
 
     def det(self) -> LaurentPoly:
-        """Exact determinant by fraction-free (Bareiss) elimination over
-        Q[t, 1/t]: at step k every entry becomes
-        (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), a division that is exact.
-        """
+        """Exact determinant (``_bareiss``), checked at one point modulo a
+        prime: the rows cleared of denominators give prod(f) det at t0."""
+        det = _bareiss(self.entries)
+        (vals, mults), ([[value]], [den]) = _values_at_t0(self.entries), _values_at_t0([[det]])
+        num, scale = _det_mod(vals)
+        if (num - scale * value * (math.prod(mults) // den)) % _PRIME:
+            raise FactorizationError("determinant failed its check modulo 2^61 - 1")
+        return det
+
+    def adjugate(self) -> "LaurentMatrix":
+        """Transposed matrix of cofactors, by Bareiss elimination of the
+        minors, checked once as g adj(g) = det(g) I at one point modulo a
+        prime, with g's rows and adj's columns cleared of denominators."""
         n = self.size
-        a = [list(row) for row in self.entries]
-        sign, prev = 1, None
-        for k in range(n - 1):
-            piv = next((r for r in range(k, n) if not a[r][k].is_zero), None)
-            if piv is None:
-                return LaurentPoly.zero()
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            akk, row_k = a[k][k], a[k]
-            for row in a[k + 1 :]:
-                neg_aik = -row[k]
-                for j in range(k + 1, n):
-                    num = akk * row[j] + neg_aik * row_k[j]
-                    if k:  # exact: prev.coef has a nonzero constant term
-                        num = _laurent(num.low - prev.low, poly.quorem(num.coef, prev.coef)[0])
-                    row[j] = num
-            prev = akk
-        return a[-1][-1] if sign > 0 else -a[-1][-1]
+        adj = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                d = _bareiss([[p for c, p in enumerate(row) if c != i] for r, row in enumerate(self.entries) if r != j])
+                adj[i][j] = d if (i + j) % 2 == 0 else -d
+        (g, f), (a, h) = _values_at_t0(self.entries), _values_at_t0(zip(*adj))
+        num, scale = _det_mod(g)
+        scale *= math.prod(f)
+        for i, k in itertools.product(range(n), repeat=2):
+            if (sum(map(operator.mul, g[i], a[k])) * scale - (i == k) * f[i] * h[k] * num) % _PRIME:
+                raise FactorizationError("adjugate failed its check modulo 2^61 - 1")
+        return LaurentMatrix(adj)
 
     def value_at_zero(self):
         """Matrix of constant coefficients; requires no negative exponents."""
-        vals = []
-        for row in self.entries:
-            r = []
-            for p in row:
-                if not p.is_zero and p.ord() < 0:
-                    raise ValueError("entry has a pole at t=0")
-                r.append(p.coefficient(0))
-            vals.append(r)
-        return vals
+        if not self.is_holomorphic():
+            raise ValueError("entry has a pole at t=0")
+        return [[p.coefficient(0) for p in row] for row in self.entries]
 
     def is_holomorphic(self) -> bool:
         return all(p.is_zero or p.ord() >= 0 for row in self.entries for p in row)
@@ -321,50 +322,107 @@ class LaurentMatrix:
         return "LaurentMatrix([\n  " + "\n  ".join(rows) + "\n])"
 
 
+def _bareiss(rows) -> LaurentPoly:
+    """Determinant by fraction-free (Bareiss) elimination over Z[t, 1/t].
+
+    Each row is first multiplied by the least common multiple of its
+    denominators; at step k every entry becomes
+    (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), a division that is exact, and the
+    product of the row multipliers is divided back out at the end.
+    """
+    n, a, scale = len(rows), [], 1
+    for row in rows:
+        f = math.lcm(*(p.den for p in row))
+        a.append([_new(p.low, [f // p.den * v for v in p.coef], 1) for p in row])
+        scale *= f
+    sign, prev = 1, None
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if a[r][k].coef), None)
+        if piv is None:
+            return LaurentPoly()
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        akk, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            neg_aik = -row[k]
+            for j in range(k + 1, n):
+                num = akk * row[j] + neg_aik * row_k[j]
+                row[j] = _exact_quotient(num, prev) if k else num  # step 0 divides by 1
+        prev = akk
+    return _laurent(a[-1][-1].low, [sign * v for v in a[-1][-1].coef], scale) if n else LaurentPoly.one()
+
+
+def _exact_quotient(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
+    """num / div for integer Laurent polynomials, by long division from the
+    top; a Bareiss step divides exactly, so a remainder is a failed check."""
+    a, b = list(num.coef), div.coef
+    q = [0] * (len(a) - len(b) + 1)
+    for i in reversed(range(len(q))):
+        q[i], r = divmod(a[i + len(b) - 1], b[-1])
+        if r:
+            break
+        for j, y in enumerate(b):
+            a[i + j] -= q[i] * y
+    if any(a):
+        raise FactorizationError("determinant: a Bareiss division left a remainder")
+    return _laurent(num.low - div.low, q)
+
+
+# Exact results are checked at a seeded point t0 modulo the Mersenne prime
+# 2^61 - 1 (Schwartz-Zippel).  Rows are cleared of denominators before they
+# are evaluated, so no denominator is inverted, and t0 is a unit, so every
+# value exists.
+_PRIME = 2 ** 61 - 1
+_T0 = random.Random(_PRIME).randrange(2, _PRIME)
+_T0_INV = pow(_T0, -1, _PRIME)
+
+
+def _values_at_t0(rows):
+    """The rows, each multiplied by the least common multiple of its
+    denominators, at t0 modulo the prime; and the multipliers."""
+    rows = [list(row) for row in rows]
+    pw = [1]
+    for _ in range(max(len(p.coef) for row in rows for p in row) - 1):
+        pw.append(pw[-1] * _T0 % _PRIME)
+    vals, mults = [], []
+    for row in rows:
+        f = math.lcm(*(p.den for p in row))
+        t_low = (pow(_T0 if p.low >= 0 else _T0_INV, abs(p.low), _PRIME) for p in row)
+        vals.append([sum(map(operator.mul, p.coef, pw)) * (f // p.den) * t % _PRIME for p, t in zip(row, t_low)])
+        mults.append(f)
+    return vals, mults
+
+
+def _det_mod(m):
+    """(num, scale) with num / scale the determinant modulo the prime, by
+    fraction-free Gaussian elimination: each row update scales by a pivot."""
+    m, n, num, scale = [list(row) for row in m], len(m), 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0, 1
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            num = -num
+        pk, top = m[k][k], m[k][k + 1 :]
+        num = num * pk % _PRIME
+        for row in m[k + 1 :]:
+            f = row[k]
+            if f:
+                row[k + 1 :] = [(pk * x - f * y) % _PRIME for x, y in zip(row[k + 1 :], top)]
+                scale = scale * pk % _PRIME
+    return num, scale
+
+
 def multiply(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """Exact product of two loops of equal size."""
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    n = a.size
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = LaurentPoly.zero()
-            for k in range(n):
-                p = a.entries[i][k]
-                q = b.entries[k][j]
-                if not (p.is_zero or q.is_zero):
-                    acc = acc + p * q
-            row.append(acc)
-        out.append(row)
-    return LaurentMatrix(out)
-
-
-def _rational_det(rows) -> Fraction:
-    """Determinant of a matrix of Fractions by fraction Gaussian elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = _ONE
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return _ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
+    cols = list(zip(*b.entries))
+    return LaurentMatrix(
+        [[LaurentPoly.sum(p * q for p, q in zip(row, col) if p.coef and q.coef) for col in cols] for row in a.entries]
+    )
 
 
 @dataclass(frozen=True)
@@ -390,11 +448,8 @@ class LoopFactorization:
         """Exponents placed on the original basis: e[order[k]] = weights[k]."""
         return _on_basis(self.order, self.weights)
 
-    def middle(self) -> LaurentMatrix:
-        return LaurentMatrix.exponent_diagonal(self.exponent_vector())
-
     def reassemble(self) -> LaurentMatrix:
-        return multiply(self.left, multiply(self.middle(), self.right))
+        return multiply(self.left.scale_columns(self.exponent_vector()), self.right)
 
     def right_inverse(self) -> LaurentMatrix:
         """Exact inverse of the unit-diagonal triangular factor."""
@@ -410,6 +465,17 @@ class _WindowTooSmall(Exception):
     pass
 
 
+def _inverse(u: LaurentPoly, P: int) -> LaurentPoly:
+    """Inverse modulo t^P of a unit c/d of the power series ring, on integers:
+    d/c = d (b_0 + b_1 t + ...) / c0^P with b_0 = c0^(P-1) and
+    b_m = -(c_1 b_(m-1) + ... + c_m b_0) / c0, a division that is exact."""
+    c, sign = u.coef, -1 if u.coef[0] < 0 and P % 2 else 1
+    b = [c[0] ** (P - 1)]
+    for m in range(1, P):
+        b.append(-sum(c[i] * b[m - i] for i in range(1, min(m, len(c) - 1) + 1) if c[i]) // c[0])
+    return _laurent(0, [sign * u.den * x for x in b], sign * c[0] ** P)
+
+
 def _echelon(rows, size, K):
     """Reduce spanning rows to the triangular normal-form basis.
 
@@ -419,22 +485,13 @@ def _echelon(rows, size, K):
     exponents confined to [wts[k], wts[j]).
     """
     active = list(range(size))
-    sigma = [0] * size
-    wts = [0] * size
-    basis = [None] * size
+    sigma, wts, basis = [0] * size, [0] * size, [None] * size
 
     for pos in range(size - 1, -1, -1):
-        best = None  # (ord, -coord, row)
-        for i in active:
-            for c in range(size):
-                p = rows[i][c]
-                if not p.is_zero:
-                    key = (p.ord(), -c, i)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+        keys = [(p.low, -c, i) for i in active for c, p in enumerate(rows[i]) if p.coef]  # (ord, -coord, row)
+        if not keys:
             raise _WindowTooSmall
-        m, negc, istar = best
+        m, negc, istar = min(keys)
         cstar = -negc
 
         # normalize the pivot row so its cstar entry becomes exactly t^m; the
@@ -442,7 +499,7 @@ def _echelon(rows, size, K):
         piv_row = rows[istar]
         rest = [p.ord() for c, p in enumerate(piv_row) if c != cstar and not p.is_zero]
         if rest:
-            uinv = _laurent(0, poly.inv(piv_row[cstar].coef, K - min(rest)))
+            uinv = _inverse(piv_row[cstar], K - min(rest))
             piv_row = rows[istar] = [uinv.mul(p, K) for p in piv_row]
         piv_row[cstar] = LaurentPoly.t_power(m)
 
@@ -451,7 +508,7 @@ def _echelon(rows, size, K):
             if i == istar or ent.is_zero:
                 continue
             neg_mu = -ent.shift(-m)  # ord(ent) >= m: exact division by t^m
-            rows[i] = [p + neg_mu.mul(q, K) for p, q in zip(rows[i], piv_row)]
+            rows[i] = [p + neg_mu.mul(q, K) if q.coef else p for p, q in zip(rows[i], piv_row)]
 
         sigma[pos] = cstar
         wts[pos] = m
@@ -488,9 +545,7 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
         raise DegenerateLoopError("degenerate loop: determinant vanishes identically")
     n = g.size
 
-    nu = min(
-        (p.ord() for row in g.entries for p in row if not p.is_zero), default=0
-    )
+    nu = min((p.ord() for row in g.entries for p in row if not p.is_zero), default=0)
     shifted = g.shift(-nu)  # polynomial entries
     cap = det.ord() - n * nu + 1
     K = 1
@@ -543,19 +598,12 @@ def _assemble(g, sigma, wts, basis, nu, det):
     rinv = _invert_unitriangular(right, sigma)
     left = multiply(g, rinv).scale_columns([-e for e in _on_basis(sigma, weights)])
 
-    if not left.is_holomorphic():
+    # left(0) is invertible: left is holomorphic and, as det right = 1,
+    # ord det left = ord det g - sum(weights) = 0
+    if not left.is_holomorphic() or sum(weights) != det.ord():
         return None
-    if _rational_det(left.value_at_zero()) == 0:
-        return None
-
-    fac = LoopFactorization(
-        left=left, weights=weights, right=right, order=tuple(sigma)
-    )
-    if fac.reassemble() != g:
-        return None
-    if sum(weights) != det.ord():
-        return None
-    return fac
+    fac = LoopFactorization(left=left, weights=weights, right=right, order=tuple(sigma))
+    return fac if fac.reassemble() == g else None
 
 
 def _on_basis(order, weights):
@@ -567,23 +615,16 @@ def _on_basis(order, weights):
 
 
 def _invert_unitriangular(right: LaurentMatrix, sigma) -> LaurentMatrix:
-    """Exact inverse of the unit-diagonal triangular factor."""
-    n = right.size
-    zero = LaurentPoly.zero()
-    inv = [[zero] * n for _ in range(n)]
-    for col in range(n):
-        # solve right * x = e_col by substitution in sigma order
-        x = [zero] * n
-        for i in range(n):
-            acc = LaurentPoly.one() if sigma[i] == col else zero
-            for j in range(i):
-                r = right.entries[sigma[i]][sigma[j]]
-                if not (r.is_zero or x[sigma[j]].is_zero):
-                    acc = acc - r * x[sigma[j]]
-            x[sigma[i]] = acc
-        for i in range(n):
-            inv[i][col] = x[i]
-    return LaurentMatrix(inv)
+    """Exact inverse of the unit-diagonal triangular factor: column by
+    column, right x = e_col solved by substitution in sigma order."""
+    cols, one = [], LaurentPoly.one()
+    for col in range(right.size):
+        x = [LaurentPoly.zero()] * right.size
+        for i, s in enumerate(sigma):
+            terms = [-(right.entries[s][sigma[j]] * x[sigma[j]]) for j in range(i)]
+            x[s] = LaurentPoly.sum(terms + [one] * (s == col))
+        cols.append(x)
+    return LaurentMatrix(zip(*cols))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Dense univariate polynomials as ascending coefficient lists (p[i] is the
-coefficient of x^i), exact over Fraction; zero is the empty list and every
-result is trimmed of trailing zeros.
+coefficient of x^i), exact over int or Fraction; zero is the empty list and
+every result is trimmed of trailing zeros.  ``add``, ``mul`` and ``deriv``
+keep integer lists integral; ``quorem`` and ``gcd`` work over Fraction.
 
 This is the one coefficient format of the exact code: ``kstab.laurent``
-stores a Laurent polynomial as a power of t times such a list, and ``mul``
-(optionally truncated below x^K) is the one coefficient convolution.
+stores a Laurent polynomial as a power of t times such a list of integer
+numerators over one denominator, and ``mul`` (optionally truncated below
+x^K) is the one coefficient convolution.
 ``evaluate`` is Horner's rule and also takes float coefficients with a
 numpy array argument.
 """
@@ -13,9 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["add", "mul", "inv", "deriv", "quorem", "gcd", "evaluate"]
-
-_ZERO = Fraction(0)
+__all__ = ["add", "mul", "deriv", "quorem", "gcd", "evaluate"]
 
 
 def _trim(p):
@@ -52,21 +52,12 @@ def mul(a, b, K=None):
         n = min(n, K)
     if n <= 0 or not b:
         return []
-    out = [b[0] * x for x in a[:n]] + [_ZERO] * (n - len(a))
+    out = [b[0] * x for x in a[:n]] + [0] * (n - len(a))
     for j, y in enumerate(b[1:n], 1):
         if y:
             for i, x in enumerate(a[: n - j]):
                 if x:
                     out[i + j] += x * y
-    return _trim(out)
-
-
-def inv(a, K):
-    """Inverse modulo x^K of a power series with a[0] != 0."""
-    out = [1 / Fraction(a[0])]
-    for m in range(1, K):
-        terms = (a[i] * out[m - i] for i in range(1, min(m, len(a) - 1) + 1) if a[i])
-        out.append(-sum(terms, _ZERO) * out[0])
     return _trim(out)
 
 

@@ -16,7 +16,6 @@ import kstab.cycles as cycles_module
 from kstab.acceptance import CONIC_FORM, random_admissible_loop, rnc3_cycle
 from kstab.chow import (
     HypersurfaceForm,
-    _adjugate,
     central_fiber_cycle,
     check_chow_inequality,
     chow_weight,
@@ -292,7 +291,7 @@ class TestWindowedOrder:
         for _ in range(5):
             n = rng.randint(2, 3)
             g, form = _ldu_loop(rng, n), _random_form(rng, n, rng.randint(1, 2))
-            for convention, m in (("calibrated", _adjugate(g)), ("flipped", g)):
+            for convention, m in (("calibrated", g.adjugate()), ("flipped", g)):
                 assert transformed_form(form, g, convention).monomials == _expand_reference(form.canonical_lift(), m)
 
     def test_cancellation_doubles_window(self, monkeypatch):

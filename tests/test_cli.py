@@ -554,6 +554,19 @@ def test_failed_factorization_check_exit_3(runner, monkeypatch, args):
     _assert_clean_exit(res)
 
 
+def test_failed_det_check_exit_3(runner, monkeypatch):
+    # a wrong Bareiss determinant fails the check at one point modulo a prime
+    # inside chow_weight, before any factorization
+    from kstab import laurent
+
+    bareiss = laurent._bareiss
+    monkeypatch.setattr(laurent, "_bareiss", lambda rows: bareiss(rows) + laurent.LaurentPoly.one())
+    res = runner.invoke(main, ["chow", "--input", str(DATA / "conic_form.json"), "--loop", str(DATA / "conic_loop.json")])
+    assert res.exit_code == 3
+    assert res.stderr == "error: determinant failed its check modulo 2^61 - 1\n"
+    _assert_clean_exit(res)
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(only=st.text(alphabet="0123456789,- x", min_size=1, max_size=6))

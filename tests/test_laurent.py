@@ -1,15 +1,19 @@
 """Exact loop algebra and factorization tests."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab import laurent
 from kstab.acceptance import random_loop, structured_loop
 from kstab.laurent import (
     DegenerateLoopError,
+    FactorizationError,
     LaurentMatrix,
     LaurentPoly,
     ZeroLaurentError,
@@ -105,7 +109,45 @@ def windows(monkeypatch):
     return seen
 
 
+def canonical(p):
+    """p, after asserting its canonical form: integer numerators without zeros
+    at either end, and a positive denominator sharing no factor with them."""
+    assert p.den > 0 and all(type(v) is int for v in p.coef)
+    assert math.gcd(p.den, *p.coef) == 1
+    assert (p.coef[0] and p.coef[-1]) if p.coef else (p.low, p.den) == (0, 1)
+    return p
+
+
+def nonzero(d):
+    return {e: v for e, v in d.items() if v}
+
+
+_SPARSE = st.dictionaries(
+    st.integers(-6, 6), st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=6
+)
+
+
 class TestLaurentPoly:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(a=_SPARSE, b=_SPARSE, K=st.integers(-14, 14), e=st.integers(-5, 5))
+    def test_matches_fraction_dict_reference(self, a, b, K, e):
+        p, q = canonical(lp(a)), canonical(lp(b))
+        a, b = nonzero(a), nonzero(b)
+        prod = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                prod[i + j] = prod.get(i + j, 0) + x * y
+        assert p.coeffs == a and q.coeffs == b
+        assert canonical(p + q).coeffs == nonzero({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()})
+        assert canonical(p - q).coeffs == nonzero({k: a.get(k, 0) - b.get(k, 0) for k in a.keys() | b.keys()})
+        assert canonical(p * q).coeffs == nonzero(prod)
+        assert canonical(p.mul(q, K)).coeffs == nonzero({k: v for k, v in prod.items() if k < K})
+        assert canonical(p.truncate(K)).coeffs == {k: v for k, v in a.items() if k < K}
+        assert canonical(p.shift(e)).coeffs == {k + e: v for k, v in a.items()}
+        assert canonical(LaurentPoly.sum([p, q, -p])) == q
+        assert all(p.coefficient(k) == a.get(k, 0) for k in range(-8, 9))
+        assert (p == q) == (a == b) and p == lp(a)
+
     def test_ord_deg(self):
         p = lp({-2: 1, 3: Fraction(1, 2)})
         assert p.ord() == -2 and p.deg() == 3
@@ -180,6 +222,43 @@ class TestDet:
     def test_matches_cofactor_expansion(self):
         for _, g in _det_cases():
             assert g.det() == cofactor_det(g)
+
+    def test_matches_cofactor_expansion_over_denominators_3_5_7(self):
+        rng = random.Random(357)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+
+            def entry():
+                exps = range(rng.randint(-2, 0), rng.randint(0, 2) + 1)
+                return lp({e: Fraction(rng.randint(-6, 6), rng.choice([1, 3, 5, 7, 15, 21])) for e in exps})
+
+            g = LaurentMatrix([[entry() for _ in range(n)] for _ in range(n)])
+            assert g.det() == cofactor_det(g)
+
+    def test_adjugate_matches_cofactors(self):
+        for _, g in _det_cases():
+            n = g.size
+            adj = g.adjugate()
+            for i in range(n):
+                for j in range(n):
+                    minor = LaurentMatrix([[p for c, p in enumerate(row) if c != i] for r, row in enumerate(g.entries) if r != j])
+                    want = cofactor_det(minor) if n > 1 else LaurentPoly.one()
+                    assert adj.entries[i][j] == (want if (i + j) % 2 == 0 else -want)
+
+    def test_bareiss_division_with_remainder_raises(self):
+        with pytest.raises(FactorizationError, match="remainder"):
+            laurent._exact_quotient(lp({0: 1, 1: 1}), lp({0: 2}))
+        with pytest.raises(FactorizationError, match="remainder"):
+            laurent._exact_quotient(lp({0: 1, 2: 1}), lp({0: 1, 1: 1}))
+        assert laurent._exact_quotient(lp({0: -1, 2: 1}), lp({0: 1, 1: 1})) == lp({0: -1, 1: 1})
+
+    @pytest.mark.parametrize("routine", ["det", "adjugate"])
+    def test_check_at_one_point_catches_a_wrong_result(self, monkeypatch, routine):
+        bareiss = laurent._bareiss
+        monkeypatch.setattr(laurent, "_bareiss", lambda rows: bareiss(rows) + lp({len(rows): Fraction(1, 3)}))
+        g = LaurentMatrix([[lp({0: 1, 1: 2}), lp({-1: Fraction(1, 2)})], [lp({2: 3}), lp({0: Fraction(5, 7)})]])
+        with pytest.raises(FactorizationError, match="failed its check modulo 2\\^61 - 1"):
+            getattr(g, routine)()
 
     def test_matches_sympy(self):
         sp = pytest.importorskip("sympy")
@@ -318,6 +397,23 @@ class TestFactorize:
         high, low, seconds = proc.stdout.split()
         assert (int(high), int(low)) == (top, 0)
         assert float(seconds) < 0.1
+
+    def test_wide_non_monic_pivot(self, capped_python):
+        """The pivot 2 + t is inverted to t^8193 on integer numerators, over
+        the one denominator 2^8193 (1.47 s with Fraction coefficients)."""
+        proc = capped_python(
+            "import time\n"
+            "from kstab.laurent import LaurentMatrix, LaurentPoly, factorize\n"
+            "g = LaurentMatrix([[LaurentPoly({0: 1}), LaurentPoly({0: 2, 1: 1})], [LaurentPoly.t_power(8192), LaurentPoly()]])\n"
+            "t0 = time.perf_counter()\n"
+            "f = factorize(g)\n"
+            "assert f.reassemble() == g\n"
+            "print(*f.weights, time.perf_counter() - t0)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        high, low, seconds = proc.stdout.split()
+        assert (int(high), int(low)) == (8192, 0)
+        assert float(seconds) < 1.0
 
     def test_unit_diagonal_placement(self):
         # degeneration living on the second coordinate forces the order
