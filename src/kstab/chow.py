@@ -158,6 +158,7 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         for _ in range(2, max(e[a] for e in lifted.monomials) + 1):
             pw.append(_mv_mul(pw[-1], linear, K))
         powers.append(pw)
+    zero = LaurentPoly.zero()
     out: dict = {}
     for exps, lc in lifted.monomials.items():
         term = None
@@ -167,10 +168,9 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         c_re = LaurentPoly({e: re for e, (re, _) in lc.items() if e < K})
         c_im = LaurentPoly({e: im for e, (_, im) in lc.items() if e < K})
         for mono, ser in term.items():
-            re, im = out.setdefault(mono, ([], []))
-            re.append(c_re.mul(ser, K))
-            im.append(c_im.mul(ser, K))
-    return {mono: (LaurentPoly.sum(re), LaurentPoly.sum(im)) for mono, (re, im) in out.items()}
+            re, im = out.get(mono, (zero, zero))
+            out[mono] = (re + c_re.mul(ser, K), im + c_im.mul(ser, K))
+    return out
 
 
 def transformed_form(
