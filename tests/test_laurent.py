@@ -399,8 +399,8 @@ class TestFactorize:
         assert float(seconds) < 0.1
 
     def test_wide_non_monic_pivot(self, capped_python):
-        """The pivot 2 + t is inverted to t^8193 on integer numerators, over
-        the one denominator 2^8193 (1.47 s with Fraction coefficients)."""
+        """The pivot 2 + t is inverted modulo t^8193 on integer numerators,
+        over the one denominator 2^8193, not as 8193 Fractions."""
         proc = capped_python(
             "import time\n"
             "from kstab.laurent import LaurentMatrix, LaurentPoly, factorize\n"
