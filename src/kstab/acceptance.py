@@ -294,12 +294,11 @@ def c06_equivariant_equality() -> dict:
     ch = cw.chow_weight(CONIC_FORM, g)
     assert ch == Fraction(1, 12)
     fiber = cw.central_fiber_cycle(CONIC_FORM, g)
-    res = cy.moment_matrix(fiber, order=64, tol=1e-8)
-    pair = cy.pairing(res.matrix, cw.section_diagonal(g))
-    diff = abs(float(ch) - pair)
-    assert res.quad_error <= 1e-8, f"quadrature error {res.quad_error:g}"
+    chk = cw.check_chow_inequality(g, fiber, ch, order=64)
+    diff = abs(chk.slack)
+    assert chk.quad_error <= 1e-8, f"quadrature error {chk.quad_error:g}"
     assert diff <= 1e-6, f"equality violated by {diff:g}"
-    return {"detail": f"chow = {ch}, pairing = {pair:.12f}, diff = {diff:.2e}"}
+    return {"detail": f"chow = {ch}, pairing = {chk.pairing:.12f}, diff = {diff:.2e}"}
 
 
 def c07_pairing_bound() -> dict:

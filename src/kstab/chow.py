@@ -2,17 +2,24 @@
 
 For a degree-d hypersurface {F = 0} in P^N moved by a loop g(t) acting on
 homogeneous coordinates, the path of Chow coordinates is carried by the
-coefficient vector of F(adj(g) x) (the adjugate substitution absorbs
-det g so everything stays polynomial in the loop entries).  The Chow
-weight is the exact rational
+coefficient vector of F(adj(g) x).  The Chow weight is the exact rational
 
     ord_t(det g) / (N + 1)  -  ord_t(coefficients of F(adj(g) x)) / (d N).
 
-Only the order and the lowest coefficients of F(adj(g) x) are needed, so
-they are read off its expansion modulo t^K, after shifting adj(g) by the
-lowest order of its entries; K starts at 1 and doubles until some
-coefficient is nonzero, up to the full t-span of the form.  The full
-expansion (``transformed_form``) is the same computation at the full span.
+It is computed from the loop's verified normal form g = L t^A R
+(``laurent.factorize``).  As adj(g) = det(g) R^(-1) t^(-A) L^(-1),
+
+    F(adj(g) x) = det(g)^d F(m L^(-1) x),   m = R^(-1) t^(-A),
+
+and L^(-1) is invertible over the power series ring (L(0) is invertible),
+so the order of F(adj(g) x) is d ord det g + ord F(m y), with
+ord det g = sum of the weights, and the lowest coefficients of F(m y) are
+the form of Y_0 = L(0)^(-1) X_0 up to a nonzero constant.  Only the order
+and the lowest coefficients of F(m y) are needed, so they are read off its
+expansion modulo t^K, after shifting m by the lowest order of its
+entries; K starts at 1 and doubles until some coefficient is nonzero, up
+to the full t-span of the form.  The full expansion (``transformed_form``)
+is the same computation at the full span.
 
 Orientation is calibrated once and frozen: weights live on the section
 side, so the dual pairing generator of a cycle-side loop is MINUS its
@@ -20,10 +27,11 @@ exponent diagonal.  With that convention the Chow weight of a pure
 exponent loop t^A equals the pairing of the central fiber's moment matrix
 with the section diagonal -A, it agrees with the k = 1 Chow number of the
 weight-polynomial module, and for a general loop it is bounded above by
-the central-fiber pairing.  The mirrored convention (substitute g itself,
-all signs reversed) is available behind a flag.  The central fiber of a
-plane conic is decomposed exactly along the loop's torus in the frame of
-L(0), the left normal-form factor at t = 0, and mapped back by L(0).
+the central-fiber pairing.  The mirrored convention (F(g x), all signs
+reversed) is available behind a flag; as R(0) is unit triangular, its
+order is that of F(m y) with m = L t^A.  The central fiber of a plane
+conic is decomposed exactly along the loop's torus in the frame of L(0),
+where its form is the lowest part of F(m y), and mapped back by L(0).
 """
 
 from __future__ import annotations
@@ -31,16 +39,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from kstab.laurent import LaurentMatrix, LaurentPoly, factorize
+from kstab.laurent import FactorizationError, LaurentMatrix, LaurentPoly, factorize
 
 __all__ = [
     "HypersurfaceForm",
     "chow_weight",
     "transformed_form",
     "central_fiber_cycle",
-    "section_diagonal",
     "ChowCheck",
     "check_chow_inequality",
     "form_from_json",
@@ -108,23 +115,26 @@ class HypersurfaceForm:
 
 def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
     """Lifted form, rows of P = t^(-nu) m with nu the lowest entry order of m,
-    the order shift d*nu of F(m x) = t^(d nu) F(P x), and the span of t-powers
-    F(P x) can have."""
+    the order shift d*nu of F(m y) = t^(d nu) F(P y), the span of t-powers
+    F(P y) can have, and the factorization g = L t^A R that m comes from:
+    m = R^(-1) t^(-A) (calibrated) or L t^A (flipped)."""
     if g.size != form.nvars:
         raise ValueError("loop size does not match the number of variables")
-    if convention == "calibrated":
-        m = g.adjugate()
-    elif convention == "flipped":
-        m = g
-    else:
+    if convention not in ("calibrated", "flipped"):
         raise ValueError("convention must be 'calibrated' or 'flipped'")
+    fac = factorize(g)
+    e = fac.exponent_vector()
+    if convention == "calibrated":
+        m = fac.right_inverse().scale_columns([-x for x in e])
+    else:
+        m = fac.left.scale_columns(e)
     lifted = form.canonical_lift()
     nonzero = [p for row in m.entries for p in row if not p.is_zero]
     nu = min((p.ord() for p in nonzero), default=0)
     rows = [[p.shift(-nu) for p in row] for row in m.entries]
     p_deg = max((p.deg() for p in nonzero), default=nu) - nu
     c_deg = max(max(lc) for lc in lifted.monomials.values())
-    return lifted, rows, form.degree * nu, form.degree * p_deg + c_deg + 1
+    return lifted, rows, form.degree * nu, form.degree * p_deg + c_deg + 1, fac
 
 
 def _mv_mul(p: dict, q: dict, K: int) -> dict:
@@ -176,28 +186,29 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
 def transformed_form(
     form: HypersurfaceForm, g: LaurentMatrix, convention: str = "calibrated"
 ) -> HypersurfaceForm:
-    """Coefficient path of the moved hypersurface, expanded in full.
+    """F(m y) expanded in full, with g = L t^A R factored.
 
-    ``calibrated``: substitute the adjugate of g (the Chow-coordinate path of
-    the cycle family g(t) * {F = 0}).  ``flipped``: substitute g itself.
+    ``calibrated``: m = R^(-1) t^(-A); the Chow-coordinate path of the cycle
+    family g(t) * {F = 0} is F(adj(g) x) = det(g)^d F(m L^(-1) x).
+    ``flipped``: m = L t^A, and F(g x) = F(m R x).  L^(-1) and R^(-1) are
+    invertible over the power series ring, so the order of F(adj(g) x) is
+    that of F(m y) plus d ord det g, and the order of F(g x) that of F(m y).
     """
-    lifted, rows, shift, span = _substitution(form, g, convention)
+    lifted, rows, shift, span, _ = _substitution(form, g, convention)
     monomials = {}
     for mono, (re, im) in _window(lifted, rows, span).items():
         ts = sorted(re.coeffs.keys() | im.coeffs.keys())
         lc = {e + shift: (re.coefficient(e), im.coefficient(e)) for e in ts}
         if lc:
             monomials[mono] = lc
-    if not monomials:
-        raise ValueError("transformed form vanished identically")
     return HypersurfaceForm(form.nvars, monomials)
 
 
 def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
-    """t-order of the coefficients of F(m x) and the coefficients at that
-    order, from the first of the windows t^1, t^2, t^4, ... (capped at the
-    full span) that holds a nonzero coefficient."""
-    lifted, rows, shift, span = _substitution(form, g, convention)
+    """t-order of the coefficients of F(m y), the coefficients at that order
+    and the factorization of g, from the first of the windows t^1, t^2,
+    t^4, ... (capped at the full span) that holds a nonzero coefficient."""
+    lifted, rows, shift, span, fac = _substitution(form, g, convention)
     K = 1
     while True:
         K = min(K, span)
@@ -205,9 +216,9 @@ def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
         o = min((p.ord() for pair in win.values() for p in pair if not p.is_zero), default=None)
         if o is not None:
             lowest = ((mono, (re.coefficient(o), im.coefficient(o))) for mono, (re, im) in win.items())
-            return o + shift, {mono: c for mono, c in lowest if any(c)}
-        if K == span:
-            raise ValueError("transformed form vanished identically")
+            return o + shift, {mono: c for mono, c in lowest if any(c)}, fac
+        if K == span:  # m is invertible, so only a wrong factorization gets here
+            raise FactorizationError("F(m y) vanished identically")
         K *= 2
 
 
@@ -225,13 +236,11 @@ def chow_weight(form: HypersurfaceForm, g: LaurentMatrix, convention: str = "cal
     if n < 0:
         raise ValueError("ambient projective space must have dimension >= 1")
     d = form.degree
-    det = g.det()
-    if det.is_zero:
-        raise ValueError("degenerate loop")
-    a_ord, _ = _lowest_terms(form, g, convention)
+    o, _, fac = _lowest_terms(form, g, convention)
+    det_ord = sum(fac.weights)  # checked against ord det g by factorize
     if convention == "calibrated":
-        return Fraction(det.ord(), N + 1) - Fraction(a_ord, d * (n + 1))
-    return Fraction(a_ord, d * (n + 1)) - Fraction(det.ord(), N + 1)
+        return Fraction(det_ord, N + 1) - Fraction(d * det_ord + o, d * (n + 1))
+    return Fraction(o, d * (n + 1)) - Fraction(det_ord, N + 1)
 
 
 def _cmul(u, v):
@@ -243,8 +252,8 @@ def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> "Projective
     """Cycle of the flat limit X_0 = lim g(t) {F = 0} of a plane conic, in
     the original coordinates, built exactly from the loop's torus.
 
-    With g = L t^A R factored, the form of Y_0 = L(0)^(-1) X_0 is
-    X_0(L(0) y), substituted exactly into the lowest coefficients.  A limit
+    With g = L t^A R factored, the form of Y_0 = L(0)^(-1) X_0 is the
+    lowest part of F(R^(-1) t^(-A) y), up to a nonzero constant.  A limit
     invariant under a nontrivial torus has its form supported on a lattice
     segment with primitive direction delta, so that
     Y_0 = y^mu prod_r (y^delta+ - r y^delta-): the coordinate line
@@ -262,13 +271,8 @@ def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> "Projective
 
     if form.nvars != 3 or form.degree != 2:
         raise ValueError("central fiber cycles are implemented for plane conics")
-    _, lowest = _lowest_terms(form, g, "calibrated")
-    fac = factorize(g)
-    l0 = fac.left.value_at_zero()
-    frame = [[LaurentPoly({0: v}) for v in row] for row in l0]
-    y0 = _window(HypersurfaceForm(3, {e: {0: c} for e, c in lowest.items()}), frame, 1)
-    coeff = {e: (re.coefficient(0), im.coefficient(0)) for e, (re, im) in y0.items()}
-    support = sorted(e for e, c in coeff.items() if any(c))
+    _, coeff, fac = _lowest_terms(form, g, "calibrated")
+    support = sorted(coeff)
     first, last = support[0], support[-1]  # lexicographic order runs along a line
     m = math.gcd(*(b - a for a, b in zip(first, last)))
     delta = [(b - a) // (m or 1) for a, b in zip(first, last)]
@@ -296,7 +300,7 @@ def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> "Projective
         curve = np.zeros((3, max(p) + 1), dtype=complex)
         curve[range(3), p] = np.exp(np.log(r) * np.array(delta) / np.dot(delta, delta))
         parts.append((curve, mult))
-    l0 = np.array(l0, dtype=float)
+    l0 = np.array(fac.left.value_at_zero(), dtype=float)
     # orthonormal points on a line keep its quadrature well conditioned
     return ProjectiveCycle(2, [Component(np.linalg.qr(l0 @ c)[0] if c.shape[1] == 2 else l0 @ c, mult)
                                for c, mult in parts])
@@ -313,37 +317,23 @@ class ChowCheck:
     exponents: tuple
 
 
-def section_diagonal(g: LaurentMatrix) -> tuple:
-    """Pairing generator of a cycle-side loop: minus its exponent diagonal.
-
-    Weights are calibrated on the section side; a loop moving cycles with
-    exponents A acts on sections with the dual diagonal -A.
-    """
-    fac = factorize(g)
-    return tuple(-e for e in fac.exponent_vector())
-
-
 def check_chow_inequality(
     g: LaurentMatrix,
     central: "ProjectiveCycle",
-    form: Optional[HypersurfaceForm] = None,
-    ch: Optional[Fraction] = None,
+    ch: Fraction,
     order: int = 48,
     tol: float = 1e-6,
 ) -> ChowCheck:
-    """Verify chow_weight <= <M(central fiber), A> + tol.
+    """Verify the Chow weight ``ch`` <= <M(central fiber), -A> + tol.
 
-    ``A`` is extracted from the loop factorization (section-side diagonal,
-    placed on the original basis).  Either a precomputed Chow weight ``ch``
-    or the hypersurface form must be supplied.  Equality is expected, up to
-    quadrature error, for pure exponent loops t^A.
+    The pairing generator of a cycle-side loop is minus its exponent
+    diagonal A (weights are calibrated on the section side), read off the
+    loop factorization and placed on the original basis; it is returned as
+    ``exponents``.  Equality is expected, up to quadrature error, for pure
+    exponent loops t^A.
     """
     from kstab.cycles import moment_matrix, pairing
 
-    if ch is None:
-        if form is None:
-            raise ValueError("need either ch or the hypersurface form")
-        ch = chow_weight(form, g)
     fac = factorize(g)
     a_vec = [-e for e in fac.exponent_vector()]
     res = moment_matrix(central, order=order)

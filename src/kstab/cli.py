@@ -299,7 +299,8 @@ def _parse_klist(text):
             ks.append(k)
             k *= 2
     elif len(parts) <= 3:
-        ks = range(int(parts[0]), int(parts[1]) + 1, int(parts[2]) if len(parts) == 3 else 1)
+        lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+        ks = range(lo, hi + 1, step) if 1 <= lo <= _MAX_LEVEL and 1 <= hi <= _MAX_LEVEL else []
     else:
         raise ValueError("expected lo:hi, lo:hi:step or lo:hi:double")
     if not ks or min(ks) < 1 or max(ks) > _MAX_LEVEL or len(set(ks)) != len(ks):

@@ -19,14 +19,14 @@ FLINT's ``fmpq_poly``), the one exact polynomial format of the package:
 products (optionally truncated below t^K) run on the integer lists through
 ``poly.mul``, sums rescale to the least common denominator, and
 ``Fraction`` appears only where coefficients are read out.  Determinants
-are Bareiss elimination over Z[t, 1/t], and they and adjugates check
-themselves at one point modulo a prime; the factorization and the Chow
-window work on entries truncated modulo t^K.
+are Bareiss elimination over Z[t, 1/t], checked at one point modulo a
+prime; the factorization works on entries truncated modulo t^K and checks
+its result exactly, and the Chow order (``kstab.chow``) is read off that
+verified normal form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -63,8 +63,8 @@ class ZeroLaurentError(ValueError):
 
 
 class FactorizationError(ArithmeticError):
-    """Raised when a computed factorization, determinant or adjugate fails
-    its exact check (an internal invariant; the CLI exits 3)."""
+    """Raised when a computed factorization or determinant fails its exact
+    check (an internal invariant; the CLI exits 3)."""
 
 
 # Largest exponent span (highest minus lowest exponent with a nonzero
@@ -289,24 +289,6 @@ class LaurentMatrix:
         if (num - scale * value * (math.prod(mults) // den)) % _PRIME:
             raise FactorizationError("determinant failed its check modulo 2^61 - 1")
         return det
-
-    def adjugate(self) -> "LaurentMatrix":
-        """Transposed matrix of cofactors, by Bareiss elimination of the
-        minors, checked once as g adj(g) = det(g) I at one point modulo a
-        prime, with g's rows and adj's columns cleared of denominators."""
-        n = self.size
-        adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                d = _bareiss([[p for c, p in enumerate(row) if c != i] for r, row in enumerate(self.entries) if r != j])
-                adj[i][j] = d if (i + j) % 2 == 0 else -d
-        (g, f), (a, h) = _values_at_t0(self.entries), _values_at_t0(zip(*adj))
-        num, scale = _det_mod(g)
-        scale *= math.prod(f)
-        for i, k in itertools.product(range(n), repeat=2):
-            if (sum(map(operator.mul, g[i], a[k])) * scale - (i == k) * f[i] * h[k] * num) % _PRIME:
-                raise FactorizationError("adjugate failed its check modulo 2^61 - 1")
-        return LaurentMatrix(adj)
 
     def value_at_zero(self):
         """Matrix of constant coefficients; requires no negative exponents."""

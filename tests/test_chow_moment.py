@@ -20,7 +20,6 @@ from kstab.chow import (
     check_chow_inequality,
     chow_weight,
     form_from_json,
-    section_diagonal,
     transformed_form,
 )
 import kstab.quadrature as quadrature_module
@@ -36,7 +35,7 @@ from kstab.cycles import (
     trace_norm,
     transform_cycle,
 )
-from kstab.laurent import LaurentMatrix, LaurentPoly, factorize
+from kstab.laurent import DegenerateLoopError, LaurentMatrix, LaurentPoly, factorize
 from kstab.quadrature import QuadratureError, csum, disc_rule
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -53,9 +52,9 @@ def conic_loop():
 
 
 def central_form(form, g):
-    """Lowest coefficients of F(adj(g) x), the form of the central fiber, as
-    complex numbers."""
-    _, lowest = chow_module._lowest_terms(form, g, "calibrated")
+    """Lowest coefficients of F(adj(g) x), the form of the central fiber in
+    the original coordinates, as complex numbers, by the reference routines."""
+    _, lowest = _reference_path(form, g)
     return {exps: complex(float(re), float(im)) for exps, (re, im) in lowest.items()}
 
 
@@ -259,14 +258,52 @@ def _expand_reference(form, m):
     return expanded
 
 
+def cofactor_det(rows):
+    """Reference determinant: Laplace expansion along the first row."""
+    if not rows:
+        return LaurentPoly.one()
+    return LaurentPoly.sum(
+        (p if j % 2 == 0 else -p) * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, p in enumerate(rows[0]) if not p.is_zero
+    )
+
+
+def cofactor_adjugate(g):
+    """Reference adjugate: entry (i, j) is (-1)^(i+j) times the minor of g
+    without row j and column i."""
+    n = g.size
+    minor = [[cofactor_det([row[:i] + row[i + 1:] for r, row in enumerate(g.entries) if r != j])
+              for j in range(n)] for i in range(n)]
+    return LaurentMatrix([[d if (i + j) % 2 == 0 else -d for j, d in enumerate(row)] for i, row in enumerate(minor)])
+
+
+def _reference_path(form, g, convention="calibrated"):
+    """t-order and lowest coefficients {y-exponents: (re, im)} of the full
+    expansion of F(adj(g) x) (calibrated) or F(g x) (flipped)."""
+    m = cofactor_adjugate(g) if convention == "calibrated" else g
+    path = _expand_reference(form.canonical_lift(), m)
+    order = min(min(lc) for lc in path.values())
+    return order, {mono: lc[order] for mono, lc in path.items() if order in lc}
+
+
 def _full_span_answer(form, g, convention):
-    """Chow weight and lowest coefficients read off the full expansion."""
-    path = transformed_form(form, g, convention)
-    order = min(min(lc) for lc in path.monomials.values())
-    lowest = {mono: complex(*map(float, lc[order])) for mono, lc in path.monomials.items() if order in lc}
-    N, d, det_ord = g.size - 1, form.degree, g.det().ord()
+    """Chow weight and lowest coefficients of F(adj(g) x) or F(g x), read off
+    the full expansion by the reference routines."""
+    order, lowest = _reference_path(form, g, convention)
+    N, d, det_ord = g.size - 1, form.degree, cofactor_det(g.entries).ord()
     ch = Fraction(det_ord, N + 1) - Fraction(order, d * N)
     return (ch if convention == "calibrated" else -ch), lowest
+
+
+def _frame_of_left_factor(form, g, x0):
+    """The form x0 of X_0 in the frame of L(0), X_0(L(0) y), divided by the
+    lowest coefficient of det g to the power d: the lowest coefficients of
+    F(R^(-1) t^(-A) y) when g = L t^A R."""
+    l0 = LaurentMatrix([[LaurentPoly({0: v}) for v in row] for row in factorize(g).left.value_at_zero()])
+    y0 = _expand_reference(HypersurfaceForm(form.nvars, {e: {0: c} for e, c in x0.items()}), l0)
+    det = cofactor_det(g.entries)
+    c = det.coefficient(det.ord()) ** form.degree
+    return {e: tuple(v / c for v in lc[0]) for e, lc in y0.items()}
 
 
 class TestWindowedOrder:
@@ -283,7 +320,8 @@ class TestWindowedOrder:
                 ch, lowest = _full_span_answer(form, g, convention)
                 assert chow_weight(form, g, convention=convention) == ch
                 if convention == "calibrated":
-                    assert central_form(form, g) == lowest
+                    _, y0, _ = chow_module._lowest_terms(form, g, convention)
+                    assert y0 == _frame_of_left_factor(form, g, lowest)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_span_matches_plain_expansion(self, seed):
@@ -291,11 +329,15 @@ class TestWindowedOrder:
         for _ in range(5):
             n = rng.randint(2, 3)
             g, form = _ldu_loop(rng, n), _random_form(rng, n, rng.randint(1, 2))
-            for convention, m in (("calibrated", g.adjugate()), ("flipped", g)):
+            fac = factorize(g)
+            e = fac.exponent_vector()
+            m_cal = fac.right_inverse().scale_columns([-x for x in e])
+            for convention, m in (("calibrated", m_cal), ("flipped", fac.left.scale_columns(e))):
                 assert transformed_form(form, g, convention).monomials == _expand_reference(form.canonical_lift(), m)
 
     def test_cancellation_doubles_window(self, monkeypatch):
-        # F = x0 - x1 under adj(g) = [[1, 0], [1, t^5]]: F(adj(g) x) = -t^5 y1,
+        # g = t^A R with A = (5, 0), so F = x0 - x1 goes under
+        # t^5 R^(-1) t^(-A) = [[1, 0], [1, t^5]] = adj(g): F(adj(g) x) = -t^5 y1,
         # order 5 above d * nu = 0, so windows 1, 2 and 4 are all zero
         t5 = LaurentPoly.t_power(5)
         g = LaurentMatrix([[t5, LaurentPoly()], [-LaurentPoly.one(), LaurentPoly.one()]])
@@ -311,12 +353,14 @@ class TestWindowedOrder:
         assert chow_weight(form, g, convention="flipped") == _full_span_answer(form, g, "flipped")[0]
 
     def test_vanishing_form_raises(self):
-        # adj of the singular [[1, 1], [1, 1]] kills x0 + x1
+        # adj of the singular [[1, 1], [1, 1]] kills x0 + x1; the loop has no
+        # normal form, so factorize refuses it first
         one = LaurentPoly.one()
         g = LaurentMatrix([[one, one], [one, one]])
         form = HypersurfaceForm.from_dict(2, {(1, 0): 1, (0, 1): 1})
-        for fn in (central_form, transformed_form):
-            with pytest.raises(ValueError, match="vanished identically"):
+        assert _expand_reference(form, cofactor_adjugate(g)) == {}
+        for fn in (chow_weight, transformed_form):
+            with pytest.raises(DegenerateLoopError, match="degenerate loop: "):
                 fn(form, g)
 
     def test_sparse_form_coefficient(self, capped_python):
@@ -339,8 +383,32 @@ class TestWindowedOrder:
         expected = chow_weight(CONIC_FORM, conic_loop())
         monkeypatch.setattr(chow_module, "transformed_form", refuse)
         assert chow_weight(CONIC_FORM, conic_loop()) == expected == Fraction(1, 12)
-        assert set(central_form(CONIC_FORM, conic_loop())) == {(1, 0, 1)}
+        assert set(chow_module._lowest_terms(CONIC_FORM, conic_loop(), "calibrated")[1]) == {(1, 0, 1)}
         assert len(central_fiber_cycle(CONIC_FORM, conic_loop()).components) == 2
+
+    def test_one_factorization_and_no_other_det(self, monkeypatch):
+        calls, inside = [], []
+        real_factorize, real_det = chow_module.factorize, LaurentMatrix.det
+
+        def spy_factorize(g):
+            calls.append("factorize")
+            inside.append(True)
+            try:
+                return real_factorize(g)
+            finally:
+                inside.pop()
+
+        def spy_det(self):
+            calls.append("det" if inside else "det outside factorize")
+            return real_det(self)
+
+        monkeypatch.setattr(chow_module, "factorize", spy_factorize)
+        monkeypatch.setattr(LaurentMatrix, "det", spy_det)
+        g = _torus_loops(random.Random(1400), 1)[0]
+        for fn in (chow_weight, central_fiber_cycle):
+            calls.clear()
+            fn(CONIC_FORM, g)
+            assert calls == ["factorize", "det"], fn.__name__
 
 
 def _complex_conic(rng):
@@ -388,7 +456,7 @@ class TestTorusFiber:
         fiber = central_fiber_cycle(form, g)
         assert sum(c.multiplicity * c.degree for c in fiber.components) == 2
         assert _off_central_form(form, g, fiber) <= 1e-9
-        assert check_chow_inequality(g, fiber, form=form, order=48).quad_error <= 1e-8
+        assert check_chow_inequality(g, fiber, chow_weight(form, g), order=48).quad_error <= 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ldu_loops(self, seed):
@@ -443,15 +511,15 @@ class TestChowInequality:
     def test_equality_on_exponent_loop(self):
         g = conic_loop()
         fiber = central_fiber_cycle(CONIC_FORM, g)
-        chk = check_chow_inequality(g, fiber, form=CONIC_FORM, order=48)
+        chk = check_chow_inequality(g, fiber, chow_weight(CONIC_FORM, g), order=48)
         assert chk.satisfied
         assert abs(chk.slack) < 1e-9
-        assert chk.exponents == section_diagonal(g) == (0, 0, -1)
+        assert chk.exponents == (0, 0, -1)
 
     def test_identity_equality(self):
         g = LaurentMatrix.identity(3)
         fiber = central_fiber_cycle(CONIC_FORM, g)
-        chk = check_chow_inequality(g, fiber, form=CONIC_FORM, order=48)
+        chk = check_chow_inequality(g, fiber, chow_weight(CONIC_FORM, g), order=48)
         assert chk.satisfied and chk.chow == 0
 
     def test_perturbed_suite_never_violates(self):
@@ -460,7 +528,7 @@ class TestChowInequality:
         for _ in range(20):
             g, _ = random_admissible_loop(rng)
             fiber = central_fiber_cycle(CONIC_FORM, g)
-            chk = check_chow_inequality(g, fiber, form=CONIC_FORM, order=40)
+            chk = check_chow_inequality(g, fiber, chow_weight(CONIC_FORM, g), order=40)
             assert chk.satisfied
             if chk.slack > 1e-6:
                 strict += 1

@@ -273,6 +273,10 @@ class TestErrors:
         )
         res = runner.invoke(main, ["factorize", "--input", str(loop)])
         assert res.exit_code == 3
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"form": {"1,0": 1, "0,1": 1}}))
+        res = runner.invoke(main, ["chow", "--input", str(form), "--loop", str(loop)])
+        assert res.exit_code == 3 and "degenerate loop: " in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -625,8 +629,9 @@ def test_balance_kernel_bound_exit_2(capped_python, tmp_path):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("option", [["--k", "100000000"], ["--k", "1:100000000"], ["--grid", "100000000"]],
-                         ids=["level", "range", "grid"])
+@pytest.mark.parametrize("option", [["--k", "100000000"], ["--k", "1:100000000"], ["--k", "1:1000000000000"],
+                                    ["--grid", "100000000"]],
+                         ids=["level", "range", "huge-range", "grid"])
 def test_bergman_bounds_exit_2(capped_python, option):
     # gram at level 10^8 asked for 191 GiB, and rho on 10^8 grid points for 763 MiB
     argv = ["bergman", "--input", str(DATA / "bump_metric.json")] + option
