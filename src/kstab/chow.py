@@ -139,12 +139,12 @@ def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
 
 def _mv_mul(p: dict, q: dict, K: int) -> dict:
     """Product modulo t^K of two forms in y with Laurent coefficients; the
-    products that land on one monomial are added once."""
+    products that land on one monomial are summed in one ``dot``."""
     out: dict = {}
     for e1, s1 in p.items():
         for e2, s2 in q.items():
-            out.setdefault(tuple(a + b for a, b in zip(e1, e2)), []).append(s1.mul(s2, K))
-    return {e: LaurentPoly.sum(terms) for e, terms in out.items()}
+            out.setdefault(tuple(a + b for a, b in zip(e1, e2)), []).append((s1, s2))
+    return {e: LaurentPoly.dot(pairs, K) for e, pairs in out.items()}
 
 
 def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
@@ -168,7 +168,6 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         for _ in range(2, max(e[a] for e in lifted.monomials) + 1):
             pw.append(_mv_mul(pw[-1], linear, K))
         powers.append(pw)
-    zero = LaurentPoly.zero()
     out: dict = {}
     for exps, lc in lifted.monomials.items():
         term = None
@@ -178,9 +177,10 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         c_re = LaurentPoly({e: re for e, (re, _) in lc.items() if e < K})
         c_im = LaurentPoly({e: im for e, (_, im) in lc.items() if e < K})
         for mono, ser in term.items():
-            re, im = out.get(mono, (zero, zero))
-            out[mono] = (re + c_re.mul(ser, K), im + c_im.mul(ser, K))
-    return out
+            re, im = out.setdefault(mono, ([], []))
+            re.append((c_re, ser))
+            im.append((c_im, ser))
+    return {mono: (LaurentPoly.dot(re, K), LaurentPoly.dot(im, K)) for mono, (re, im) in out.items()}
 
 
 def transformed_form(

@@ -16,13 +16,14 @@ floating point is used anywhere.
 A :class:`LaurentPoly` is an integer offset times a trimmed list of integer
 numerators over one positive denominator, in lowest terms (the layout of
 FLINT's ``fmpq_poly``), the one exact polynomial format of the package:
-products (optionally truncated below t^K) run on the integer lists through
-``poly.mul``, sums rescale to the least common denominator, and
-``Fraction`` appears only where coefficients are read out.  Determinants
-are Bareiss elimination over Z[t, 1/t], checked at one point modulo a
-prime; the factorization works on entries truncated modulo t^K and checks
-its result exactly, and the Chow order (``kstab.chow``) is read off that
-verified normal form.
+products (optionally truncated below t^K) run on the integer lists,
+a sum of products (``dot``) is accumulated over one common denominator
+and reduced once, and ``Fraction`` appears only where coefficients are
+read out.  Determinants are Bareiss elimination over Z[t, 1/t], checked
+at one point modulo a prime; the factorization works on entries truncated
+modulo t^K, needs the exact determinant only for a loop singular at that
+point, and checks its result exactly; the Chow order (``kstab.chow``) is
+read off that verified normal form.
 """
 
 from __future__ import annotations
@@ -150,30 +151,40 @@ class LaurentPoly:
 
     # -- arithmetic ---------------------------------------------------
     @staticmethod
-    def sum(terms) -> "LaurentPoly":
-        """Sum of Laurent polynomials, accumulated in one integer list over
-        the least common multiple of their denominators and reduced once."""
-        out, low, den = [], 0, 1
-        for p in terms:
-            if not p.coef:
+    def dot(pairs, K=None) -> "LaurentPoly":
+        """Sum of the products a * b over the pairs, or only its terms below
+        t^K when K is given, accumulated in one integer list over the least
+        common multiple of the products' denominators and reduced once."""
+        terms, low, top, den = [], math.inf, -math.inf, 1
+        for a, b in pairs:
+            x, y, e = a.coef, b.coef, a.low + b.low
+            if not (x and y) or K is not None and e >= K:
                 continue
-            if not out:
-                out, low, den = list(p.coef), p.low, p.den
-                continue
-            if p.den != den:
-                m = math.lcm(den, p.den)
-                out, den = [m // den * x for x in out], m
-            if p.low < low:
-                out[:0] = [0] * (low - p.low)
-                low = p.low
-            i, j = p.low - low, p.low - low + len(p.coef)
-            out += [0] * (j - len(out))
-            f = den // p.den
-            out[i:j] = [x + f * y for x, y in zip(out[i:j], p.coef)]
+            if len(x) < len(y):
+                x, y = y, x
+            d, t = a.den * b.den, e + len(x) + len(y) - 1
+            low, top = e if e < low else low, t if t > top else top
+            if den % d:
+                den = den * d // math.gcd(den, d)
+            terms.append((e, x, y, d))
+        if not terms:
+            return _new(0, [], 1)
+        top = top if K is None else min(top, K)
+        out = [0] * (top - low)
+        for e, x, y, d in terms:
+            f, n = den // d, top - e
+            # x[i] y[j] lands on out[e - low + i + j], for i + j < n
+            for j, c in enumerate(y[:n], e - low):
+                if c:
+                    c *= f
+                    for i, w in enumerate(x[: n + e - low - j], j):
+                        if w:
+                            out[i] += c * w
         return _laurent(low, out, den)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly.sum((self, other))
+        one = LaurentPoly.one()
+        return LaurentPoly.dot(((self, one), (other, one)))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -278,7 +289,7 @@ class LaurentMatrix:
         """Matrix times a vector of Laurent polynomials."""
         if len(vector) != self.size:
             raise ValueError("vector length does not match loop size")
-        return [LaurentPoly.sum(p * v for p, v in zip(row, vector)) for row in self.entries]
+        return [LaurentPoly.dot(zip(row, vector)) for row in self.entries]
 
     def det(self) -> LaurentPoly:
         """Exact determinant (``_bareiss``), checked at one point modulo a
@@ -329,7 +340,7 @@ def _bareiss(rows) -> LaurentPoly:
         for row in a[k + 1 :]:
             neg_aik = -row[k]
             for j in range(k + 1, n):
-                num = akk * row[j] + neg_aik * row_k[j]
+                num = LaurentPoly.dot(((akk, row[j]), (neg_aik, row_k[j])))
                 row[j] = _exact_quotient(num, prev) if k else num  # step 0 divides by 1
         prev = akk
     return _laurent(a[-1][-1].low, [sign * v for v in a[-1][-1].coef], scale) if n else LaurentPoly.one()
@@ -397,14 +408,18 @@ def _det_mod(m):
     return num, scale
 
 
+def _is_singular(rows) -> bool:
+    """Whether det rows is exactly 0: a nonzero value at t0 modulo the prime
+    proves it is not, and only a zero value runs the exact ``det``."""
+    return not _det_mod(_values_at_t0(rows)[0])[0] and LaurentMatrix(rows).det().is_zero
+
+
 def multiply(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """Exact product of two loops of equal size."""
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
     cols = list(zip(*b.entries))
-    return LaurentMatrix(
-        [[LaurentPoly.sum(p * q for p, q in zip(row, col) if p.coef and q.coef) for col in cols] for row in a.entries]
-    )
+    return LaurentMatrix([[LaurentPoly.dot(zip(row, col)) for col in cols] for row in a.entries])
 
 
 @dataclass(frozen=True)
@@ -466,7 +481,7 @@ def _echelon(rows, size, K):
     entry is exactly t^{wts[k]} and whose sigma[j] entry (j < k) has
     exponents confined to [wts[k], wts[j]).
     """
-    active = list(range(size))
+    active, one = list(range(size)), LaurentPoly.one()
     sigma, wts, basis = [0] * size, [0] * size, [None] * size
 
     for pos in range(size - 1, -1, -1):
@@ -490,7 +505,7 @@ def _echelon(rows, size, K):
             if i == istar or ent.is_zero:
                 continue
             neg_mu = -ent.shift(-m)  # ord(ent) >= m: exact division by t^m
-            rows[i] = [p + neg_mu.mul(q, K) if q.coef else p for p, q in zip(rows[i], piv_row)]
+            rows[i] = [LaurentPoly.dot(((p, one), (neg_mu, q)), K) if q.coef else p for p, q in zip(rows[i], piv_row)]
 
         sigma[pos] = cstar
         wts[pos] = m
@@ -503,7 +518,7 @@ def _echelon(rows, size, K):
             beta = basis[k][sigma[j]]
             neg_q = (beta.truncate(wts[j]) - beta).shift(-wts[j])
             if not neg_q.is_zero:
-                basis[k] = [p + neg_q.mul(q, K) for p, q in zip(basis[k], basis[j])]
+                basis[k] = [LaurentPoly.dot(((p, one), (neg_q, q)), K) for p, q in zip(basis[k], basis[j])]
     return sigma, wts, basis
 
 
@@ -515,21 +530,23 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
     result is deterministic: weights are sorted nonincreasing and ties
     between equal weights keep the original basis order.
 
-    The echelon runs on the entries modulo t^K, with K = 1, 2, 4, ... until
-    it finds all n pivots.  Each pivot has the least order among the active
-    entries, so every elimination is exact modulo t^K and any window that
-    finds the pivots gives the exact answer.  The weights of the shifted
-    loop t^(-nu) g are >= 0 and sum to its ord det, so the window
-    t^(ord det + 1) always finds them.
+    A nonzero det g at t0 modulo 2^61 - 1 proves g nonsingular; only a zero
+    there runs the exact ``det``.  The echelon runs on the entries modulo
+    t^K, with K = 1, 2, 4, ... until it finds all n pivots.  Each pivot has
+    the least order among the active entries, so every elimination is exact
+    modulo t^K and any window that finds the pivots gives the exact answer.
+    The weights of the shifted loop t^(-nu) g are >= 0 and sum to its
+    ord det <= deg det <= the sum over its rows of their largest entry
+    degree, and that sum plus one caps the window.  The check proves
+    left(0) invertible, so ord det g = sum(weights).
     """
-    det = g.det()
-    if det.is_zero:
+    if _is_singular(g.entries):
         raise DegenerateLoopError("degenerate loop: determinant vanishes identically")
     n = g.size
 
-    nu = min((p.ord() for row in g.entries for p in row if not p.is_zero), default=0)
+    nu = min(p.ord() for row in g.entries for p in row if p.coef)
     shifted = g.shift(-nu)  # polynomial entries
-    cap = det.ord() - n * nu + 1
+    cap = sum(max(p.deg() for p in row if p.coef) for row in shifted.entries) + 1
     K = 1
     while True:
         rows = [[p.truncate(K) for p in row] for row in shifted.entries]
@@ -540,13 +557,13 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
             if K == cap:
                 raise FactorizationError(f"no pivot within the window t^{cap}") from None
             K = min(2 * K, cap)
-    fac = _assemble(g, sigma, wts, basis, nu, det)
+    fac = _assemble(g, sigma, wts, basis, nu)
     if fac is None:
         raise FactorizationError("loop factorization failed its exact check")
     return fac
 
 
-def _assemble(g, sigma, wts, basis, nu, det):
+def _assemble(g, sigma, wts, basis, nu):
     """Build and exactly verify the factorization; None if a check fails."""
     n = g.size
     weights = tuple(w + nu for w in wts)
@@ -580,9 +597,9 @@ def _assemble(g, sigma, wts, basis, nu, det):
     rinv = _invert_unitriangular(right, sigma)
     left = multiply(g, rinv).scale_columns([-e for e in _on_basis(sigma, weights)])
 
-    # left(0) is invertible: left is holomorphic and, as det right = 1,
-    # ord det left = ord det g - sum(weights) = 0
-    if not left.is_holomorphic() or sum(weights) != det.ord():
+    # left is holomorphic and left(0) invertible, so, as det right = 1,
+    # ord det g = sum(weights)
+    if not left.is_holomorphic() or _is_singular([[p.truncate(1) for p in row] for row in left.entries]):
         return None
     fac = LoopFactorization(left=left, weights=weights, right=right, order=tuple(sigma))
     return fac if fac.reassemble() == g else None
@@ -603,8 +620,8 @@ def _invert_unitriangular(right: LaurentMatrix, sigma) -> LaurentMatrix:
     for col in range(right.size):
         x = [LaurentPoly.zero()] * right.size
         for i, s in enumerate(sigma):
-            terms = [-(right.entries[s][sigma[j]] * x[sigma[j]]) for j in range(i)]
-            x[s] = LaurentPoly.sum(terms + [one] * (s == col))
+            pairs = [(-right.entries[s][sigma[j]], x[sigma[j]]) for j in range(i)]
+            x[s] = LaurentPoly.dot(pairs + [(one, one)] * (s == col))
         cols.append(x)
     return LaurentMatrix(zip(*cols))
 

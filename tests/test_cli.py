@@ -558,14 +558,17 @@ def test_failed_factorization_check_exit_3(runner, monkeypatch, args):
     _assert_clean_exit(res)
 
 
-def test_failed_det_check_exit_3(runner, monkeypatch):
-    # a wrong Bareiss determinant fails the check at one point modulo a prime
-    # inside chow_weight, before any factorization
+def test_failed_det_check_exit_3(runner, monkeypatch, tmp_path):
+    # factorize runs the exact determinant only on a loop whose determinant
+    # vanishes at t0 modulo the prime, here two equal rows; a wrong Bareiss
+    # determinant fails its check at that point
     from kstab import laurent
 
     bareiss = laurent._bareiss
     monkeypatch.setattr(laurent, "_bareiss", lambda rows: bareiss(rows) + laurent.LaurentPoly.one())
-    res = runner.invoke(main, ["chow", "--input", str(DATA / "conic_form.json"), "--loop", str(DATA / "conic_loop.json")])
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"size": 2, "entries": [[[0, 1, 1]]] * 4}))
+    res = runner.invoke(main, ["factorize", "--input", str(loop)])
     assert res.exit_code == 3
     assert res.stderr == "error: determinant failed its check modulo 2^61 - 1\n"
     _assert_clean_exit(res)

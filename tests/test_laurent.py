@@ -92,7 +92,7 @@ def fixed_window_factorize(g):
     K = max(span + 2 * (det.ord() - n * nu) + 8, 16)
     rows = [[p.truncate(K) for p in row] for row in shifted.entries]
     sigma, wts, basis = laurent._echelon(rows, n, K)
-    return laurent._assemble(g, sigma, wts, basis, nu, det)
+    return laurent._assemble(g, sigma, wts, basis, nu)
 
 
 @pytest.fixture
@@ -144,7 +144,9 @@ class TestLaurentPoly:
         assert canonical(p.mul(q, K)).coeffs == nonzero({k: v for k, v in prod.items() if k < K})
         assert canonical(p.truncate(K)).coeffs == {k: v for k, v in a.items() if k < K}
         assert canonical(p.shift(e)).coeffs == {k + e: v for k, v in a.items()}
-        assert canonical(LaurentPoly.sum([p, q, -p])) == q
+        twice = nonzero({k: 2 * v for k, v in prod.items() if k < K})
+        assert canonical(LaurentPoly.dot([(p, q), (q, p)], K)).coeffs == twice
+        assert canonical(LaurentPoly.dot([(p, q), (-p, q), (q, LaurentPoly.one())])) == q
         assert all(p.coefficient(k) == a.get(k, 0) for k in range(-8, 9))
         assert (p == q) == (a == b) and p == lp(a)
 
@@ -337,6 +339,15 @@ class TestFactorize:
         with pytest.raises(DegenerateLoopError):
             factorize(g)
 
+    def test_singular_left_at_zero_fails_the_check(self, monkeypatch):
+        """g = g * t^0 * I reassembles with a holomorphic left, but left(0)
+        is singular, so the weights (0, 0) do not sum to ord det g = 1."""
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        monkeypatch.setattr(laurent, "_echelon", lambda rows, size, K: ([0, 1], [0, 0], [[one, zero], [zero, one]]))
+        g = LaurentMatrix([[lp({0: 1}), lp({0: 1})], [lp({0: 1}), lp({0: 1, 1: 1})]])
+        with pytest.raises(FactorizationError, match="failed its exact check"):
+            factorize(g)
+
     @pytest.mark.parametrize(
         "g",
         [
@@ -357,10 +368,11 @@ class TestFactorize:
         ref = fixed_window_factorize(g)
         assert (f.left, f.right, f.weights, f.order) == (ref.left, ref.right, ref.weights, ref.order)
         assert f.weights == weights
+        # the cap is the degree bound of the shifted loop, at least its ord det + 1
         nu = min(p.ord() for row in g.entries for p in row if not p.is_zero)
-        cap = g.det().ord() - n * nu + 1
+        cap = sum(max(p.deg() for p in row if not p.is_zero) for row in g.shift(-nu).entries) + 1
+        assert cap >= g.det().ord() - n * nu + 1
         assert used == [min(2**i, cap) for i in range(len(used))]
-        assert used[-1] <= cap
 
     def test_window_independent_of_exponent_size(self, windows):
         """The window follows ord det, not the largest exponent of the loop."""
@@ -386,6 +398,26 @@ class TestFactorize:
         high, low, seconds = proc.stdout.split()
         assert (int(high), int(low)) == (top, 0)
         assert float(seconds) < 0.1
+
+    def test_wide_singular_loop_is_degenerate(self, capped_python):
+        """A singular loop is told by one exact determinant, not by echelon
+        windows that double up to the degree cap t^(3 * 2^16 + 1)."""
+        proc = capped_python(
+            "import time\n"
+            "from kstab.laurent import DegenerateLoopError, LaurentMatrix, LaurentPoly, factorize\n"
+            "e = 65536\n"
+            "row = [LaurentPoly({0: 1, 1: 2}), LaurentPoly.t_power(e), LaurentPoly.t_power(3)]\n"
+            "g = LaurentMatrix([row, [p.mul(LaurentPoly({0: 2})) for p in row],\n"
+            "                   [LaurentPoly.t_power(1), LaurentPoly.one(), LaurentPoly.t_power(e, -1)]])\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    factorize(g)\n"
+            "except DegenerateLoopError:\n"
+            "    print('degenerate', time.perf_counter() - t0)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        raised, seconds = proc.stdout.split()
+        assert raised == "degenerate" and float(seconds) < 5.0
 
     def test_wide_non_monic_pivot(self, capped_python):
         """The pivot 2 + t is inverted modulo t^8193 on integer numerators,
