@@ -4,10 +4,12 @@ The metric is given by a radial potential u(s), s = |z|^2, with
 u = log(1 + s) + eps * psi(s) for a decaying rational bump psi; the
 associated area density is w = (s u')' (total mass one, the polarization
 class is fixed).  w and the scalar curvature are rational functions of s,
-derived once per metric in exact rational arithmetic (``kstab.poly``) and
-evaluated by Horner's rule.
+derived in exact rational arithmetic (``kstab.poly``) and evaluated by
+Horner's rule: w once per metric, S only when ``scalar_curvature`` reads it.
 Level-k sections are the monomials z^j, orthogonal by circle invariance,
-with squared norms computed by radial quadrature.  The density of states
+with squared norms computed by radial quadrature once per metric and level
+and kept, read-only, on the metric for every later reader.  The density of
+states
 
     rho_k(s) = sum_j |z^j|^2_h / ||z^j||^2
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -99,9 +101,7 @@ class RadialMetric:
         # s u' = s/(1+s) + eps * s psi', then w = (s u')'
         su = _radd(([0, 1], [1, 1]), _rmul(([0, eps], [1]), _rdiff(self._psi)))
         self._w = _rdiff(su)
-        # S = -(s (log w)')' / w with (log w)' = w'/w
-        s_logw = _rmul(([0, 1], [1]), _rmul(_rdiff(self._w), self._w[::-1]))
-        self._scal = _rmul(([-1], [1]), _rmul(_rdiff(s_logw), self._w[::-1]))
+        self._norms = {}  # level k -> read-only Gram norms, filled by gram
         # certificate: minimum of the density relative to the round one,
         # which stays bounded away from zero for genuine metrics
         x = np.linspace(1e-6, 1 - 1e-6, 400)
@@ -126,11 +126,14 @@ class RadialMetric:
 def scalar_curvature(metric: RadialMetric, grid: np.ndarray) -> np.ndarray:
     """Scalar curvature field on a grid of s-values.
 
-    The radial formula S = -(s (log w)')' / w is derived once per metric
-    in exact rational arithmetic and evaluated by Horner's rule; the round
-    metric gives the constant 2.
+    The radial formula S = -(s (log w)')' / w, with (log w)' = w'/w, is
+    derived here in exact rational arithmetic and evaluated by Horner's
+    rule; the round metric gives the constant 2.
     """
-    return _reval(metric._scal, np.asarray(grid, dtype=float))
+    w = metric._w
+    s_logw = _rmul(([0, 1], [1]), _rmul(_rdiff(w), w[::-1]))
+    scal = _rmul(([-1], [1]), _rmul(_rdiff(s_logw), w[::-1]))
+    return _reval(scal, np.asarray(grid, dtype=float))
 
 
 def gram(metric: RadialMetric, k: int) -> np.ndarray:
@@ -140,9 +143,14 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
     The Gram matrix of the monomial basis is diagonal by circle symmetry;
     only the diagonal is returned.  The first quadrature level (8 panels)
     fixes one exponential scale per j, so every level is evaluated once.
+    The norms are computed once per metric and level and returned
+    read-only from then on; a failed quadrature is not kept.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
+    k = int(k)
+    if k in metric._norms:
+        return metric._norms[k]
     jf = np.arange(k + 1, dtype=float)
     scale_log = None
 
@@ -161,6 +169,8 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
     norms = k * cur * np.exp(scale_log)
     if np.any(norms <= 0):
         raise QuadratureError("nonpositive squared norm; quadrature failed")
+    norms.flags.writeable = False
+    metric._norms[k] = norms
     return norms
 
 
@@ -218,15 +228,14 @@ def fs_pullback_form(
     return _pullback(k, s, _moment_sums(norms, s)[0])
 
 
-def theta_total_variation(metric: RadialMetric, k: int, norms: Optional[np.ndarray] = None) -> float:
+def theta_total_variation(metric: RadialMetric, k: int) -> float:
     """Total variation of the discrepancy between the normalized density
     of states volume and the pulled-back Fubini-Study volume.
 
     Integrates |rho_k w / P(k) - w_FS,k| over the sphere, to a change of
     1e-8, with P(k) = (k+1)/k; zero exactly for the round metric.
     """
-    if norms is None:
-        norms = gram(metric, k)
+    norms = gram(metric, k)
     p_k = (k + 1.0) / k
 
     def f(s):  # one exponential serves both rho and the form
@@ -244,27 +253,18 @@ class FitResult:
     remainders: np.ndarray  # shape (len(klist), len(grid))
 
 
-def expansion_fit(
-    metric: RadialMetric,
-    klist: Sequence[int],
-    grid: np.ndarray,
-    norms: Optional[Mapping[int, np.ndarray]] = None,
-) -> FitResult:
+def expansion_fit(metric: RadialMetric, klist: Sequence[int], grid: np.ndarray) -> FitResult:
     """Pointwise extrapolation of the first density-of-states correction.
 
     Fits k (rho_k - 1) = a1 + c / k over the supplied levels and returns
     the a1 field together with the second-order remainder fields
-    k^2 (rho_k - 1 - a1/k).  ``norms`` maps levels to Gram norms already
-    computed; the others are computed here.
+    k^2 (rho_k - 1 - a1/k).
     """
     klist = tuple(int(k) for k in klist)
     if len(klist) < 3:
         raise ValueError("expansion fit needs at least three levels")
     grid = np.asarray(grid, dtype=float)
-    ys = []
-    for k in klist:
-        r = rho(metric, k, grid, (norms or {}).get(k))
-        ys.append(k * (r - 1.0))
+    ys = [k * (rho(metric, k, grid) - 1.0) for k in klist]
     y = np.stack(ys)  # (nk, ngrid)
     design = np.stack([np.ones(len(klist)), 1.0 / np.asarray(klist, dtype=float)], axis=1)
     cond = float(np.linalg.cond(design))

@@ -328,12 +328,10 @@ def cmd_bergman(input_path, out, fmt, krange, grid):
         sys.exit(_fail(EXIT_PARSE, f"grid must be in 1..{_MAX_GRID}"))
     s_grid = bg.default_grid(grid)
     try:
-        # one Gram pass per level feeds rho, the discrepancy and the fit
-        norms = {k: bg.gram(metric, k) for k in klist}
-        rhos = {k: bg.rho(metric, k, s_grid, norms[k]) for k in klist}
-        tvs = {k: bg.theta_total_variation(metric, k, norms=norms[k]) for k in klist}
+        rhos = {k: bg.rho(metric, k, s_grid) for k in klist}
+        tvs = {k: bg.theta_total_variation(metric, k) for k in klist}
         a1 = (
-            bg.expansion_fit(metric, klist, s_grid, norms).a1
+            bg.expansion_fit(metric, klist, s_grid).a1
             if len(klist) >= 3
             else np.full(grid, np.nan)
         )

@@ -29,3 +29,30 @@ def capped_python():
         )
 
     return run
+
+
+@pytest.fixture
+def gram_quadratures(monkeypatch):
+    """Levels k of the radial quadratures that ``bergman.gram`` runs, one
+    entry per quadrature; calls answered from the metric's kept norms run
+    none."""
+    import kstab.bergman as bg
+
+    levels, inside = [], []
+    real_gram, real_integral = bg.gram, bg.radial_integral
+
+    def gram(metric, k):
+        inside.append(k)
+        try:
+            return real_gram(metric, k)
+        finally:
+            inside.pop()
+
+    def integral(f, *args, **kwargs):
+        if inside:
+            levels.append(inside[-1])
+        return real_integral(f, *args, **kwargs)
+
+    monkeypatch.setattr(bg, "gram", gram)
+    monkeypatch.setattr(bg, "radial_integral", integral)
+    return levels

@@ -59,8 +59,10 @@ def test_08_chow_inequality_suite():
     _run(8)
 
 
-def test_09_bergman_normalization():
+def test_09_bergman_normalization(gram_quadratures):
     _run(9)
+    # one Gram quadrature per metric (round, perturbed) and level
+    assert sorted(gram_quadratures) == [8, 8, 16, 16, 32, 32, 64, 64]
 
 
 def test_10_expansion_coefficient():
@@ -79,8 +81,10 @@ def test_11_theta_decay_window():
     _run(11)
 
 
-def test_12_moment_cross_check():
+def test_12_moment_cross_check(gram_quadratures):
     _run(12)
+    # the image cycle and the k + 1 pairings of a level share one quadrature
+    assert sorted(gram_quadratures) == [2, 3, 4]
 
 
 def test_13_balanced_iteration():

@@ -97,6 +97,29 @@ class TestScalarCurvature:
             want = np.array([float(expr.subs(s, sp.Rational(x))) for x in pts])
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
+    def test_matches_complex_coordinate_derivation(self):
+        # independent of the radial reduction: g = d/dz d/dzbar u(z zbar)
+        # and S = -(1/g) d/dz d/dzbar log g, derived by sympy in z and
+        # zbar for psi = (s - s^2 + 2 s^3) / (1 + s)^4, then read at z =
+        # zbar = sqrt(s)
+        sp = pytest.importorskip("sympy")
+
+        z, zb = sp.symbols("z zb", positive=True)
+        num, den = [0, 1, -1, 2], [1, 4, 6, 4, 1]
+        q = z * zb
+        psi = sum(c * q**i for i, c in enumerate(num)) / sum(c * q**i for i, c in enumerate(den))
+        g = sp.diff(sp.log(1 + q) + sp.Rational(1, 20) * psi, z, zb)
+        scal = -sp.diff(sp.log(g), z, zb) / g
+        metric = RadialMetric(0.05, bump=(num, den))
+        pts = np.array([1e-3, 0.2, 1.0, 3.5, 40.0, 1e3])
+        want = []
+        for x in pts:
+            r = sp.sqrt(sp.Rational(x))
+            want.append(float(scal.subs({z: r, zb: r}).evalf(30)))
+        got = scalar_curvature(metric, pts)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+        assert np.max(np.abs(got - 2.0)) > 0.01  # not the round value
+
     def test_linearization_in_epsilon(self):
         eps = 1e-4
         s = default_grid(30, 0.1, 0.9)
@@ -305,6 +328,50 @@ class TestGram:
     def test_k_zero_rejected(self, round_metric):
         with pytest.raises(ValueError):
             gram(round_metric, 0)
+
+
+class TestGramMemo:
+    def test_one_quadrature_per_metric_and_level(self, gram_quadratures):
+        metric, grid = RadialMetric(0.1), default_grid(7)
+        for k in (4, 6, 8):
+            rho(metric, k, grid)
+            theta_total_variation(metric, k)
+            image_cycle(metric, k)
+            moment_from_bergman(metric, k, np.eye(k + 1)[0])
+        expansion_fit(metric, [4, np.int64(6), 8], grid)
+        fs_pullback_form(metric, 6, grid)
+        assert sorted(gram_quadratures) == [4, 6, 8]
+
+    def test_norms_are_read_only(self):
+        metric = RadialMetric(0.1)
+        norms = gram(metric, 5)
+        with pytest.raises(ValueError):
+            norms[0] = 1.0
+        assert gram(metric, 5) is norms
+
+    def test_metrics_do_not_share_norms(self, gram_quadratures):
+        import kstab.bergman as bg
+
+        a, b = RadialMetric(0.0), RadialMetric(0.1)
+        assert not np.array_equal(bg.gram(a, 8), bg.gram(b, 8))
+        assert gram_quadratures == [8, 8]
+
+    def test_failed_quadrature_is_not_kept(self, monkeypatch):
+        import kstab.bergman as bg
+
+        metric, calls = RadialMetric(0.1), []
+
+        def nonpositive(f, *args, **kwargs):
+            calls.append(f(np.array([0.5, 1.0, 2.0])))
+            return -np.ones(4), None
+
+        monkeypatch.setattr(bg, "radial_integral", nonpositive)
+        for _ in range(2):
+            with pytest.raises(quadrature.QuadratureError):
+                gram(metric, 3)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert np.all(gram(metric, 3) > 0)
 
 
 class TestRho:

@@ -224,23 +224,13 @@ class TestBergmanCommand:
         rep = json.loads(res.output)
         assert rep["k"] == [4, 8, 16]
 
-    def test_one_gram_pass_per_level(self, runner, monkeypatch):
-        import kstab.bergman as bg
-
-        calls = []
-        real = bg.gram
-
-        def counting(metric, k, *args, **kwargs):
-            calls.append(k)
-            return real(metric, k, *args, **kwargs)
-
-        monkeypatch.setattr(bg, "gram", counting)
+    def test_one_gram_pass_per_level(self, runner, gram_quadratures):
         res = run(
             runner, "bergman", "--input", str(DATA / "bump_metric.json"),
             "--k", "4:16:double", "--grid", "3",
         )
         assert res.exit_code == 0
-        assert sorted(calls) == [4, 8, 16]
+        assert sorted(gram_quadratures) == [4, 8, 16]
 
 
 class TestErrors:
