@@ -58,6 +58,12 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+def _exponents_within_6(g: LaurentMatrix) -> bool:
+    """Every nonzero entry's lowest and highest exponent lie in [-6, 6]."""
+    degs = [f(p) for row in g.entries for p in row if not p.is_zero for f in (LaurentPoly.ord, LaurentPoly.deg)]
+    return -6 <= min(degs) and max(degs) <= 6
+
+
 def random_loop(rng: random.Random, size: int) -> LaurentMatrix:
     """Invertible random loop with entry exponents within [-6, 6]."""
     while True:
@@ -73,14 +79,7 @@ def random_loop(rng: random.Random, size: int) -> LaurentMatrix:
         if _is_singular(entries):
             continue
         g = LaurentMatrix(entries)
-        degs = [
-            f(p)
-            for row in g.entries
-            for p in row
-            if not p.is_zero
-            for f in (LaurentPoly.ord, LaurentPoly.deg)
-        ]
-        if -6 <= min(degs) and max(degs) <= 6:
+        if _exponents_within_6(g):
             return g
 
 
@@ -108,14 +107,7 @@ def structured_loop(rng: random.Random, size: int) -> LaurentMatrix:
     while True:
         d = [rng.randint(-3, 3) for _ in range(size)]
         g = multiply(multiply(elem(), LaurentMatrix.exponent_diagonal(d)), elem())
-        degs = [
-            f(p)
-            for row in g.entries
-            for p in row
-            if not p.is_zero
-            for f in (LaurentPoly.ord, LaurentPoly.deg)
-        ]
-        if -6 <= min(degs) and max(degs) <= 6:
+        if _exponents_within_6(g):
             return g
 
 

@@ -213,19 +213,15 @@ def rho(metric: RadialMetric, k: int, grid: np.ndarray, norms: Optional[np.ndarr
     return np.exp(np.log(t[0]) + shift - k * metric.u(s))
 
 
-def fs_pullback_form(
-    metric: RadialMetric, k: int, grid: np.ndarray, norms: Optional[np.ndarray] = None
-) -> np.ndarray:
+def fs_pullback_form(metric: RadialMetric, k: int, grid: np.ndarray) -> np.ndarray:
     """Radial density of the level-k pulled-back Fubini-Study form.
 
     Equals w + (1/k) * (s (log rho_k)')' computed in closed form: the
     moment identity gives exactly Var_{nu_s}(j) / (k s) for the weights
     nu_s(j) ~ s^j / ||z^j||^2.  Positive for every metric and level.
     """
-    if norms is None:
-        norms = gram(metric, k)
     s = np.asarray(grid, dtype=float)
-    return _pullback(k, s, _moment_sums(norms, s)[0])
+    return _pullback(k, s, _moment_sums(gram(metric, k), s)[0])
 
 
 def theta_total_variation(metric: RadialMetric, k: int) -> float:

@@ -1,25 +1,24 @@
-"""Command line front end.
+"""Command line front end, on the standard library's argparse.
 
-Exit codes: 0 success, 2 parse/validation errors on inputs, 3 invariant
-violations (mathematically invalid data), 4 numerical non-convergence
-(a residual report is still written).  Reports are deterministic for a
-fixed configuration: exact rationals are printed as "num/den" strings,
-floats with shortest round-trip repr in JSON and 17 significant digits in
-CSV, and booleans and None as the JSON literals in both.  The numeric
-modules (and numpy) are imported inside the commands that use them, so
+Exit codes: 0 success, 2 parse/validation errors (usage errors included),
+3 invariant violations (mathematically invalid data), 4 numerical
+non-convergence (a residual report is still written); an exit 2 prints
+one ``error:`` line and no report.  Reports are deterministic for a fixed
+configuration: exact rationals are printed as "num/den" strings, floats
+with shortest round-trip repr in JSON and 17 significant digits in CSV,
+and booleans and None as the JSON literals in both.  The numeric modules
+(and numpy) are imported inside the commands that use them, so
 ``factorize``, ``futaki`` and ``chow`` on a form that is not a plane conic
-run without numpy.
+run on the standard library alone.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import sys
-from fractions import Fraction
-
-import click
 
 from kstab import weights as wt
 from kstab.laurent import (
@@ -63,7 +62,7 @@ def _read_input(path, parser, what):
 
 
 def _fail(code, message):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     return code
 
 
@@ -76,7 +75,7 @@ def _emit(data, out, fmt):
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
-        click.echo(text)
+        print(text)
 
 
 def _csv_cell(v):
@@ -102,30 +101,13 @@ def _to_csv(data):
     return buf.getvalue()[:-1]
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line and exit 2, like any bad input."""
+
+    def error(self, message):
+        sys.exit(_fail(EXIT_PARSE, message))
 
 
-@click.group()
-def main():
-    """Stability invariants of polarized degenerations."""
-
-
-_common = [
-    click.option("--input", "input_path", required=True, help="input JSON file"),
-    click.option("--out", default=None, help="output file (stdout when omitted)"),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),
-]
-
-
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
-
-
-@main.command("factorize")
-@_with_common
 def cmd_factorize(input_path, out, fmt):
     """Normal form left * t^A * right of a loop."""
     g = _read_input(input_path, loop_from_json, "loop input")
@@ -146,10 +128,6 @@ def cmd_factorize(input_path, out, fmt):
     )
 
 
-@main.command("futaki")
-@_with_common
-@click.option("--k", "krange", default="1:10", help="Chow table levels lo:hi")
-@click.option("--sign", type=click.Choice(["calibrated", "flipped"]), default="calibrated")
 def cmd_futaki(input_path, out, fmt, krange, sign):
     """Exact weight polynomial, Chow table and Futaki invariant."""
     ws = _read_input(input_path, wt.weight_system_from_json, "weight system")
@@ -165,13 +143,7 @@ def cmd_futaki(input_path, out, fmt, krange, sign):
     _emit(report, out, fmt)
 
 
-@main.command("chow")
-@_with_common
-@click.option("--loop", "loop_path", required=True, help="loop JSON file")
-@click.option("--sign", type=click.Choice(["calibrated", "flipped"]), default="calibrated")
-@click.option("--order", default=48, type=int, help="quadrature order")
-@click.option("--tol", default=1e-6, type=float)
-def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
+def cmd_chow(input_path, out, fmt, loop_path, convention, order, tol):
     """Chow weight of a hypersurface degeneration, with the central-fiber
     pairing check for plane conics."""
     from kstab import chow as cw
@@ -180,12 +152,11 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
     g = _read_input(loop_path, loop_from_json, "loop input")
     if not 1 <= order <= _MAX_ORDER:
         sys.exit(_fail(EXIT_PARSE, f"order must be in 1..{_MAX_ORDER}"))
-    convention = "calibrated" if sign == "calibrated" else "flipped"
     try:
         ch = cw.chow_weight(form, g, convention=convention)
     except (ValueError, FactorizationError) as exc:
         sys.exit(_fail(EXIT_INVARIANT, str(exc)))
-    data = {"chow_weight": _frac(ch), "convention": convention}
+    data = {"chow_weight": wt.frac_str(ch), "convention": convention}
     if form.nvars == 3 and form.degree == 2 and convention == "calibrated":
         from kstab.quadrature import QuadratureError
 
@@ -211,10 +182,6 @@ def cmd_chow(input_path, out, fmt, loop_path, sign, order, tol):
     _emit(data, out, fmt)
 
 
-@main.command("moment")
-@_with_common
-@click.option("--order", default=48, type=int, help="quadrature order")
-@click.option("--tol", default=1e-8, type=float)
 def cmd_moment(input_path, out, fmt, order, tol):
     """Trace-free moment matrix of a parametrized cycle."""
     from kstab import cycles as cy
@@ -242,11 +209,6 @@ def cmd_moment(input_path, out, fmt, order, tol):
     )
 
 
-@main.command("balance")
-@_with_common
-@click.option("--tol", default=1e-8, type=float)
-@click.option("--max-steps", default=500, type=int)
-@click.option("--order", default=32, type=int)
 def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     """Balanced-embedding iteration; CSV of residuals per step."""
     from kstab import cycles as cy
@@ -267,10 +229,10 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
         data["final_residual"] = res.residuals[-1] if res.residuals else None
     _emit(data, out, fmt)
     if not res.converged:
-        click.echo(
+        print(
             f"non-convergence after {res.steps} steps; final residual "
             f"{res.residuals[-1] if res.residuals else float('nan'):.3e}",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(EXIT_NONCONVERGENCE)
 
@@ -308,10 +270,6 @@ def _parse_klist(text):
     return list(ks)
 
 
-@main.command("bergman")
-@_with_common
-@click.option("--k", "krange", default="8:64:double", help="levels, e.g. 8:64:double")
-@click.option("--grid", default=100, type=int, help="number of radial grid points")
 def cmd_bergman(input_path, out, fmt, krange, grid):
     """Density-of-states run: rho, fitted first correction, discrepancy."""
     import numpy as np
@@ -362,9 +320,6 @@ def cmd_bergman(input_path, out, fmt, krange, grid):
     _emit(data, out, fmt)
 
 
-@main.command("verify")
-@click.option("--out", default=None)
-@click.option("--only", default=None, help="comma-separated criterion numbers")
 def cmd_verify(out, only):
     """Run the acceptance suite and print one pass/fail line per criterion."""
     from kstab import acceptance as acc
@@ -381,10 +336,54 @@ def cmd_verify(out, only):
     if out:
         with open(out, "w") as fh:
             fh.write(table + "\n")
-    click.echo(table)
+    print(table)
     hard_failures = [r for r in results if not r.passed and not r.expected_failure]
     if hard_failures:
         sys.exit(EXIT_INVARIANT)
+
+
+def main(argv=None):
+    """Run one command line, ``sys.argv[1:]`` when ``argv`` is None; always
+    ends in SystemExit, with the command's exit code."""
+    parser = _Parser(prog="kstab", description="Stability invariants of polarized degenerations.", allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, fn, reads_input=True):
+        """Add subcommand ``name`` running ``fn``; return its add_argument."""
+        sub = commands.add_parser(name, help=fn.__doc__.split(".")[0], description=fn.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=fn)
+        if reads_input:
+            sub.add_argument("--input", dest="input_path", metavar="FILE", required=True, help="input JSON file")
+            sub.add_argument("--out", metavar="FILE", help="output file (stdout when omitted)")
+            sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+        return sub.add_argument
+
+    signs = {"choices": ["calibrated", "flipped"], "default": "calibrated"}
+    command("factorize", cmd_factorize)
+    opt = command("futaki", cmd_futaki)
+    opt("--k", dest="krange", default="1:10", help="Chow table levels lo:hi")
+    opt("--sign", **signs)
+    opt = command("chow", cmd_chow)
+    opt("--loop", dest="loop_path", metavar="FILE", required=True, help="loop JSON file")
+    opt("--sign", dest="convention", **signs)
+    opt("--order", default=48, type=int, help="quadrature order")
+    opt("--tol", default=1e-6, type=float)
+    opt = command("moment", cmd_moment)
+    opt("--order", default=48, type=int, help="quadrature order")
+    opt("--tol", default=1e-8, type=float)
+    opt = command("balance", cmd_balance)
+    opt("--tol", default=1e-8, type=float)
+    opt("--max-steps", default=500, type=int)
+    opt("--order", default=32, type=int)
+    opt = command("bergman", cmd_bergman)
+    opt("--k", dest="krange", default="8:64:double", help="levels, e.g. 8:64:double")
+    opt("--grid", default=100, type=int, help="number of radial grid points")
+    opt = command("verify", cmd_verify, reads_input=False)
+    opt("--out", metavar="FILE", help="also write the table to this file")
+    opt("--only", help="comma-separated criterion numbers")
+    args = vars(parser.parse_args(argv))
+    args.pop("run")(**args)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

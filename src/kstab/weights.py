@@ -38,6 +38,7 @@ __all__ = [
     "fit_exact_polynomial",
     "weight_system_from_json",
     "weight_report",
+    "frac_str",
 ]
 
 CALIBRATED_SIGN = -1
@@ -85,7 +86,7 @@ class WeightSystem:
         if self.geometry.kind == "hypersurface":
             d = self.geometry.degree
             lam = self.geometry.initial_weight
-            if lam not in _degree_sums(self.generators, d):
+            if lam not in _weight_distribution(self.generators, d):
                 raise ValueError(
                     f"initial weight {lam} is not a sum of {d} generator weights"
                 )
@@ -101,14 +102,6 @@ class WeightSystem:
     @property
     def is_normalized(self) -> bool:
         return min(self.generators) == 0
-
-
-def _degree_sums(weights, d):
-    """Set of achievable weight sums of degree-d monomials."""
-    sums = {0}
-    for _ in range(d):
-        sums = {s + w for s in sums for w in weights}
-    return sums
 
 
 def _weight_distribution(weights, k):
@@ -320,7 +313,8 @@ def weight_system_from_json(obj) -> WeightSystem:
     )
 
 
-def _frac_str(x: Fraction) -> str:
+def frac_str(x: Fraction) -> str:
+    """An exact rational as its "num/den" report string."""
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -334,7 +328,7 @@ def weight_report(
     then a ``note`` names those levels."""
     tau = tau_poly(w, sign_convention)
     chow = {
-        str(k): _frac_str(chow_k(tau, k)) if tau.sections_at(k) else None
+        str(k): frac_str(chow_k(tau, k)) if tau.sections_at(k) else None
         for k in range(kmin, kmax + 1)
     }
     report = {
@@ -346,13 +340,13 @@ def weight_report(
             "initial_weight": w.geometry.initial_weight,
         },
         "sign_convention": sign_convention,
-        "tau_coefficients": [_frac_str(c) for c in tau.coeffs],
-        "hilbert_coefficients": [_frac_str(c) for c in tau.hilbert],
-        "I": _frac_str(I_coefficient(tau)),
-        "V": _frac_str(tau.volume),
-        "alpha1": _frac_str(tau.alpha1),
+        "tau_coefficients": [frac_str(c) for c in tau.coeffs],
+        "hilbert_coefficients": [frac_str(c) for c in tau.hilbert],
+        "I": frac_str(I_coefficient(tau)),
+        "V": frac_str(tau.volume),
+        "alpha1": frac_str(tau.alpha1),
         "chow": chow,
-        "futaki": _frac_str(futaki(tau)),
+        "futaki": frac_str(futaki(tau)),
     }
     null = [k for k, v in chow.items() if v is None]
     if null:

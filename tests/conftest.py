@@ -1,5 +1,8 @@
+import contextlib
+import io
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +13,41 @@ import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 exec(sys.argv[1])
 """
+
+
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self):
+        return self.stdout
+
+
+class Runner:
+    """Run ``kstab.cli.main`` in-process with stdout and stderr captured.
+
+    Only SystemExit is caught: it gives the exit code, and is kept as
+    ``exception`` when the code is not 0.  Any other exception propagates."""
+
+    def invoke(self, main, args):
+        out, err = io.StringIO(), io.StringIO()
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(list(args))
+            except SystemExit as exc:
+                code = exc.code or 0
+                exception = exc if code else None
+        return Result(code, out.getvalue(), err.getvalue(), exception)
+
+
+@pytest.fixture
+def runner():
+    return Runner()
 
 
 @pytest.fixture

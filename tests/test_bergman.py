@@ -291,7 +291,7 @@ class TestMomentKernel:
         metric = shipped_and_bench[name]
         s, norms = default_grid(400), gram(metric, k)
         want = _reference_pullback(k, s, norms, np.longdouble)
-        assert np.max(np.abs(fs_pullback_form(metric, k, s, norms) / want - 1.0)) < 1e-10
+        assert np.max(np.abs(fs_pullback_form(metric, k, s) / want - 1.0)) < 1e-10
 
     @pytest.mark.parametrize("k", [16, 64, 256, 1024])
     def test_pullback_exact_on_round_metric(self, round_metric, k):
@@ -436,10 +436,7 @@ class TestPullbackForm:
 
     def test_cohomology_class(self, perturbed):
         for k in (8, 32):
-            norms = gram(perturbed, k)
-            val, _ = radial_integral(
-                lambda s: fs_pullback_form(perturbed, k, s, norms), tol=1e-10
-            )
+            val, _ = radial_integral(lambda s: fs_pullback_form(perturbed, k, s), tol=1e-10)
             assert abs(val - 1.0) < 1e-8
 
     def test_positive(self, perturbed):

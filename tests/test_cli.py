@@ -9,7 +9,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,13 +17,8 @@ from kstab.cli import main
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def run(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+    return runner.invoke(main, args)
 
 
 class TestFutakiCommand:
@@ -79,7 +73,7 @@ class TestFutakiCommand:
         {"type": "projective"},
         {"type": "hypersurface", "degree": 3, "initial_weight": 3},
     ], ids=["projective", "hypersurface"])
-    def test_dimension_30(self, tmp_path, geometry):
+    def test_dimension_30(self, runner, tmp_path, geometry):
         # One generator per coordinate of P^30 (P^31 for the hypersurface); the
         # level-k monomials number C(30 + k, 30), far too many to list.
         gens = list(range(31 if geometry["type"] == "projective" else 32))
@@ -91,7 +85,7 @@ class TestFutakiCommand:
         )
         assert proc.returncode == 0, proc.stderr
         rep = json.loads(proc.stdout)
-        conic = json.loads(run(CliRunner(), "futaki", "--input", str(DATA / "conic_weights.json")).output)
+        conic = json.loads(run(runner, "futaki", "--input", str(DATA / "conic_weights.json")).output)
         assert rep.keys() == conic.keys()
         assert len(rep["tau_coefficients"]) == 32 and len(rep["hilbert_coefficients"]) == 31
         assert sorted(map(int, rep["chow"])) == list(range(1, 11))
@@ -248,7 +242,7 @@ class TestErrors:
     def test_report_is_not_an_option(self, runner):
         res = runner.invoke(main, ["factorize", "--input", str(DATA / "conic_loop.json"), "--report", "csv"])
         assert res.exit_code == 2
-        assert "No such option '--report'" in res.stderr
+        assert "unrecognized arguments: --report" in res.stderr
 
     def test_degenerate_loop_exit_3(self, runner, tmp_path):
         loop = tmp_path / "loop.json"
@@ -296,6 +290,43 @@ def test_malformed_levels_exit_2(runner, command, value):
     assert "Traceback" not in res.output
     assert [line for line in res.stderr.splitlines() if line.startswith("error:")] == res.stderr.splitlines()
     assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["frobnicate"],
+        [],
+        ["factorize", "--input", "conic_loop.json", "--report", "csv"],
+        ["moment"],
+        ["chow", "--input", "conic_form.json"],
+        ["moment", "--input", "line_cycle.json", "--order", "x"],
+        ["bergman", "--input", "round_metric.json", "--grid", "x"],
+        ["moment", "--input", "line_cycle.json", "--tol", "x"],
+        ["factorize", "--input", "conic_loop.json", "--format", "xml"],
+        ["futaki", "--input", "conic_weights.json", "--sign", "up"],
+        ["moment", "--inp", "line_cycle.json"],
+    ],
+    ids=["unknown-command", "no-command", "report", "no-input", "no-loop", "order", "grid", "tol", "format",
+         "sign", "abbreviation"],
+)
+def test_usage_error_is_one_line(runner, args):
+    res = runner.invoke(main, [str(DATA / a) if a.endswith(".json") else a for a in args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # compared with what the bare interpreter has loaded (site and .pth files)
+    code = (
+        "import sys; before = set(sys.modules); import kstab.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'kstab'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_out_sympy():

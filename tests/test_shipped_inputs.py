@@ -4,7 +4,6 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from kstab.cli import main
 
@@ -22,16 +21,12 @@ RUNS = [
 
 
 @pytest.mark.parametrize("fname,args", RUNS, ids=[r[0] for r in RUNS])
-def test_input_runs(fname, args):
-    runner = CliRunner()
-    res = runner.invoke(
-        main, args + ["--input", str(DATA / fname)], catch_exceptions=False
-    )
+def test_input_runs(runner, fname, args):
+    res = runner.invoke(main, args + ["--input", str(DATA / fname)])
     assert res.exit_code == 0, res.output
 
 
-def test_conic_form_with_loop():
-    runner = CliRunner()
+def test_conic_form_with_loop(runner):
     res = runner.invoke(
         main,
         [
@@ -41,14 +36,12 @@ def test_conic_form_with_loop():
             "--loop",
             str(DATA / "conic_loop.json"),
         ],
-        catch_exceptions=False,
     )
     assert res.exit_code == 0
     assert json.loads(res.output)["chow_weight"] == "1/12"
 
 
-def test_crossing_lines_reports_nonconvergence():
-    runner = CliRunner()
+def test_crossing_lines_reports_nonconvergence(runner):
     res = runner.invoke(
         main,
         [
@@ -77,10 +70,10 @@ READERS = {
 
 
 @pytest.mark.parametrize("fname", sorted(p.name for p in DATA.glob("*.json")))
-def test_double_encoded_input_exits_2(tmp_path, fname):
+def test_double_encoded_input_exits_2(runner, tmp_path, fname):
     """A file whose top level is a JSON string holding an input is not one."""
     path = tmp_path / fname
     path.write_text(json.dumps((DATA / fname).read_text()))
-    res = CliRunner().invoke(main, READERS[fname] + [str(path)])
+    res = runner.invoke(main, READERS[fname] + [str(path)])
     assert res.exit_code == 2
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
