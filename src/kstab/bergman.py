@@ -246,30 +246,24 @@ def theta_total_variation(metric: RadialMetric, k: int) -> float:
 @dataclass
 class FitResult:
     a1: np.ndarray
-    remainders: np.ndarray  # shape (len(klist), len(grid))
 
 
 def expansion_fit(metric: RadialMetric, klist: Sequence[int], grid: np.ndarray) -> FitResult:
     """Pointwise extrapolation of the first density-of-states correction.
 
     Fits k (rho_k - 1) = a1 + c / k over the supplied levels and returns
-    the a1 field together with the second-order remainder fields
-    k^2 (rho_k - 1 - a1/k).
+    the a1 field.
     """
     klist = tuple(int(k) for k in klist)
     if len(klist) < 3:
         raise ValueError("expansion fit needs at least three levels")
     grid = np.asarray(grid, dtype=float)
-    ys = [k * (rho(metric, k, grid) - 1.0) for k in klist]
-    y = np.stack(ys)  # (nk, ngrid)
+    y = np.stack([k * (rho(metric, k, grid) - 1.0) for k in klist])  # (nk, ngrid)
     design = np.stack([np.ones(len(klist)), 1.0 / np.asarray(klist, dtype=float)], axis=1)
     cond = float(np.linalg.cond(design))
     if cond > 1e8:
         raise ValueError(f"ill-conditioned expansion fit (cond {cond:g})")
-    a1 = np.linalg.lstsq(design, y, rcond=None)[0][0]
-    # k^2 (rho_k - 1 - a1/k) = k (y_k - a1)
-    rem = np.stack([klist[i] * (ys[i] - a1) for i in range(len(klist))])
-    return FitResult(a1=a1, remainders=rem)
+    return FitResult(a1=np.linalg.lstsq(design, y, rcond=None)[0][0])
 
 
 def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float]) -> float:
@@ -320,7 +314,7 @@ def metric_from_json(obj) -> RadialMetric:
         return RadialMetric(epsilon=eps)
     if bump.get("type") != "rational":
         raise ValueError(f"unsupported bump type {bump.get('type')!r}")
-    num = bump.get("num", bump.get("coeffs"))
+    num = bump.get("num")
     den = bump.get("den", [1, 2, 1])  # default denominator (1+s)^2
     if num is None:
         raise ValueError("rational bump needs numerator coefficients")

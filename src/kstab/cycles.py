@@ -83,7 +83,6 @@ class ProjectiveCycle:
 @dataclass
 class MomentResult:
     matrix: np.ndarray          # trace-free, divided by V
-    raw: np.ndarray             # second moments divided by V (trace 1)
     volume: float               # total mass from quadrature
     quad_error: float           # order-doubling estimate on matrix entries
     order: int
@@ -192,10 +191,7 @@ def moment_matrix(cycle: ProjectiveCycle, order: int = 48, tol: float = 1e-8) ->
             f"{cycle.total_degree}; parametrization may have base points"
         )
     v = float(cycle.total_degree)
-    raw = raw2 / v
-    return MomentResult(
-        matrix=trace_free(raw), raw=raw, volume=mass2, quad_error=err / v, order=2 * order
-    )
+    return MomentResult(matrix=trace_free(raw2 / v), volume=mass2, quad_error=err / v, order=2 * order)
 
 
 def pairing(m: np.ndarray, a) -> float:

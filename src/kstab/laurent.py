@@ -16,10 +16,10 @@ floating point is used anywhere.
 A :class:`LaurentPoly` is an integer offset times a trimmed list of integer
 numerators over one positive denominator, in lowest terms (the layout of
 FLINT's ``fmpq_poly``), the one exact polynomial format of the package:
-products (optionally truncated below t^K) run on the integer lists,
-a sum of products (``dot``) is accumulated over one common denominator
-and reduced once, and ``Fraction`` appears only where coefficients are
-read out.  Determinants are Bareiss elimination over Z[t, 1/t], checked
+a product, or a sum of products (``dot``), optionally truncated below
+t^K, is accumulated in one integer list over one common denominator and
+reduced once, and ``Fraction`` appears only where coefficients are read
+out.  Determinants are Bareiss elimination over Z[t, 1/t], checked
 at one point modulo a prime; the factorization works on entries truncated
 modulo t^K, needs the exact determinant only for a loop singular at that
 point, and checks its result exactly; the Chow order (``kstab.chow``) is
@@ -33,8 +33,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-from kstab import poly
 
 __all__ = [
     "DegenerateLoopError",
@@ -194,10 +192,7 @@ class LaurentPoly:
 
     def mul(self, other: "LaurentPoly", K=None) -> "LaurentPoly":
         """Product, or only its terms below t^K when K is given."""
-        low = self.low + other.low
-        # the lowest coefficients multiply to a nonzero one: nothing to strip
-        coef = poly.mul(self.coef, other.coef, None if K is None else K - low)
-        return _laurent(low, coef, self.den * other.den)
+        return LaurentPoly.dot(((self, other),), K)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self.mul(other)

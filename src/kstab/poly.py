@@ -5,8 +5,9 @@ keep integer lists integral; ``quorem`` and ``gcd`` work over Fraction.
 
 This is the one coefficient format of the exact code: ``kstab.laurent``
 stores a Laurent polynomial as a power of t times such a list of integer
-numerators over one denominator, and ``mul`` (optionally truncated below
-x^K) is the one coefficient convolution.
+numerators over one denominator (its products run in ``LaurentPoly.dot``),
+and ``kstab.weights`` and ``kstab.bergman`` build their exact polynomials
+with ``mul`` and ``add``.
 ``evaluate`` is Horner's rule and also takes float coefficients with a
 numpy array argument.
 """
@@ -38,8 +39,8 @@ def add(a, b, c=1):
     return _trim(out)
 
 
-def mul(a, b, K=None):
-    """a * b, or only its terms below x^K when K is given.
+def mul(a, b):
+    """a * b.
 
     The first coefficient of the shorter factor times the longer factor
     starts the product, so a constant factor costs one multiplication per
@@ -47,17 +48,14 @@ def mul(a, b, K=None):
     """
     if len(a) < len(b):
         a, b = b, a
-    n = len(a) + len(b) - 1
-    if K is not None:
-        n = min(n, K)
-    if n <= 0 or not b:
+    if not b:
         return []
-    out = [b[0] * x for x in a[:n]] + [0] * (n - len(a))
-    for j, y in enumerate(b[1:n], 1):
+    out = [b[0] * x for x in a] + [0] * (len(b) - 1)
+    for j, y in enumerate(b[1:], 1):
         if y:
-            for i, x in enumerate(a[: n - j]):
+            for i, x in enumerate(a, j):
                 if x:
-                    out[i + j] += x * y
+                    out[i] += x * y
     return _trim(out)
 
 

@@ -4,7 +4,9 @@ A weight system assigns an integer weight to each degree-one monomial
 section; the induced level-k weights are the monomial weight sums (for a
 hypersurface, monomials modulo multiples of the equivariant initial form).
 The weight-sum polynomial tau, its leading coefficient I, the Chow numbers
-Ch_k, and the Futaki invariant are all exact rationals.
+Ch_k, and the Futaki invariant are all exact rationals.  tau_k and the
+section count N(k) + 1 are binomial polynomials in k, written down in
+closed form: no monomial is listed and no level is sampled or fitted.
 
 Sign convention (calibrated, see README): tau_k is MINUS the sum of induced
 section weights, and "normalized" means the smallest generator weight is
@@ -217,54 +219,37 @@ class TauPolynomial:
         return poly.evaluate(self.hilbert, Fraction(k))
 
 
-def _level_sums(w: WeightSystem, k: int):
-    """Number and total weight of the level-k sections, from closed forms.
-
-    The C(m-1+j, m-1) degree-j monomials in m generators use each generator
-    with mean exponent j/m, so their weights total C(m-1+j, m) sum(w).  A
-    hypersurface drops the multiples of a degree-d monomial of weight lambda
-    (one exists, see WeightSystem): level k - d, shifted by lambda.
-    """
-    m, s = w.ambient_count, sum(w.generators)
-    count, total = math.comb(m - 1 + k, m - 1), math.comb(m - 1 + k, m) * s
-    if w.geometry.kind == "hypersurface" and k >= w.geometry.degree:
-        j = k - w.geometry.degree
-        sub = math.comb(m - 1 + j, m - 1)
-        count -= sub
-        total -= math.comb(m - 1 + j, m) * s + w.geometry.initial_weight * sub
-    return count, total
+def _binomial(a: int, m: int):
+    """Ascending coefficients of k -> C(k + a, m) = (k + a)...(k + a - m + 1) / m!."""
+    p = [1]
+    for i in range(m):
+        p = poly.mul(p, [a - i, 1])
+    return [Fraction(c, math.factorial(m)) for c in p]
 
 
 def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN) -> TauPolynomial:
-    """Fit the exact weight-sum polynomial and Hilbert data of a system.
+    """The exact weight-sum polynomial and Hilbert data of a system.
 
-    The polynomial is fitted on n + 2 consecutive levels starting at k0 = 1
-    and verified at three further levels; disagreement raises ValueError
-    ("not eventually polynomial"), signalling unsupported weight data.
-    For hypersurfaces of degree d the window starts at k0 = max(1, d - n - 1),
-    the first level at which the section counts agree with their polynomial
-    extension.
+    The C(k + m - 1, m - 1) degree-k monomials in m generators use each
+    generator with mean exponent k/m, so their weights total
+    C(k + m - 1, m) sum(w).  A hypersurface of degree d drops the multiples
+    of a degree-d monomial of weight lambda (one exists, see WeightSystem):
+    the same counts at k - d, with lambda times their number added to the
+    total.  As binomial polynomials in k these equal the level sums at
+    every k >= d - n - 1 (the dropped terms vanish at k = d - n - 1, ...,
+    d - 1, where nothing is dropped), so they are tau_k and N(k) + 1.
     """
     if sign_convention not in (1, -1):
         raise ValueError("sign convention must be +1 or -1")
-    n = w.dim
-    k0 = max(1, w.geometry.degree - n - 1) if w.geometry.kind == "hypersurface" else 1
-    levels = list(range(k0, k0 + n + 5))
-    data = {k: _level_sums(w, k) for k in levels}
-    tau_pts = [(k, sign_convention * data[k][1]) for k in levels]
-    dim_pts = [(k, data[k][0]) for k in levels]
-
-    coeffs = fit_exact_polynomial(tau_pts[: n + 2], n + 1)
-    hilbert = fit_exact_polynomial(dim_pts[: n + 1], n)
-    checks = (("weight sums", coeffs, tau_pts[n + 2:]), ("dimension counts", hilbert, dim_pts[n + 1:]))
-    for what, fit, pts in checks:
-        for k, y in pts:
-            if poly.evaluate(fit, k) != y:
-                raise ValueError(
-                    f"not eventually polynomial: {what} disagree at level {k}; "
-                    "unsupported weight data"
-                )
-    return TauPolynomial(dim=n, coeffs=tuple(coeffs), hilbert=tuple(hilbert))
+    m, s = w.ambient_count, sum(w.generators)
+    count, total = _binomial(m - 1, m - 1), poly.add([], _binomial(m - 1, m), s)
+    if w.geometry.kind == "hypersurface":
+        a = m - 1 - w.geometry.degree
+        sub = _binomial(a, m - 1)
+        count = poly.add(count, sub, -1)
+        total = poly.add(poly.add(total, _binomial(a, m), -s), sub, -w.geometry.initial_weight)
+    coeffs = [sign_convention * c for c in total] + [0] * (w.dim + 2 - len(total))
+    return TauPolynomial(dim=w.dim, coeffs=tuple(coeffs), hilbert=tuple(count))
 
 
 def I_coefficient(tau: TauPolynomial) -> Fraction:

@@ -413,7 +413,9 @@ class TestExpansionFit:
     def test_remainder_bounded(self, perturbed):
         grid = default_grid(20, 0.2, 0.8)
         fit = expansion_fit(perturbed, [16, 32, 64], grid)
-        assert np.max(np.abs(fit.remainders)) < 10.0
+        # the second-order remainders k^2 (rho_k - 1 - a1/k)
+        rem = [k * k * (rho(perturbed, k, grid) - 1.0 - fit.a1 / k) for k in (16, 32, 64)]
+        assert np.max(np.abs(rem)) < 10.0
 
     def test_stability_under_refinement(self, perturbed):
         grid = default_grid(15, 0.2, 0.8)

@@ -67,7 +67,8 @@ def random_unitary(rng, n):
 class TestMomentMatrix:
     def test_coordinate_line_closed_form(self):
         res = moment_matrix(line_cycle(), order=32)
-        assert np.allclose(np.diag(res.raw).real, [0.5, 0.0, 0.5], atol=1e-12)
+        # the second moments over V have trace 1: matrix + 1/n on the diagonal
+        assert np.allclose(np.diag(res.matrix).real + 1 / 3, [0.5, 0.0, 0.5], atol=1e-12)
         assert np.allclose(
             np.diag(res.matrix).real, [1 / 6, -1 / 3, 1 / 6], atol=1e-12
         )

@@ -329,13 +329,6 @@ def test_cli_import_loads_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_out_sympy():
-    code = "import sys, kstab.cli; print('sympy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 # Run one command in a fresh interpreter; report its exit code and which of
 # numpy, scipy and sympy it loaded.
 _LOADED = """

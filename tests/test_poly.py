@@ -36,14 +36,6 @@ def test_mul_matches_schoolbook():
         assert poly.mul(a, b) == poly.mul(b, a) == poly.add([], full)
 
 
-@pytest.mark.parametrize("K", [0, 1, 2, 3, 5, 8, 13, 40])
-def test_truncated_mul_is_the_full_product_cut(K):
-    rng = random.Random(K)
-    for _ in range(20):
-        a, b = _random_list(rng, rng.randint(0, 9)), _random_list(rng, rng.randint(0, 9))
-        assert poly.mul(a, b, K) == poly.add([], poly.mul(a, b)[:K])
-
-
 @pytest.mark.parametrize("K", [1, 2, 5, 12])
 def test_series_inverse(K):
     # the pivot inverse of the loop factorization, on integer numerators

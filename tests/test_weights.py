@@ -6,6 +6,7 @@ the production counting path.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -74,6 +75,20 @@ def lagrange_fit(points, degree):
         for d, c in enumerate(num):
             coeffs[d] += scale * c
     return coeffs
+
+
+def level_sums(ws, k):
+    """Number and total weight of the level-k sections, by math.comb: the
+    degree-k monomials in m generators use each one with mean exponent k/m,
+    and a hypersurface drops the level-(k - d) ones shifted by lambda."""
+    m, s = ws.ambient_count, sum(ws.generators)
+    count, total = math.comb(m - 1 + k, m - 1), math.comb(m - 1 + k, m) * s
+    if ws.geometry.kind == "hypersurface" and k >= ws.geometry.degree:
+        j = k - ws.geometry.degree
+        sub = math.comb(m - 1 + j, m - 1)
+        count -= sub
+        total -= math.comb(m - 1 + j, m) * s + ws.geometry.initial_weight * sub
+    return count, total
 
 
 def multiset_tau(ws, sign):
@@ -207,10 +222,18 @@ class TestTauPolynomial:
         [WeightSystem(30, range(31), PROJ), WeightSystem(30, range(32), Geometry("hypersurface", 3, 3))],
         ids=["projective", "hypersurface"],
     )
-    def test_newton_fit_matches_lagrange_at_dimension_30(self, monkeypatch, ws):
-        newton = tau_poly(ws)
-        monkeypatch.setattr(kstab.weights, "fit_exact_polynomial", lagrange_fit)
-        assert newton == tau_poly(ws)
+    def test_newton_fit_matches_lagrange_at_dimension_30(self, ws):
+        # Newton and Lagrange fits of the level sums on the window of levels
+        # where they are polynomial both give the closed form of tau_poly
+        n = ws.dim
+        k0 = max(1, ws.geometry.degree - n - 1) if ws.geometry.kind == "hypersurface" else 1
+        sums = [(k, level_sums(ws, k)) for k in range(k0, k0 + n + 2)]
+        tau_pts = [(k, CALIBRATED_SIGN * total) for k, (_, total) in sums]
+        dim_pts = [(k, count) for k, (count, _) in sums][: n + 1]
+        lagrange = TauPolynomial(n, lagrange_fit(tau_pts, n + 1), lagrange_fit(dim_pts, n))
+        assert lagrange == tau_poly(ws)
+        assert fit_exact_polynomial(tau_pts, n + 1) == list(lagrange.coeffs)
+        assert fit_exact_polynomial(dim_pts, n) == list(lagrange.hilbert)
 
     def test_newton_fit_matches_lagrange_on_random_points(self):
         rng = random.Random(8)
@@ -237,7 +260,7 @@ class TestTauPolynomial:
 
     def test_no_enumeration(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("tau_poly enumerated the monomials")
+            raise AssertionError("tau_poly enumerated the monomials or fitted levels")
 
         # a hypersurface's initial weight is checked against the weights of
         # the degree-d monomials when the system is built, so build first
@@ -245,13 +268,14 @@ class TestTauPolynomial:
         big = WeightSystem(30, range(32), Geometry("hypersurface", 3, 3))
         monkeypatch.setattr(kstab.weights, "induced_weights", refuse)
         monkeypatch.setattr(kstab.weights, "_weight_distribution", refuse)
+        monkeypatch.setattr(kstab.weights, "fit_exact_polynomial", refuse)
         assert tau_poly(ws).coeffs == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
         assert weight_report(ws, kmax=4)["futaki"] == "1/8"
         assert len(weight_report(big)["tau_coefficients"]) == 32
 
     def test_high_degree_window_shift(self):
-        # section counts of a quartic curve are polynomial only from level 2;
-        # the fit window starts there automatically
+        # section counts of a quartic curve are polynomial only from level
+        # 2 = d - n - 1, where the closed form's dropped terms start to vanish
         ws = WeightSystem(1, (0, 1, 3), Geometry("hypersurface", 4, 1))
         tau = tau_poly(ws)
         assert tau.hilbert == (Fraction(-2), Fraction(4))
