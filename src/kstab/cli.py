@@ -101,6 +101,16 @@ def _to_csv(data):
     return buf.getvalue()[:-1]
 
 
+class _Formatter(argparse.HelpFormatter):
+    """Sizes the name column for command names at their printed indent."""
+
+    def add_argument(self, action):
+        super().add_argument(action)
+        for sub in getattr(action, "_get_subactions", list)():
+            width = len(self._format_action_invocation(sub)) + self._current_indent + self._indent_increment
+            self._action_max_length = max(self._action_max_length, width)
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is one ``error:`` line and exit 2, like any bad input."""
 
@@ -345,7 +355,8 @@ def cmd_verify(out, only):
 def main(argv=None):
     """Run one command line, ``sys.argv[1:]`` when ``argv`` is None; always
     ends in SystemExit, with the command's exit code."""
-    parser = _Parser(prog="kstab", description="Stability invariants of polarized degenerations.", allow_abbrev=False)
+    parser = _Parser(prog="kstab", description="Stability invariants of polarized degenerations.",
+                     formatter_class=_Formatter, allow_abbrev=False)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
     def command(name, fn, reads_input=True):

@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from kstab.quadrature import QuadratureError, csum, disc_rule
+from kstab.quadrature import QuadratureError, csum, disc_radii, disc_rule
 
 __all__ = [
     "Component",
@@ -46,10 +46,6 @@ class Component:
             raise ValueError("multiplicity must be a positive integer")
 
     @property
-    def ambient_count(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
     def degree(self) -> int:
         """Nominal degree: largest power with a nonzero coefficient."""
         nz = np.nonzero(np.any(self.coeffs != 0, axis=0))[0]
@@ -69,9 +65,9 @@ class ProjectiveCycle:
         if not self.components:
             raise ValueError("cycle has no parametrized components")
         for c in self.components:
-            if c.ambient_count != self.ambient_dim + 1:
+            if c.coeffs.shape[0] != self.ambient_dim + 1:
                 raise ValueError(
-                    f"component has {c.ambient_count} coordinates, ambient needs "
+                    f"component has {c.coeffs.shape[0]} coordinates, ambient needs "
                     f"{self.ambient_dim + 1}"
                 )
 
@@ -145,18 +141,52 @@ def _raw_moments(n1: int, parts, w: np.ndarray, buffer: np.ndarray):
 _BLOCK = 1024
 
 
+def _monomial_raw(comp: Component, order: int):
+    """Raw second moments and mass of a component whose rows are monomials
+    c_a s^(e_a), by ``disc_rule(order)`` with its angular sum in closed form:
+    on each chart (exponents e_a, or d - e_a at infinity) |p_a|^2 and the
+    density sum_(a,b) |p_a p_b|^2 (e_a - e_b)^2 / (2 rho |p|^4) (Lagrange's
+    identity) depend on rho = |s|^2 alone, and the mean of p_a conj(p_b) over
+    the m angles is its modulus times [e_a = e_b mod m], aliasing included."""
+    rho, wrho, m = disc_radii(order)
+    e = np.argmax(comp.coeffs != 0, axis=1)  # a zero row has e = 0 and c = 0
+    c = comp.coeffs[np.arange(len(e)), e]
+    raw, mass = 0.0, 0.0
+    for ex in (e, comp.degree - e):
+        q = np.sqrt(rho)[:, None] ** ex  # |s^e| per radius and row
+        norm2 = q**2 @ np.abs(c) ** 2
+        if np.any(norm2 == 0.0):
+            raise QuadratureError("parametrization with base points: |p(s)| = 0")
+        q /= np.sqrt(norm2)[:, None]
+        v = q**2 * np.abs(c) ** 2
+        wk = wrho * np.sum((v @ (ex[:, None] - ex) ** 2) * v, axis=1) / (2 * rho)
+        raw = raw + (q * wk[:, None]).T @ q
+        mass += csum(wk)
+    raw = np.outer(c, c.conj()) * (0.5 * (raw + raw.T)) * ((e[:, None] - e) % m == 0)
+    return comp.multiplicity * raw, comp.multiplicity * mass
+
+
 def _cycle_raw(cycle: ProjectiveCycle, order: int):
-    """Raw second moments and mass of a cycle, one kernel per component and
-    block of ``_BLOCK`` nodes."""
-    nodes, w = disc_rule(order)
+    """Raw second moments and mass of a cycle: ``_monomial_raw`` for each
+    component whose rows hold at most one nonzero coefficient each, and for
+    the others one kernel per component and block of ``_BLOCK`` nodes."""
     n1 = cycle.ambient_dim + 1
-    degrees = [c.degree for c in cycle.components]
-    raw, mass = np.zeros((n1, n1), dtype=complex), 0.0
+    raw, mass, dense = np.zeros((n1, n1), dtype=complex), 0.0, []
+    for c in cycle.components:
+        if np.count_nonzero(c.coeffs, axis=1).max() > 1:
+            dense.append(c)
+            continue
+        part_raw, part_mass = _monomial_raw(c, order)
+        raw, mass = raw + part_raw, mass + part_mass
+    if not dense:
+        return raw, mass
+    nodes, w = disc_rule(order)
+    degrees = [c.degree for c in dense]
     buffer = np.empty(4 * n1 * _BLOCK, dtype=complex)
     for lo in range(0, len(nodes), _BLOCK):
         s = nodes[lo:lo + _BLOCK]
         parts = ((c.multiplicity, c.coeffs[:, :d + 1], _kernel(d, s))
-                 for c, d in zip(cycle.components, degrees))
+                 for c, d in zip(dense, degrees))
         block_raw, block_mass = _raw_moments(n1, parts, w[lo:lo + _BLOCK], buffer)
         raw += block_raw
         mass += block_mass

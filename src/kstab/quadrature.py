@@ -20,6 +20,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "QuadratureError",
     "disc_rule",
+    "disc_radii",
     "panel_rule",
     "radial_integral",
     "csum",
@@ -59,17 +60,19 @@ def disc_rule(order: int):
     (trapezoidal) rule, which is spectrally accurate for periodic smooth
     integrands.  The arrays are read-only.
     """
+    rho, wrho, m = disc_radii(order)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    nodes = (np.sqrt(rho)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    return _read_only(nodes, np.repeat(wrho / m, m))
+
+
+def disc_radii(order: int):
+    """Radii rho = r^2, their weights wrho and the angle count m of
+    ``disc_rule(order)``: nodes sqrt(rho_i) exp(2 pi i j / m), weights wrho_i / m."""
     if order < 1:
         raise ValueError("order must be >= 1")
     x, wx = _legendre(order)
-    rho = 0.5 * (x + 1.0)
-    wrho = 0.5 * wx
-    m = 2 * order + 1
-    theta = 2.0 * np.pi * np.arange(m) / m
-    r = np.sqrt(rho)
-    nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = np.repeat(wrho / m, m)
-    return _read_only(nodes, weights)
+    return 0.5 * (x + 1.0), 0.5 * wx, 2 * order + 1
 
 
 def panel_rule(order: int, panels: int):

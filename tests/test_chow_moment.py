@@ -771,6 +771,164 @@ class TestBalanceKernel:
         assert sorted(orders) == [20, 40]
 
 
+def _monomial(rows, degree=None, multiplicity=1):
+    """A component with row a equal to c_a s^(e_a), from ``rows`` of
+    (c_a, e_a) pairs or None for a zero row."""
+    degree = max(e for r in rows if r is not None for _, e in [r]) if degree is None else degree
+    coeffs = np.zeros((len(rows), degree + 1), dtype=complex)
+    for a, r in enumerate(rows):
+        if r is not None:
+            coeffs[a, r[1]] = r[0]
+    return Component(coeffs, multiplicity)
+
+
+def _seeded_monomial_cycle(seed):
+    """One or two monomial components in P^(n-1), each with an e = 0 row and
+    an e = degree row (no base point), some zero rows and repeated
+    exponents, multiplicities 1..3."""
+    rng = np.random.default_rng(seed)
+    n1 = int(rng.integers(2, 7))
+    comps = []
+    for _ in range(int(rng.integers(1, 3))):
+        degree = int(rng.integers(1, 25))
+        exps = [0, degree, *rng.integers(0, degree + 1, size=n1 - 2)]
+        rows = [None if a > 1 and rng.random() < 0.2 else (complex(*rng.normal(size=2)), int(e))
+                for a, e in enumerate(exps)]
+        comps.append(_monomial([rows[a] for a in rng.permutation(n1)], degree, int(rng.integers(1, 4))))
+    return ProjectiveCycle(n1 - 1, comps)
+
+
+def _moment_outcome(cycle, order, tol=1e-8):
+    """moment_matrix's (matrix, volume, quad_error), or its QuadratureError
+    message."""
+    try:
+        res = moment_matrix(cycle, order=order, tol=tol)
+    except QuadratureError as exc:
+        return str(exc)
+    return res.matrix, res.volume, res.quad_error
+
+
+def _assert_matches_reference(cycle, order):
+    # raw / V has trace one, so the matrix and quad_error are compared on
+    # that scale and the volume relative to itself
+    matrix, volume, quad_error = _reference_moment(cycle, order)
+    res = moment_matrix(cycle, order=order, tol=np.inf)
+    assert np.max(np.abs(res.matrix - matrix)) <= 1e-12
+    assert abs(res.volume - volume) <= 1e-12 * volume
+    assert abs(res.quad_error - quad_error) <= 1e-12 * max(1.0, quad_error)
+
+
+class TestMonomialClosedForm:
+    """Components whose rows are monomials take the disc rule's angular sum
+    in closed form: the same rule as the kernel path, aliasing included."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("order", [4, 5, 8])
+    def test_seeded_cycles_match_reference(self, seed, order):
+        _assert_matches_reference(_seeded_monomial_cycle(seed), order)
+
+    def test_aliasing_matches_the_discrete_rule(self):
+        # at order 4 the rule has m = 9 angles, and e_1 - e_0 = 9 aliases
+        # s^9 conj(1) onto a constant: the raw (0, 1) entry is not zero
+        cycle = ProjectiveCycle(2, [_monomial([(1.0, 0), (0.5j, 9), (2.0, 10)])])
+        ref, _ = _reference_cycle_raw(cycle, 4)
+        raw, _ = cycles_module._cycle_raw(cycle, 4)
+        assert abs(ref[0, 1]) > 1e-3 and abs(ref[0, 2]) < 1e-12
+        assert np.max(np.abs(raw - ref)) < 1e-14
+        assert moment_matrix(cycle, order=4, tol=np.inf).quad_error > 1e-4
+        _assert_matches_reference(cycle, 4)
+
+    def test_repeated_exponent_gives_off_diagonal_entries(self):
+        cycle = ProjectiveCycle(3, [_monomial([(1.0, 0), (2.0, 2), (1 + 1j, 2), (1.0, 3)])])
+        res = moment_matrix(cycle, order=24)
+        assert abs(res.matrix[1, 2]) > 1e-3
+        _assert_matches_reference(cycle, 24)
+
+    def test_zero_rows_and_multiplicity(self):
+        comp = _monomial([(1.0, 0), None, (0.3 - 2j, 4), None, (1.5, 7)], multiplicity=3)
+        cycle = ProjectiveCycle(4, [comp])
+        assert moment_matrix(cycle, order=24).volume == pytest.approx(21, rel=1e-12)
+        raw, _ = cycles_module._cycle_raw(cycle, 24)
+        assert np.all(raw[[1, 3]] == 0) and np.all(raw[:, [1, 3]] == 0)
+        _assert_matches_reference(cycle, 24)
+
+    def test_ragged_and_padded_coefficients(self):
+        rows = [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.5, -1.0]], [[0.0, 0.0]] * 5 + [[2.0, 0.0]]]
+        padded = [row + [[0.0, 0.0]] * 3 for row in rows]
+        results = []
+        for coeffs in (rows, padded):
+            cycle = cycle_from_json({"ambient": 2, "components": [{"coeffs": coeffs, "multiplicity": 2}]})
+            _assert_matches_reference(cycle, 16)
+            results.append(moment_matrix(cycle, order=16))
+        assert np.array_equal(results[0].matrix, results[1].matrix)
+        assert results[0].volume == results[1].volume
+
+    @pytest.mark.parametrize("order", [8, 24])
+    def test_mixed_cycle(self, order):
+        # one monomial component (the standard conic) and one dense one
+        assert [np.count_nonzero(c.coeffs, axis=1).max() for c in _two_conics().components] == [1, 3]
+        dense_line = Component(np.array([[1, 1], [0.5j, 0], [0, 1]], dtype=complex))
+        cycle = ProjectiveCycle(2, [_monomial([(1.0, 0), (0.5, 4), (1j, 9)]), dense_line])
+        for c in (_two_conics(), cycle):
+            _assert_matches_reference(c, order)
+
+    def test_image_cycles_match_reference(self):
+        for k in (16, 32):
+            _assert_matches_reference(_bump_image(k), 48)
+
+    @pytest.mark.parametrize("name, comp", [
+        ("base point (s, s^2)", _monomial([(1.0, 1), (1.0, 2)])),
+        ("one row s", _monomial([(1.0, 1), None])),
+        ("common factor s", _monomial([(1.0, 1), None, (1.0, 1)])),
+        ("underflow (s^200, s^300)", _monomial([(1.0, 200), (1.0, 300)])),
+    ])
+    @pytest.mark.parametrize("order", [24, 48])
+    def test_errors_match_the_reference_path(self, monkeypatch, name, comp, order):
+        cycle = ProjectiveCycle(len(comp.coeffs) - 1, [comp])
+        closed = _moment_outcome(cycle, order)
+        monkeypatch.setattr(cycles_module, "_cycle_raw", _reference_cycle_raw)
+        assert isinstance(closed, str) and closed == _moment_outcome(cycle, order)
+
+    def test_one_row_mass_is_exactly_zero(self, monkeypatch):
+        # Lagrange's identity gives the density of a one-row curve as an
+        # exact zero; the kernel's |p'|^2 |p|^2 - |<p', p>|^2 leaves roundoff
+        cycle = ProjectiveCycle(2, [_monomial([None, (0.7 + 2.3j, 3), None])])
+        closed = _moment_outcome(cycle, 24)
+        assert closed == "cycle mass 0 does not match nominal degree 3; parametrization may have base points"
+        monkeypatch.setattr(cycles_module, "_cycle_raw", _reference_cycle_raw)
+        reference = _moment_outcome(cycle, 24)
+        assert reference.startswith("cycle mass ") and reference.endswith(closed[len("cycle mass 0"):])
+        assert abs(float(reference.split()[2])) < 1e-14
+
+    def test_kernel_only_for_dense_components(self, monkeypatch):
+        calls = []
+        real = cycles_module._kernel
+        monkeypatch.setattr(cycles_module, "_kernel", lambda d, s: calls.append(d) or real(d, s))
+        shipped = [cycle_from_json(json.loads((DATA / f"{name}.json").read_text()))
+                   for name in ("line_cycle", "rnc3_cycle")]
+        for cycle in [_bump_image(64), *shipped]:
+            moment_matrix(cycle)
+        assert calls == []
+        moment_matrix(_two_conics(), order=24)
+        # the moved conic only: 2 blocks of 24 * 49 nodes, 5 of 48 * 97
+        assert calls == [2] * 7
+
+    def test_memory_flat_in_order_for_dense_cycles(self, rng):
+        # a unitary frame makes every row of an image cycle dense: the
+        # kernel path, whose charts are evaluated in blocks of nodes
+        cycle = transform_cycle(image_cycle(RadialMetric(0.1), 64), random_unitary(rng, 65))
+        assert np.count_nonzero(cycle.components[0].coeffs, axis=1).min() > 1
+        peaks = []
+        for order in (48, 96):
+            tracemalloc.start()
+            try:
+                moment_matrix(cycle, order=order)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0]
+
+
 class TestJsonInterfaces:
     def test_zero_padding_changes_nothing(self):
         # trailing zero coefficients, ragged or padded past the degree, are

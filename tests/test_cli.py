@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -139,6 +140,21 @@ class TestMomentCommand:
         diag = [rep["matrix_re"][i][i] for i in range(3)]
         assert abs(diag[0] - 1 / 6) < 1e-10
         assert abs(diag[1] + 1 / 3) < 1e-10
+
+
+    @pytest.mark.parametrize("rows", [
+        [[[0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]],
+        [[[0, 0], [1, 0]], [[0, 0]]],
+        [[[0, 0], [1, 0]], [[0, 0]], [[0, 0], [1, 0]]],
+    ], ids=["base-point-s-s2", "one-row", "common-factor"])
+    def test_monomial_curve_with_base_point_exit_4(self, runner, tmp_path, rows):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"ambient": len(rows) - 1, "components": [{"coeffs": rows}]}))
+        res = run(runner, "moment", "--input", str(path))
+        assert res.exit_code == 4 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert re.fullmatch(r"error: cycle mass [01] does not match nominal degree [12]; "
+                            r"parametrization may have base points\n", res.stderr)
 
 
 class TestBalanceCommand:
@@ -315,6 +331,17 @@ def test_usage_error_is_one_line(runner, args):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+
+
+def test_help_puts_each_command_beside_its_help(runner, monkeypatch):
+    # the command list comes from the unknown-command error, and each name
+    # must share its line with the start of its help
+    monkeypatch.setenv("COLUMNS", "80")
+    names = re.findall(r"'(\w+)'", runner.invoke(main, ["nope"]).stderr.split("choose from", 1)[1])
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0 and len(names) == 7
+    for name in names:
+        assert re.search(rf"^    {name} +[A-Z]", res.stdout, re.M), name
 
 
 def test_cli_import_loads_only_the_standard_library():
