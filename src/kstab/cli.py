@@ -226,10 +226,7 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
     if tol <= 0 or max_steps < 1 or not 1 <= order <= _MAX_ORDER:
         sys.exit(_fail(EXIT_PARSE, f"tol and max-steps must be positive and order in 1..{_MAX_ORDER}"))
-    try:
-        res = cy.balance_iterate(cycle, max_steps=max_steps, tol=tol, order=order)
-    except ValueError as exc:
-        sys.exit(_fail(EXIT_PARSE, str(exc)))
+    res = cy.balance_iterate(cycle, max_steps=max_steps, tol=tol, order=order)
     data = {"converged": res.converged, "steps": res.steps, "note": res.note}
     if fmt == "csv":
         data["columns"] = ["step", "residual"]
@@ -383,9 +380,9 @@ def main(argv=None):
     opt("--order", default=48, type=int, help="quadrature order")
     opt("--tol", default=1e-8, type=float)
     opt = command("balance", cmd_balance)
-    opt("--tol", default=1e-8, type=float)
-    opt("--max-steps", default=500, type=int)
-    opt("--order", default=32, type=int)
+    opt("--tol", default=1e-8, type=float, help="stop when the trace norm of the moment matrix is at most this")
+    opt("--max-steps", default=500, type=int, help="largest number of steps")
+    opt("--order", default=32, type=int, help="quadrature order")
     opt = command("bergman", cmd_bergman)
     opt("--k", dest="krange", default="8:64:double", help="levels, e.g. 8:64:double")
     opt("--grid", default=100, type=int, help="number of radial grid points")

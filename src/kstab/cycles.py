@@ -106,37 +106,7 @@ def _kernel(d: int, s: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _raw_moments(n1: int, parts, w: np.ndarray, buffer: np.ndarray):
-    """Second-moment matrix (Hermitian) and mass of a set of charts.
-
-    ``parts`` holds ``(multiplicity, c, _kernel(d, s))`` per component, with
-    ``c`` its (N+1) x (d+1) coefficients, for nodes ``s`` of the disc rule
-    with weights ``w``.  The chart values ``c @ kernel`` go to ``buffer``
-    (at least 4 (N+1) len(s) entries): a fresh array per call costs page
-    faults, so callers keep one for all their calls.
-    """
-    m2 = 2 * len(w)
-    w2 = np.concatenate([w, w])  # both charts
-    vals = buffer[:2 * n1 * m2].reshape(n1, 2 * m2)
-    raw = np.zeros((n1, n1), dtype=complex)
-    mass = 0.0
-    for mult, c, kernel in parts:
-        np.matmul(c, kernel, out=vals)
-        del kernel  # free a block's kernel before the temporaries below: page faults
-        p, dp = vals[:, :m2], vals[:, m2:]
-        norm2 = np.sum(np.abs(p) ** 2, axis=0)
-        if np.any(norm2 == 0.0):
-            raise QuadratureError("parametrization with base points: |p(s)| = 0")
-        dd = np.sum(dp * np.conj(dp), axis=0).real
-        pd = np.sum(dp * np.conj(p), axis=0)
-        kappa = (dd * norm2 - np.abs(pd) ** 2) / norm2**2  # FS density / pi
-        wk = w2 * kappa
-        raw += mult * ((p * (wk / norm2)) @ p.conj().T)
-        mass += mult * csum(wk)
-    return 0.5 * (raw + raw.conj().T), mass  # Hermitian by construction up to roundoff
-
-
-# Nodes per kernel in moment_matrix: bounds the kernel and the (N+1) x nodes
+# Nodes per kernel in _cycle_raw: bounds the kernel and the (N+1) x nodes
 # chart arrays of large cycles at high order.
 _BLOCK = 1024
 
@@ -167,28 +137,42 @@ def _monomial_raw(comp: Component, order: int):
 
 
 def _cycle_raw(cycle: ProjectiveCycle, order: int):
-    """Raw second moments and mass of a cycle: ``_monomial_raw`` for each
-    component whose rows hold at most one nonzero coefficient each, and for
-    the others one kernel per component and block of ``_BLOCK`` nodes."""
+    """Raw second moments (Hermitian) and mass of a cycle: ``_monomial_raw``
+    for each component whose rows hold at most one nonzero coefficient each,
+    and for the others the charts ``c @ _kernel(d, s)`` of its coefficients
+    ``c`` on each block ``s`` of at most ``_BLOCK`` disc nodes."""
     n1 = cycle.ambient_dim + 1
     raw, mass, dense = np.zeros((n1, n1), dtype=complex), 0.0, []
-    for c in cycle.components:
-        if np.count_nonzero(c.coeffs, axis=1).max() > 1:
-            dense.append(c)
+    for comp in cycle.components:
+        if np.count_nonzero(comp.coeffs, axis=1).max() > 1:
+            dense.append((comp.multiplicity, comp.coeffs[:, :comp.degree + 1]))
             continue
-        part_raw, part_mass = _monomial_raw(c, order)
+        part_raw, part_mass = _monomial_raw(comp, order)
         raw, mass = raw + part_raw, mass + part_mass
     if not dense:
         return raw, mass
     nodes, w = disc_rule(order)
-    degrees = [c.degree for c in dense]
-    buffer = np.empty(4 * n1 * _BLOCK, dtype=complex)
+    buffer = np.empty(4 * n1 * _BLOCK, dtype=complex)  # chart values: a fresh array per block costs page faults
     for lo in range(0, len(nodes), _BLOCK):
         s = nodes[lo:lo + _BLOCK]
-        parts = ((c.multiplicity, c.coeffs[:, :d + 1], _kernel(d, s))
-                 for c, d in zip(dense, degrees))
-        block_raw, block_mass = _raw_moments(n1, parts, w[lo:lo + _BLOCK], buffer)
-        raw += block_raw
+        m2 = 2 * len(s)
+        w2 = np.concatenate([w[lo:lo + _BLOCK]] * 2)  # both charts
+        vals = buffer[:2 * m2 * n1].reshape(n1, 2 * m2)
+        block_raw, block_mass = np.zeros((n1, n1), dtype=complex), 0.0
+        for mult, c in dense:
+            np.matmul(c, _kernel(c.shape[1] - 1, s), out=vals)
+            p, dp = vals[:, :m2], vals[:, m2:]
+            pc = p.conj()
+            norm2 = np.sum(np.abs(p) ** 2, axis=0)
+            if np.any(norm2 == 0.0):
+                raise QuadratureError("parametrization with base points: |p(s)| = 0")
+            dd = np.sum(dp * dp.conj(), axis=0).real
+            pd = np.sum(dp * pc, axis=0)
+            kappa = (dd * norm2 - np.abs(pd) ** 2) / norm2**2  # FS density / pi
+            wk = w2 * kappa
+            block_raw += mult * ((p * (wk / norm2)) @ pc.T)
+            block_mass += mult * csum(wk)
+        raw += 0.5 * (block_raw + block_raw.conj().T)  # Hermitian by construction up to roundoff
         mass += block_mass
     return raw, mass
 
@@ -259,9 +243,6 @@ class BalanceResult:
 # Differences kept by the Anderson mixing of balance_iterate.
 _MEMORY = 6
 
-# Most complex entries (512 MiB) of balance_iterate's kernels and chart values.
-_MAX_ENTRIES = 2 ** 25
-
 # Failures that make a balance evaluation invalid.
 _BREAKDOWN = (QuadratureError, np.linalg.LinAlgError, FloatingPointError)
 
@@ -311,26 +292,15 @@ def balance_iterate(
     matrix is not positive definite, ``note`` says why ("iteration broke
     down: ...").  Both signal an unstable or borderline cycle.
 
-    The charts are linear in the coefficients, and reversal commutes with
-    an invertible transform, which keeps the degree: each component's
-    ``_kernel`` is evaluated at the disc nodes once per run, and an
-    evaluation multiplies it by the current coefficients, one matrix
-    product per component.  Raises ValueError, before allocating, when
-    these 4 x nodes x (sum of (d + 1) + N + 1) entries exceed _MAX_ENTRIES.
+    Each evaluation is ``_cycle_raw`` at ``order``, as in ``moment_matrix``.
     """
     n1 = cycle.ambient_dim + 1
     degree = cycle.total_degree
-    nodes, w = disc_rule(order)
-    entries = 4 * len(nodes) * (sum(c.degree + 1 for c in cycle.components) + n1)
-    if entries > _MAX_ENTRIES:
-        raise ValueError(f"balancing at order {order} needs {entries} > 2^25 complex kernel entries; lower the order")
-    kernels = [_kernel(comp.degree, nodes) for comp in cycle.components]
-    buffer = np.empty(4 * n1 * len(nodes), dtype=complex)
 
     def components(half):
         out = []
-        for comp, kernel in zip(cycle.components, kernels):
-            c = half @ comp.coeffs[:, :kernel.shape[0]]
+        for comp in cycle.components:
+            c = half @ comp.coeffs
             out.append(Component(c / np.max(np.abs(c)), comp.multiplicity))
         return out
 
@@ -342,8 +312,7 @@ def balance_iterate(
             comps = components(half)
         if not all(np.all(np.isfinite(c.coeffs)) for c in comps):
             raise FloatingPointError("metric is not finite")
-        parts = [(c.multiplicity, c.coeffs, kernel) for c, kernel in zip(comps, kernels)]
-        raw, mass = _raw_moments(n1, parts, w, buffer)
+        raw, mass = _cycle_raw(ProjectiveCycle(cycle.ambient_dim, comps), order)
         if abs(mass - degree) > 1e-6 * degree:
             raise QuadratureError(f"cycle mass {mass:.9g} does not match degree {degree}")
         raw = raw / mass
