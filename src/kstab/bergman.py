@@ -21,9 +21,9 @@ metric has S = 2).
 All radial differentiation of rho_k uses the closed-form moment identities
 of the weight distribution nu_s(j) proportional to s^j / ||z^j||^2 — the
 pulled-back Fubini-Study density at level k is exactly Var_{nu_s}(j)/(k s) —
-never finite differences.  Each node set costs one exponential over the
-(k+1) x nodes array of s^j / ||z^j||^2; the moment sums are read off one
-small matrix product with it.
+never finite differences.  Each node set costs one rank-3 matrix product
+for the exponents of the (k+1) x nodes array of s^j / ||z^j||^2, one
+exponential of it and one small matrix product for the moment sums.
 """
 
 from __future__ import annotations
@@ -178,18 +178,26 @@ def _moment_sums(norms: np.ndarray, s: np.ndarray, *weights: np.ndarray):
     """T_p = sum_j j^p s^j / ||z^j||^2 for p = 0, 1, 2, then sum_j a_j s^j /
     ||z^j||^2 for each weight row a, at each s, from one exponential.
 
-    Returns (T, shift) with the sums equal to T exp(shift): E = exp(j log s
-    - log ||z^j||^2 - shift) with the largest exponent per column as shift,
-    then T = rows @ E.  At s = 0 only j = 0 contributes.
+    Returns (T, shift) with the sums equal to T exp(shift): the exponents
+    j log s - c_j - shift, c = log ||z^j||^2, are one rank-3 product
+    [j, -c_j, 1] @ [log s; 1; -shift], with log 0 a finite floor, then T =
+    rows @ exp of it.  The shift is the largest exponent per column; for
+    log-convex norms (Gram norms are, by Cauchy-Schwarz) it sits where the
+    increments of c pass log s.  Exponents below -700 are raised to -700, as
+    numpy's exp is over ten times slower below about -708; each sum moves by
+    at most (k+1) max|row| e^-700.  At s = 0 only j = 0 contributes.
     """
-    jf = np.arange(len(norms), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.multiply.outer(jf, np.log(s))
-    e[0] = 0.0  # s^0 = 1 even at s = 0
-    e -= np.log(norms)[:, None]
-    shift = e.max(axis=0)
-    e -= shift
-    np.exp(e, out=e)
+    jf, c = np.arange(len(norms), dtype=float), np.log(norms)
+    ls = np.log(s, out=np.full(np.shape(s), -1e300), where=s != 0)
+    d = np.diff(c)
+    if np.all(d[:-1] <= d[1:]):
+        top = np.searchsorted(d, ls)
+        shift = top * ls - c[top]
+    else:
+        shift = np.max(np.multiply.outer(jf, ls) - c[:, None], axis=0)
+    e = np.column_stack([jf, -c, np.ones_like(c)]) @ np.vstack([ls, np.ones_like(ls), -shift])
+    np.exp(np.maximum(e, -700.0, out=e), out=e)
+    e[1:, s == 0] = 0.0
     return np.vstack([jf ** np.arange(3)[:, None], *weights]) @ e, shift
 
 

@@ -33,7 +33,7 @@ class QuadratureError(RuntimeError):
 
 def csum(values) -> float:
     """Compensated sum of real values (order independent to roundoff)."""
-    return math.fsum(np.asarray(values, dtype=float).ravel())
+    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,21 +88,23 @@ def radial_integral(f, tol: float, panels: int = 2):
     panels, doubling the panels from ``panels`` up to 512 until the change is
     within ``tol``.
 
-    ``f`` maps an array of s-values to one value per node (summed with
-    ``csum``, change relative to max(1, |value|)) or to a stack of rows
-    (one matrix product, change relative to each row's value).  Returns
-    (value, last change)."""
+    The Jacobian 1/(1-x)^2 is folded into the weights, so ``f``'s values are
+    reduced against one vector and never copied.  ``f`` maps an array of
+    s-values to one value per node (summed with ``csum``, change relative to
+    max(1, |value|)) or to a stack of rows (one matrix-vector product,
+    change relative to each row's value).  Returns (value, last change)."""
     prev, err = None, float("inf")
     while panels <= 512:
         nodes, weights = panel_rule(32, panels)
-        jac = 1.0 / (1.0 - nodes) ** 2
-        vals = np.asarray(f(nodes / (1.0 - nodes)), dtype=float) * jac
+        wjac = weights / (1.0 - nodes) ** 2
+        vals = np.asarray(f(nodes / (1.0 - nodes)), dtype=float)
         if vals.ndim == 1:
-            cur = csum(weights * vals)
+            cur = csum(wjac * vals)
             scale = max(1.0, abs(cur))
         else:
-            cur = vals @ weights
+            cur = vals @ wjac
             scale = np.abs(cur)
+        del vals  # not held while f builds the next, twice larger level
         if prev is not None:
             err = float(np.max(np.abs(cur - prev) / scale))
             if err <= tol:

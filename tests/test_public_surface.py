@@ -1,6 +1,9 @@
-"""Every public name of a kstab module has a user outside the tests."""
+"""Every public name of a kstab module has a user outside the tests, and
+every function the benchmark tracer wraps exists in ``src/``."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -33,3 +36,24 @@ def test_public_names_are_used_outside_the_tests(module):
         ):
             unused.append(name)
     assert unused == [], f"{module.stem}: public names that only the tests read"
+
+
+def _traced_targets():
+    """(module, attribute path) of each entry of ``bench/tracing.py``'s TARGETS."""
+    for node in ast.parse((ROOT / "bench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise LookupError("bench/tracing.py has no TARGETS list")
+
+
+@pytest.mark.parametrize("module, path", _traced_targets())
+def test_traced_targets_resolve_in_src(module, path):
+    # the tracer reads owner.__dict__[attr], so the attribute must be defined
+    # on its owner itself, in a module under src/
+    *owners, attr = path.split(".")
+    owner = importlib.import_module(module)
+    for part in owners:
+        owner = getattr(owner, part)
+    assert attr in vars(owner), f"{module}.{path} is not defined where the tracer looks"
+    source = Path(inspect.getsourcefile(vars(owner)[attr])).resolve()
+    assert (ROOT / "src") in source.parents

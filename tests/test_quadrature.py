@@ -1,5 +1,7 @@
 """Quadrature rules: exactness, adaptivity, order independence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,12 @@ class TestPanels:
         f = np.sin(3 * x) / (1 + x)
         perm = np.random.default_rng(1).permutation(len(x))
         assert csum(w * f) == csum((w * f)[perm])
+
+    @pytest.mark.parametrize("shape", [(2048,), (32, 65)])
+    def test_csum_is_fsum_of_the_values(self, rng, shape):
+        values = rng.normal(size=shape) * np.exp(rng.normal(scale=20.0, size=shape))
+        assert csum(values) == math.fsum(values.ravel().tolist())
+
+    def test_csum_cancelling(self):
+        assert csum(np.array([1e16, 1.0, -1e16])) == 1.0
+        assert csum([[1e16, 1.0], [-1e16, 0.0]]) == 1.0
