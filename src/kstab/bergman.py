@@ -3,13 +3,14 @@
 The metric is given by a radial potential u(s), s = |z|^2, with
 u = log(1 + s) + eps * psi(s) for a decaying rational bump psi; the
 associated area density is w = (s u')' (total mass one, the polarization
-class is fixed).  w and the scalar curvature are rational functions of s,
-derived in exact rational arithmetic (``kstab.poly``) and evaluated by
-Horner's rule: w once per metric, S only when ``scalar_curvature`` reads it.
-Level-k sections are the monomials z^j, orthogonal by circle invariance,
-with squared norms computed by radial quadrature once per metric and level
-and kept, read-only, on the metric for every later reader.  The density of
-states
+class is fixed).  psi, w and the scalar curvature S are rational functions
+of s, derived exactly on integer coefficient lists (``kstab.poly``), reduced
+by one gcd each and evaluated by Horner's rule; S only when
+``scalar_curvature`` reads it.  Level-k sections are the monomials z^j,
+orthogonal by circle invariance, with squared norms computed by radial
+quadrature once per metric and level.  The metric keeps them, and log s, u
+and w on each shared radial node set, read-only for every later reader.
+The density of states
 
     rho_k(s) = sum_j |z^j|^2_h / ||z^j||^2
 
@@ -23,7 +24,8 @@ of the weight distribution nu_s(j) proportional to s^j / ||z^j||^2 — the
 pulled-back Fubini-Study density at level k is exactly Var_{nu_s}(j)/(k s) —
 never finite differences.  Each node set costs one rank-3 matrix product
 for the exponents of the (k+1) x nodes array of s^j / ||z^j||^2, one
-exponential of it and one small matrix product for the moment sums.
+exponential of it and one small matrix product for the moment sums; what
+reads only the norms is set up once per integral.
 """
 
 from __future__ import annotations
@@ -52,31 +54,29 @@ __all__ = [
 ]
 
 # Rational functions are pairs (num, den) of exact ascending coefficient
-# lists, kept in lowest terms with a monic denominator; f[::-1] is 1/f.
+# lists in lowest terms with a monic denominator, derived unreduced on
+# integer lists and reduced once, by ``_ratio``.
 
 
 def _ratio(num, den):
-    g = poly.gcd(num, den)
-    num, den = poly.quorem(num, g)[0], poly.quorem(den, g)[0]
-    return [c / den[-1] for c in num], [c / den[-1] for c in den]
+    """Integer lists num/den in lowest terms, as Fractions over a monic den."""
+    g = poly.clear_denominators(poly.gcd(num, den))[0]
+    num, den = poly.divide(num, g), poly.divide(den, g)
+    return [Fraction(c, den[-1]) for c in num], [Fraction(c, den[-1]) for c in den]
 
 
-def _rdiff(f):
-    p, q = f
-    return _ratio(poly.add(poly.mul(poly.deriv(p), q), poly.mul(p, poly.deriv(q)), -1), poly.mul(q, q))
+def _rdiff(p, q):
+    """(p/q)' = (p'q - pq') / q^2 of integer lists, unreduced."""
+    return poly.add(poly.mul(poly.deriv(p), q), poly.mul(p, poly.deriv(q)), -1), poly.mul(q, q)
 
 
-def _radd(f, g):
-    return _ratio(poly.add(poly.mul(f[0], g[1]), poly.mul(g[0], f[1])), poly.mul(f[1], g[1]))
-
-
-def _rmul(f, g):
-    return _ratio(poly.mul(f[0], g[0]), poly.mul(f[1], g[1]))
+def _floats(f):
+    return [float(c) for c in f[0]], [float(c) for c in f[1]]
 
 
 def _reval(f, s):
-    """Float evaluation of a rational function on an array of s-values."""
-    return poly.evaluate([float(c) for c in f[0]], s) / poly.evaluate([float(c) for c in f[1]], s)
+    """Float evaluation of a rational function, as ``_floats``, at s."""
+    return poly.evaluate(f[0], s) / poly.evaluate(f[1], s)
 
 
 class RadialMetric:
@@ -91,17 +91,22 @@ class RadialMetric:
     def __init__(self, epsilon: float = 0.0, bump=None):
         self.epsilon = float(epsilon)
         num, den = bump if bump is not None else ([0, 1], [1, 2, 1])
-        num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
+        num, den = poly.clear_denominators([Fraction(c) for c in num], [Fraction(c) for c in den])
         if not any(den):
             raise ValueError("bump denominator is the zero polynomial")
         self._psi = _ratio(num, den)
         # the exact rational eps keeps w and S exact
         eps = Fraction(self.epsilon).limit_denominator(10**9)
         self._eps = float(eps)
-        # s u' = s/(1+s) + eps * s psi', then w = (s u')'
-        su = _radd(([0, 1], [1, 1]), _rmul(([0, eps], [1]), _rdiff(self._psi)))
-        self._w = _rdiff(su)
+        # s u' = s/(1+s) + eps * s psi' = a/b with b = (1+s) q^2 for psi = p/q,
+        # then w = (s u')'
+        (p, q), e, d = poly.clear_denominators(*self._psi), eps.numerator, eps.denominator
+        dp, qq = _rdiff(p, q)
+        a = poly.add(poly.mul([0, d], qq), poly.mul([0, e, e], dp))
+        self._w = _ratio(*_rdiff(a, poly.mul([d, d], qq)))
+        self._psi_f, self._w_f = _floats(self._psi), _floats(self._w)
         self._norms = {}  # level k -> read-only Gram norms, filled by gram
+        self._nodes = {}  # node count -> (s, log s, u, w), filled by _on_nodes
         # certificate: minimum of the density relative to the round one,
         # which stays bounded away from zero for genuine metrics
         x = np.linspace(1e-6, 1 - 1e-6, 400)
@@ -116,11 +121,21 @@ class RadialMetric:
     # evaluated callables ------------------------------------------------
     def u(self, s):
         s = np.asarray(s, dtype=float)
-        return np.log1p(s) + self._eps * _reval(self._psi, s)
+        return np.log1p(s) + self._eps * _reval(self._psi_f, s)
 
     def density(self, s):
         """Area density w(s) = (s u')'; integrates to 1 over [0, inf)."""
-        return _reval(self._w, np.asarray(s, dtype=float))
+        return _reval(self._w_f, np.asarray(s, dtype=float))
+
+    def _on_nodes(self, s):
+        """log s, u and w, read-only, on a shared radial node set, evaluated
+        at the first call on it (the set is held and checked by identity)."""
+        kept = self._nodes.get(len(s))
+        if kept is None or kept[0] is not s:
+            kept = self._nodes[len(s)] = (s, np.log(s), self.u(s), self.density(s))
+            for a in kept[1:]:
+                a.flags.writeable = False
+        return kept[1:]
 
 
 def scalar_curvature(metric: RadialMetric, grid: np.ndarray) -> np.ndarray:
@@ -130,10 +145,11 @@ def scalar_curvature(metric: RadialMetric, grid: np.ndarray) -> np.ndarray:
     derived here in exact rational arithmetic and evaluated by Horner's
     rule; the round metric gives the constant 2.
     """
-    w = metric._w
-    s_logw = _rmul(([0, 1], [1]), _rmul(_rdiff(w), w[::-1]))
-    scal = _rmul(([-1], [1]), _rmul(_rdiff(s_logw), w[::-1]))
-    return _reval(scal, np.asarray(grid, dtype=float))
+    n, d = poly.clear_denominators(*metric._w)
+    # (s (log w)')' = de/ff, from s (log w)' = s (n'd - nd') / (n d)
+    de, ff = _rdiff(poly.mul([0, 1], _rdiff(n, d)[0]), poly.mul(n, d))
+    scal = _ratio(poly.add([], poly.mul(de, d), -1), poly.mul(ff, n))
+    return _reval(_floats(scal), np.asarray(grid, dtype=float))
 
 
 def gram(metric: RadialMetric, k: int) -> np.ndarray:
@@ -156,13 +172,14 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
 
     def f(s):
         nonlocal scale_log
-        e = np.multiply.outer(jf, np.log(s))
-        e -= k * metric.u(s)
+        log_s, u, w = metric._on_nodes(s)
+        e = np.multiply.outer(jf, log_s)
+        e -= k * u
         if scale_log is None:
             scale_log = e.max(axis=1)
         e -= scale_log[:, None]
         np.exp(e, out=e)
-        e *= metric.density(s)
+        e *= w
         return e
 
     cur, _ = radial_integral(f, 1e-12, panels=8)
@@ -174,31 +191,45 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
     return norms
 
 
-def _moment_sums(norms: np.ndarray, s: np.ndarray, *weights: np.ndarray):
-    """T_p = sum_j j^p s^j / ||z^j||^2 for p = 0, 1, 2, then sum_j a_j s^j /
-    ||z^j||^2 for each weight row a, at each s, from one exponential.
+def _moment_kernel(norms: np.ndarray, *weights: np.ndarray):
+    """The moment sums as a function ``sums(s, log s)``, with the set-up (the
+    log norms, their increments and both matrices) done once per integral.
 
+    T_p = sum_j j^p s^j / ||z^j||^2 for p = 0, 1, 2, then sum_j a_j s^j /
+    ||z^j||^2 for each weight row a, at each s, from one exponential.
     Returns (T, shift) with the sums equal to T exp(shift): the exponents
     j log s - c_j - shift, c = log ||z^j||^2, are one rank-3 product
-    [j, -c_j, 1] @ [log s; 1; -shift], with log 0 a finite floor, then T =
-    rows @ exp of it.  The shift is the largest exponent per column; for
-    log-convex norms (Gram norms are, by Cauchy-Schwarz) it sits where the
-    increments of c pass log s.  Exponents below -700 are raised to -700, as
-    numpy's exp is over ten times slower below about -708; each sum moves by
-    at most (k+1) max|row| e^-700.  At s = 0 only j = 0 contributes.
+    [j, -c_j, 1] @ [log s; 1; -shift], then T = rows @ exp of it.  The
+    shift is the largest exponent per column; for log-convex norms (Gram
+    norms are, by Cauchy-Schwarz) it sits where the increments of c pass
+    log s.  Exponents below -700 are raised to -700, as numpy's exp is over
+    ten times slower below about -708; each sum moves by at most (k+1)
+    max|row| e^-700.  At s = 0 only j = 0 contributes.
     """
     jf, c = np.arange(len(norms), dtype=float), np.log(norms)
-    ls = np.log(s, out=np.full(np.shape(s), -1e300), where=s != 0)
     d = np.diff(c)
-    if np.all(d[:-1] <= d[1:]):
-        top = np.searchsorted(d, ls)
-        shift = top * ls - c[top]
-    else:
-        shift = np.max(np.multiply.outer(jf, ls) - c[:, None], axis=0)
-    e = np.column_stack([jf, -c, np.ones_like(c)]) @ np.vstack([ls, np.ones_like(ls), -shift])
-    np.exp(np.maximum(e, -700.0, out=e), out=e)
-    e[1:, s == 0] = 0.0
-    return np.vstack([jf ** np.arange(3)[:, None], *weights]) @ e, shift
+    convex = np.all(d[:-1] <= d[1:])
+    expo = np.column_stack([jf, -c, np.ones_like(c)])
+    rows = np.vstack([jf ** np.arange(3)[:, None], *weights])
+
+    def sums(s, ls):
+        if convex:
+            top = np.searchsorted(d, ls)
+            shift = top * ls - c[top]
+        else:
+            shift = np.max(np.multiply.outer(jf, ls) - c[:, None], axis=0)
+        e = expo @ np.vstack([ls, np.ones_like(ls), -shift])
+        np.exp(np.maximum(e, -700.0, out=e), out=e)
+        e[1:, s == 0] = 0.0
+        return rows @ e, shift
+
+    return sums
+
+
+def _moment_sums(norms: np.ndarray, s: np.ndarray, *weights: np.ndarray):
+    """The sums of ``_moment_kernel(norms, *weights)`` at s, log 0 a finite floor."""
+    ls = np.log(s, out=np.full(np.shape(s), -1e300), where=s != 0)
+    return _moment_kernel(norms, *weights)(s, ls)
 
 
 def _pullback(k, s, t):
@@ -239,13 +270,14 @@ def theta_total_variation(metric: RadialMetric, k: int) -> float:
     Integrates |rho_k w / P(k) - w_FS,k| over the sphere, to a change of
     1e-8, with P(k) = (k+1)/k; zero exactly for the round metric.
     """
-    norms = gram(metric, k)
+    sums = _moment_kernel(gram(metric, k))
     p_k = (k + 1.0) / k
 
     def f(s):  # one exponential serves both rho and the form
-        t, shift = _moment_sums(norms, s)
-        r = np.exp(np.log(t[0]) + shift - k * metric.u(s))
-        return np.abs(r * metric.density(s) / p_k - _pullback(k, s, t))
+        log_s, u, w = metric._on_nodes(s)
+        t, shift = sums(s, log_s)
+        r = np.exp(np.log(t[0]) + shift - k * u)
+        return np.abs(r * w / p_k - _pullback(k, s, t))
 
     val, _ = radial_integral(f, tol=1e-8)
     return val
@@ -285,10 +317,10 @@ def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float]) -> flo
     a = np.asarray(a, dtype=float)
     if a.shape[0] != k + 1:
         raise ValueError(f"weight vector must have length k+1 = {k + 1}")
-    norms = gram(metric, k)
+    sums = _moment_kernel(gram(metric, k), a)
 
     def f(s):  # H_A = (a @ E) / (1 @ E), signed
-        t, _ = _moment_sums(norms, s, a)
+        t, _ = sums(s, metric._on_nodes(s)[0])
         return t[3] / t[0] * _pullback(k, s, t)
 
     val, _ = radial_integral(f, tol=1e-10)

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from kstab import weights as wt
@@ -112,7 +113,13 @@ class _Formatter(argparse.HelpFormatter):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is one ``error:`` line and exit 2, like any bad input."""
+    """A usage error is one ``error:`` line and exit 2, like any bad input.
+    A word that starts with ``-`` and a digit (``--k -4,8,16``) is a value,
+    as no option starts so, and the option's own check reports it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         sys.exit(_fail(EXIT_PARSE, message))

@@ -1,7 +1,9 @@
 """Dense univariate polynomials as ascending coefficient lists (p[i] is the
 coefficient of x^i), exact over int or Fraction; zero is the empty list and
-every result is trimmed of trailing zeros.  ``add``, ``mul`` and ``deriv``
-keep integer lists integral; ``quorem`` and ``gcd`` work over Fraction.
+every result is trimmed of trailing zeros.  ``add``, ``mul``, ``deriv`` and
+``divide`` keep integer lists integral, ``clear_denominators`` makes
+rational lists integral, and ``gcd`` runs on integer lists and returns its
+monic result over Fraction.
 
 This is the one coefficient format of the exact code: ``kstab.laurent``
 stores a Laurent polynomial as a power of t times such a list of integer
@@ -14,9 +16,10 @@ numpy array argument.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-__all__ = ["add", "mul", "deriv", "quorem", "gcd", "evaluate"]
+__all__ = ["add", "mul", "deriv", "clear_denominators", "divide", "gcd", "evaluate"]
 
 
 def _trim(p):
@@ -63,26 +66,43 @@ def deriv(a):
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def quorem(a, b):
-    """Quotient and remainder of a by a nonzero trimmed b."""
-    rem = _trim([Fraction(c) for c in a])
-    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
-    terms = [(j, y) for j, y in enumerate(b) if y]
+def divide(a, b):
+    """a / b for integer lists where b divides a over the integers (as a
+    primitive b dividing a over the rationals does, by Gauss's lemma)."""
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
     for i in reversed(range(len(quo))):
-        r = rem[i + len(b) - 1]
-        if r:
-            c = quo[i] = r / b[-1]
-            for j, y in terms:
-                rem[i + j] -= c * y
-    return _trim(quo), _trim(rem[: len(b) - 1])
+        c = quo[i] = rem[i + len(b) - 1] // b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return _trim(quo)
+
+
+def clear_denominators(*lists):
+    """The int or Fraction lists times the least common denominator of all
+    their coefficients, as integer lists."""
+    m = math.lcm(*(c.denominator for p in lists for c in p))
+    return [[c.numerator * (m // c.denominator) for c in p] for p in lists]
+
+
+def _primitive(a):
+    (a,) = clear_denominators(a)
+    g = math.gcd(*a) or 1
+    return _trim([c // g for c in a])
 
 
 def gcd(a, b):
-    """Monic greatest common divisor over the rationals (Euclid)."""
-    a, b = _trim(list(a)), _trim(list(b))
+    """Monic greatest common divisor over the rationals, by the primitive
+    remainder sequence on integer lists: each step scales a by the least m
+    that lets b's top term divide a's and takes that multiple of b off, and
+    each remainder is divided by its content."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, quorem(a, b)[1]
-    return [Fraction(c) / a[-1] for c in a]
+        while len(a) >= len(b):
+            m = b[-1] // math.gcd(a[-1], b[-1])
+            c = a[-1] * m // b[-1]
+            a = _trim([m * x - c * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)])
+        a, b = b, _primitive(a)
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def evaluate(a, x):

@@ -4,7 +4,8 @@ Two rule families are provided: a tensor rule on the unit disc (Gauss
 Legendre radially, equispaced points in angle) used for integrals over
 parametrized rational curves, and composite Gauss-Legendre panels on [0, 1]
 used for radial integrals over [0, inf).  Error estimates come from order
-or panel doubling.
+or panel doubling.  The disc rules and the radial node sets are built once
+per order and panel count and shared by every caller, so they are read-only.
 Single integrals accumulate with compensated summation so results are
 independent of evaluation order to roundoff.
 """
@@ -58,8 +59,14 @@ def disc_rule(order: int):
     (1/pi) * int_{|s|<=1} f dA ~= sum w_i f(s_i).  Radially the rule is
     Gauss-Legendre in rho = r^2 on [0, 1]; in angle it is the equispaced
     (trapezoidal) rule, which is spectrally accurate for periodic smooth
-    integrands.  The arrays are read-only.
+    integrands.  The arrays are built once per order, and read-only.
     """
+    return _disc_nodes(order)
+
+
+@functools.lru_cache(maxsize=None)
+def _disc_nodes(order: int):
+    """``disc_rule(order)``, built once per order."""
     rho, wrho, m = disc_radii(order)
     theta = 2.0 * np.pi * np.arange(m) / m
     nodes = (np.sqrt(rho)[:, None] * np.exp(1j * theta)[None, :]).ravel()
@@ -83,21 +90,29 @@ def panel_rule(order: int, panels: int):
     return _read_only((left + 0.5 * h * (x + 1.0)).ravel(), np.tile(0.5 * h * w, panels))
 
 
+@functools.lru_cache(maxsize=None)
+def _radial_nodes(panels: int):
+    """s = x/(1-x) at the nodes x of ``panel_rule(32, panels)``, and its weights
+    times the Jacobian 1/(1-x)^2: built once per panel count, read-only."""
+    x, w = panel_rule(32, panels)
+    return _read_only(x / (1.0 - x), w / (1.0 - x) ** 2)
+
+
 def radial_integral(f, tol: float, panels: int = 2):
     """Integral over s in [0, inf) via x = s/(1+s) on order-32 Gauss-Legendre
     panels, doubling the panels from ``panels`` up to 512 until the change is
     within ``tol``.
 
     The Jacobian 1/(1-x)^2 is folded into the weights, so ``f``'s values are
-    reduced against one vector and never copied.  ``f`` maps an array of
-    s-values to one value per node (summed with ``csum``, change relative to
-    max(1, |value|)) or to a stack of rows (one matrix-vector product,
-    change relative to each row's value).  Returns (value, last change)."""
+    reduced against one vector and never copied.  ``f`` maps the shared,
+    read-only array of s-values to one value per node (summed with ``csum``,
+    change relative to max(1, |value|)) or to a stack of rows (one
+    matrix-vector product, change relative to each row's value).  Returns
+    (value, last change)."""
     prev, err = None, float("inf")
     while panels <= 512:
-        nodes, weights = panel_rule(32, panels)
-        wjac = weights / (1.0 - nodes) ** 2
-        vals = np.asarray(f(nodes / (1.0 - nodes)), dtype=float)
+        s, wjac = _radial_nodes(panels)
+        vals = np.asarray(f(s), dtype=float)
         if vals.ndim == 1:
             cur = csum(wjac * vals)
             scale = max(1.0, abs(cur))

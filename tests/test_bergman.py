@@ -3,12 +3,14 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kstab import quadrature
+from kstab import poly, quadrature
 from kstab.bergman import (
     RadialMetric,
     _moment_sums,
@@ -129,6 +131,75 @@ class TestScalarCurvature:
         # first-order coefficient agrees to 1% of its scale between step sizes
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(fd - fd2)) < 0.01 * scale
+
+
+# The Fraction chain the metric once derived psi, w and S with: Euclid's gcd
+# over Fraction and a reduction after every operation.
+def _fraction_quorem(a, b):
+    rem = poly.add([], [Fraction(c) for c in a])
+    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rem[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return poly.add([], quo), poly.add([], rem[: len(b) - 1])
+
+
+def _fraction_ratio(num, den):
+    a, b = poly.add([], num), poly.add([], den)
+    while b:
+        a, b = b, _fraction_quorem(a, b)[1]
+    g = [Fraction(c) / a[-1] for c in a]
+    num, den = _fraction_quorem(num, g)[0], _fraction_quorem(den, g)[0]
+    return [c / den[-1] for c in num], [c / den[-1] for c in den]
+
+
+def _fraction_diff(f):
+    p, q = f
+    return _fraction_ratio(poly.add(poly.mul(poly.deriv(p), q), poly.mul(p, poly.deriv(q)), -1), poly.mul(q, q))
+
+
+def _fraction_mul(f, g):
+    return _fraction_ratio(poly.mul(f[0], g[0]), poly.mul(f[1], g[1]))
+
+
+def _fraction_chain(epsilon, bump):
+    """(psi, w, S) of u = log(1 + s) + eps psi as reduced Fraction pairs."""
+    psi = _fraction_ratio(*([Fraction(c) for c in p] for p in bump))
+    eps = Fraction(epsilon).limit_denominator(10**9)
+    s_psi = _fraction_mul(([0, eps], [1]), _fraction_diff(psi))
+    su = _fraction_ratio(
+        poly.add(poly.mul([0, 1], s_psi[1]), poly.mul(s_psi[0], [1, 1])), poly.mul([1, 1], s_psi[1])
+    )
+    w = _fraction_diff(su)
+    s_logw = _fraction_mul(([0, 1], [1]), _fraction_mul(_fraction_diff(w), w[::-1]))
+    return psi, w, _fraction_mul(([-1], [1]), _fraction_mul(_fraction_diff(s_logw), w[::-1]))
+
+
+# the benchmark's bump shapes s (a + b s) / (1+s)^3 at its three amplitudes,
+# then an unreduced bump, string coefficients, eps = 0, a denominator whose
+# leading coefficient is not 1, and the shipped bump
+_CHAIN_CASES = [(e, ([0, a, b], [1, 3, 3, 1])) for a, b in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3))
+                for e in (0.035, 0.04, 0.045)] + [
+    (0.05, ([0, 1, 1], [1, 2, 1])),
+    (0.03, (["0", "1/2", "-3/7"], ["1", "5/2", "2", "1/2"])),
+    (0.0, ([0, 1, 3], [1, 3, 3, 1])),
+    (0.02, ([0, 3, 6], [2, 6, 6, 2])),
+    (0.1, ([0, 1], [1, 2, 1])),
+]
+
+
+@pytest.mark.parametrize("epsilon, bump", _CHAIN_CASES)
+def test_integer_derivation_matches_fraction_chain(epsilon, bump):
+    # the reduced form with a monic denominator is canonical, so the
+    # Fractions are equal, and S evaluates to the same bits
+    psi, w, scal = _fraction_chain(epsilon, bump)
+    metric = RadialMetric(epsilon, bump=bump)
+    assert (metric._psi, metric._w) == (psi, w)
+    assert all(type(c) is Fraction for f in (metric._psi, metric._w) for p in f for c in p)
+    s = default_grid(50)
+    want = poly.evaluate([float(c) for c in scal[0]], s) / poly.evaluate([float(c) for c in scal[1]], s)
+    assert np.array_equal(scalar_curvature(metric, s), want)
 
 
 class TestLogSumExpOracle:
@@ -399,6 +470,45 @@ class TestGramMemo:
         assert len(calls) == 2
         monkeypatch.undo()
         assert np.all(gram(metric, 3) > 0)
+
+
+class TestKeptNodeSets:
+    def test_each_node_set_evaluated_once(self, monkeypatch):
+        # rho, gram, the discrepancy and the moment pairing at three levels
+        # evaluate u and w once per radial node set and build each panel rule
+        # once; rho evaluates u on the caller's grid at every call
+        metric, grid = RadialMetric(0.04, bump=([0, 2, 3], [1, 3, 3, 1])), default_grid(100)
+        calls, panels = {"u": [], "density": []}, []
+        for name, seen in calls.items():
+            real = getattr(metric, name)
+            monkeypatch.setattr(metric, name, lambda s, real=real, seen=seen: seen.append(len(s)) or real(s))
+        rule = quadrature.panel_rule
+        monkeypatch.setattr(quadrature, "panel_rule", lambda order, n: panels.append(n) or rule(order, n))
+        quadrature._radial_nodes.cache_clear()
+        try:
+            for k in (16, 64, 256):
+                rho(metric, k, grid)
+                gram(metric, k)
+                theta_total_variation(metric, k)
+                moment_from_bergman(metric, k, np.linspace(-1.0, 1.0, k + 1))
+        finally:
+            quadrature._radial_nodes.cache_clear()
+        nodes = Counter(calls["u"])
+        assert nodes.pop(len(grid)) == 3
+        assert set(nodes.values()) == {1} and Counter(calls["density"]) == nodes
+        assert len(panels) == len(set(panels)) and sorted(32 * n for n in panels) == sorted(nodes)
+        assert 2 in panels and 8 in panels
+
+    def test_kept_arrays_are_read_only(self):
+        metric = RadialMetric(0.1)
+        theta_total_variation(metric, 8)
+        moment_from_bergman(metric, 8, np.ones(9))
+        kept = [a for entry in metric._nodes.values() for a in entry]
+        kept += [a for n in (2, 4, 8) for a in quadrature._radial_nodes(n)]
+        assert len(kept) >= 12
+        for a in kept:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestRho:

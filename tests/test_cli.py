@@ -310,6 +310,21 @@ def test_malformed_levels_exit_2(runner, command, value):
 
 
 @pytest.mark.parametrize(
+    "command, value, reason",
+    [
+        ("bergman", "-4,8,16", "levels must be a nonempty set of distinct integers in 1..8192"),
+        ("futaki", "-1:3", "expected lo:hi with 1 <= lo <= hi"),
+    ],
+)
+def test_levels_starting_with_minus_reach_the_level_parser(runner, command, value, reason):
+    # argparse would take the value for an option and report a missing argument
+    inputs = {"futaki": "conic_weights.json", "bergman": "round_metric.json"}
+    res = runner.invoke(main, [command, "--input", str(DATA / inputs[command]), "--k", value])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"error: bad level range {value!r}: {reason}\n"
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["frobnicate"],

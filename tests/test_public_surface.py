@@ -55,5 +55,10 @@ def test_traced_targets_resolve_in_src(module, path):
     for part in owners:
         owner = getattr(owner, part)
     assert attr in vars(owner), f"{module}.{path} is not defined where the tracer looks"
-    source = Path(inspect.getsourcefile(vars(owner)[attr])).resolve()
+    target = vars(owner)[attr]
+    assert inspect.isfunction(target), (
+        f"{module}.{path} is a {type(target).__name__}, not a plain function: "
+        "keep any cache in a private helper that it calls"
+    )
+    source = Path(inspect.getsourcefile(target)).resolve()
     assert (ROOT / "src") in source.parents

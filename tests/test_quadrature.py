@@ -30,6 +30,9 @@ class TestDiscRule:
         assert abs(csum((w * (s**3)).real)) < 1e-14
 
 
+    def test_built_once_per_order(self):
+        assert all(a is b for a, b in zip(disc_rule(9), disc_rule(9)))
+
     def test_rules_are_read_only(self):
         for arr in (*disc_rule(8), *panel_rule(8, 4)):
             with pytest.raises(ValueError):
