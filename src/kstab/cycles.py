@@ -110,6 +110,11 @@ def _kernel(d: int, s: np.ndarray) -> np.ndarray:
 # chart arrays of large cycles at high order.
 _BLOCK = 1024
 
+# Columns count as orthogonal in _cycle_raw when |c_i^H c_j| <= _ORTHOGONAL
+# |c_i| |c_j|: then |U^H U - I| <= (deg + 1) _ORTHOGONAL, which moves |p|^2,
+# |p'|^2, <p', p> and the moments by that relative roundoff at most.
+_ORTHOGONAL = 1e-14
+
 
 def _monomial_raw(comp: Component, order: int):
     """Raw second moments and mass of a component whose rows are monomials
@@ -138,16 +143,26 @@ def _monomial_raw(comp: Component, order: int):
 
 def _cycle_raw(cycle: ProjectiveCycle, order: int):
     """Raw second moments (Hermitian) and mass of a cycle: ``_monomial_raw``
-    for each component whose rows hold at most one nonzero coefficient each,
-    and for the others the charts ``c @ _kernel(d, s)`` of its coefficients
-    ``c`` on each block ``s`` of at most ``_BLOCK`` disc nodes."""
+    for each component whose rows hold at most one nonzero coefficient each
+    and, via U M with U = c_j / |c_j| isometric and M = (|c_j| s^j), for one
+    whose columns c_j are orthogonal (the same rule up to roundoff); for the
+    others the charts ``c @ _kernel(d, s)`` of its coefficients ``c`` on
+    each block ``s`` of at most ``_BLOCK`` disc nodes."""
     n1 = cycle.ambient_dim + 1
     raw, mass, dense = np.zeros((n1, n1), dtype=complex), 0.0, []
     for comp in cycle.components:
-        if np.count_nonzero(comp.coeffs, axis=1).max() > 1:
-            dense.append((comp.multiplicity, comp.coeffs[:, :comp.degree + 1]))
-            continue
-        part_raw, part_mass = _monomial_raw(comp, order)
+        if np.count_nonzero(comp.coeffs, axis=1).max() <= 1:
+            part_raw, part_mass = _monomial_raw(comp, order)
+        else:
+            c = comp.coeffs[:, :comp.degree + 1]
+            norms = np.linalg.norm(c, axis=0)
+            if np.any(np.abs(np.triu(c.conj().T @ c, 1)) > _ORTHOGONAL * np.outer(norms, norms)):
+                dense.append((comp.multiplicity, c))
+                continue
+            u = c / np.where(norms > 0, norms, 1.0)  # orthonormal nonzero columns
+            part_raw, part_mass = _monomial_raw(Component(np.diag(norms), comp.multiplicity), order)
+            part_raw = u @ part_raw @ u.conj().T
+            part_raw = 0.5 * (part_raw + part_raw.conj().T)
         raw, mass = raw + part_raw, mass + part_mass
     if not dense:
         return raw, mass
@@ -166,9 +181,8 @@ def _cycle_raw(cycle: ProjectiveCycle, order: int):
             norm2 = np.sum(np.abs(p) ** 2, axis=0)
             if np.any(norm2 == 0.0):
                 raise QuadratureError("parametrization with base points: |p(s)| = 0")
-            dd = np.sum(dp * dp.conj(), axis=0).real
-            pd = np.sum(dp * pc, axis=0)
-            kappa = (dd * norm2 - np.abs(pd) ** 2) / norm2**2  # FS density / pi
+            dp -= (np.sum(dp * pc, axis=0) / norm2) * p  # p' minus its projection on p: no cancellation
+            kappa = np.sum(dp.real**2 + dp.imag**2, axis=0) / norm2  # FS density / pi, >= 0
             wk = w2 * kappa
             block_raw += mult * ((p * (wk / norm2)) @ pc.T)
             block_mass += mult * csum(wk)
@@ -189,7 +203,8 @@ def moment_matrix(cycle: ProjectiveCycle, order: int = 48, tol: float = 1e-8) ->
     error is the largest entrywise difference.  If it exceeds ``tol`` the
     quadrature is considered non-convergent, and so it is when the mass
     differs from the total degree by more than max(1e-6, 100 * error)
-    (a sign of base points).
+    (a sign of base points).  Monomial curves and their unitary images (as
+    the lines of a central fiber) take ``_cycle_raw``'s closed form.
     """
     raw1, _ = _cycle_raw(cycle, order)
     raw2, mass2 = _cycle_raw(cycle, 2 * order)

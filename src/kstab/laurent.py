@@ -242,13 +242,16 @@ def _laurent(low: int, coef, den: int = 1) -> LaurentPoly:
 
 
 class LaurentMatrix:
-    """Square matrix of :class:`LaurentPoly` entries."""
+    """Square matrix of :class:`LaurentPoly` entries, immutable like them:
+    ``entries`` is never changed after construction, so ``factorize`` keeps
+    its verified result on the matrix (``_factorization``)."""
 
-    __slots__ = ("size", "entries")
+    __slots__ = ("size", "entries", "_factorization")
 
     def __init__(self, entries):
         self.entries = [list(row) for row in entries]
         self.size = len(self.entries)
+        self._factorization = None
         for row in self.entries:
             if len(row) != self.size:
                 raise ValueError("loop matrix must be square")
@@ -533,8 +536,11 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
     The weights of the shifted loop t^(-nu) g are >= 0 and sum to its
     ord det <= deg det <= the sum over its rows of their largest entry
     degree, and that sum plus one caps the window.  The check proves
-    left(0) invertible, so ord det g = sum(weights).
+    left(0) invertible, so ord det g = sum(weights).  The verified result
+    is kept on ``g`` and returned by later calls; a failure is not kept.
     """
+    if g._factorization is not None:
+        return g._factorization
     if _is_singular(g.entries):
         raise DegenerateLoopError("degenerate loop: determinant vanishes identically")
     n = g.size
@@ -555,6 +561,7 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
     fac = _assemble(g, sigma, wts, basis, nu)
     if fac is None:
         raise FactorizationError("loop factorization failed its exact check")
+    g._factorization = fac
     return fac
 
 

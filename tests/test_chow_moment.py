@@ -13,6 +13,7 @@ import pytest
 
 import kstab.chow as chow_module
 import kstab.cycles as cycles_module
+import kstab.laurent as laurent_module
 from kstab.acceptance import CONIC_FORM, random_admissible_loop, rnc3_cycle
 from kstab.chow import (
     HypersurfaceForm,
@@ -35,7 +36,8 @@ from kstab.cycles import (
     trace_norm,
     transform_cycle,
 )
-from kstab.laurent import DegenerateLoopError, LaurentMatrix, LaurentPoly, factorize
+from kstab.cli import main
+from kstab.laurent import DegenerateLoopError, FactorizationError, LaurentMatrix, LaurentPoly, factorize
 from kstab.quadrature import QuadratureError, csum, disc_rule
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -80,7 +82,8 @@ class TestMomentMatrix:
         assert np.allclose(res.matrix, res.matrix.conj().T)
 
     def test_unitary_equivariance(self, rng):
-        z = rnc3_cycle()
+        # a dense frame with non-orthogonal columns: both sides take the kernel
+        z = rnc3_cycle(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         u = random_unitary(rng, 4)
         m1 = moment_matrix(transform_cycle(z, u), order=40).matrix
         m0 = moment_matrix(z, order=40).matrix
@@ -411,6 +414,51 @@ class TestWindowedOrder:
             calls.clear()
             fn(CONIC_FORM, g)
             assert calls == ["factorize"], fn.__name__
+
+
+def _spy_assemble(monkeypatch):
+    """List that records every ``laurent._assemble`` call."""
+    calls, real = [], laurent_module._assemble
+    monkeypatch.setattr(laurent_module, "_assemble", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+class TestFactorizationKept:
+    """factorize keeps its verified result on the loop, so the chow calls on
+    one loop run one echelon and one exact check between them."""
+
+    def test_chow_calls_assemble_once_per_loop(self, monkeypatch):
+        loops = [conic_loop(), *_torus_loops(random.Random(1400), 2)]
+        calls = _spy_assemble(monkeypatch)
+        for g in loops:
+            g = LaurentMatrix(g.entries)  # a fresh loop: nothing kept yet
+            calls.clear()
+            ch = chow_weight(CONIC_FORM, g)
+            fiber = central_fiber_cycle(CONIC_FORM, g)
+            check_chow_inequality(g, fiber, ch=ch)
+            assert factorize(g) is factorize(g)
+            assert len(calls) == 1
+
+    def test_chow_command_assembles_once(self, monkeypatch, runner):
+        calls = _spy_assemble(monkeypatch)
+        res = runner.invoke(main, ["chow", "--input", str(DATA / "conic_form.json"),
+                                   "--loop", str(DATA / "conic_loop.json")])
+        assert res.exit_code == 0 and json.loads(res.output)["inequality_satisfied"]
+        assert len(calls) == 1
+
+    def test_failures_are_not_kept(self, monkeypatch):
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        g = LaurentMatrix([[one, one, zero], [one, one, zero], [zero, zero, one]])
+        for call in (factorize, lambda g: chow_weight(CONIC_FORM, g)) * 2:
+            with pytest.raises(DegenerateLoopError):
+                call(g)
+        g = conic_loop()
+        monkeypatch.setattr(laurent_module, "_assemble", lambda *a: None)
+        for _ in range(2):
+            with pytest.raises(FactorizationError):
+                factorize(g)
+        monkeypatch.undo()
+        assert factorize(g).weights == (1, 0, 0)
 
 
 def _complex_conic(rng):
@@ -905,10 +953,19 @@ class TestMonomialClosedForm:
         assert reference.startswith("cycle mass ") and reference.endswith(closed[len("cycle mass 0"):])
         assert abs(float(reference.split()[2])) < 1e-14
 
+    def test_dense_one_row_mass_is_nonnegative(self, monkeypatch):
+        # the kernel's density |p' - (<p', p> / |p|^2) p|^2 / |p|^2 does not
+        # cancel: the one-row dense curve (0, 1.7 + 0.3 s) has mass 0 up to
+        # roundoff of either sign in p' - p'
+        cycle = ProjectiveCycle(1, [Component(np.array([[0, 0], [1.7, 0.3]], dtype=complex))])
+        calls = _spy_kernel(monkeypatch)
+        for order in (24, 48, 96):
+            _, mass = cycles_module._cycle_raw(cycle, order)
+            assert 0.0 <= mass < 1e-25
+        assert calls
+
     def test_kernel_only_for_dense_components(self, monkeypatch):
-        calls = []
-        real = cycles_module._kernel
-        monkeypatch.setattr(cycles_module, "_kernel", lambda d, s: calls.append(d) or real(d, s))
+        calls = _spy_kernel(monkeypatch)
         shipped = [cycle_from_json(json.loads((DATA / f"{name}.json").read_text()))
                    for name in ("line_cycle", "rnc3_cycle")]
         for cycle in [_bump_image(64), *shipped]:
@@ -918,11 +975,14 @@ class TestMonomialClosedForm:
         # the moved conic only: 2 blocks of 24 * 49 nodes, 5 of 48 * 97
         assert calls == [2] * 7
 
-    def test_memory_flat_in_order_for_dense_cycles(self, rng):
-        # a unitary frame makes every row of an image cycle dense: the
-        # kernel path, whose charts are evaluated in blocks of nodes
-        cycle = transform_cycle(image_cycle(RadialMetric(0.1), 64), random_unitary(rng, 65))
+    def test_memory_flat_in_order_for_dense_cycles(self, monkeypatch, rng):
+        # a non-unitary frame makes every row of an image cycle dense and its
+        # columns non-orthogonal: the kernel path, whose charts are evaluated
+        # in blocks of nodes
+        frame = np.diag(np.linspace(1.0, 2.0, 65)) @ random_unitary(rng, 65)
+        cycle = transform_cycle(image_cycle(RadialMetric(0.1), 64), frame)
         assert np.count_nonzero(cycle.components[0].coeffs, axis=1).min() > 1
+        calls = _spy_kernel(monkeypatch)
         peaks = []
         for order in (48, 96):
             tracemalloc.start()
@@ -932,6 +992,62 @@ class TestMonomialClosedForm:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.3 * peaks[0]
+        assert calls
+
+
+def _spy_kernel(monkeypatch):
+    """List that records the degree of every ``cycles._kernel`` call."""
+    calls, real = [], cycles_module._kernel
+    monkeypatch.setattr(cycles_module, "_kernel", lambda d, s: calls.append(d) or real(d, s))
+    return calls
+
+
+def _unitary_image(seed):
+    """A seeded unitary image of a monomial curve in P^(n-1) of degree 1..6
+    (by seed), with zero columns (unused exponents) and repeated exponents."""
+    rng = np.random.default_rng(seed)
+    degree = 1 + seed % 6
+    n1 = int(rng.integers(3, 7))
+    used = rng.choice(np.arange(1, degree), size=min(degree - 1, 1 + seed % 2), replace=False)
+    exps = [0, degree, *rng.choice([0, degree, *used], size=n1 - 2)]
+    comp = _monomial([(complex(*rng.normal(size=2)), int(e)) for e in exps], degree, 1 + seed % 3)
+    return transform_cycle(ProjectiveCycle(n1 - 1, [comp]), random_unitary(rng, n1))
+
+
+class TestOrthogonalColumns:
+    """A dense component with orthogonal coefficient columns is a unitary
+    image of a monomial curve and takes its closed form, not the kernel."""
+
+    @pytest.mark.parametrize("seed", range(18))
+    @pytest.mark.parametrize("order", [4, 24, 48])
+    def test_unitary_images_match_reference(self, monkeypatch, seed, order):
+        cycle = _unitary_image(seed)
+        coeffs = cycle.components[0].coeffs
+        assert np.count_nonzero(coeffs, axis=1).max() > 1
+        if seed % 6 > 1:  # degree >= 3: some exponent below the degree is unused
+            assert np.any(np.all(coeffs == 0, axis=0))
+        calls = _spy_kernel(monkeypatch)
+        _assert_matches_reference(cycle, order)
+        assert calls == []
+
+    def test_nearly_orthogonal_columns_take_the_kernel(self, monkeypatch):
+        # columns 1e-9 from orthogonal are far outside roundoff
+        u = random_unitary(np.random.default_rng(7), 3)
+        coeffs = np.stack([u[:, 0], u[:, 1] + 1e-9 * u[:, 0]], axis=1)
+        cycle = ProjectiveCycle(2, [Component(coeffs)])
+        calls = _spy_kernel(monkeypatch)
+        _assert_matches_reference(cycle, 24)
+        assert calls and set(calls) == {1}
+
+    def test_fibre_lines_skip_the_kernel(self, monkeypatch):
+        # the central fibre of a conic under a torus loop: QR-orthonormal lines
+        g = _torus_loops(random.Random(1400), 1)[0]
+        fiber = central_fiber_cycle(CONIC_FORM, g)
+        lines = ProjectiveCycle(2, [c for c in fiber.components if c.degree == 1])
+        assert lines.components
+        calls = _spy_kernel(monkeypatch)
+        _assert_matches_reference(lines, 48)
+        assert calls == []
 
 
 class TestJsonInterfaces:
