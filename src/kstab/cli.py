@@ -1,9 +1,12 @@
 """Command line front end, on the standard library's argparse.
 
-Exit codes: 0 success, 2 parse/validation errors (usage errors included),
-3 invariant violations (mathematically invalid data), 4 numerical
-non-convergence (a residual report is still written); an exit 2 prints
-one ``error:`` line and no report.  Reports are deterministic for a fixed
+Exit codes: 0 success, 2 parse/validation errors (usage errors, option
+values out of range, unreadable inputs, an unwritable ``--out``), 3
+invariant violations (mathematically invalid data), 4 numerical
+non-convergence (``balance`` still writes its residual report).  Option
+types check the ranges and ``main`` maps library errors to codes, so a
+command only reads, computes and emits; an exit 2 or 3 prints one
+``error:`` line and no report.  Reports are deterministic for a fixed
 configuration: exact rationals are printed as "num/den" strings, floats
 with shortest round-trip repr in JSON and 17 significant digits in CSV,
 and booleans and None as the JSON literals in both.  The numeric modules
@@ -18,17 +21,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 
 from kstab import weights as wt
-from kstab.laurent import (
-    DegenerateLoopError,
-    FactorizationError,
-    factorize,
-    loop_from_json,
-    loop_to_json,
-)
+from kstab.laurent import FactorizationError, factorize, loop_from_json, loop_to_json
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -46,20 +44,53 @@ _MAX_GRID = 4096
 
 def _read_input(path, parser, what):
     """Parse a JSON input file whose top level is an object with ``parser``;
-    any malformed input exits 2."""
+    an input that cannot be read, decoded or parsed exits 2."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except FileNotFoundError:
-        sys.exit(_fail(EXIT_PARSE, f"input file not found: {path}"))
     except json.JSONDecodeError as exc:
         sys.exit(_fail(EXIT_PARSE, f"malformed JSON in {path}: line {exc.lineno} col {exc.colno}: {exc.msg}"))
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        sys.exit(_fail(EXIT_PARSE, f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}"))
     if not isinstance(obj, dict):
         sys.exit(_fail(EXIT_PARSE, f"bad {what}: the top level of {path} is not a JSON object"))
+    return _parsed(parser, obj, what)
+
+
+def _parsed(parse, value, what):
+    """``parse(value)``; a value it rejects exits 2 with ``bad {what}: ...``."""
     try:
-        return parser(obj)
+        return parse(value)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         sys.exit(_fail(EXIT_PARSE, f"bad {what}: {exc}"))
+
+
+def _bounded(kind, ok, expected):
+    """An argparse ``type=``: ``kind(text)`` when ``ok`` holds for it, else a
+    usage error naming the ``expected`` values."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+def _criteria(text):
+    """The argparse type of ``verify --only``: criterion numbers."""
+    from kstab.acceptance import CRITERIA
+
+    known = {c[0] for c in CRITERIA}
+    try:
+        numbers = [int(x) for x in text.split(",")]
+        if not known.issuperset(numbers):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected criterion numbers from 1..{max(known)}, got {text!r}") from None
+    return numbers
 
 
 def _fail(code, message):
@@ -127,11 +158,7 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_factorize(input_path, out, fmt):
     """Normal form left * t^A * right of a loop."""
-    g = _read_input(input_path, loop_from_json, "loop input")
-    try:
-        fac = factorize(g)
-    except (DegenerateLoopError, FactorizationError) as exc:
-        sys.exit(_fail(EXIT_INVARIANT, str(exc)))
+    fac = factorize(_read_input(input_path, loop_from_json, "loop input"))
     _emit(
         {
             "weights": list(fac.weights),
@@ -148,16 +175,9 @@ def cmd_factorize(input_path, out, fmt):
 def cmd_futaki(input_path, out, fmt, krange, sign):
     """Exact weight polynomial, Chow table and Futaki invariant."""
     ws = _read_input(input_path, wt.weight_system_from_json, "weight system")
-    try:
-        lo, hi = _parse_range_pair(krange)
-    except ValueError as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad level range {krange!r}: {exc}"))
+    lo, hi = _parsed(_parse_range_pair, krange, f"level range {krange!r}")
     sign_val = wt.CALIBRATED_SIGN if sign == "calibrated" else -wt.CALIBRATED_SIGN
-    try:
-        report = wt.weight_report(ws, kmin=lo, kmax=hi, sign_convention=sign_val)
-    except ValueError as exc:
-        sys.exit(_fail(EXIT_INVARIANT, str(exc)))
-    _emit(report, out, fmt)
+    _emit(wt.weight_report(ws, kmin=lo, kmax=hi, sign_convention=sign_val), out, fmt)
 
 
 def cmd_chow(input_path, out, fmt, loop_path, convention, order, tol):
@@ -167,50 +187,27 @@ def cmd_chow(input_path, out, fmt, loop_path, convention, order, tol):
 
     form = _read_input(input_path, cw.form_from_json, "form input")
     g = _read_input(loop_path, loop_from_json, "loop input")
-    if not 1 <= order <= _MAX_ORDER:
-        sys.exit(_fail(EXIT_PARSE, f"order must be in 1..{_MAX_ORDER}"))
-    try:
-        ch = cw.chow_weight(form, g, convention=convention)
-    except (ValueError, FactorizationError) as exc:
-        sys.exit(_fail(EXIT_INVARIANT, str(exc)))
+    ch = cw.chow_weight(form, g, convention=convention)
     data = {"chow_weight": wt.frac_str(ch), "convention": convention}
     if form.nvars == 3 and form.degree == 2 and convention == "calibrated":
-        from kstab.quadrature import QuadratureError
-
         try:
             fiber = cw.central_fiber_cycle(form, g)
-            chk = cw.check_chow_inequality(g, fiber, ch=ch, order=order, tol=tol)
-            data.update(
-                {
-                    "pairing": chk.pairing,
-                    "slack": chk.slack,
-                    "quad_error": chk.quad_error,
-                    "inequality_satisfied": chk.satisfied,
-                    "weights": list(chk.weights),
-                    "section_diagonal": list(chk.exponents),
-                }
-            )
         except ValueError as exc:  # no torus decomposition of the central fiber
             data["note"] = f"no central-fiber pairing: {exc}"
-        except FactorizationError as exc:
-            sys.exit(_fail(EXIT_INVARIANT, str(exc)))
-        except QuadratureError as exc:
-            sys.exit(_fail(EXIT_NONCONVERGENCE, str(exc)))
+        else:
+            chk = cw.check_chow_inequality(g, fiber, ch=ch, order=order, tol=tol)
+            data.update(pairing=chk.pairing, slack=chk.slack, quad_error=chk.quad_error,
+                        inequality_satisfied=chk.satisfied, weights=list(chk.weights),
+                        section_diagonal=list(chk.exponents))
     _emit(data, out, fmt)
 
 
 def cmd_moment(input_path, out, fmt, order, tol):
     """Trace-free moment matrix of a parametrized cycle."""
     from kstab import cycles as cy
-    from kstab.quadrature import QuadratureError
 
     cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
-    if not 1 <= order <= _MAX_ORDER or tol <= 0:
-        sys.exit(_fail(EXIT_PARSE, f"order must be in 1..{_MAX_ORDER} and tol positive"))
-    try:
-        res = cy.moment_matrix(cycle, order=order, tol=tol)
-    except QuadratureError as exc:
-        sys.exit(_fail(EXIT_NONCONVERGENCE, str(exc)))
+    res = cy.moment_matrix(cycle, order=order, tol=tol)
     m = res.matrix
     _emit(
         {
@@ -231,8 +228,6 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
     from kstab import cycles as cy
 
     cycle = _read_input(input_path, cy.cycle_from_json, "cycle input")
-    if tol <= 0 or max_steps < 1 or not 1 <= order <= _MAX_ORDER:
-        sys.exit(_fail(EXIT_PARSE, f"tol and max-steps must be positive and order in 1..{_MAX_ORDER}"))
     res = cy.balance_iterate(cycle, max_steps=max_steps, tol=tol, order=order)
     data = {"converged": res.converged, "steps": res.steps, "note": res.note}
     if fmt == "csv":
@@ -252,12 +247,15 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
 
 
 def _parse_range_pair(text):
-    """Parse 'lo:hi' or 'hi' (lo = 1) with 1 <= lo <= hi; ValueError otherwise."""
+    """Parse 'lo:hi' or 'hi' (lo = 1) with 1 <= lo <= hi, at most 8192
+    levels; ValueError otherwise."""
     parts = [int(x) for x in text.split(":")]
     if len(parts) == 1:
         parts.insert(0, 1)
     if len(parts) != 2 or not 1 <= parts[0] <= parts[1]:
         raise ValueError("expected lo:hi with 1 <= lo <= hi")
+    if parts[1] - parts[0] >= _MAX_LEVEL:
+        raise ValueError(f"at most {_MAX_LEVEL} levels")
     return parts[0], parts[1]
 
 
@@ -289,26 +287,13 @@ def cmd_bergman(input_path, out, fmt, krange, grid):
     import numpy as np
 
     from kstab import bergman as bg
-    from kstab.quadrature import QuadratureError
 
     metric = _read_input(input_path, bg.metric_from_json, "metric input")
-    try:
-        klist = _parse_klist(krange)
-    except ValueError as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad level range {krange!r}: {exc}"))
-    if not 1 <= grid <= _MAX_GRID:
-        sys.exit(_fail(EXIT_PARSE, f"grid must be in 1..{_MAX_GRID}"))
+    klist = _parsed(_parse_klist, krange, f"level range {krange!r}")
     s_grid = bg.default_grid(grid)
-    try:
-        rhos = {k: bg.rho(metric, k, s_grid) for k in klist}
-        tvs = {k: bg.theta_total_variation(metric, k) for k in klist}
-        a1 = (
-            bg.expansion_fit(metric, klist, s_grid).a1
-            if len(klist) >= 3
-            else np.full(grid, np.nan)
-        )
-    except QuadratureError as exc:
-        sys.exit(_fail(EXIT_NONCONVERGENCE, str(exc)))
+    rhos = {k: bg.rho(metric, k, s_grid) for k in klist}
+    tvs = {k: bg.theta_total_variation(metric, k) for k in klist}
+    a1 = bg.expansion_fit(metric, klist, s_grid).a1 if len(klist) >= 3 else np.full(grid, np.nan)
     if fmt == "csv":
         rows = [
             {
@@ -338,14 +323,7 @@ def cmd_verify(out, only):
     """Run the acceptance suite and print one pass/fail line per criterion."""
     from kstab import acceptance as acc
 
-    known = {c[0] for c in acc.CRITERIA}
-    try:
-        numbers = [int(x) for x in only.split(",")] if only else None
-        if numbers and not known.issuperset(numbers):
-            raise ValueError
-    except ValueError:
-        sys.exit(_fail(EXIT_PARSE, f"bad --only {only!r}: expected criterion numbers from 1..{max(known)}"))
-    results = acc.run_all(numbers)
+    results = acc.run_all(only)
     table = acc.format_table(results)
     if out:
         with open(out, "w") as fh:
@@ -358,7 +336,9 @@ def cmd_verify(out, only):
 
 def main(argv=None):
     """Run one command line, ``sys.argv[1:]`` when ``argv`` is None; always
-    ends in SystemExit, with the command's exit code."""
+    ends in SystemExit, with the command's exit code.  A library error ends
+    the run with one ``error:`` line: a QuadratureError exits 4, a
+    FactorizationError or ValueError 3, an OSError 2; any other propagates."""
     parser = _Parser(prog="kstab", description="Stability invariants of polarized degenerations.",
                      formatter_class=_Formatter, allow_abbrev=False)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
@@ -374,6 +354,10 @@ def main(argv=None):
         return sub.add_argument
 
     signs = {"choices": ["calibrated", "flipped"], "default": "calibrated"}
+    order = _bounded(int, lambda n: 1 <= n <= _MAX_ORDER, f"an integer in 1..{_MAX_ORDER}")
+    positive = _bounded(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+    steps = _bounded(int, lambda n: n >= 1, "an integer >= 1")
+    grid = _bounded(int, lambda n: 1 <= n <= _MAX_GRID, f"an integer in 1..{_MAX_GRID}")
     command("factorize", cmd_factorize)
     opt = command("futaki", cmd_futaki)
     opt("--k", dest="krange", default="1:10", help="Chow table levels lo:hi")
@@ -381,23 +365,33 @@ def main(argv=None):
     opt = command("chow", cmd_chow)
     opt("--loop", dest="loop_path", metavar="FILE", required=True, help="loop JSON file")
     opt("--sign", dest="convention", **signs)
-    opt("--order", default=48, type=int, help="quadrature order")
-    opt("--tol", default=1e-6, type=float)
+    opt("--order", default=48, type=order, help="quadrature order")
+    opt("--tol", default=1e-6, type=_bounded(float, math.isfinite, "a finite number"))
     opt = command("moment", cmd_moment)
-    opt("--order", default=48, type=int, help="quadrature order")
-    opt("--tol", default=1e-8, type=float)
+    opt("--order", default=48, type=order, help="quadrature order")
+    opt("--tol", default=1e-8, type=positive)
     opt = command("balance", cmd_balance)
-    opt("--tol", default=1e-8, type=float, help="stop when the trace norm of the moment matrix is at most this")
-    opt("--max-steps", default=500, type=int, help="largest number of steps")
-    opt("--order", default=32, type=int, help="quadrature order")
+    opt("--tol", default=1e-8, type=positive, help="stop when the trace norm of the moment matrix is at most this")
+    opt("--max-steps", default=500, type=steps, help="largest number of steps")
+    opt("--order", default=32, type=order, help="quadrature order")
     opt = command("bergman", cmd_bergman)
     opt("--k", dest="krange", default="8:64:double", help="levels, e.g. 8:64:double")
-    opt("--grid", default=100, type=int, help="number of radial grid points")
+    opt("--grid", default=100, type=grid, help="number of radial grid points")
     opt = command("verify", cmd_verify, reads_input=False)
     opt("--out", metavar="FILE", help="also write the table to this file")
-    opt("--only", help="comma-separated criterion numbers")
+    opt("--only", type=_criteria, help="comma-separated criterion numbers")
     args = vars(parser.parse_args(argv))
-    args.pop("run")(**args)
+    try:
+        args.pop("run")(**args)
+    except Exception as exc:
+        quadrature = sys.modules.get("kstab.quadrature")  # loaded by every command that can raise it
+        if quadrature and isinstance(exc, quadrature.QuadratureError):
+            sys.exit(_fail(EXIT_NONCONVERGENCE, str(exc)))
+        if isinstance(exc, (FactorizationError, ValueError)):
+            sys.exit(_fail(EXIT_INVARIANT, str(exc)))
+        if isinstance(exc, OSError):
+            sys.exit(_fail(EXIT_PARSE, str(exc)))
+        raise
     sys.exit(0)
 
 

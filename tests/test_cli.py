@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kstab.cli import main
+from kstab.laurent import FactorizationError
+from kstab.quadrature import QuadratureError
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -57,6 +59,12 @@ class TestFutakiCommand:
         rep = json.loads(res.output)
         assert sorted(map(int, rep["chow"])) == list(range(5, 11))
         assert rep["chow"] == {k: v for k, v in full["chow"].items() if int(k) >= 5}
+
+    def test_level_table_holds_8192_levels(self, runner):
+        # the table's cost grows with its number of levels, wherever they start
+        for krange in ["1:8192", "2:8193"]:
+            res = run(runner, "futaki", "--input", str(DATA / "conic_weights.json"), "--k", krange)
+            assert res.exit_code == 0 and len(json.loads(res.output)["chow"]) == 8192
 
     def test_vanishing_hilbert_level_is_null(self, runner, tmp_path):
         # plane quintic: N(k) + 1 = 5k - 5 vanishes at k = 1
@@ -289,6 +297,9 @@ class TestErrors:
         ("futaki", "10:5"),
         ("futaki", "1:2:3"),
         ("futaki", ""),
+        ("futaki", "1:8193"),
+        ("futaki", "1:100000"),
+        ("futaki", "100000"),
         ("bergman", "0"),
         ("bergman", "foo"),
         ("bergman", "0:8:double"),
@@ -302,7 +313,7 @@ class TestErrors:
 def test_malformed_levels_exit_2(runner, command, value):
     inputs = {"futaki": "conic_weights.json", "bergman": "round_metric.json"}
     res = runner.invoke(main, [command, "--input", str(DATA / inputs[command]), "--k", value])
-    assert res.exit_code == 2
+    assert res.exit_code == 2 and res.stdout == ""
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     assert [line for line in res.stderr.splitlines() if line.startswith("error:")] == res.stderr.splitlines()
@@ -338,9 +349,19 @@ def test_levels_starting_with_minus_reach_the_level_parser(runner, command, valu
         ["factorize", "--input", "conic_loop.json", "--format", "xml"],
         ["futaki", "--input", "conic_weights.json", "--sign", "up"],
         ["moment", "--inp", "line_cycle.json"],
+        ["moment", "--input", "line_cycle.json", "--tol", "nan"],
+        ["moment", "--input", "line_cycle.json", "--tol", "inf"],
+        ["moment", "--input", "line_cycle.json", "--tol", "0"],
+        ["balance", "--input", "rnc3_distorted_cycle.json", "--tol", "nan"],
+        ["balance", "--input", "rnc3_distorted_cycle.json", "--tol", "inf"],
+        ["chow", "--input", "conic_form.json", "--loop", "conic_loop.json", "--tol", "nan"],
+        ["chow", "--input", "conic_form.json", "--loop", "conic_loop.json", "--tol", "inf"],
+        ["balance", "--input", "rnc3_distorted_cycle.json", "--max-steps", "0"],
+        ["moment", "--input", "line_cycle.json", "--order", "0"],
     ],
     ids=["unknown-command", "no-command", "report", "no-input", "no-loop", "order", "grid", "tol", "format",
-         "sign", "abbreviation"],
+         "sign", "abbreviation", "moment-tol-nan", "moment-tol-inf", "moment-tol-0", "balance-tol-nan",
+         "balance-tol-inf", "chow-tol-nan", "chow-tol-inf", "max-steps-0", "order-0"],
 )
 def test_usage_error_is_one_line(runner, args):
     res = runner.invoke(main, [str(DATA / a) if a.endswith(".json") else a for a in args])
@@ -644,6 +665,63 @@ def test_verify_only_malformed_exit_2(runner, only):
     res = runner.invoke(main, ["verify", "--only", only])
     assert res.exit_code == 2
     _assert_clean_exit(res)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["moment", "--input", "DIR"],
+        ["moment", "--input", "LATIN1"],
+        ["factorize", "--input", "DEEP"],
+        ["moment", "--input", "line_cycle.json", "--out", "MISSING"],
+        ["futaki", "--input", "conic_weights.json", "--out", "DIR"],
+        ["verify", "--only", "3", "--out", "MISSING"],
+    ],
+    ids=["input-directory", "input-not-utf8", "input-too-deep", "out-missing-directory", "out-directory",
+         "verify-out-missing-directory"],
+)
+def test_unreadable_input_or_unwritable_out_exit_2(runner, tmp_path, args):
+    (tmp_path / "latin1.json").write_bytes(b'{"ambient": "\xe9"}')
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    paths = {"DIR": tmp_path, "LATIN1": tmp_path / "latin1.json", "DEEP": tmp_path / "deep.json",
+             "MISSING": tmp_path / "missing" / "out.json"}
+    argv = [str(paths[a]) if a in paths else str(DATA / a) if a.endswith(".json") else a for a in args]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2 and res.stdout == ""
+    _assert_clean_exit(res)
+
+
+@pytest.mark.parametrize(
+    "args, target, error, code",
+    [
+        (["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"], "kstab.chow.check_chow_inequality",
+         QuadratureError, 4),
+        (["bergman", "--input", "bump_metric.json", "--k", "4", "--grid", "3"], "kstab.bergman.theta_total_variation",
+         QuadratureError, 4),
+        (["moment", "--input", "line_cycle.json"], "kstab.cycles.moment_matrix", QuadratureError, 4),
+        (["factorize", "--input", "conic_loop.json"], "kstab.cli.factorize", FactorizationError, 3),
+        (["futaki", "--input", "conic_weights.json"], "kstab.weights.weight_report", ValueError, 3),
+    ],
+    ids=["chow", "bergman", "moment", "factorize", "futaki"],
+)
+def test_library_error_exit_code(runner, monkeypatch, args, target, error, code):
+    # main maps each library error to its exit code in one place
+    def fail(*args, **kwargs):
+        raise error(f"{target} failed on purpose")
+
+    monkeypatch.setattr(target, fail)
+    res = runner.invoke(main, [str(DATA / a) if a.endswith(".json") else a for a in args])
+    assert res.exit_code == code
+    assert res.stdout == "" and res.stderr == f"error: {target} failed on purpose\n"
+
+
+def test_unmapped_error_propagates(runner, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("not a library error")
+
+    monkeypatch.setattr("kstab.weights.weight_report", fail)
+    with pytest.raises(RuntimeError, match="not a library error"):
+        runner.invoke(main, ["futaki", "--input", str(DATA / "conic_weights.json")])
 
 
 def _assert_clean_exit(res):
