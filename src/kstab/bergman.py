@@ -8,8 +8,8 @@ of s, derived exactly on integer coefficient lists (``kstab.poly``), reduced
 by one gcd each and evaluated by Horner's rule; S only when
 ``scalar_curvature`` reads it.  Level-k sections are the monomials z^j,
 orthogonal by circle invariance, with squared norms computed by radial
-quadrature once per metric and level.  The metric keeps them, and log s, u
-and w on each shared radial node set, read-only for every later reader.
+quadrature once per metric and level.  The metric keeps them, log s, u and
+w on each radial node set and rho_k per level on its last grid, read-only.
 The density of states
 
     rho_k(s) = sum_j |z^j|^2_h / ||z^j||^2
@@ -107,16 +107,19 @@ class RadialMetric:
         self._psi_f, self._w_f = _floats(self._psi), _floats(self._w)
         self._norms = {}  # level k -> read-only Gram norms, filled by gram
         self._nodes = {}  # node count -> (s, log s, u, w), filled by _on_nodes
+        self._rho = {}  # level k -> (grid, rho_k on it), filled by rho
         # certificate: minimum of the density relative to the round one,
         # which stays bounded away from zero for genuine metrics
         x = np.linspace(1e-6, 1 - 1e-6, 400)
         s = x / (1 - x)
-        self.positivity_certificate = float(np.min(self.density(s) * (1.0 + s) ** 2))
+        try:
+            with np.errstate(all="ignore", over="raise"):  # no warnings; NaN fails below
+                self.positivity_certificate = float(np.min(self.density(s) * (1.0 + s) ** 2))
+            why = f"density minimum {self.positivity_certificate:g} <= 0 relative to round"
+        except FloatingPointError:
+            self.positivity_certificate, why = np.nan, "its density overflowed in floating point"
         if not self.positivity_certificate > 0:  # NaN too: a pole in (0, inf)
-            raise ValueError(
-                f"potential is not a metric: density minimum "
-                f"{self.positivity_certificate:g} <= 0 relative to round"
-            )
+            raise ValueError(f"potential is not a metric: {why}")
 
     # evaluated callables ------------------------------------------------
     def u(self, s):
@@ -160,7 +163,9 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
     only the diagonal is returned.  The first quadrature level (8 panels)
     fixes one exponential scale per j, so every level is evaluated once.
     The norms are computed once per metric and level and returned
-    read-only from then on; a failed quadrature is not kept.
+    read-only from then on; a failed quadrature is not kept.  Exponents are
+    raised to -700, as numpy's exp is over ten times slower below -708; next
+    to each row's largest term, about one, e^-700 moves no bit of its sum.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -178,7 +183,7 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
         if scale_log is None:
             scale_log = e.max(axis=1)
         e -= scale_log[:, None]
-        np.exp(e, out=e)
+        np.exp(np.maximum(e, -700.0, out=e), out=e)
         e *= w
         return e
 
@@ -244,10 +249,14 @@ def _pullback(k, s, t):
 
 
 def rho(metric: RadialMetric, k: int, grid: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
-    """Density of states rho_k on a grid of s-values."""
-    if norms is None:
-        norms = gram(metric, k)
+    """Density of states rho_k on a grid of s-values; kept read-only on the metric
+    per level for the last grid (checked by identity) unless ``norms`` is given."""
     s = np.asarray(grid, dtype=float)
+    if norms is None:
+        if metric._rho.get(k, (None,))[0] is not s:
+            metric._rho[k] = (s, rho(metric, k, s, gram(metric, k)))
+            metric._rho[k][1].flags.writeable = False
+        return metric._rho[k][1]
     t, shift = _moment_sums(norms, s)
     return np.exp(np.log(t[0]) + shift - k * metric.u(s))
 
@@ -297,7 +306,6 @@ def expansion_fit(metric: RadialMetric, klist: Sequence[int], grid: np.ndarray) 
     klist = tuple(int(k) for k in klist)
     if len(klist) < 3:
         raise ValueError("expansion fit needs at least three levels")
-    grid = np.asarray(grid, dtype=float)
     y = np.stack([k * (rho(metric, k, grid) - 1.0) for k in klist])  # (nk, ngrid)
     design = np.stack([np.ones(len(klist)), 1.0 / np.asarray(klist, dtype=float)], axis=1)
     cond = float(np.linalg.cond(design))

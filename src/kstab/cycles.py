@@ -16,6 +16,7 @@ from typing import List
 
 import numpy as np
 
+from kstab.poly import json_int
 from kstab.quadrature import QuadratureError, csum, disc_radii, disc_rule
 
 __all__ = [
@@ -401,7 +402,7 @@ def cycle_from_json(obj) -> ProjectiveCycle:
     "multiplicity": m}, ...]}; each component's coeffs has one list of
     [re, im] pairs per homogeneous coordinate, ascending in the parameter.
     """
-    ambient = int(obj["ambient"])
+    ambient = json_int(obj["ambient"], "ambient")
     if ambient < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {ambient}")
     comps = []
@@ -412,7 +413,7 @@ def cycle_from_json(obj) -> ProjectiveCycle:
             arr[i, : len(r)] = r
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
-        comp = Component(arr, int(c.get("multiplicity", 1)))
+        comp = Component(arr, json_int(c.get("multiplicity", 1), "multiplicity"))
         if comp.degree < 1:
             raise ValueError("component of degree 0: a curve needs a nonconstant parametrization")
         comps.append(comp)

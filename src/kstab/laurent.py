@@ -34,6 +34,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from kstab.poly import json_int
+
 __all__ = [
     "DegenerateLoopError",
     "ZeroLaurentError",
@@ -117,7 +119,7 @@ class LaurentPoly:
     def from_triples(cls, triples) -> "LaurentPoly":
         """Build from ``[[exp, num, den], ...]`` triples whose nonzero terms
         span at most ``MAX_SPAN`` exponents."""
-        triples = [(int(e), int(n), int(d)) for e, n, d in triples]
+        triples = [(json_int(e, "exponent"), json_int(n, "numerator"), json_int(d, "denominator")) for e, n, d in triples]
         if any(d == 0 for _, _, d in triples):
             raise ValueError("coefficient with denominator 0")
         _check_span([e for e, n, _ in triples if n])
@@ -671,7 +673,7 @@ def section_degree(g: LaurentMatrix, gamma) -> int:
 
 
 def loop_from_json(obj) -> LaurentMatrix:
-    size = int(obj["size"])
+    size = json_int(obj["size"], "size")
     if size < 1:
         raise ValueError(f"loop size must be positive, got {size}")
     flat = obj["entries"]

@@ -11,7 +11,7 @@ numerators over one denominator (its products run in ``LaurentPoly.dot``),
 and ``kstab.weights`` and ``kstab.bergman`` build their exact polynomials
 with ``mul`` and ``add``.
 ``evaluate`` is Horner's rule and also takes float coefficients with a
-numpy array argument.
+numpy array argument.  ``json_int`` is how the JSON readers take an integer.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["add", "mul", "deriv", "clear_denominators", "divide", "gcd", "evaluate"]
+__all__ = ["add", "mul", "deriv", "clear_denominators", "divide", "gcd", "evaluate", "json_int"]
 
 
 def _trim(p):
@@ -103,6 +103,13 @@ def gcd(a, b):
             a = _trim([m * x - c * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)])
         a, b = b, _primitive(a)
     return [Fraction(c, a[-1]) for c in a]
+
+
+def json_int(value, field):
+    """``value`` if it is a JSON integer; a bool, string or float (2.0 too) is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r:.40}")
+    return value
 
 
 def evaluate(a, x):

@@ -288,14 +288,10 @@ def futaki(tau: TauPolynomial) -> Fraction:
 
 def weight_system_from_json(obj) -> WeightSystem:
     geo = obj["geometry"]
-    geometry = Geometry(
-        kind=geo["type"],
-        degree=geo.get("degree"),
-        initial_weight=geo.get("initial_weight"),
-    )
-    return WeightSystem(
-        dim=int(obj["dim"]), generators=tuple(obj["generators"]), geometry=geometry
-    )
+    geometry = Geometry(geo["type"], **{f: poly.json_int(geo[f], f) for f in ("degree", "initial_weight")
+                                        if geo.get(f) is not None})
+    gens = tuple(poly.json_int(w, "generator weight") for w in obj["generators"])
+    return WeightSystem(dim=poly.json_int(obj["dim"], "dim"), generators=gens, geometry=geometry)
 
 
 def frac_str(x: Fraction) -> str:

@@ -441,11 +441,12 @@ class TestGramMemo:
         assert sorted(gram_quadratures) == [4, 6, 8]
 
     def test_norms_are_read_only(self):
-        metric = RadialMetric(0.1)
-        norms = gram(metric, 5)
-        with pytest.raises(ValueError):
-            norms[0] = 1.0
-        assert gram(metric, 5) is norms
+        metric, grid = RadialMetric(0.1), default_grid(7)
+        norms, kept = gram(metric, 5), rho(metric, 5, grid)
+        for a in (norms, kept):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert gram(metric, 5) is norms and rho(metric, 5, grid) is kept
 
     def test_metrics_do_not_share_norms(self, gram_quadratures):
         import kstab.bergman as bg
@@ -470,6 +471,54 @@ class TestGramMemo:
         assert len(calls) == 2
         monkeypatch.undo()
         assert np.all(gram(metric, 3) > 0)
+
+
+@pytest.fixture
+def moment_passes(monkeypatch):
+    """Levels k of the ``bergman._moment_sums`` calls, one entry per call."""
+    import kstab.bergman as bg
+
+    levels, real = [], bg._moment_sums
+    monkeypatch.setattr(bg, "_moment_sums", lambda norms, s, *w: levels.append(len(norms) - 1) or real(norms, s, *w))
+    return levels
+
+
+class TestKeptRho:
+    def test_bergman_command_computes_each_rho_once(self, runner, moment_passes):
+        # rho per level, then the fit of a1 reads the same arrays
+        from kstab.cli import main
+
+        data = Path(__file__).resolve().parent.parent / "data" / "bump_metric.json"
+        res = runner.invoke(main, ["bergman", "--input", str(data), "--k", "16:256:double", "--grid", "20"])
+        assert res.exit_code == 0
+        assert moment_passes == [16, 32, 64, 128, 256]
+
+    def test_call_with_norms_recomputes_and_keeps_nothing(self, moment_passes):
+        metric, grid = RadialMetric(0.1), default_grid(9)
+        kept = rho(metric, 8, grid)
+        entry, norms = metric._rho[8], gram(metric, 8)
+        first, second = rho(metric, 8, grid, norms), rho(metric, 8, grid, norms)
+        assert moment_passes == [8, 8, 8]
+        assert first is not kept and second is not first and first.flags.writeable
+        assert np.array_equal(first, kept) and np.array_equal(second, kept)
+        assert metric._rho[8] is entry and rho(metric, 8, grid) is kept
+        assert moment_passes == [8, 8, 8]
+
+    def test_other_grid_recomputes(self, moment_passes):
+        metric, grid = RadialMetric(0.1), default_grid(9)
+        kept = rho(metric, 8, grid)
+        again = rho(metric, 8, grid.copy())
+        assert again is not kept and np.array_equal(again, kept)
+        assert rho(metric, 4, grid) is not kept
+        assert moment_passes == [8, 8, 4]
+
+    def test_fit_is_bit_identical_after_rho(self):
+        ks, grid = [16, 24, 32], default_grid(30)
+        fresh = expansion_fit(RadialMetric(0.1), ks, grid).a1
+        metric = RadialMetric(0.1)
+        for k in ks:
+            rho(metric, k, grid)
+        assert np.array_equal(expansion_fit(metric, ks, grid).a1, fresh)
 
 
 class TestKeptNodeSets:

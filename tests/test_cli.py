@@ -566,6 +566,47 @@ def test_malformed_input_exit_2(runner, tmp_path, command, inputs):
     _assert_clean_exit(res)
 
 
+def _with(name, path, value):
+    return _put(json.loads((DATA / name).read_text()), path, value)
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("factorize", {"size": 1, "entries": [[[1, 1.5, 1]]]}, "numerator"),
+        ("factorize", {"size": 1, "entries": [[[0.5, 1, 1]]]}, "exponent"),
+        ("factorize", {"size": 1, "entries": [[[1, 1, True]]]}, "denominator"),
+        ("factorize", _with("conic_loop.json", ("size",), 3.0), "size"),
+        ("futaki", _with("conic_weights.json", ("generators",), [0, 0.5]), "generator weight"),
+        ("futaki", _with("conic_weights.json", ("dim",), "1"), "dim"),
+        ("futaki", _with("conic_weights.json", ("geometry", "degree"), 2.0), "degree"),
+        ("futaki", _with("conic_weights.json", ("geometry", "initial_weight"), True), "initial_weight"),
+        ("moment", _with("line_cycle.json", ("components", 0, "multiplicity"), 1.5), "multiplicity"),
+        ("moment", _with("line_cycle.json", ("ambient",), 2.0), "ambient"),
+    ],
+)
+def test_non_integer_field_exit_2(runner, tmp_path, command, doc, field):
+    # int() would truncate each of these to a valid input and exit 0
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, "--input", str(path)])
+    assert res.exit_code == 2
+    _assert_clean_exit(res)
+    assert f"{field} must be a JSON integer" in res.stderr
+
+
+def test_overflowing_bump_is_one_line(runner, tmp_path):
+    # degree 30 over 41: the certificate's Horner sums overflow at large s
+    rng = np.random.default_rng(11)
+    num, den = [0, *rng.integers(1, 10, 30).tolist()], [1, *rng.integers(1, 10, 41).tolist()]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"epsilon": 0.01, "bump": {"type": "rational", "num": num, "den": den}}))
+    res = runner.invoke(main, ["bergman", "--input", str(path)])
+    assert res.exit_code == 2
+    _assert_clean_exit(res)
+    assert "overflowed in floating point" in res.stderr
+
+
 def _run_loop(capped_python, tmp_path, command, entries):
     loop = tmp_path / "loop.json"
     loop.write_text(json.dumps({"size": 3, "entries": entries}))
