@@ -9,10 +9,11 @@ command only reads, computes and emits; an exit 2 or 3 prints one
 ``error:`` line and no report.  Reports are deterministic for a fixed
 configuration: exact rationals are printed as "num/den" strings, floats
 with shortest round-trip repr in JSON and 17 significant digits in CSV,
-and booleans and None as the JSON literals in both.  The numeric modules
-(and numpy) are imported inside the commands that use them, so
-``factorize``, ``futaki`` and ``chow`` on a form that is not a plane conic
-run on the standard library alone.
+and booleans and None as the JSON literals in both.  Each command imports
+the kstab modules it uses when it runs, so ``import kstab.cli``, ``--help``
+and a usage error load no other kstab module, and ``factorize``,
+``futaki`` and ``chow`` on a form that is not a plane conic run on the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
-
-from kstab import weights as wt
-from kstab.laurent import FactorizationError, factorize, loop_from_json, loop_to_json
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -158,14 +157,16 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_factorize(input_path, out, fmt):
     """Normal form left * t^A * right of a loop."""
-    fac = factorize(_read_input(input_path, loop_from_json, "loop input"))
+    from kstab import laurent as lr
+
+    fac = lr.factorize(_read_input(input_path, lr.loop_from_json, "loop input"))
     _emit(
         {
             "weights": list(fac.weights),
             "order": list(fac.order),
             "exponents": fac.exponent_vector(),
-            "left": loop_to_json(fac.left),
-            "right": loop_to_json(fac.right),
+            "left": lr.loop_to_json(fac.left),
+            "right": lr.loop_to_json(fac.right),
         },
         out,
         fmt,
@@ -174,6 +175,8 @@ def cmd_factorize(input_path, out, fmt):
 
 def cmd_futaki(input_path, out, fmt, krange, sign):
     """Exact weight polynomial, Chow table and Futaki invariant."""
+    from kstab import weights as wt
+
     ws = _read_input(input_path, wt.weight_system_from_json, "weight system")
     lo, hi = _parsed(_parse_range_pair, krange, f"level range {krange!r}")
     sign_val = wt.CALIBRATED_SIGN if sign == "calibrated" else -wt.CALIBRATED_SIGN
@@ -184,9 +187,11 @@ def cmd_chow(input_path, out, fmt, loop_path, convention, order, tol):
     """Chow weight of a hypersurface degeneration, with the central-fiber
     pairing check for plane conics."""
     from kstab import chow as cw
+    from kstab import laurent as lr
+    from kstab import weights as wt
 
     form = _read_input(input_path, cw.form_from_json, "form input")
-    g = _read_input(loop_path, loop_from_json, "loop input")
+    g = _read_input(loop_path, lr.loop_from_json, "loop input")
     ch = cw.chow_weight(form, g, convention=convention)
     data = {"chow_weight": wt.frac_str(ch), "convention": convention}
     if form.nvars == 3 and form.degree == 2 and convention == "calibrated":
@@ -338,7 +343,12 @@ def main(argv=None):
     """Run one command line, ``sys.argv[1:]`` when ``argv`` is None; always
     ends in SystemExit, with the command's exit code.  A library error ends
     the run with one ``error:`` line: a QuadratureError exits 4, a
-    FactorizationError or ValueError 3, an OSError 2; any other propagates."""
+    FactorizationError or ValueError 3, an OSError 2; any other propagates.
+    BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` or
+    ``OMP_NUM_THREADS`` is set: its products here are small, and more
+    threads made them slower."""
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():  # read when numpy is imported
+        os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     parser = _Parser(prog="kstab", description="Stability invariants of polarized degenerations.",
                      formatter_class=_Formatter, allow_abbrev=False)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
@@ -384,10 +394,11 @@ def main(argv=None):
     try:
         args.pop("run")(**args)
     except Exception as exc:
-        quadrature = sys.modules.get("kstab.quadrature")  # loaded by every command that can raise it
+        # each module is loaded by every command that can raise its error
+        quadrature, laurent = sys.modules.get("kstab.quadrature"), sys.modules.get("kstab.laurent")
         if quadrature and isinstance(exc, quadrature.QuadratureError):
             sys.exit(_fail(EXIT_NONCONVERGENCE, str(exc)))
-        if isinstance(exc, (FactorizationError, ValueError)):
+        if isinstance(exc, ValueError) or laurent and isinstance(exc, laurent.FactorizationError):
             sys.exit(_fail(EXIT_INVARIANT, str(exc)))
         if isinstance(exc, OSError):
             sys.exit(_fail(EXIT_PARSE, str(exc)))

@@ -93,7 +93,7 @@ class LaurentPoly:
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        items = [(int(e), v) for e, v in ((e, Fraction(v)) for e, v in items) if v]
+        items = [(int(e), v) for e, v in ((e, v if type(v) is int else Fraction(v)) for e, v in items) if v]
         den = math.lcm(*(v.denominator for _, v in items))
         low = min((e for e, _ in items), default=0)
         coef = [0] * (max((e for e, _ in items), default=low - 1) - low + 1)
@@ -113,7 +113,8 @@ class LaurentPoly:
 
     @classmethod
     def t_power(cls, e: int, c=1) -> "LaurentPoly":
-        return cls({int(e): c})
+        c = c if type(c) is int else Fraction(c)
+        return _laurent(int(e), [c.numerator], c.denominator)
 
     @classmethod
     def from_triples(cls, triples) -> "LaurentPoly":
@@ -123,7 +124,7 @@ class LaurentPoly:
         if any(d == 0 for _, _, d in triples):
             raise ValueError("coefficient with denominator 0")
         _check_span([e for e, n, _ in triples if n])
-        return cls((e, Fraction(n, d)) for e, n, d in triples)
+        return cls((e, n if d == 1 else Fraction(n, d)) for e, n, d in triples)
 
     # -- structure ----------------------------------------------------
     @property

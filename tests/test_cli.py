@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -385,37 +386,52 @@ def test_cli_import_loads_only_the_standard_library():
     # compared with what the bare interpreter has loaded (site and .pth files)
     code = (
         "import sys; before = set(sys.modules); import kstab.cli\n"
-        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-        "print(sorted(new - set(sys.stdlib_module_names) - {'kstab'}))"
+        "new = set(sys.modules) - before\n"
+        "print(sorted({m.split('.')[0] for m in new} - set(sys.stdlib_module_names) - {'kstab'}),"
+        " sorted(m for m in new if m.split('.')[0] == 'kstab'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] ['kstab', 'kstab.cli']"
 
 
-# Run one command in a fresh interpreter; report its exit code and which of
-# numpy, scipy and sympy it loaded.
+# Run one command line in a fresh interpreter; report its exit code, which of
+# numpy, scipy and sympy and which kstab modules it loaded, and the BLAS
+# thread variables it leaves.
 _LOADED = """
-import json, sys, kstab.cli
+import json, os, sys, kstab.cli
 try:
     kstab.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
 heavy = sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy', 'sympy'})
-print(json.dumps([code, heavy]), file=sys.stderr)
+kstab = sorted(m for m in sys.modules if m.split('.')[0] == 'kstab')
+blas = [os.environ.get(name) for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')]
+print(json.dumps([code, heavy + kstab, blas]), file=sys.stderr)
 """
+
+
+def _loaded(argv, env=None):
+    """(exit code, loaded modules, BLAS thread variables) of one command line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, timeout=120, env=env
+    )
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
     "args, absent",
     [
-        (["factorize", "--input", "conic_loop.json"], ["numpy", "scipy", "sympy"]),
-        (["futaki", "--input", "conic_weights.json", "--k", "1:10"], ["numpy", "scipy", "sympy"]),
+        (["factorize", "--input", "conic_loop.json"], ["numpy", "scipy", "sympy", "kstab.weights"]),
+        (["futaki", "--input", "conic_weights.json", "--k", "1:10"], ["numpy", "scipy", "sympy", "kstab.laurent"]),
         (["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"], ["scipy", "sympy"]),
         (["chow", "--input", "CUBIC", "--loop", "conic_loop.json"], ["numpy", "scipy", "sympy"]),
-        (["moment", "--input", "line_cycle.json", "--order", "48"], ["scipy", "sympy"]),
-        (["balance", "--input", "rnc3_distorted_cycle.json", "--format", "csv"], ["scipy", "sympy"]),
-        (["bergman", "--input", "bump_metric.json", "--k", "8:32:double", "--grid", "20"], ["scipy", "sympy"]),
+        (["moment", "--input", "line_cycle.json", "--order", "48"],
+         ["scipy", "sympy", "kstab.laurent", "kstab.weights"]),
+        (["balance", "--input", "rnc3_distorted_cycle.json", "--format", "csv"],
+         ["scipy", "sympy", "kstab.laurent", "kstab.weights"]),
+        (["bergman", "--input", "bump_metric.json", "--k", "8:32:double", "--grid", "20"],
+         ["scipy", "sympy", "kstab.laurent", "kstab.weights"]),
         (["verify"], ["scipy", "sympy"]),
     ],
     ids=["factorize", "futaki", "chow", "chow-cubic", "moment", "balance", "bergman", "verify"],
@@ -424,12 +440,28 @@ def test_command_leaves_out_heavy_imports(args, absent, tmp_path):
     cubic = tmp_path / "cubic.json"
     cubic.write_text(json.dumps({"form": {"3,0,0": [1, 0], "0,3,0": [1, 0], "0,0,3": [1, 0]}}))
     argv = [str(cubic) if a == "CUBIC" else str(DATA / a) if a.endswith(".json") else a for a in args]
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, timeout=120
-    )
-    code, heavy = json.loads(proc.stderr.splitlines()[-1])
-    assert code == 0, proc.stderr
-    assert not set(heavy) & set(absent)
+    code, loaded, _ = _loaded(argv)
+    assert code == 0
+    assert "kstab.cli" in loaded and not set(loaded) & set(absent)
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["nope"], 2)], ids=["help", "usage-error"])
+def test_help_and_usage_error_load_no_library_module(args, code):
+    assert _loaded(args)[:2] == [code, ["kstab", "kstab.cli"]]
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ["1", "1"]), ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, ["2", "2"]),
+     ({"OMP_NUM_THREADS": "2"}, [None, "2"])],
+    ids=["unset", "preset", "omp-only"],
+)
+def test_blas_runs_on_one_thread_unless_set(preset, expected):
+    # OpenBLAS reads OMP_NUM_THREADS only when OPENBLAS_NUM_THREADS is unset
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    code, loaded, blas = _loaded(["moment", "--input", str(DATA / "line_cycle.json")], env | preset)
+    assert code == 0 and "numpy" in loaded
+    assert blas == expected
 
 
 @pytest.mark.parametrize(
@@ -740,7 +772,7 @@ def test_unreadable_input_or_unwritable_out_exit_2(runner, tmp_path, args):
         (["bergman", "--input", "bump_metric.json", "--k", "4", "--grid", "3"], "kstab.bergman.theta_total_variation",
          QuadratureError, 4),
         (["moment", "--input", "line_cycle.json"], "kstab.cycles.moment_matrix", QuadratureError, 4),
-        (["factorize", "--input", "conic_loop.json"], "kstab.cli.factorize", FactorizationError, 3),
+        (["factorize", "--input", "conic_loop.json"], "kstab.laurent.factorize", FactorizationError, 3),
         (["futaki", "--input", "conic_weights.json"], "kstab.weights.weight_report", ValueError, 3),
     ],
     ids=["chow", "bergman", "moment", "factorize", "futaki"],

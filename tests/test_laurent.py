@@ -123,8 +123,12 @@ def nonzero(d):
 
 
 _SPARSE = st.dictionaries(
-    st.integers(-6, 6), st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=6
+    st.integers(-6, 6), st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=6
 )
+
+
+def fields(p):
+    return p.low, p.coef, p.den
 
 
 class TestLaurentPoly:
@@ -133,6 +137,12 @@ class TestLaurentPoly:
     def test_matches_fraction_dict_reference(self, a, b, K, e):
         p, q = canonical(lp(a)), canonical(lp(b))
         a, b = nonzero(a), nonzero(b)
+        # ints take their own path; they build the same fields as Fractions
+        fracs = {k: Fraction(v) for k, v in a.items()}
+        triples = [[k, v.numerator, v.denominator] for k, v in fracs.items()]
+        assert fields(lp(fracs)) == fields(LaurentPoly.from_triples(triples)) == fields(p)
+        assert all(fields(LaurentPoly.t_power(k, v)) == fields(lp({k: fracs[k]})) for k, v in a.items())
+        assert fields(LaurentPoly.t_power(e, 0)) == fields(lp({}))
         prod = {}
         for i, x in a.items():
             for j, y in b.items():
