@@ -8,9 +8,9 @@ of s, derived exactly on integer coefficient lists (``kstab.poly``), reduced
 by one gcd each and evaluated by Horner's rule; S only when
 ``scalar_curvature`` reads it.  Level-k sections are the monomials z^j,
 orthogonal by circle invariance, with squared norms computed by radial
-quadrature once per metric and level.  The metric keeps them, log s, u and
-w on each radial node set and rho_k per level on its last grid, read-only.
-The density of states
+quadrature once per metric and level, in blocks of rows j of at most 1 MB
+whatever k.  The metric keeps them, log s, u and w on each radial node set
+and rho_k per level on its last grid, read-only.  The density of states
 
     rho_k(s) = sum_j |z^j|^2_h / ||z^j||^2
 
@@ -52,6 +52,8 @@ __all__ = [
     "default_grid",
     "metric_from_json",
 ]
+
+_BLOCK = 2**16  # entries per block of rows of gram's integrand (512 kB)
 
 # Rational functions are pairs (num, den) of exact ascending coefficient
 # lists in lowest terms with a monic denominator, derived unreduced on
@@ -166,28 +168,34 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
     read-only from then on; a failed quadrature is not kept.  Exponents are
     raised to -700, as numpy's exp is over ten times slower below -708; next
     to each row's largest term, about one, e^-700 moves no bit of its sum.
+    Rows j go through in blocks of ``_BLOCK`` entries (8 rows at 512 panels),
+    each a multiple of 8 rows and the last with the remainder, so memory is
+    flat in k and, on one BLAS thread, each sum has the bits of one product.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
     k = int(k)
     if k in metric._norms:
         return metric._norms[k]
-    jf = np.arange(k + 1, dtype=float)
-    scale_log = None
+    jf, scale_log, scaled = np.arange(k + 1, dtype=float), np.zeros(k + 1), False
 
-    def f(s):
-        nonlocal scale_log
+    def rows(s):
+        nonlocal scaled
         log_s, u, w = metric._on_nodes(s)
-        e = np.multiply.outer(jf, log_s)
-        e -= k * u
-        if scale_log is None:
-            scale_log = e.max(axis=1)
-        e -= scale_log[:, None]
-        np.exp(np.maximum(e, -700.0, out=e), out=e)
-        e *= w
-        return e
+        first, scaled, ku = not scaled, True, k * u
+        step = max(8, _BLOCK // len(s) // 8 * 8)
+        lo = range(0, max(k + 2 - step, 1), step)  # the last block takes the remainder
+        for j in map(slice, lo, [*lo[1:], k + 1]):
+            e = np.multiply.outer(jf[j], log_s)
+            e -= ku
+            if first:
+                scale_log[j] = e.max(axis=1)
+            e -= scale_log[j, None]
+            np.exp(np.maximum(e, -700.0, out=e), out=e)
+            e *= w
+            yield e
 
-    cur, _ = radial_integral(f, 1e-12, panels=8)
+    cur, _ = radial_integral(rows, 1e-12, panels=8)
     norms = k * cur * np.exp(scale_log)
     if np.any(norms <= 0):
         raise QuadratureError("nonpositive squared norm; quadrature failed")
@@ -353,8 +361,8 @@ def default_grid(npts: int = 100, lo: float = 0.02, hi: float = 0.98) -> np.ndar
 
 def metric_from_json(obj) -> RadialMetric:
     """Parse {"epsilon": e, "bump": {"type": "rational", "num": [...],
-    "den": [...]}}; "default" uses s/(1+s)^2."""
-    eps = float(obj.get("epsilon", 0.0))
+    "den": [...]}}; "default" uses s/(1+s)^2.  Coefficients may be "p/q"."""
+    eps = poly.json_number(obj.get("epsilon", 0.0), "epsilon")
     bump = obj.get("bump")
     if bump is not None and not isinstance(bump, dict):
         raise ValueError("\"bump\" must be a JSON object")
@@ -362,8 +370,7 @@ def metric_from_json(obj) -> RadialMetric:
         return RadialMetric(epsilon=eps)
     if bump.get("type") != "rational":
         raise ValueError(f"unsupported bump type {bump.get('type')!r}")
-    num = bump.get("num")
-    den = bump.get("den", [1, 2, 1])  # default denominator (1+s)^2
+    num, den = bump.get("num"), bump.get("den", [1, 2, 1])  # default denominator (1+s)^2
     if num is None:
         raise ValueError("rational bump needs numerator coefficients")
-    return RadialMetric(epsilon=eps, bump=(list(num), list(den)))
+    return RadialMetric(eps, tuple([poly.json_number(c, "bump coefficient", exact=True) for c in p] for p in (num, den)))

@@ -36,12 +36,14 @@ where its form is the lowest part of F(m y), and mapped back by L(0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from kstab.laurent import FactorizationError, LaurentMatrix, LaurentPoly, factorize
+from kstab.poly import json_number
 
 __all__ = [
     "HypersurfaceForm",
@@ -366,13 +368,13 @@ def form_from_json(obj) -> HypersurfaceForm:
         obj = obj["form"]
         if not isinstance(obj, dict):
             raise ValueError("\"form\" must be a JSON object")
-    mono = {}
+    mono, number = {}, functools.partial(json_number, field="form coefficient", exact=True)
     for key, val in obj.items():
         exps = tuple(int(x) for x in key.split(","))
         if isinstance(val, list) and len(val) == 2 and not isinstance(val[0], list):
-            mono[exps] = (Fraction(val[0]).limit_denominator(10**12), Fraction(val[1]).limit_denominator(10**12))
-        else:
-            mono[exps] = val
+            mono[exps] = tuple(Fraction(number(x)).limit_denominator(10**12) for x in val)
+        else:  # a number, or Laurent coefficients by exponent
+            mono[exps] = {e: number(v) for e, v in val.items()} if isinstance(val, dict) else number(val)
     if not mono:
         raise ValueError("zero form")
     return HypersurfaceForm.from_dict(len(next(iter(mono))), mono)

@@ -243,11 +243,8 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
         data["final_residual"] = res.residuals[-1] if res.residuals else None
     _emit(data, out, fmt)
     if not res.converged:
-        print(
-            f"non-convergence after {res.steps} steps; final residual "
-            f"{res.residuals[-1] if res.residuals else float('nan'):.3e}",
-            file=sys.stderr,
-        )
+        final = f"final residual {res.residuals[-1] if res.residuals else float('nan'):.3e}"
+        print(f"non-convergence after {res.steps} steps; {res.note or final}", file=sys.stderr)
         sys.exit(EXIT_NONCONVERGENCE)
 
 

@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from kstab.poly import json_int
+from kstab.poly import json_int, json_number
 from kstab.quadrature import QuadratureError, csum, disc_radii, disc_rule
 
 __all__ = [
@@ -259,6 +259,8 @@ class BalanceResult:
 # Differences kept by the Anderson mixing of balance_iterate.
 _MEMORY = 6
 
+_FLOOR, _STALL = 64 * np.finfo(float).eps, 5  # see balance_iterate
+
 # Failures that make a balance evaluation invalid.
 _BREAKDOWN = (QuadratureError, np.linalg.LinAlgError, FloatingPointError)
 
@@ -306,7 +308,9 @@ def balance_iterate(
     ``max_steps`` nor a breakdown raises: the run ends not converged, and
     when a plain step's evaluation is invalid, or an accepted iterate's raw
     matrix is not positive definite, ``note`` says why ("iteration broke
-    down: ...").  Both signal an unstable or borderline cycle.
+    down: ...").  Both signal an unstable or borderline cycle.  A residual
+    below ``_FLOOR`` that ``_STALL`` accepted steps do not halve is at its
+    floating-point floor: above ``tol``, it ends the run, and the note says so.
 
     Each evaluation is ``_cycle_raw`` at ``order``, as in ``moment_matrix``.
     """
@@ -365,6 +369,10 @@ def balance_iterate(
         if image is None:
             note = "iteration broke down: second-moment matrix lost positivity"
             break
+        before, recent = min(residuals[:-_STALL], default=np.inf), min(residuals[-_STALL:])
+        if min(before, recent) <= _FLOOR and recent > before / 2:
+            note = f"residual at its floating-point floor {min(before, recent):.3e}, above tol {tol:.3g}"
+            break
         history = (history + [(x.view(float).ravel(), image.view(float).ravel())])[-_MEMORY - 1:]
         if len(history) > 1:
             try:
@@ -407,12 +415,11 @@ def cycle_from_json(obj) -> ProjectiveCycle:
         raise ValueError(f"ambient dimension must be >= 1, got {ambient}")
     comps = []
     for c in obj["components"]:
-        rows = [[complex(re, im) for re, im in coord] for coord in c["coeffs"]]
+        rows = [[complex(json_number(re, "cycle coefficient"), json_number(im, "cycle coefficient"))
+                 for re, im in coord] for coord in c["coeffs"]]
         arr = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
         for i, r in enumerate(rows):
             arr[i, : len(r)] = r
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
         comp = Component(arr, json_int(c.get("multiplicity", 1), "multiplicity"))
         if comp.degree < 1:
             raise ValueError("component of degree 0: a curve needs a nonconstant parametrization")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from kstab.poly import json_int
@@ -441,6 +441,7 @@ class LoopFactorization:
     weights: tuple
     right: LaurentMatrix
     order: tuple
+    rinv: LaurentMatrix = field(repr=False, compare=False)
 
     def exponent_vector(self):
         """Exponents placed on the original basis: e[order[k]] = weights[k]."""
@@ -450,8 +451,8 @@ class LoopFactorization:
         return multiply(self.left.scale_columns(self.exponent_vector()), self.right)
 
     def right_inverse(self) -> LaurentMatrix:
-        """Exact inverse of the unit-diagonal triangular factor."""
-        return _invert_unitriangular(self.right, list(self.order))
+        """Exact inverse of the unit-diagonal triangular factor, built and verified with it."""
+        return self.rinv
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +607,7 @@ def _assemble(g, sigma, wts, basis, nu):
     # ord det g = sum(weights)
     if not left.is_holomorphic() or _is_singular([[p.truncate(1) for p in row] for row in left.entries]):
         return None
-    fac = LoopFactorization(left=left, weights=weights, right=right, order=tuple(sigma))
+    fac = LoopFactorization(left=left, weights=weights, right=right, order=tuple(sigma), rinv=rinv)
     return fac if fac.reassemble() == g else None
 
 

@@ -9,17 +9,19 @@ This is the one coefficient format of the exact code: ``kstab.laurent``
 stores a Laurent polynomial as a power of t times such a list of integer
 numerators over one denominator (its products run in ``LaurentPoly.dot``),
 and ``kstab.weights`` and ``kstab.bergman`` build their exact polynomials
-with ``mul`` and ``add``.
-``evaluate`` is Horner's rule and also takes float coefficients with a
-numpy array argument.  ``json_int`` is how the JSON readers take an integer.
+with ``mul`` and ``add``.  ``evaluate`` is Horner's rule and also takes float
+coefficients with a numpy array argument.  ``json_int`` and ``json_number``
+are how the JSON readers take an integer and a number.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 
-__all__ = ["add", "mul", "deriv", "clear_denominators", "divide", "gcd", "evaluate", "json_int"]
+__all__ = ["add", "mul", "deriv", "clear_denominators", "divide", "gcd", "evaluate", "json_int", "json_number"]
 
 
 def _trim(p):
@@ -110,6 +112,18 @@ def json_int(value, field):
     if type(value) is not int:
         raise ValueError(f"{field} must be a JSON integer, got {value!r:.40}")
     return value
+
+
+def json_number(value, field, exact=False):
+    """``value`` if it is a finite JSON int or float, never a bool; with
+    ``exact``, also a string such as "p/q", read as an exact Fraction."""
+    if exact and type(value) is str:
+        with contextlib.suppress(ValueError, ZeroDivisionError):  # "1/0" too
+            return Fraction(value)
+    elif type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return value
+    what = "a finite JSON number" + ' or a "p/q" string' * exact
+    raise ValueError(f"{field} must be {what}, got {value!r:.40}")
 
 
 def evaluate(a, x):

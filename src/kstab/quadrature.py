@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -106,20 +107,20 @@ def radial_integral(f, tol: float, panels: int = 2):
     The Jacobian 1/(1-x)^2 is folded into the weights, so ``f``'s values are
     reduced against one vector and never copied.  ``f`` maps the shared,
     read-only array of s-values to one value per node (summed with ``csum``,
-    change relative to max(1, |value|)) or to a stack of rows (one
-    matrix-vector product, change relative to each row's value).  Returns
-    (value, last change)."""
+    change relative to max(1, |value|)), to a stack of rows (one matrix-vector
+    product, change relative to each row's value) or to an iterator over its
+    blocks of rows, each reduced before the next.  Returns (value, last change)."""
     prev, err = None, float("inf")
     while panels <= 512:
         s, wjac = _radial_nodes(panels)
-        vals = np.asarray(f(s), dtype=float)
-        if vals.ndim == 1:
-            cur = csum(wjac * vals)
-            scale = max(1.0, abs(cur))
+        vals = f(s)
+        if isinstance(vals, Iterator):
+            cur = np.concatenate([block @ wjac for block in vals])
         else:
-            cur = vals @ wjac
-            scale = np.abs(cur)
+            vals = np.asarray(vals, dtype=float)
+            cur = csum(wjac * vals) if vals.ndim == 1 else vals @ wjac
         del vals  # not held while f builds the next, twice larger level
+        scale = np.abs(cur) if np.ndim(cur) else max(1.0, abs(cur))
         if prev is not None:
             err = float(np.max(np.abs(cur - prev) / scale))
             if err <= tol:

@@ -1,10 +1,17 @@
 import contextlib
 import io
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+# BLAS on one thread, as ``kstab.cli.main`` sets it before numpy loads: a
+# threaded matrix-vector product splits its rows by thread, so in-process
+# results would differ in their last bits from the command line's
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 # Run the code in argv[1] with the address space capped at 1 GiB.

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kstab import poly, quadrature
+from kstab import bergman, poly, quadrature
 from kstab.bergman import (
     RadialMetric,
     _moment_sums,
@@ -349,11 +349,17 @@ class TestMomentKernel:
         assert calls == [256 * 2**i for i in range(len(calls))]
         assert len(calls) == (2 if k <= 256 else 3)
 
-    @pytest.mark.parametrize("k", [8, 64, 512, 1024])
+    @pytest.mark.parametrize("k", [8, 64, 300, 512, 777, 1024])
     @pytest.mark.parametrize("name", ["shipped", "bench"])
-    def test_gram_bitwise_equal_to_reference(self, shipped_and_bench, name, k):
+    def test_gram_bitwise_equal_to_reference(self, shipped_and_bench, name, k, monkeypatch):
         metric = shipped_and_bench[name]
-        assert np.array_equal(gram(metric, k), _reference_gram(metric, k))
+        want = _reference_gram(metric, k)
+        assert np.array_equal(gram(metric, k), want)
+        # blocks of 16 rows at the first level and 8 later split every
+        # level; 301 and 778 rows leave a remainder of 5 and 2 rows
+        monkeypatch.setattr(bergman, "_BLOCK", 2**12)
+        monkeypatch.setattr(metric, "_norms", {})
+        assert np.array_equal(gram(metric, k), want)
 
     @pytest.mark.parametrize("k", [16, 64, 256, 1024])
     @pytest.mark.parametrize("name", ["shipped", "bench"])
@@ -391,20 +397,18 @@ class TestMomentKernel:
 
 
 class TestGram:
-    def test_peak_memory_is_one_node_array(self, monkeypatch):
-        # the radial Jacobian is folded into the quadrature weights, so the
-        # largest level's (k+1) x nodes rows are the only such array alive
+    def test_peak_memory_is_flat_in_k(self):
+        # rows are built and reduced in blocks of 512 kB; one (k+1) x
+        # nodes array at the last level would be 16.8 MB
         data = Path(__file__).resolve().parent.parent / "data" / "bump_metric.json"
-        metric, k = metric_from_json(json.loads(data.read_text())), 1024
-        sizes, u = [], metric.u
-        monkeypatch.setattr(metric, "u", lambda s: sizes.append(len(s)) or u(s))
+        metric = metric_from_json(json.loads(data.read_text()))
         tracemalloc.start()
         try:
-            gram(metric, k)
+            gram(metric, 1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (k + 1) * max(sizes) * 8
+        assert peak <= 5 * 2**20
 
     def test_round_beta_ratios(self, round_metric):
         for k in (4, 9, 16):

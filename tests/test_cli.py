@@ -207,6 +207,20 @@ class TestBalanceCommand:
         assert rep["note"].startswith("iteration broke down: cycle mass ")
         assert rep["note"].endswith(" does not match degree 2")
 
+    def test_floor_above_tol_stops_early(self, runner):
+        # residuals reach 3e-16 by step 13 and then wander between 2e-16 and
+        # 5e-16; without a stall test the run took all 200 steps
+        args = ["--input", str(DATA / "rnc3_distorted_cycle.json"), "--max-steps", "200"]
+        res = run(runner, "balance", *args, "--tol", "1e-300")
+        assert res.exit_code == 4
+        rep = json.loads(res.stdout)
+        assert not rep["converged"] and rep["steps"] <= 25
+        assert rep["note"] == f"residual at its floating-point floor {min(rep['residuals']):.3e}, above tol 1e-300"
+        assert res.stderr == f"non-convergence after {rep['steps']} steps; {rep['note']}\n"
+        # a tol the iteration reaches converges as before
+        rep = json.loads(run(runner, "balance", *args, "--tol", "1e-8").stdout)
+        assert rep["converged"] and rep["steps"] == 8
+
 
 class TestBergmanCommand:
     def test_csv_columns(self, runner, tmp_path):
@@ -625,6 +639,44 @@ def test_non_integer_field_exit_2(runner, tmp_path, command, doc, field):
     assert res.exit_code == 2
     _assert_clean_exit(res)
     assert f"{field} must be a JSON integer" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("bergman", _with("bump_metric.json", ("epsilon",), True), "epsilon"),
+        ("bergman", _with("bump_metric.json", ("epsilon",), "0.1"), "epsilon"),
+        ("bergman", _with("bump_metric.json", ("bump", "num", 1), True), "bump coefficient"),
+        ("bergman", _with("bump_metric.json", ("bump", "den", 0), False), "bump coefficient"),
+        ("moment", _with("line_cycle.json", ("components", 0, "coeffs", 0, 0), [True, 0]), "cycle coefficient"),
+        ("chow", _with("conic_form.json", ("form", "1,0,1"), [True, 0]), "form coefficient"),
+        ("chow", _with("conic_form.json", ("form", "1,0,1"), True), "form coefficient"),
+        ("chow", _with("conic_form.json", ("form", "1,0,1"), {"0": True}), "form coefficient"),
+    ],
+)
+def test_non_number_field_exit_2(runner, tmp_path, command, doc, field):
+    # float() and Fraction() read true as 1 and the string "0.1" as 0.1
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    loop = ["--loop", str(DATA / "conic_loop.json")] if command == "chow" else []
+    res = runner.invoke(main, [command, "--input", str(path), *loop])
+    assert res.exit_code == 2
+    _assert_clean_exit(res)
+    assert f"{field} must be a finite JSON number" in res.stderr
+
+
+def test_exact_strings_in_bump_and_form(runner, tmp_path):
+    # "p/q" strings are read as exact rationals, so they give the integers' bits
+    for command, name, path, value in [
+        ("bergman", "bump_metric.json", ("bump",), {"type": "rational", "num": ["0", "2/2"], "den": ["1", "2", "1"]}),
+        ("chow", "conic_form.json", ("form", "0,2,0"), ["-3/3", "0"]),
+    ]:
+        edited = tmp_path / name
+        edited.write_text(json.dumps(_with(name, path, value)))
+        loop = ["--loop", str(DATA / "conic_loop.json")] if command == "chow" else []
+        got, want = (runner.invoke(main, [command, "--input", str(p), *loop]) for p in (edited, DATA / name))
+        assert got.exit_code == want.exit_code == 0
+        assert got.stdout == want.stdout
 
 
 def test_overflowing_bump_is_one_line(runner, tmp_path):

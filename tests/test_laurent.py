@@ -349,6 +349,15 @@ class TestFactorize:
         with pytest.raises(DegenerateLoopError):
             factorize(g)
 
+    def test_right_inverse_is_built_once(self, monkeypatch):
+        calls, real = [], laurent._invert_unitriangular
+        monkeypatch.setattr(laurent, "_invert_unitriangular", lambda *a: calls.append(1) or real(*a))
+        g, _ = ltdu_loop(random.Random(5), 4, 3)
+        f = factorize(g)
+        assert f.right_inverse() is f.right_inverse()
+        assert multiply(f.right, f.right_inverse()) == LaurentMatrix.identity(4)
+        assert len(calls) == 1
+
     def test_singular_left_at_zero_fails_the_check(self, monkeypatch):
         """g = g * t^0 * I reassembles with a holomorphic left, but left(0)
         is singular, so the weights (0, 0) do not sum to ord det g = 1."""
