@@ -10,7 +10,9 @@ by one gcd each and evaluated by Horner's rule; S only when
 orthogonal by circle invariance, with squared norms computed by radial
 quadrature once per metric and level, in blocks of rows j of at most 1 MB
 whatever k.  The metric keeps them, log s, u and w on each radial node set
-and rho_k per level on its last grid, read-only.  The density of states
+and rho_k per level on its last grid, read-only.  The discrepancy's rule
+breaks at its kinks, so its per-call segment nodes are kept nowhere.  The
+density of states
 
     rho_k(s) = sum_j |z^j|^2_h / ||z^j||^2
 
@@ -197,8 +199,11 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
 
     cur, _ = radial_integral(rows, 1e-12, panels=8)
     norms = k * cur * np.exp(scale_log)
-    if np.any(norms <= 0):
+    if np.any(cur <= 0):
         raise QuadratureError("nonpositive squared norm; quadrature failed")
+    if np.any(norms == 0):  # exp(scale_log) underflowed
+        low = np.min(np.log(k * cur) + scale_log)
+        raise QuadratureError(f"squared norm underflows: lowest log norm {low:.1f}, below the least double's -744.4")
     norms.flags.writeable = False
     metric._norms[k] = norms
     return norms
@@ -284,20 +289,39 @@ def theta_total_variation(metric: RadialMetric, k: int) -> float:
     """Total variation of the discrepancy between the normalized density
     of states volume and the pulled-back Fubini-Study volume.
 
-    Integrates |rho_k w / P(k) - w_FS,k| over the sphere, to a change of
-    1e-8, with P(k) = (k+1)/k; zero exactly for the round metric.
+    Integrates |D| = |rho_k w / P(k) - w_FS,k| over the sphere, to a change of
+    1e-8, with P(k) = (k+1)/k; zero exactly for the round metric.  The radial
+    rule breaks at the kinks of |D|: the sign changes of D / w at the first
+    level's 64 nodes next to a value above its roundoff 64 k eps (1 + s), each
+    refined by inverse linear, then quadratic, then cubic interpolation, with
+    one call for all of them per step.
     """
     sums = _moment_kernel(gram(metric, k))
     p_k = (k + 1.0) / k
 
-    def f(s):  # one exponential serves both rho and the form
-        log_s, u, w = metric._on_nodes(s)
+    def ratio(s, log_s, u, w):  # D / w: one exponential serves both rho and the form
         t, shift = sums(s, log_s)
-        r = np.exp(np.log(t[0]) + shift - k * u)
-        return np.abs(r * w / p_k - _pullback(k, s, t))
+        return np.exp(np.log(t[0]) + shift - k * u) / p_k - _pullback(k, s, t) / w
 
-    val, _ = radial_integral(f, tol=1e-8)
-    return val
+    def direct(s):  # on nodes that differ per call: u and w are kept nowhere
+        w = metric.density(s)
+        return ratio(s, np.log(s), metric.u(s), w), w
+
+    def kinks(s):
+        x, d = s / (1.0 + s), ratio(s, *metric._on_nodes(s))
+        big = np.abs(d) > 64 * k * np.finfo(float).eps * (1.0 + s)
+        i = np.flatnonzero((d[:-1] * d[1:] < 0) & (big[:-1] | big[1:]))
+        xs, ds = np.stack([x[i], x[i + 1]]), np.stack([d[i], d[i + 1]])
+        while True:  # x as a polynomial in D / w through the points so far, at D = 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = ds / (ds - ds[:, None])  # q[j, l] = d_l / (d_l - d_j)
+            q[np.diag_indices(len(ds))] = 1.0
+            c = np.fmin(np.fmax(np.sum(xs * q.prod(axis=1), axis=0), xs[0]), xs[1])  # NaN to the left end
+            if len(xs) == 4:
+                return c
+            xs, ds = np.vstack([xs, c]), np.vstack([ds, direct(c / (1.0 - c))[0]])
+
+    return radial_integral(lambda s: np.abs(np.multiply(*direct(s))), 1e-8, breaks=kinks)[0]  # |D / w| w
 
 
 @dataclass

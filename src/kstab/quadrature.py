@@ -13,6 +13,7 @@ independent of evaluation order to roundoff.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -83,12 +84,14 @@ def disc_radii(order: int):
     return 0.5 * (x + 1.0), 0.5 * wx, 2 * order + 1
 
 
-def panel_rule(order: int, panels: int):
-    """Composite Gauss-Legendre nodes/weights on [0, 1], read-only."""
+def panel_rule(order: int, panels: int, edges=(0.0, 1.0)):
+    """Composite Gauss-Legendre nodes/weights, ``panels`` equal panels on each
+    interval between ``edges`` (by default [0, 1]), read-only."""
     x, w = _legendre(order)
-    h = 1.0 / panels
-    left = np.arange(panels)[:, None] * h
-    return _read_only((left + 0.5 * h * (x + 1.0)).ravel(), np.tile(0.5 * h * w, panels))
+    edges = np.asarray(edges, dtype=float)
+    h = (np.diff(edges) / panels)[:, None, None]
+    left = edges[:-1, None, None] + np.arange(panels)[:, None] * h
+    return _read_only((left + 0.5 * h * (x + 1.0)).ravel(), np.repeat(0.5 * h * w, panels, axis=1).ravel())
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,7 +102,7 @@ def _radial_nodes(panels: int):
     return _read_only(x / (1.0 - x), w / (1.0 - x) ** 2)
 
 
-def radial_integral(f, tol: float, panels: int = 2):
+def radial_integral(f, tol: float, panels: int = 2, breaks=None):
     """Integral over s in [0, inf) via x = s/(1+s) on order-32 Gauss-Legendre
     panels, doubling the panels from ``panels`` up to 512 until the change is
     within ``tol``.
@@ -109,24 +112,40 @@ def radial_integral(f, tol: float, panels: int = 2):
     read-only array of s-values to one value per node (summed with ``csum``,
     change relative to max(1, |value|)), to a stack of rows (one matrix-vector
     product, change relative to each row's value) or to an iterator over its
-    blocks of rows, each reduced before the next.  Returns (value, last change)."""
+    blocks of rows, each reduced before the next.  Returns (value, last change).
+
+    ``breaks`` are points x in (0, 1) where ``f`` has a kink or a peak, or a
+    callable that returns them from the first level's shared s-values.  Then
+    the panels double per segment between breaks, from one and two in one call
+    of ``f`` to 512, on fresh arrays, with the same stop rule on the total.
+    """
+    if callable(breaks):
+        breaks = breaks(_radial_nodes(panels)[0])
+    if breaks is None:
+        levels = (_radial_nodes(n) for n in (panels << i for i in range(10)) if n <= 512)
+    else:
+        edges = np.concatenate([[0.0], np.sort(breaks), [1.0]])
+        rules = (panel_rule(32, 1 << i, edges) for i in range(10))
+        levels = ((x / (1.0 - x), w / (1.0 - x) ** 2) for x, w in rules)
+        (s, w), (s2, w2) = next(levels), next(levels)
+        both = np.concatenate([s, s2]), np.concatenate([w, 0 * w2]), np.concatenate([0 * w, w2])
+        levels = itertools.chain([both], levels)
     prev, err = None, float("inf")
-    while panels <= 512:
-        s, wjac = _radial_nodes(panels)
+    for s, *ws in levels:
         vals = f(s)
         if isinstance(vals, Iterator):
-            cur = np.concatenate([block @ wjac for block in vals])
+            curs = [np.concatenate(c) for c in zip(*([block @ w for w in ws] for block in vals))]
         else:
             vals = np.asarray(vals, dtype=float)
-            cur = csum(wjac * vals) if vals.ndim == 1 else vals @ wjac
+            curs = [csum(w * vals) if vals.ndim == 1 else vals @ w for w in ws]
         del vals  # not held while f builds the next, twice larger level
-        scale = np.abs(cur) if np.ndim(cur) else max(1.0, abs(cur))
-        if prev is not None:
-            err = float(np.max(np.abs(cur - prev) / scale))
-            if err <= tol:
-                return cur, err
-        prev = cur
-        panels *= 2
+        for cur in curs:
+            scale = np.abs(cur) if np.ndim(cur) else max(1.0, abs(cur))
+            if prev is not None:
+                err = float(np.max(np.abs(cur - prev) / scale))
+                if err <= tol:
+                    return cur, err
+            prev = cur
     raise QuadratureError(
         f"radial quadrature stalled at 512 panels (relative change {err:g}, tol {tol:g})"
     )

@@ -267,6 +267,21 @@ class TestBergmanCommand:
         assert sorted(gram_quadratures) == [4, 8, 16]
 
 
+    def test_theta_breaks_at_its_kinks(self, runner, tmp_path):
+        # the uniform rule stalled at 512 panels on theta at k = 16 here
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"epsilon": -0.9, "bump": {"type": "default"}}))
+        res = run(runner, "bergman", "--input", str(path), "--k", "8,16", "--grid", "3")
+        assert res.exit_code == 0 and res.stderr == ""
+        assert all(v > 0 for v in json.loads(res.stdout)["theta_tv"].values())
+
+    def test_underflowing_norm_names_its_limit(self, runner):
+        res = run(runner, "bergman", "--input", str(DATA / "bump_metric.json"), "--k", "2048")
+        assert res.exit_code == 4 and res.stdout == ""
+        assert re.fullmatch(r"error: squared norm underflows: lowest log norm -\d+\.\d, "
+                            r"below the least double's -744\.4\n", res.stderr)
+
+
 class TestErrors:
     def test_malformed_json_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -68,6 +68,23 @@ class TestPanels:
         assert val == pytest.approx(exact, abs=1e-11)
         assert err < 1e-11
 
+    @pytest.mark.parametrize("breaks", [[2 / 3], lambda s: np.array([2 / 3])], ids=["list", "callable"])
+    def test_breaks_at_a_kink(self, breaks):
+        # |s - 2| e^-s, kinked at s = 2 (x = 2/3), integrates to 1 + 2/e^2; uniform
+        # panels stall at 512 short of 1e-12, one and two per segment meet it
+        calls = []
+
+        def f(s):
+            calls.append(len(s))
+            return np.stack([np.abs(s - 2.0) * np.exp(-s), np.exp(-s)])
+
+        val, err = radial_integral(lambda s: f(s)[0], tol=1e-12, breaks=breaks)
+        assert val == pytest.approx(1 + 2 * np.exp(-2), abs=1e-15) and err <= 1e-12
+        assert calls == [2 * (32 + 64)]
+        assert np.allclose(radial_integral(f, tol=1e-12, breaks=breaks)[0], [1 + 2 * np.exp(-2), 1.0], rtol=1e-15)
+        with pytest.raises(QuadratureError, match="stalled at 512 panels"):
+            radial_integral(lambda s: f(s)[0], tol=1e-12)
+
     def test_adaptive_failure_reported(self):
         rng = np.random.default_rng(0)
 
