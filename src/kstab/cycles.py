@@ -115,6 +115,7 @@ _BLOCK = 1024
 # |c_i| |c_j|: then |U^H U - I| <= (deg + 1) _ORTHOGONAL, which moves |p|^2,
 # |p'|^2, <p', p> and the moments by that relative roundoff at most.
 _ORTHOGONAL = 1e-14
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))  # a larger modulus squares to inf
 
 
 def _monomial_raw(comp: Component, order: int):
@@ -127,6 +128,10 @@ def _monomial_raw(comp: Component, order: int):
     rho, wrho, m = disc_radii(order)
     e = np.argmax(comp.coeffs != 0, axis=1)  # a zero row has e = 0 and c = 0
     c = comp.coeffs[np.arange(len(e)), e]
+    worst = max([1.0] + [y for x in np.abs(c) if x for y in (float(x), 1 / float(x))])
+    if worst > _SQRT_MAX:
+        raise QuadratureError(f"coefficient modulus or its reciprocal {worst:.3g} above {_SQRT_MAX:.3g}, "
+                              "the square root of the largest double: its square is out of range")
     raw, mass = 0.0, 0.0
     for ex in (e, comp.degree - e):
         q = np.sqrt(rho)[:, None] ** ex  # |s^e| per radius and row

@@ -20,10 +20,10 @@ a product, or a sum of products (``dot``), optionally truncated below
 t^K, is accumulated in one integer list over one common denominator and
 reduced once, and ``Fraction`` appears only where coefficients are read
 out.  Determinants are Bareiss elimination over Z[t, 1/t], checked
-at one point modulo a prime; the factorization works on entries truncated
-modulo t^K, needs the exact determinant only for a loop singular at that
-point, and checks its result exactly; the Chow order (``kstab.chow``) is
-read off that verified normal form.
+at one point modulo a prime; the factorization reads its window K off the
+loop's local Smith exponents modulo that prime, runs its echelon on entries
+truncated modulo t^K, and checks its result exactly; the Chow order
+(``kstab.chow``) is read off that verified normal form.
 """
 
 from __future__ import annotations
@@ -415,6 +415,34 @@ def _is_singular(rows) -> bool:
     return not _det_mod(_values_at_t0(rows)[0])[0] and LaurentMatrix(rows).det().is_zero
 
 
+def _smith_exponents(rows):
+    """Local Smith exponents at t = 0 of n polynomial rows modulo the prime,
+    nonincreasing, read as ``factorize`` says; None after 2n + 2 steps, as
+    when det = 0 modulo the prime.  A row is a dict {(column, exponent):
+    coefficient}, cleared of denominators, so its cost follows its terms."""
+    pivots, steps = [], []
+    todo = [{(c, p.low + i): f // p.den * v % _PRIME for c, p in enumerate(row) for i, v in enumerate(p.coef)}
+            for row in rows for f in [math.lcm(*(p.den for p in row))]]
+    while todo:
+        if len(steps) == 2 * len(rows) + 2:
+            return None
+        vanish = []
+        for row in todo:
+            for c, inv, prow in pivots:
+                x = -row.get((c, 0), 0) * inv % _PRIME
+                if x:
+                    row.update({key: (row.get(key, 0) + x * v) % _PRIME for key, v in prow.items()})
+            c = next((c for (c, e), v in row.items() if v and not e), None)
+            if c is None:
+                vanish.append(row)
+            else:
+                pivots.append((c, pow(row[c, 0], -1, _PRIME), row))
+        k = min((e for row in vanish for (_, e), v in row.items() if v), default=0)
+        steps.append((len(vanish), k))
+        todo = [{(c, e - k): v for (c, e), v in row.items() if v} for row in vanish]
+    return [sum(k for r, k in steps if r > i) for i in range(len(rows))]
+
+
 def multiply(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """Exact product of two loops of equal size."""
     if a.size != b.size:
@@ -532,31 +560,35 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
     result is deterministic: weights are sorted nonincreasing and ties
     between equal weights keep the original basis order.
 
-    A nonzero det g at t0 modulo 2^61 - 1 proves g nonsingular; only a zero
-    there runs the exact ``det``.  The echelon runs on the entries modulo
-    t^K, with K = 1, 2, 4, ... until it finds all n pivots.  Each pivot has
-    the least order among the active entries, so every elimination is exact
-    modulo t^K and any window that finds the pivots gives the exact answer.
     The weights of the shifted loop t^(-nu) g are >= 0 and sum to its
     ord det <= deg det <= the sum over its rows of their largest entry
-    degree, and that sum plus one caps the window.  The check proves
-    left(0) invertible, so ord det g = sum(weights).  The verified result
-    is kept on ``g`` and returned by later calls; a failure is not kept.
+    degree, and that sum plus one caps the window.  ``_smith_exponents``
+    reads them modulo 2^61 - 1 (Gohberg, Lancaster and Rodman): each step
+    divides the r rows that vanish at t = 0, after elimination on the
+    constant terms, by t^k, k their least order, and the i-th largest weight
+    is the sum of the k of the steps with r > i.  Weights read there prove
+    g nonsingular; else a nonzero det g at t0 modulo the prime does, and
+    only a zero there runs the exact ``det``.  The echelon runs once on the
+    entries modulo t^K, K the largest read weight plus one (else 1), and
+    doubles K up to the cap while it misses a pivot.  Each pivot has the
+    least order among the active entries, so every elimination is exact
+    modulo t^K and any window that finds the pivots gives the exact answer.
+    The check proves left(0) invertible, so ord det g = sum(weights).  The
+    verified result is kept on ``g``; a failure is not kept.
     """
     if g._factorization is not None:
         return g._factorization
-    if _is_singular(g.entries):
-        raise DegenerateLoopError("degenerate loop: determinant vanishes identically")
-    n = g.size
-
-    nu = min(p.ord() for row in g.entries for p in row if p.coef)
+    nu = min((p.low for row in g.entries for p in row if p.coef), default=0)
     shifted = g.shift(-nu)  # polynomial entries
+    exps = _smith_exponents(shifted.entries)
+    if exps is None and _is_singular(g.entries):
+        raise DegenerateLoopError("degenerate loop: determinant vanishes identically")
     cap = sum(max(p.deg() for p in row if p.coef) for row in shifted.entries) + 1
-    K = 1
+    K = exps[0] + 1 if exps else 1  # <= cap: exps sum to ord det <= deg det modulo p
     while True:
         rows = [[p.truncate(K) for p in row] for row in shifted.entries]
         try:
-            sigma, wts, basis = _echelon(rows, n, K)
+            sigma, wts, basis = _echelon(rows, g.size, K)
             break
         except _WindowTooSmall:
             if K == cap:

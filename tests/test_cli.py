@@ -222,6 +222,22 @@ class TestBalanceCommand:
         assert rep["converged"] and rep["steps"] == 8
 
 
+@pytest.mark.parametrize("command", ["moment", "balance"])
+def test_overflowing_coefficient_names_its_limit(runner, tmp_path, command):
+    # the line (1e200, 0, s): |1e200|^2 overflows, and balance's rescaled
+    # (1, 0, 1e-200 s) underflows to a false "cycle mass 0"
+    cycle = json.loads((DATA / "line_cycle.json").read_text())
+    cycle["components"][0]["coeffs"][0][0][0] = 1e200
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(cycle))
+    res = run(runner, command, "--input", str(path))
+    assert res.exit_code == 4 and "Warning" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.endswith("coefficient modulus or its reciprocal 1e+200 above 1.34e+154, "
+                               "the square root of the largest double: its square is out of range\n")
+    assert res.stderr.startswith("error: " if command == "moment" else "non-convergence after 0 steps; ")
+
+
 class TestBergmanCommand:
     def test_csv_columns(self, runner, tmp_path):
         out = tmp_path / "run.csv"
@@ -598,6 +614,50 @@ def test_malformed_inputs_exit_cleanly(runner, command, data):
             if data.draw(st.booleans()):
                 args += [opt, data.draw(st.sampled_from(values))]
         _assert_clean_exit(runner.invoke(main, args))
+
+
+def _delete(doc, path):
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    if len(path) == 1:
+        del out[path[0]]
+    else:
+        out[path[0]] = _delete(doc[path[0]], path[1:])
+    return out
+
+
+@st.composite
+def _perturbed_loop(draw):
+    """The shipped conic loop with one leaf replaced by a float, a bool, a
+    string, NaN or +-1e308, or one key or list element deleted."""
+    doc = json.loads((DATA / "conic_loop.json").read_text())
+    paths = list(_paths(doc))[1:]
+    if draw(st.booleans()):
+        return _delete(doc, draw(st.sampled_from(paths)))
+    leaf = draw(st.sampled_from([p for p in paths if not isinstance(_get(doc, p), (dict, list))]))
+    value = draw(st.floats(allow_nan=False, allow_infinity=False) | st.booleans() | st.text(max_size=12)
+                 | st.sampled_from([float("nan"), 1e308, -1e308]))
+    return _put(doc, leaf, value)
+
+
+def _get(doc, path):
+    return _get(doc[path[0]], path[1:]) if path else doc
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_perturbed_loop())
+def test_perturbed_loop_is_read_or_refused(runner, doc):
+    clean = run(runner, "factorize", "--input", str(DATA / "conic_loop.json")).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "loop.json"
+        path.write_text(json.dumps(doc))
+        res = run(runner, "factorize", "--input", str(path))
+    assert "Traceback" not in res.stdout + res.stderr
+    if res.exit_code == 0:
+        assert res.stdout == clean and res.stderr == ""
+    else:
+        assert res.exit_code in (2, 3, 4) and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
 
 
 _DEGREE_0_CYCLE = {"ambient": 2, "components": [{"coeffs": [[[1, 0], [0, 0]], [[0, 0]], [[1, 0]]]}]}

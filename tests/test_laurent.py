@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstab import laurent
-from kstab.acceptance import random_loop, structured_loop
+from kstab.acceptance import random_admissible_loop, random_loop, structured_loop
 from kstab.laurent import (
     DegenerateLoopError,
     FactorizationError,
@@ -93,6 +93,22 @@ def fixed_window_factorize(g):
     rows = [[p.truncate(K) for p in row] for row in shifted.entries]
     sigma, wts, basis = laurent._echelon(rows, n, K)
     return laurent._assemble(g, sigma, wts, basis, nu)
+
+
+def shifted_and_cap(g):
+    """nu, the polynomial loop t^(-nu) g, and factorize's window cap: the sum
+    over its rows of their largest entry degree, plus one."""
+    nu = min(p.ord() for row in g.entries for p in row if not p.is_zero)
+    shifted = g.shift(-nu)
+    return nu, shifted, sum(max(p.deg() for p in row if not p.is_zero) for row in shifted.entries) + 1
+
+
+def probed_weights(g):
+    """The weights of g that the Smith-exponent probe reads modulo the prime,
+    or None where it finds g singular modulo the prime."""
+    nu, shifted, _ = shifted_and_cap(g)
+    exps = laurent._smith_exponents(shifted.entries)
+    return None if exps is None else tuple(e + nu for e in exps)
 
 
 @pytest.fixture
@@ -372,6 +388,8 @@ class TestFactorize:
         [
             LaurentMatrix([[lp({1: 1}), lp({2: 1})], [lp({-1: 1}), lp({0: 1})]]),
             LaurentMatrix([[lp({0: 2, 5: 1}), lp({})], [lp({-3: 1}), lp({})]]),
+            LaurentMatrix([[lp({0: 1}), lp({1: 1})], [lp({}), lp({})]]),
+            LaurentMatrix([[lp({}), lp({})], [lp({}), lp({})]]),
         ],
     )
     def test_degenerate_message(self, g):
@@ -387,11 +405,56 @@ class TestFactorize:
         ref = fixed_window_factorize(g)
         assert (f.left, f.right, f.weights, f.order) == (ref.left, ref.right, ref.weights, ref.order)
         assert f.weights == weights
-        # the cap is the degree bound of the shifted loop, at least its ord det + 1
-        nu = min(p.ord() for row in g.entries for p in row if not p.is_zero)
-        cap = sum(max(p.deg() for p in row if not p.is_zero) for row in g.shift(-nu).entries) + 1
+        # one window, the largest weight of the shifted loop plus one, within
+        # the cap: the degree bound of the shifted loop, at least its ord det + 1
+        nu, _, cap = shifted_and_cap(g)
         assert cap >= g.det().ord() - n * nu + 1
-        assert used == [min(2**i, cap) for i in range(len(used))]
+        assert used == [min(weights[0] - nu + 1, cap)]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_one_echelon_and_no_det(self, monkeypatch, windows, n):
+        """A nonsingular dense loop costs one echelon window and no exact det."""
+        dets, real = [], LaurentMatrix.det
+        monkeypatch.setattr(LaurentMatrix, "det", lambda self: dets.append(1) or real(self))
+        for terms in (1, 2, 3):
+            g, weights = ltdu_loop(random.Random(f"spy:{n}:{terms}"), n, terms)
+            windows.clear()
+            assert factorize(g).weights == weights
+            assert len(windows) == 1 and not dets
+
+    def test_probe_matches_factorize(self):
+        """The probe's weights are factorize's on seeded dense, random,
+        structured and admissible loops."""
+        loops = [ltdu_loop(random.Random(f"probe:{n}:{terms}"), n, terms)[0]
+                 for n in range(2, 11) for terms in (1, 2, 3)]
+        rng = random.Random(30)
+        loops += [make(rng, rng.randint(1, 5)) for make in (random_loop, structured_loop) for _ in range(40)]
+        loops += [random_admissible_loop(rng, rng.randint(2, 5))[0] for _ in range(40)]
+        for g in loops:
+            try:
+                weights = factorize(g).weights
+            except DegenerateLoopError:
+                weights = None
+            assert probed_weights(g) == weights
+
+    @pytest.mark.parametrize(
+        "entries, probed, weights, used",
+        [
+            ([[{0: 1}, {}], [{}, {0: laurent._PRIME}]], None, (0, 0), [1]),
+            ([[{0: 1}, {}], [{}, {0: laurent._PRIME, 1: 1}]], (1, 0), (0, 0), [2]),
+            ([[{1: 1}, {0: laurent._PRIME}], [{}, {1: 1}]], (1, 1), (2, 0), [2, 3]),
+        ],
+        ids=["singular mod p", "overshoot", "undershoot"],
+    )
+    def test_unlucky_prime_costs_only_windows(self, windows, entries, probed, weights, used):
+        """Where the probe is wrong modulo p = 2^61 - 1, the exact det or the
+        doubling windows still give the fixed window's answer."""
+        g = LaurentMatrix([[lp(d) for d in row] for row in entries])
+        assert probed_weights(g) == probed
+        f = factorize(g)
+        assert f.weights == weights and windows == used
+        ref = fixed_window_factorize(g)
+        assert (f.left, f.right, f.weights, f.order) == (ref.left, ref.right, ref.weights, ref.order)
 
     def test_window_independent_of_exponent_size(self, windows):
         """The window follows ord det, not the largest exponent of the loop."""
@@ -417,6 +480,34 @@ class TestFactorize:
         high, low, seconds = proc.stdout.split()
         assert (int(high), int(low)) == (top, 0)
         assert float(seconds) < 0.1
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ("[[P({0: 1, 1: 1}), P()], [P({1: 1}), P.t_power(N)]]", "(N, 0)"),
+            ("[[P({0: 1, 1: 1}), P(), P()], [P({1: 1}), P(), P()], [P(), P(), P.t_power(N)]]", "'degenerate'"),
+        ],
+        ids=["[[1+t, 0], [t, t^N]]", "singular with t^N"],
+    )
+    def test_slow_descent_stops_the_probe(self, capped_python, rows, want):
+        """Each probe step divides the row (t, t^N) by t only once, so the
+        probe stops after 2n + 2 steps, not N, and the loop takes the
+        determinant check and the doubling windows."""
+        proc = capped_python(
+            "import time\n"
+            "from kstab.laurent import DegenerateLoopError, LaurentMatrix, LaurentPoly as P, factorize\n"
+            "N = 2 ** 20 - 1\n"
+            f"g = LaurentMatrix({rows})\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    out = factorize(g).weights\n"
+            "except DegenerateLoopError:\n"
+            "    out = 'degenerate'\n"
+            f"print(out == {want}, time.perf_counter() - t0)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        ok, seconds = proc.stdout.split()
+        assert ok == "True" and float(seconds) < 0.1
 
     def test_wide_singular_loop_is_degenerate(self, capped_python):
         """A singular loop is told by one exact determinant, not by echelon
