@@ -105,7 +105,7 @@ def shifted_and_cap(g):
 
 def probed_weights(g):
     """The weights of g that the Smith-exponent probe reads modulo the prime,
-    or None where it finds g singular modulo the prime."""
+    or None where it gives up, as on a loop singular modulo the prime."""
     nu, shifted, _ = shifted_and_cap(g)
     exps = laurent._smith_exponents(shifted.entries)
     return None if exps is None else tuple(e + nu for e in exps)
