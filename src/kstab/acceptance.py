@@ -163,7 +163,9 @@ def rnc3_cycle(distort: Optional[np.ndarray] = None) -> cy.ProjectiveCycle:
 
 
 def random_admissible_loop(rng: random.Random, size: int = 3):
-    """t^A times a unit triangular factor within the degree bounds."""
+    """t^A, with two distinct exponents at least, times a unit triangular factor within the degree bounds."""
+    if size < 2:
+        raise ValueError(f"an admissible loop needs size >= 2, got {size}")
     while True:
         a = sorted((rng.randint(-2, 2) for _ in range(size)), reverse=True)
         if len(set(a)) > 1:

@@ -62,8 +62,6 @@ def _cx(value) -> Tuple[Fraction, Fraction]:
     """Coerce to an exact complex rational (re, im)."""
     if isinstance(value, tuple):
         return (Fraction(value[0]), Fraction(value[1]))
-    if isinstance(value, complex):
-        return (Fraction(value.real), Fraction(value.imag))
     return (Fraction(value), _ZERO)
 
 
@@ -372,7 +370,7 @@ def form_from_json(obj) -> HypersurfaceForm:
     for key, val in obj.items():
         exps = tuple(int(x) for x in key.split(","))
         if isinstance(val, list) and len(val) == 2 and not isinstance(val[0], list):
-            mono[exps] = tuple(Fraction(number(x)).limit_denominator(10**12) for x in val)
+            mono[exps] = tuple(number(x) for x in val)
         else:  # a number, or Laurent coefficients by exponent
             mono[exps] = {e: number(v) for e, v in val.items()} if isinstance(val, dict) else number(val)
     if not mono:

@@ -118,6 +118,12 @@ _ORTHOGONAL = 1e-14
 _SQRT_MAX = float(np.sqrt(np.finfo(float).max))  # a larger modulus squares to inf
 
 
+def _check_modulus(value):
+    if value > _SQRT_MAX:
+        raise QuadratureError(f"coefficient modulus or its reciprocal {value:.3g} above {_SQRT_MAX:.3g}, "
+                              "the square root of the largest double: its square is out of range")
+
+
 def _monomial_raw(comp: Component, order: int):
     """Raw second moments and mass of a component whose rows are monomials
     c_a s^(e_a), by ``disc_rule(order)`` with its angular sum in closed form:
@@ -128,10 +134,7 @@ def _monomial_raw(comp: Component, order: int):
     rho, wrho, m = disc_radii(order)
     e = np.argmax(comp.coeffs != 0, axis=1)  # a zero row has e = 0 and c = 0
     c = comp.coeffs[np.arange(len(e)), e]
-    worst = max([1.0] + [y for x in np.abs(c) if x for y in (float(x), 1 / float(x))])
-    if worst > _SQRT_MAX:
-        raise QuadratureError(f"coefficient modulus or its reciprocal {worst:.3g} above {_SQRT_MAX:.3g}, "
-                              "the square root of the largest double: its square is out of range")
+    _check_modulus(max([1.0] + [y for x in np.abs(c) if x for y in (float(x), 1 / float(x))]))
     raw, mass = 0.0, 0.0
     for ex in (e, comp.degree - e):
         q = np.sqrt(rho)[:, None] ** ex  # |s^e| per radius and row
@@ -157,6 +160,7 @@ def _cycle_raw(cycle: ProjectiveCycle, order: int):
     n1 = cycle.ambient_dim + 1
     raw, mass, dense = np.zeros((n1, n1), dtype=complex), 0.0, []
     for comp in cycle.components:
+        _check_modulus(float(np.abs(comp.coeffs).max()))  # before any norm
         if np.count_nonzero(comp.coeffs, axis=1).max() <= 1:
             part_raw, part_mass = _monomial_raw(comp, order)
         else:

@@ -488,10 +488,6 @@ class LoopFactorization:
 # ---------------------------------------------------------------------------
 
 
-class _WindowTooSmall(Exception):
-    pass
-
-
 def _inverse(u: LaurentPoly, P: int) -> LaurentPoly:
     """Inverse modulo t^P of a unit c/d of the power series ring, on integers:
     d/c = d (b_0 + b_1 t + ...) / c0^P with b_0 = c0^(P-1) and
@@ -509,7 +505,8 @@ def _echelon(rows, size, K):
     Returns (sigma, wts, basis) with wts[0] >= ... >= wts[size-1]; basis[k]
     is a row vector supported on coordinates sigma[0..k], whose sigma[k]
     entry is exactly t^{wts[k]} and whose sigma[j] entry (j < k) has
-    exponents confined to [wts[k], wts[j]).
+    exponents confined to [wts[k], wts[j]).  Returns None when the window
+    t^K holds no pivot.
     """
     active, one = list(range(size)), LaurentPoly.one()
     sigma, wts, basis = [0] * size, [0] * size, [None] * size
@@ -517,7 +514,7 @@ def _echelon(rows, size, K):
     for pos in range(size - 1, -1, -1):
         keys = [(p.low, -c, i) for i in active for c, p in enumerate(rows[i]) if p.coef]  # (ord, -coord, row)
         if not keys:
-            raise _WindowTooSmall
+            return None
         m, negc, istar = min(keys)
         cstar = -negc
 
@@ -585,16 +582,11 @@ def factorize(g: LaurentMatrix) -> LoopFactorization:
         raise DegenerateLoopError("degenerate loop: determinant vanishes identically")
     cap = sum(max(p.deg() for p in row if p.coef) for row in shifted.entries) + 1
     K = exps[0] + 1 if exps else 1  # <= cap: exps sum to ord det <= deg det modulo p
-    while True:
-        rows = [[p.truncate(K) for p in row] for row in shifted.entries]
-        try:
-            sigma, wts, basis = _echelon(rows, g.size, K)
-            break
-        except _WindowTooSmall:
-            if K == cap:
-                raise FactorizationError(f"no pivot within the window t^{cap}") from None
-            K = min(2 * K, cap)
-    fac = _assemble(g, sigma, wts, basis, nu)
+    while (found := _echelon([[p.truncate(K) for p in row] for row in shifted.entries], g.size, K)) is None:
+        if K == cap:
+            raise FactorizationError(f"no pivot within the window t^{cap}")
+        K = min(2 * K, cap)
+    fac = _assemble(g, *found, nu)
     if fac is None:
         raise FactorizationError("loop factorization failed its exact check")
     g._factorization = fac
@@ -616,7 +608,7 @@ def _assemble(g, sigma, wts, basis, nu):
             p = basis[k][sigma[j]]
             if p.is_zero:
                 continue
-            if p.ord() < wts[k]:
+            if p.ord() < wts[k] or p.deg() >= wts[j]:  # R's entry: deg < w_j - w_k
                 return None
             right_entries[sigma[k]][sigma[j]] = p.shift(-wts[k])
         # positions sigma[k], sigma[j] with j > k must vanish
@@ -624,14 +616,6 @@ def _assemble(g, sigma, wts, basis, nu):
             if not basis[k][sigma[j]].is_zero:
                 return None
     right = LaurentMatrix(right_entries)
-
-    # degree bounds: entry (sigma[i], sigma[j]), i > j, has degree < w_j - w_i
-    for i in range(n):
-        for j in range(i):
-            p = right_entries[sigma[i]][sigma[j]]
-            if not p.is_zero and p.deg() >= weights[j] - weights[i]:
-                return None
-
     rinv = _invert_unitriangular(right, sigma)
     left = multiply(g, rinv).scale_columns([-e for e in _on_basis(sigma, weights)])
 
@@ -715,10 +699,11 @@ def loop_from_json(obj) -> LaurentMatrix:
         raise ValueError(
             f"expected {size * size} entries for a size-{size} loop, got {len(flat)}"
         )
-    entries = [
-        [LaurentPoly.from_triples(flat[i * size + j]) for j in range(size)]
-        for i in range(size)
-    ]
+    for k, triples in enumerate(flat):
+        if any(not isinstance(t, list) or len(t) != 3 for t in triples):
+            raise ValueError(f"loop entry {divmod(k, size)}: a term is [exp, num, den], got {triples!r:.40}")
+    polys = [LaurentPoly.from_triples(triples) for triples in flat]
+    entries = [polys[i * size:(i + 1) * size] for i in range(size)]
     # the factorization window runs over the whole loop's spread, so it is
     # bounded too, not only each entry's
     ends = [e for row in entries for p in row if p.coef for e in (p.ord(), p.deg())]

@@ -13,7 +13,6 @@ independent of evaluation order to roundoff.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 
@@ -94,12 +93,15 @@ def panel_rule(order: int, panels: int, edges=(0.0, 1.0)):
     return _read_only((left + 0.5 * h * (x + 1.0)).ravel(), np.repeat(0.5 * h * w, panels, axis=1).ravel())
 
 
+def _on_half_line(x, w):
+    """s = x/(1-x) at the nodes x in [0, 1), and the weights w times the Jacobian 1/(1-x)^2."""
+    return x / (1.0 - x), w / (1.0 - x) ** 2
+
+
 @functools.lru_cache(maxsize=None)
 def _radial_nodes(panels: int):
-    """s = x/(1-x) at the nodes x of ``panel_rule(32, panels)``, and its weights
-    times the Jacobian 1/(1-x)^2: built once per panel count, read-only."""
-    x, w = panel_rule(32, panels)
-    return _read_only(x / (1.0 - x), w / (1.0 - x) ** 2)
+    """``_on_half_line(*panel_rule(32, panels))``, built once per panel count, read-only."""
+    return _read_only(*_on_half_line(*panel_rule(32, panels)))
 
 
 def radial_integral(f, tol: float, panels: int = 2, breaks=None):
@@ -116,8 +118,8 @@ def radial_integral(f, tol: float, panels: int = 2, breaks=None):
 
     ``breaks`` are points x in (0, 1) where ``f`` has a kink or a peak, or a
     callable that returns them from the first level's shared s-values.  Then
-    the panels double per segment between breaks, from one and two in one call
-    of ``f`` to 512, on fresh arrays, with the same stop rule on the total.
+    the panels double per segment between breaks, from one to 512, on fresh
+    arrays, with the same stop rule on the total.
     """
     if callable(breaks):
         breaks = breaks(_radial_nodes(panels)[0])
@@ -125,27 +127,22 @@ def radial_integral(f, tol: float, panels: int = 2, breaks=None):
         levels = (_radial_nodes(n) for n in (panels << i for i in range(10)) if n <= 512)
     else:
         edges = np.concatenate([[0.0], np.sort(breaks), [1.0]])
-        rules = (panel_rule(32, 1 << i, edges) for i in range(10))
-        levels = ((x / (1.0 - x), w / (1.0 - x) ** 2) for x, w in rules)
-        (s, w), (s2, w2) = next(levels), next(levels)
-        both = np.concatenate([s, s2]), np.concatenate([w, 0 * w2]), np.concatenate([0 * w, w2])
-        levels = itertools.chain([both], levels)
+        levels = (_on_half_line(*panel_rule(32, 1 << i, edges)) for i in range(10))
     prev, err = None, float("inf")
-    for s, *ws in levels:
+    for s, w in levels:
         vals = f(s)
         if isinstance(vals, Iterator):
-            curs = [np.concatenate(c) for c in zip(*([block @ w for w in ws] for block in vals))]
+            cur = np.concatenate([block @ w for block in vals])
         else:
             vals = np.asarray(vals, dtype=float)
-            curs = [csum(w * vals) if vals.ndim == 1 else vals @ w for w in ws]
+            cur = csum(w * vals) if vals.ndim == 1 else vals @ w
         del vals  # not held while f builds the next, twice larger level
-        for cur in curs:
-            scale = np.abs(cur) if np.ndim(cur) else max(1.0, abs(cur))
-            if prev is not None:
-                err = float(np.max(np.abs(cur - prev) / scale))
-                if err <= tol:
-                    return cur, err
-            prev = cur
+        scale = np.abs(cur) if np.ndim(cur) else max(1.0, abs(cur))
+        if prev is not None:
+            err = float(np.max(np.abs(cur - prev) / scale))
+            if err <= tol:
+                return cur, err
+        prev = cur
     raise QuadratureError(
         f"radial quadrature stalled at 512 panels (relative change {err:g}, tol {tol:g})"
     )

@@ -9,6 +9,8 @@ k^-2 log k window cannot be met by any nontrivial radial test metric
 (constant-curvature ones have identically zero discrepancy).
 """
 
+import random
+
 import pytest
 
 from kstab import acceptance as acc
@@ -89,3 +91,10 @@ def test_12_moment_cross_check(gram_quadratures):
 
 def test_13_balanced_iteration():
     _run(13)
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_admissible_loop_needs_two_exponents(size):
+    # t^A needs two distinct exponents, which fewer than two draws never give
+    with pytest.raises(ValueError, match=f"needs size >= 2, got {size}"):
+        acc.random_admissible_loop(random.Random(0), size)

@@ -1072,3 +1072,12 @@ class TestJsonInterfaces:
     def test_form_parse(self):
         f = form_from_json({"form": {"1,0,1": [1, 0], "0,2,0": [-1, 0]}})
         assert f.degree == 2 and f.nvars == 3
+
+    def test_form_pair_is_read_exactly(self):
+        # an [re, im] pair reads "p/q" as written and a float as its binary
+        # value, as a plain number does
+        pair = form_from_json({"form": {"1,0": ["1/1000000000001", "0"], "0,1": [0.1, 0]}})
+        plain = form_from_json({"form": {"1,0": "1/1000000000001", "0,1": 0.1}})
+        assert pair.monomials == plain.monomials
+        assert pair.monomials[(1, 0)] == {0: (Fraction(1, 10**12 + 1), 0)}
+        assert pair.monomials[(0, 1)] == {0: (Fraction(3602879701896397, 2**55), 0)}

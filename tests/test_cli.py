@@ -207,6 +207,13 @@ class TestBalanceCommand:
         assert rep["note"].startswith("iteration broke down: cycle mass ")
         assert rep["note"].endswith(" does not match degree 2")
 
+    def test_line_loses_positivity(self, runner):
+        res = run(runner, "balance", "--input", str(DATA / "line_cycle.json"))
+        assert res.exit_code == 4
+        rep = json.loads(res.stdout)
+        assert rep["note"] == "iteration broke down: second-moment matrix lost positivity"
+        assert res.stderr == f"non-convergence after 0 steps; {rep['note']}\n"
+
     def test_floor_above_tol_stops_early(self, runner):
         # residuals reach 3e-16 by step 13 and then wander between 2e-16 and
         # 5e-16; without a stall test the run took all 200 steps
@@ -236,6 +243,18 @@ def test_overflowing_coefficient_names_its_limit(runner, tmp_path, command):
     assert res.stderr.endswith("coefficient modulus or its reciprocal 1e+200 above 1.34e+154, "
                                "the square root of the largest double: its square is out of range\n")
     assert res.stderr.startswith("error: " if command == "moment" else "non-convergence after 0 steps; ")
+
+
+def test_overflowing_dense_coefficient_names_its_limit(runner, tmp_path):
+    # (1e200 + s, s, s^2): refused on its coefficients, before a column norm
+    # or the orthogonality test overflows
+    cycle = {"ambient": 2, "components": [{"coeffs": [[[1e200, 0], [1, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]]}]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(cycle))
+    res = run(runner, "moment", "--input", str(path))
+    assert res.exit_code == 4 and res.stdout == ""
+    assert res.stderr == ("error: coefficient modulus or its reciprocal 1e+200 above 1.34e+154, "
+                          "the square root of the largest double: its square is out of range\n")
 
 
 class TestBergmanCommand:
@@ -738,6 +757,31 @@ def test_non_number_field_exit_2(runner, tmp_path, command, doc, field):
     assert res.exit_code == 2
     _assert_clean_exit(res)
     assert f"{field} must be a finite JSON number" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "bump, message",
+    [
+        (5, '"bump" must be a JSON object'),
+        ({"type": "spline"}, "unsupported bump type 'spline'"),
+        ({"type": "rational", "den": [1, 2, 1]}, "rational bump needs numerator coefficients"),
+    ],
+)
+def test_unreadable_bump_exit_2(runner, tmp_path, bump, message):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"epsilon": 0.1, "bump": bump}))
+    res = run(runner, "bergman", "--input", str(path))
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"error: bad metric input: {message}\n"
+
+
+def test_short_loop_term_names_its_entry(runner, tmp_path):
+    doc = _with("conic_loop.json", ("entries", 1), [[0, 1]])
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    res = run(runner, "factorize", "--input", str(path))
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "error: bad loop input: loop entry (0, 1): a term is [exp, num, den], got [[0, 1]]\n"
 
 
 def test_exact_strings_in_bump_and_form(runner, tmp_path):
