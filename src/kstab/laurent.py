@@ -94,12 +94,7 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
         items = [(int(e), v) for e, v in ((e, v if type(v) is int else Fraction(v)) for e, v in items) if v]
-        den = math.lcm(*(v.denominator for _, v in items))
-        low = min((e for e, _ in items), default=0)
-        coef = [0] * (max((e for e, _ in items), default=low - 1) - low + 1)
-        for e, v in items:
-            coef[e - low] += v.numerator * (den // v.denominator)
-        out = _laurent(low, coef, den)
+        out = _gathered([(e, v.numerator, v.denominator) for e, v in items])
         self.low, self.coef, self.den = out.low, out.coef, out.den
 
     # -- constructors -------------------------------------------------
@@ -124,7 +119,7 @@ class LaurentPoly:
         if any(d == 0 for _, _, d in triples):
             raise ValueError("coefficient with denominator 0")
         _check_span([e for e, n, _ in triples if n])
-        return cls((e, n if d == 1 else Fraction(n, d)) for e, n, d in triples)
+        return _gathered([t for t in triples if t[1]])
 
     # -- structure ----------------------------------------------------
     @property
@@ -225,6 +220,16 @@ def _new(low: int, coef, den: int) -> LaurentPoly:
     out = LaurentPoly.__new__(LaurentPoly)
     out.low, out.coef, out.den = low, coef, den
     return out
+
+
+def _gathered(terms) -> LaurentPoly:
+    """Sum of integer (exponent, numerator, denominator != 0) terms, in canonical form."""
+    den = math.lcm(*(d for _, _, d in terms))
+    low = min((e for e, _, _ in terms), default=0)
+    coef = [0] * (max((e for e, _, _ in terms), default=low - 1) - low + 1)
+    for e, n, d in terms:
+        coef[e - low] += n * (den // d)
+    return _laurent(low, coef, den)
 
 
 def _laurent(low: int, coef, den: int = 1) -> LaurentPoly:

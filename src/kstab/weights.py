@@ -5,8 +5,9 @@ section; the induced level-k weights are the monomial weight sums (for a
 hypersurface, monomials modulo multiples of the equivariant initial form).
 The weight-sum polynomial tau, its leading coefficient I, the Chow numbers
 Ch_k, and the Futaki invariant are all exact rationals.  tau_k and the
-section count N(k) + 1 are binomial polynomials in k, written down in
-closed form: no monomial is listed and no level is sampled or fitted.
+section count N(k) + 1 are binomial polynomials in k, integer lists over m!
+(m generators) written down in closed form and evaluated by Horner's rule on
+integers: no monomial is listed and no level is sampled or fitted.
 
 Sign convention (calibrated, see README): tau_k is MINUS the sum of induced
 section weights, and "normalized" means the smallest generator weight is
@@ -79,19 +80,15 @@ class WeightSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(int(w) for w in self.generators))
+        if self.dim < 0:
+            raise ValueError(f"dim must be >= 0, got {self.dim}")
         expected = self.dim + 1 if self.geometry.kind == "projective" else self.dim + 2
         if len(self.generators) != expected:
-            raise ValueError(
-                f"{self.geometry.kind} geometry in dimension {self.dim} needs "
-                f"{expected} generator weights, got {len(self.generators)}"
-            )
-        if self.geometry.kind == "hypersurface":
-            d = self.geometry.degree
-            lam = self.geometry.initial_weight
-            if lam not in _weight_distribution(self.generators, d):
-                raise ValueError(
-                    f"initial weight {lam} is not a sum of {d} generator weights"
-                )
+            raise ValueError(f"{self.geometry.kind} geometry in dimension {self.dim} needs "
+                             f"{expected} generator weights, got {len(self.generators)}")
+        d, lam = self.geometry.degree, self.geometry.initial_weight
+        if self.geometry.kind == "hypersurface" and not _is_weight_sum(self.generators, d, lam):
+            raise ValueError(f"initial weight {lam} is not a sum of {d} generator weights")
 
     @property
     def ambient_count(self) -> int:
@@ -104,6 +101,29 @@ class WeightSystem:
     @property
     def is_normalized(self) -> bool:
         return min(self.generators) == 0
+
+
+MAX_SUMS = 2 ** 21  # most partial sums the initial-weight check may form
+
+
+def _is_weight_sum(weights, d, lam):
+    """Whether lam is a sum of d of the weights with repetition: less d times the
+    least weight, a sum of at most d shifted weights p > 0, searched breadth first
+    over the number of terms.  Each distinct partial sum that can still reach the
+    target is kept once; the search stops when a level adds none, and is refused
+    when it would form more than MAX_SUMS sums."""
+    low, top = min(weights), max(weights) - min(weights)
+    steps, target = {w - low for w in weights} - {0}, lam - d * low
+    seen, level, formed = {0}, {0}, 0
+    for left in range(d - 1, -1, -1):  # terms still to come after this level
+        if target in seen or not level:
+            break
+        formed += len(level) * len(steps)
+        if formed > MAX_SUMS:
+            raise ValueError(f"checking initial weight {lam} needs more than 2^21 = {MAX_SUMS} partial sums")
+        level = {s + p for s in level for p in steps if 0 <= target - s - p <= left * top} - seen
+        seen |= level
+    return target in seen
 
 
 def _weight_distribution(weights, k):
@@ -123,31 +143,15 @@ def _weight_distribution(weights, k):
 
 
 def induced_weights(w: WeightSystem, k: int):
-    """Sorted list of weights on a monomial basis at level k."""
+    """Sorted list of weights on a monomial basis at level k.  A hypersurface drops
+    the multiples of a degree-d monomial (see WeightSystem), so no count falls below 0."""
     if k < 1:
         raise ValueError("level k must be >= 1")
     dist = _weight_distribution(w.generators, k)
-    if w.geometry.kind == "hypersurface":
-        d = w.geometry.degree
-        lam = w.geometry.initial_weight
-        if k >= d:
-            sub = _weight_distribution(w.generators, k - d)
-            for wt, cnt in sub.items():
-                key = wt + lam
-                have = dist.get(key, 0)
-                if have < cnt:
-                    raise ValueError(
-                        f"initial form weight inconsistent at level {k}: "
-                        f"weight {key} occurs {have} < {cnt} times"
-                    )
-                if have == cnt:
-                    del dist[key]
-                else:
-                    dist[key] = have - cnt
-    out = []
-    for wt in sorted(dist):
-        out.extend([wt] * dist[wt])
-    return out
+    if w.geometry.kind == "hypersurface" and k >= w.geometry.degree:
+        for wt, cnt in _weight_distribution(w.generators, k - w.geometry.degree).items():
+            dist[wt + w.geometry.initial_weight] -= cnt
+    return [wt for wt in sorted(dist) for _ in range(dist[wt])]
 
 
 def gap(weights) -> int:
@@ -201,6 +205,10 @@ class TauPolynomial:
             raise ValueError("hilbert polynomial must have degree dim")
         if self.volume <= 0:
             raise ValueError("leading Hilbert coefficient must be positive")
+        # integer numerators over one denominator: not a field, so == and repr are unchanged
+        den = math.lcm(*(c.denominator for c in self.coeffs + self.hilbert))
+        ints = [tuple(c.numerator * (den // c.denominator) for c in p) for p in (self.coeffs, self.hilbert)]
+        object.__setattr__(self, "_ints", (*ints, den))
 
     @property
     def volume(self) -> Fraction:
@@ -213,18 +221,28 @@ class TauPolynomial:
         return self.hilbert[-2] / self.volume
 
     def tau_at(self, k) -> Fraction:
-        return poly.evaluate(self.coeffs, Fraction(k))
+        return Fraction(poly.evaluate(self._ints[0], k), self._ints[2])
 
     def sections_at(self, k) -> Fraction:
-        return poly.evaluate(self.hilbert, Fraction(k))
+        return Fraction(poly.evaluate(self._ints[1], k), self._ints[2])
+
+    def _chow(self, k: int) -> Optional[Fraction]:
+        """Ch_k as one Fraction from the integer numerators; None where N(k) + 1 = 0."""
+        if k < 1:
+            raise ValueError("level k must be >= 1")
+        tau, hilbert, _ = self._ints
+        sections = poly.evaluate(hilbert, k)
+        if not sections:
+            return None
+        return Fraction(poly.evaluate(tau, k) * hilbert[-1] - k * tau[-1] * sections, sections * hilbert[-1])
 
 
-def _binomial(a: int, m: int):
-    """Ascending coefficients of k -> C(k + a, m) = (k + a)...(k + a - m + 1) / m!."""
+def _falling(a: int, m: int):
+    """Ascending integer coefficients of k -> (k + a)...(k + a - m + 1) = m! C(k + a, m)."""
     p = [1]
     for i in range(m):
         p = poly.mul(p, [a - i, 1])
-    return [Fraction(c, math.factorial(m)) for c in p]
+    return p
 
 
 def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN) -> TauPolynomial:
@@ -241,15 +259,17 @@ def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN) -> TauPoly
     """
     if sign_convention not in (1, -1):
         raise ValueError("sign convention must be +1 or -1")
+    # numerators over m!, where m! C(k + m - 1, m - 1) = m (k + m - 1)...(k + 1)
     m, s = w.ambient_count, sum(w.generators)
-    count, total = _binomial(m - 1, m - 1), poly.add([], _binomial(m - 1, m), s)
+    count, total = poly.mul([m], _falling(m - 1, m - 1)), poly.mul([s], _falling(m - 1, m))
     if w.geometry.kind == "hypersurface":
         a = m - 1 - w.geometry.degree
-        sub = _binomial(a, m - 1)
+        sub = poly.mul([m], _falling(a, m - 1))
         count = poly.add(count, sub, -1)
-        total = poly.add(poly.add(total, _binomial(a, m), -s), sub, -w.geometry.initial_weight)
-    coeffs = [sign_convention * c for c in total] + [0] * (w.dim + 2 - len(total))
-    return TauPolynomial(dim=w.dim, coeffs=tuple(coeffs), hilbert=tuple(count))
+        total = poly.add(poly.add(total, _falling(a, m), -s), sub, -w.geometry.initial_weight)
+    den = math.factorial(m)
+    coeffs = [Fraction(sign_convention * c, den) for c in total] + [Fraction(0)] * (w.dim + 2 - len(total))
+    return TauPolynomial(dim=w.dim, coeffs=tuple(coeffs), hilbert=tuple(Fraction(c, den) for c in count))
 
 
 def I_coefficient(tau: TauPolynomial) -> Fraction:
@@ -262,12 +282,10 @@ def chow_k(tau: TauPolynomial, k: int) -> Fraction:
 
     Raises ValueError at a level where the Hilbert polynomial N(k)+1 is 0
     (for example k = 1 on a plane quintic, N(k)+1 = 5k - 5)."""
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    sections = tau.sections_at(k)
-    if sections == 0:
+    ch = tau._chow(k)
+    if ch is None:
         raise ValueError(f"the Hilbert polynomial vanishes at level {k}")
-    return tau.tau_at(k) / sections - Fraction(k) * I_coefficient(tau) / tau.volume
+    return ch
 
 
 def futaki(tau: TauPolynomial) -> Fraction:
@@ -276,9 +294,7 @@ def futaki(tau: TauPolynomial) -> Fraction:
     J is the k^n coefficient of tau and alpha_1 the subleading Hilbert
     ratio.
     """
-    I = tau.coeffs[-1]
-    J = tau.coeffs[-2]
-    return (J - I * tau.alpha1) / tau.volume
+    return (tau.coeffs[-2] - tau.coeffs[-1] * tau.alpha1) / tau.volume
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +304,8 @@ def futaki(tau: TauPolynomial) -> Fraction:
 
 def weight_system_from_json(obj) -> WeightSystem:
     geo = obj["geometry"]
+    if not isinstance(geo, dict):
+        raise ValueError(f"geometry must be a JSON object, got {geo!r:.40}")
     geometry = Geometry(geo["type"], **{f: poly.json_int(geo[f], f) for f in ("degree", "initial_weight")
                                         if geo.get(f) is not None})
     gens = tuple(poly.json_int(w, "generator weight") for w in obj["generators"])
@@ -308,10 +326,7 @@ def weight_report(
     ``Ch_k`` is null at a level where the Hilbert polynomial vanishes, and
     then a ``note`` names those levels."""
     tau = tau_poly(w, sign_convention)
-    chow = {
-        str(k): frac_str(chow_k(tau, k)) if tau.sections_at(k) else None
-        for k in range(kmin, kmax + 1)
-    }
+    chow = {str(k): None if (ch := tau._chow(k)) is None else frac_str(ch) for k in range(kmin, kmax + 1)}
     report = {
         "dim": w.dim,
         "generators": list(w.generators),

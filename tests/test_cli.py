@@ -103,6 +103,42 @@ class TestFutakiCommand:
         if geometry["type"] == "projective":
             assert rep["futaki"] == "0/1"
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"dim": -1, "generators": [], "geometry": {"type": "projective"}}, "dim must be >= 0, got -1"),
+        ({"dim": 1, "generators": [0, 1], "geometry": "projective"},
+         "geometry must be a JSON object, got 'projective'"),
+    ], ids=["negative-dim", "geometry-string"])
+    def test_unreadable_weight_system_names_its_field(self, runner, tmp_path, doc, message):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        res = run(runner, "futaki", "--input", str(path))
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: bad weight system: {message}"]
+
+    @pytest.mark.parametrize("gens, degree, lam, code", [
+        ([0, 1, 2], 2000, 0, 0),
+        ([0, 1, 2], 20000, 0, 0),
+        ([0, 1, 2], 2 * 10**6, 0, 0),
+        ([7**i for i in range(12)], 6, 343 * 6, 0),
+        ([7**i for i in range(12)], 10, 343 * 10, 0),
+        ([7**i for i in range(12)], 14, 343 * 14, 0),
+        ([0, 1, 2], 2 * 10**6, 2 * 10**6, 2),
+    ], ids=["d2000", "d20000", "d2e6", "powers-d6", "powers-d10", "powers-d14", "over-the-bound"])
+    def test_initial_weight_check_is_bounded(self, capped_python, tmp_path, gens, degree, lam, code):
+        # the check keeps the distinct partial sums that can still reach the
+        # initial weight, not a count of every sum at every level, so a high
+        # degree ends at once, under a memory cap, or is refused naming the bound
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"dim": len(gens) - 2, "generators": gens, "geometry": {
+            "type": "hypersurface", "degree": degree, "initial_weight": lam}}))
+        proc = capped_python(f"from kstab.cli import main; main(['futaki', '--input', {str(path)!r}])")
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stderr.splitlines() == [
+                f"error: bad weight system: checking initial weight {lam} needs more than 2^21 = 2097152 partial sums"]
+        else:
+            assert json.loads(proc.stdout)["geometry"]["degree"] == degree
+
 
 class TestFactorizeCommand:
     def test_conic_loop(self, runner):
@@ -645,10 +681,10 @@ def _delete(doc, path):
 
 
 @st.composite
-def _perturbed_loop(draw):
-    """The shipped conic loop with one leaf replaced by a float, a bool, a
-    string, NaN or +-1e308, or one key or list element deleted."""
-    doc = json.loads((DATA / "conic_loop.json").read_text())
+def _perturbed(draw, name):
+    """The shipped input ``name`` with one leaf replaced by a float, a bool,
+    a string, NaN or +-1e308, or one key or list element deleted."""
+    doc = json.loads((DATA / name).read_text())
     paths = list(_paths(doc))[1:]
     if draw(st.booleans()):
         return _delete(doc, draw(st.sampled_from(paths)))
@@ -664,13 +700,26 @@ def _get(doc, path):
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_perturbed_loop())
+@given(doc=_perturbed("conic_loop.json"))
 def test_perturbed_loop_is_read_or_refused(runner, doc):
-    clean = run(runner, "factorize", "--input", str(DATA / "conic_loop.json")).stdout
+    _assert_read_or_refused(runner, "factorize", "conic_loop.json", doc)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_perturbed("conic_weights.json"))
+def test_perturbed_weight_system_is_read_or_refused(runner, doc):
+    _assert_read_or_refused(runner, "futaki", "conic_weights.json", doc)
+
+
+def _assert_read_or_refused(runner, command, name, doc):
+    """``command`` on ``doc`` prints the report of the shipped input ``name``
+    or exits 2, 3 or 4 with one ``error:`` line and no traceback."""
+    clean = run(runner, command, "--input", str(DATA / name)).stdout
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "loop.json"
+        path = Path(tmp) / name
         path.write_text(json.dumps(doc))
-        res = run(runner, "factorize", "--input", str(path))
+        res = run(runner, command, "--input", str(path))
     assert "Traceback" not in res.stdout + res.stderr
     if res.exit_code == 0:
         assert res.stdout == clean and res.stderr == ""

@@ -23,6 +23,7 @@ from kstab.weights import (
     WeightSystem,
     chow_k,
     fit_exact_polynomial,
+    frac_str,
     futaki,
     gap,
     induced_weights,
@@ -119,6 +120,33 @@ def random_systems(seed):
                 yield WeightSystem(n, gens, Geometry("hypersurface", d, lam))
 
 
+def integer_path_systems(seed):
+    """Seeded systems of dimension 0..12 on both geometries: weights in -4..4
+    (negative, with repeats), hypersurfaces of degree 1..9, so that plane
+    curves of odd degree 5, 7 and 9 have N(k) + 1 = 0 at k = 1, 2 and 3."""
+    rng = random.Random(seed)
+    for n in range(13):
+        for d in (None, rng.randint(1, 4), rng.randint(5, 9)):
+            gens = [rng.randint(-4, 4) for _ in range(n + 1 if d is None else n + 2)]
+            if d is None:
+                yield WeightSystem(n, gens, PROJ)
+            else:
+                yield WeightSystem(n, gens, Geometry("hypersurface", d, sum(rng.choice(gens) for _ in range(d))))
+    for d in (5, 7, 9):
+        gens = [rng.randint(-4, 4) for _ in range(3)]
+        yield WeightSystem(1, gens, Geometry("hypersurface", d, d * gens[0]))
+
+
+def fraction_chow_table(tau, levels):
+    """Ch_k by Horner's rule on the Fraction fields ``coeffs`` and ``hilbert``."""
+    table = {}
+    for k in levels:
+        sections = poly.evaluate(tau.hilbert, Fraction(k))
+        table[str(k)] = None if sections == 0 else frac_str(
+            poly.evaluate(tau.coeffs, Fraction(k)) / sections - k * tau.coeffs[-1] / tau.hilbert[-1])
+    return table
+
+
 class TestInducedWeights:
     def test_p1_trivial(self):
         ws = WeightSystem(1, (0, 0), PROJ)
@@ -162,6 +190,22 @@ class TestInducedWeights:
     def test_inconsistent_initial_weight(self):
         with pytest.raises(ValueError):
             WeightSystem(1, (0, 0, -1), Geometry("hypersurface", 2, 7))
+
+    def test_initial_weight_check_matches_enumeration(self):
+        # every lambda near the range of the degree-d sums is accepted exactly
+        # when some degree-d monomial has that weight
+        rng = random.Random(11)
+        for _ in range(300):
+            gens = [rng.randint(-6, 6) for _ in range(rng.randint(2, 5))]
+            d = rng.randint(1, 5)
+            sums = set(_monomial_weights(gens, d))
+            for lam in range(min(gens) * d - 2, max(gens) * d + 3):
+                geometry = Geometry("hypersurface", d, lam)
+                if lam in sums:
+                    WeightSystem(len(gens) - 2, gens, geometry)
+                else:
+                    with pytest.raises(ValueError, match="is not a sum of"):
+                        WeightSystem(len(gens) - 2, gens, geometry)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -272,6 +316,41 @@ class TestTauPolynomial:
         assert tau_poly(ws).coeffs == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
         assert weight_report(ws, kmax=4)["futaki"] == "1/8"
         assert len(weight_report(big)["tau_coefficients"]) == 32
+
+    @pytest.mark.parametrize("sign", [CALIBRATED_SIGN, -CALIBRATED_SIGN])
+    def test_integer_horner_matches_fraction_horner(self, sign):
+        nulls = 0
+        for ws in integer_path_systems(seed=32):
+            tau = tau_poly(ws, sign)
+            for kmin, kmax in ((1, 12), (8181, 8192)):
+                rep = weight_report(ws, kmax=kmax, sign_convention=sign, kmin=kmin)
+                expected = fraction_chow_table(tau, range(kmin, kmax + 1))
+                assert rep["chow"] == expected, ws
+                nulls += list(expected.values()).count(None)
+                assert ("note" in rep) == (None in expected.values())
+            assert rep["futaki"] == frac_str((tau.coeffs[-2] - tau.coeffs[-1] * tau.alpha1) / tau.volume)
+            for k in (1, 2, 8192, Fraction(-7, 3)):
+                assert tau.tau_at(k) == poly.evaluate(tau.coeffs, Fraction(k))
+                assert tau.sections_at(k) == poly.evaluate(tau.hilbert, Fraction(k))
+        assert nulls >= 3
+
+    def test_report_evaluates_integers_once_per_level(self, monkeypatch):
+        calls, evaluate = [], poly.evaluate
+
+        def spy(a, x):
+            calls.append((tuple(a), x))
+            return evaluate(a, x)
+
+        monkeypatch.setattr(poly, "evaluate", spy)
+        for ws in integer_path_systems(seed=3):
+            calls.clear()
+            rep = weight_report(ws, kmax=20)
+            assert calls and all(type(c) is int for a, x in calls for c in (*a, x)), ws
+            # N(k) + 1 once per level, and tau_k where N(k) + 1 is nonzero
+            hilbert = [x for a, x in calls if len(a) == ws.dim + 1]
+            tau = [x for a, x in calls if len(a) == ws.dim + 2]
+            assert hilbert == list(range(1, 21))
+            assert tau == [int(k) for k, v in rep["chow"].items() if v is not None]
 
     def test_high_degree_window_shift(self):
         # section counts of a quartic curve are polynomial only from level
