@@ -229,15 +229,13 @@ def c02_section_degree_bounds() -> dict:
         d = section_degree(g, gamma)
         assert -lam0 <= d <= -lam_min, f"bound violated: {d} vs {(-lam0, -lam_min)}"
         # extremal arcs from the factorization
-        rinv = fac.right_inverse()
-        ones = [LaurentPoly({0: 1})] * size
-        gamma_plus = rinv.apply(ones)
+        gamma_plus = fac.rinv.apply([LaurentPoly({0: 1})] * size)
         assert section_degree(g, gamma_plus) == -lam_min, "gamma+ not extremal"
         e_top = [
             LaurentPoly({0: 1}) if i == fac.order[0] else LaurentPoly({})
             for i in range(size)
         ]
-        gamma_minus = rinv.apply(e_top)
+        gamma_minus = fac.rinv.apply(e_top)
         assert section_degree(g, gamma_minus) == -lam0, "gamma- not extremal"
         checked += 1
     return {"detail": f"{checked} loops: bounds hold, both extremes attained"}

@@ -397,4 +397,5 @@ def metric_from_json(obj) -> RadialMetric:
     num, den = bump.get("num"), bump.get("den", [1, 2, 1])  # default denominator (1+s)^2
     if num is None:
         raise ValueError("rational bump needs numerator coefficients")
+    num, den = (poly.json_list(p, f"bump {f}") for p, f in ((num, "num"), (den, "den")))
     return RadialMetric(eps, tuple([poly.json_number(c, "bump coefficient", exact=True) for c in p] for p in (num, den)))

@@ -61,7 +61,7 @@ def _parsed(parse, value, what):
     try:
         return parse(value)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        sys.exit(_fail(EXIT_PARSE, f"bad {what}: {exc}"))
+        sys.exit(_fail(EXIT_PARSE, f"bad {what}: {'missing field ' if isinstance(exc, KeyError) else ''}{exc}"))
 
 
 def _bounded(kind, ok, expected):

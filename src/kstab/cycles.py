@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from kstab.poly import json_int, json_number
+from kstab.poly import json_int, json_list, json_number
 from kstab.quadrature import QuadratureError, csum, disc_radii, disc_rule
 
 __all__ = [
@@ -423,7 +423,7 @@ def cycle_from_json(obj) -> ProjectiveCycle:
     if ambient < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {ambient}")
     comps = []
-    for c in obj["components"]:
+    for c in json_list(obj["components"], "components"):
         rows = [[complex(json_number(re, "cycle coefficient"), json_number(im, "cycle coefficient"))
                  for re, im in coord] for coord in c["coeffs"]]
         arr = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)

@@ -19,11 +19,11 @@ FLINT's ``fmpq_poly``), the one exact polynomial format of the package:
 a product, or a sum of products (``dot``), optionally truncated below
 t^K, is accumulated in one integer list over one common denominator and
 reduced once, and ``Fraction`` appears only where coefficients are read
-out.  Determinants are Bareiss elimination over Z[t, 1/t], checked
-at one point modulo a prime; the factorization reads its window K off the
-loop's local Smith exponents modulo that prime, runs its echelon on entries
-truncated modulo t^K, and checks its result exactly; the Chow order
-(``kstab.chow``) is read off that verified normal form.
+out.  Determinants are Bareiss elimination over Z[t, 1/t] (each division
+by ``poly.divide``), checked at one point modulo a prime; the factorization
+reads its window K off the loop's local Smith exponents modulo that prime,
+runs its echelon on entries truncated modulo t^K, and checks its result
+exactly; the Chow order (``kstab.chow``) is read off the verified form.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from kstab.poly import json_int
+from kstab.poly import divide, json_int, json_list
 
 __all__ = [
     "DegenerateLoopError",
@@ -69,7 +69,7 @@ class FactorizationError(ArithmeticError):
 
 
 # Largest exponent span (highest minus lowest exponent with a nonzero
-# coefficient) of a polynomial read from triples: coefficients are stored
+# coefficient) of a polynomial built from terms: coefficients are stored
 # densely, so the span, not the number of terms, sets time and memory.
 MAX_SPAN = 2 ** 20
 
@@ -93,7 +93,8 @@ class LaurentPoly:
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        items = [(int(e), v) for e, v in ((e, v if type(v) is int else Fraction(v)) for e, v in items) if v]
+        items = [(int(e), v) for e, v in ((e, v if type(v) in (int, Fraction) else Fraction(v)) for e, v in items) if v]
+        _check_span([e for e, _ in items])
         out = _gathered([(e, v.numerator, v.denominator) for e, v in items])
         self.low, self.coef, self.den = out.low, out.coef, out.den
 
@@ -300,7 +301,10 @@ class LaurentMatrix:
     def det(self) -> LaurentPoly:
         """Exact determinant (``_bareiss``), checked at one point modulo a
         prime: the rows cleared of denominators give prod(f) det at t0."""
-        det = _bareiss(self.entries)
+        try:
+            det = _bareiss(self.entries)
+        except ArithmeticError:
+            raise FactorizationError("determinant: a Bareiss division left a remainder") from None
         (vals, mults), ([[value]], [den]) = _values_at_t0(self.entries), _values_at_t0([[det]])
         num, scale = _det_mod(vals)
         if (num - scale * value * (math.prod(mults) // den)) % _PRIME:
@@ -324,10 +328,10 @@ class LaurentMatrix:
 def _bareiss(rows) -> LaurentPoly:
     """Determinant by fraction-free (Bareiss) elimination over Z[t, 1/t].
 
-    Each row is first multiplied by the least common multiple of its
-    denominators; at step k every entry becomes
-    (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), a division that is exact, and the
-    product of the row multipliers is divided back out at the end.
+    Each row is first multiplied by the lcm of its denominators; at step k
+    every entry becomes (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), an exact
+    division (``poly.divide`` refuses a remainder), and the product of the
+    row multipliers is divided back out at the end.
     """
     n, a, scale = len(rows), [], 1
     for row in rows:
@@ -347,25 +351,9 @@ def _bareiss(rows) -> LaurentPoly:
             neg_aik = -row[k]
             for j in range(k + 1, n):
                 num = LaurentPoly.dot(((akk, row[j]), (neg_aik, row_k[j])))
-                row[j] = _exact_quotient(num, prev) if k else num  # step 0 divides by 1
+                row[j] = _laurent(num.low - prev.low, divide(num.coef, prev.coef)) if k else num  # step 0: by 1
         prev = akk
     return _laurent(a[-1][-1].low, [sign * v for v in a[-1][-1].coef], scale) if n else LaurentPoly.one()
-
-
-def _exact_quotient(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
-    """num / div for integer Laurent polynomials, by long division from the
-    top; a Bareiss step divides exactly, so a remainder is a failed check."""
-    a, b = list(num.coef), div.coef
-    q = [0] * (len(a) - len(b) + 1)
-    for i in reversed(range(len(q))):
-        q[i], r = divmod(a[i + len(b) - 1], b[-1])
-        if r:
-            break
-        for j, y in enumerate(b):
-            a[i + j] -= q[i] * y
-    if any(a):
-        raise FactorizationError("determinant: a Bareiss division left a remainder")
-    return _laurent(num.low - div.low, q)
 
 
 # Exact results are checked at a seeded point t0 modulo the Mersenne prime
@@ -474,7 +462,7 @@ class LoopFactorization:
     weights: tuple
     right: LaurentMatrix
     order: tuple
-    rinv: LaurentMatrix = field(repr=False, compare=False)
+    rinv: LaurentMatrix = field(repr=False, compare=False)  # right's exact inverse, verified with it
 
     def exponent_vector(self):
         """Exponents placed on the original basis: e[order[k]] = weights[k]."""
@@ -482,10 +470,6 @@ class LoopFactorization:
 
     def reassemble(self) -> LaurentMatrix:
         return multiply(self.left.scale_columns(self.exponent_vector()), self.right)
-
-    def right_inverse(self) -> LaurentMatrix:
-        """Exact inverse of the unit-diagonal triangular factor, built and verified with it."""
-        return self.rinv
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +683,7 @@ def loop_from_json(obj) -> LaurentMatrix:
     size = json_int(obj["size"], "size")
     if size < 1:
         raise ValueError(f"loop size must be positive, got {size}")
-    flat = obj["entries"]
+    flat = json_list(obj["entries"], "entries")
     if len(flat) != size * size:
         raise ValueError(
             f"expected {size * size} entries for a size-{size} loop, got {len(flat)}"

@@ -1,17 +1,18 @@
 """Dense univariate polynomials as ascending coefficient lists (p[i] is the
 coefficient of x^i), exact over int or Fraction; zero is the empty list and
 every result is trimmed of trailing zeros.  ``add``, ``mul``, ``deriv`` and
-``divide`` keep integer lists integral, ``clear_denominators`` makes
-rational lists integral, and ``gcd`` runs on integer lists and returns its
-monic result over Fraction.
+``divide`` keep integer lists integral (``divide`` refuses a remainder),
+``clear_denominators`` makes rational lists integral, and ``gcd`` runs on
+integer lists and returns its monic result over Fraction.
 
 This is the one coefficient format of the exact code: ``kstab.laurent``
 stores a Laurent polynomial as a power of t times such a list of integer
-numerators over one denominator (its products run in ``LaurentPoly.dot``),
-and ``kstab.weights`` and ``kstab.bergman`` build their exact polynomials
-with ``mul`` and ``add``.  ``evaluate`` is Horner's rule and also takes float
-coefficients with a numpy array argument.  ``json_int`` and ``json_number``
-are how the JSON readers take an integer and a number.
+numerators over one denominator (its products run in ``LaurentPoly.dot``,
+its Bareiss divisions in ``divide``), and ``kstab.weights`` and
+``kstab.bergman`` build their exact polynomials with ``mul`` and ``add``.
+``evaluate`` is Horner's rule and also takes float coefficients with a
+numpy array argument.  ``json_int``, ``json_number`` and ``json_list`` are
+how the JSON readers take an integer, a number and a list.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import math
 import sys
 from fractions import Fraction
 
-__all__ = ["add", "mul", "deriv", "clear_denominators", "divide", "gcd", "evaluate", "json_int", "json_number"]
+__all__ = ["add", "mul", "deriv", "clear_denominators", "divide", "gcd", "evaluate",
+           "json_int", "json_list", "json_number"]
 
 
 def _trim(p):
@@ -70,12 +72,15 @@ def deriv(a):
 
 def divide(a, b):
     """a / b for integer lists where b divides a over the integers (as a
-    primitive b dividing a over the rationals does, by Gauss's lemma)."""
+    primitive b dividing a over the rationals does, by Gauss's lemma); a
+    nonzero remainder raises ArithmeticError."""
     rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
     for i in reversed(range(len(quo))):
         c = quo[i] = rem[i + len(b) - 1] // b[-1]
         for j, y in enumerate(b):
             rem[i + j] -= c * y
+    if any(rem):
+        raise ArithmeticError("polynomial division left a remainder")
     return _trim(quo)
 
 
@@ -111,6 +116,13 @@ def json_int(value, field):
     """``value`` if it is a JSON integer; a bool, string or float (2.0 too) is refused."""
     if type(value) is not int:
         raise ValueError(f"{field} must be a JSON integer, got {value!r:.40}")
+    return value
+
+
+def json_list(value, field):
+    """``value`` if it is a JSON list."""
+    if type(value) is not list:
+        raise ValueError(f"{field} must be a JSON list, got {value!r:.40}")
     return value
 
 

@@ -206,9 +206,7 @@ class TauPolynomial:
         if self.volume <= 0:
             raise ValueError("leading Hilbert coefficient must be positive")
         # integer numerators over one denominator: not a field, so == and repr are unchanged
-        den = math.lcm(*(c.denominator for c in self.coeffs + self.hilbert))
-        ints = [tuple(c.numerator * (den // c.denominator) for c in p) for p in (self.coeffs, self.hilbert)]
-        object.__setattr__(self, "_ints", (*ints, den))
+        object.__setattr__(self, "_ints", poly.clear_denominators(self.coeffs, self.hilbert))
 
     @property
     def volume(self) -> Fraction:
@@ -220,17 +218,11 @@ class TauPolynomial:
             return Fraction(0)
         return self.hilbert[-2] / self.volume
 
-    def tau_at(self, k) -> Fraction:
-        return Fraction(poly.evaluate(self._ints[0], k), self._ints[2])
-
-    def sections_at(self, k) -> Fraction:
-        return Fraction(poly.evaluate(self._ints[1], k), self._ints[2])
-
     def _chow(self, k: int) -> Optional[Fraction]:
         """Ch_k as one Fraction from the integer numerators; None where N(k) + 1 = 0."""
         if k < 1:
             raise ValueError("level k must be >= 1")
-        tau, hilbert, _ = self._ints
+        tau, hilbert = self._ints
         sections = poly.evaluate(hilbert, k)
         if not sections:
             return None
@@ -308,7 +300,7 @@ def weight_system_from_json(obj) -> WeightSystem:
         raise ValueError(f"geometry must be a JSON object, got {geo!r:.40}")
     geometry = Geometry(geo["type"], **{f: poly.json_int(geo[f], f) for f in ("degree", "initial_weight")
                                         if geo.get(f) is not None})
-    gens = tuple(poly.json_int(w, "generator weight") for w in obj["generators"])
+    gens = tuple(poly.json_int(w, "generator weight") for w in poly.json_list(obj["generators"], "generators"))
     return WeightSystem(dim=poly.json_int(obj["dim"], "dim"), generators=gens, geometry=geometry)
 
 

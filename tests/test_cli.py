@@ -702,27 +702,53 @@ def _get(doc, path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_perturbed("conic_loop.json"))
 def test_perturbed_loop_is_read_or_refused(runner, doc):
-    _assert_read_or_refused(runner, "factorize", "conic_loop.json", doc)
+    _assert_read_or_refused(runner, ["factorize"], "conic_loop.json", doc)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_perturbed("conic_weights.json"))
 def test_perturbed_weight_system_is_read_or_refused(runner, doc):
-    _assert_read_or_refused(runner, "futaki", "conic_weights.json", doc)
+    _assert_read_or_refused(runner, ["futaki"], "conic_weights.json", doc)
 
 
-def _assert_read_or_refused(runner, command, name, doc):
-    """``command`` on ``doc`` prints the report of the shipped input ``name``
-    or exits 2, 3 or 4 with one ``error:`` line and no traceback."""
-    clean = run(runner, command, "--input", str(DATA / name)).stdout
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_perturbed("conic_form.json"))
+def test_perturbed_form_is_read_or_refused(runner, doc):
+    loop = str(DATA / "conic_loop.json")
+    _assert_read_or_refused(runner, ["chow", "--loop", loop], "conic_form.json", doc, same_report=False)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_perturbed("line_cycle.json"))
+def test_perturbed_cycle_is_read_or_refused(runner, doc):
+    _assert_read_or_refused(runner, ["moment"], "line_cycle.json", doc, same_report=False)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_perturbed("bump_metric.json"))
+def test_perturbed_metric_is_read_or_refused(runner, doc):
+    args = ["bergman", "--k", "8,16,32", "--grid", "20"]
+    _assert_read_or_refused(runner, args, "bump_metric.json", doc, same_report=False)
+
+
+def _assert_read_or_refused(runner, args, name, doc, same_report=True):
+    """``args`` with ``--input`` ``doc`` prints the report of the shipped
+    input ``name`` (with ``same_report=False``, any JSON report: a float
+    leaf is valid input for some readers) or exits 2, 3 or 4 with one
+    ``error:`` line and no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(json.dumps(doc))
-        res = run(runner, command, "--input", str(path))
+        res = run(runner, *args, "--input", str(path))
     assert "Traceback" not in res.stdout + res.stderr
-    if res.exit_code == 0:
-        assert res.stdout == clean and res.stderr == ""
+    if res.exit_code == 0 and same_report:
+        assert res.stdout == run(runner, *args, "--input", str(DATA / name)).stdout and res.stderr == ""
+    elif res.exit_code == 0:
+        assert isinstance(json.loads(res.stdout), dict)
     else:
         assert res.exit_code in (2, 3, 4) and res.stdout == ""
         assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
@@ -782,6 +808,28 @@ def test_non_integer_field_exit_2(runner, tmp_path, command, doc, field):
     assert res.exit_code == 2
     _assert_clean_exit(res)
     assert f"{field} must be a JSON integer" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("futaki", {"generators": [0, 1], "geometry": {"type": "projective"}},
+         "bad weight system: missing field 'dim'"),
+        ("moment", {"ambient": 2}, "bad cycle input: missing field 'components'"),
+        ("futaki", _with("conic_weights.json", ("generators",), 5),
+         "bad weight system: generators must be a JSON list, got 5"),
+        ("factorize", {"size": 2, "entries": 5}, "bad loop input: entries must be a JSON list, got 5"),
+        ("moment", {"ambient": 2, "components": 5}, "bad cycle input: components must be a JSON list, got 5"),
+        ("bergman", _with("bump_metric.json", ("bump", "num"), 5),
+         "bad metric input: bump num must be a JSON list, got 5"),
+    ],
+)
+def test_missing_or_non_list_field_names_itself(runner, tmp_path, command, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, "--input", str(path)])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -889,6 +937,16 @@ def test_wide_loop_exit_2(capped_python, tmp_path, command):
     assert proc.stderr == (
         "error: bad loop input: loop exponents 0..1048577 span more than 2^20 = 1048576\n"
     )
+
+
+def test_wide_form_coefficient_exit_2(capped_python, tmp_path):
+    # a form coefficient 1 + t^(10^9) is refused as a loop entry is
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"form": {"1,0,1": {"0": 1, "1000000000": 1}, "0,2,0": -1}}))
+    args = ["chow", "--input", str(form), "--loop", str(DATA / "conic_loop.json")]
+    proc = capped_python(f"import sys\nfrom kstab.cli import main\nsys.argv[1:] = {args!r}\nmain()\n")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: bad form input: exponents 0..1000000000 span more than 2^20 = 1048576\n"
 
 
 @pytest.mark.parametrize("order", ["513", "20000"])

@@ -9,7 +9,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstab import laurent
+from kstab import laurent, poly
 from kstab.acceptance import random_admissible_loop, random_loop, structured_loop
 from kstab.laurent import (
     DegenerateLoopError,
@@ -263,12 +263,18 @@ class TestDet:
             g = LaurentMatrix([[entry() for _ in range(n)] for _ in range(n)])
             assert g.det() == cofactor_det(g)
 
-    def test_bareiss_division_with_remainder_raises(self):
-        with pytest.raises(FactorizationError, match="remainder"):
-            laurent._exact_quotient(lp({0: 1, 1: 1}), lp({0: 2}))
-        with pytest.raises(FactorizationError, match="remainder"):
-            laurent._exact_quotient(lp({0: 1, 2: 1}), lp({0: 1, 1: 1}))
-        assert laurent._exact_quotient(lp({0: -1, 2: 1}), lp({0: 1, 1: 1})) == lp({0: -1, 1: 1})
+    def test_bareiss_division_with_remainder_raises(self, monkeypatch):
+        for a, b in (([1, 1], [2]), ([1, 0, 1], [1, 1]), ([1], [1, 1])):
+            with pytest.raises(ArithmeticError, match="remainder"):
+                poly.divide(a, b)
+        assert poly.divide([-1, 0, 1], [1, 1]) == [-1, 1]
+        # det = -1, and a wrong numerator makes the division by a_00 = 2 + t inexact
+        one, zero = lp({0: 1}), lp({})
+        g = LaurentMatrix([[lp({0: 2, 1: 1}), one, zero], [one, one, one], [zero, one, one]])
+        assert g.det() == -one
+        monkeypatch.setattr(laurent, "divide", lambda a, b: poly.divide(poly.add(a, [1]), b))
+        with pytest.raises(FactorizationError, match="^determinant: a Bareiss division left a remainder$"):
+            g.det()
 
     def test_check_at_one_point_catches_a_wrong_result(self, monkeypatch):
         bareiss = laurent._bareiss
@@ -370,8 +376,7 @@ class TestFactorize:
         monkeypatch.setattr(laurent, "_invert_unitriangular", lambda *a: calls.append(1) or real(*a))
         g, _ = ltdu_loop(random.Random(5), 4, 3)
         f = factorize(g)
-        assert f.right_inverse() is f.right_inverse()
-        assert multiply(f.right, f.right_inverse()) == LaurentMatrix.identity(4)
+        assert multiply(f.right, f.rinv) == LaurentMatrix.identity(4)
         assert len(calls) == 1
 
     def test_singular_left_at_zero_fails_the_check(self, monkeypatch):

@@ -1,5 +1,6 @@
-"""Every public name of a kstab module has a user outside the tests, and
-every function the benchmark tracer wraps exists in ``src/``."""
+"""Every public name of a kstab module, and every public method or property
+of a class it exports, has a user outside the tests, and every function
+the benchmark tracer wraps exists in ``src/``."""
 
 import ast
 import importlib
@@ -36,6 +37,32 @@ def test_public_names_are_used_outside_the_tests(module):
         ):
             unused.append(name)
     assert unused == [], f"{module.stem}: public names that only the tests read"
+
+
+def _public_methods(path):
+    """(class, method, line number) of each public method or property defined
+    in the body of a class in the module's ``__all__``; dataclass fields are
+    not methods, so they are not listed."""
+    names, _ = _public_names(path)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name in names:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name, item.lineno
+
+
+@pytest.mark.parametrize("module", [p for p in MODULES if list(_public_methods(p))], ids=lambda p: p.stem)
+def test_public_methods_are_used_outside_the_tests(module):
+    unused = []
+    for cls, name, lineno in _public_methods(module):
+        attribute = re.compile(rf"\.{re.escape(name)}\b")
+        if not any(
+            attribute.search(line) and not (path == module and i == lineno)
+            for path, lines in SOURCES.items()
+            for i, line in enumerate(lines, 1)
+        ):
+            unused.append(f"{cls}.{name}")
+    assert unused == [], f"{module.stem}: public methods that only the tests read"
 
 
 def _traced_targets():
