@@ -229,7 +229,8 @@ def c02_section_degree_bounds() -> dict:
         d = section_degree(g, gamma)
         assert -lam0 <= d <= -lam_min, f"bound violated: {d} vs {(-lam0, -lam_min)}"
         # extremal arcs from the factorization
-        gamma_plus = fac.rinv.apply([LaurentPoly({0: 1})] * size)
+        ones = [LaurentPoly({0: 1})] * size
+        gamma_plus = fac.rinv.apply(ones)
         assert section_degree(g, gamma_plus) == -lam_min, "gamma+ not extremal"
         e_top = [
             LaurentPoly({0: 1}) if i == fac.order[0] else LaurentPoly({})

@@ -16,11 +16,10 @@ so the order of F(adj(g) x) is d ord det g + ord F(m y), with
 ord det g = sum of the weights, and the lowest coefficients of F(m y) are
 the form of Y_0 = L(0)^(-1) X_0 up to a nonzero constant.  Only the order
 and the lowest coefficients of F(m y) are needed, so they are read off its
-expansion modulo t^K, after shifting m by the lowest order of its entries;
-K starts at 1 and doubles until some coefficient is nonzero, up to the full
-t-span of the form.  The form's coefficients are (re, im) pairs of
-``LaurentPoly``s, read once (``from_dict``); a window truncates them, and
-the full expansion (``transformed_form``) is the window at the full span.
+expansion modulo t^K, after shifting m by the lowest order of its
+entries; K starts at 1 and doubles until some coefficient is nonzero, up
+to the full t-span of the form.  The full expansion (``transformed_form``)
+is the same computation at the full span.
 
 Orientation is calibrated once and frozen: weights live on the section
 side, so the dual pairing generator of a cycle-side loop is MINUS its
@@ -68,11 +67,11 @@ def _cx(value) -> Tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class HypersurfaceForm:
-    """Multivariate form: exponent tuples to pairs (re, im) of ``LaurentPoly``
-    coefficients; ``from_dict`` reads a number, a pair or {t-exponent: either}."""
+    """Multivariate form: map from exponent tuples to complex-rational
+    Laurent coefficients (a plain number means a constant coefficient)."""
 
     nvars: int
-    monomials: Dict[tuple, Tuple[LaurentPoly, LaurentPoly]]
+    monomials: Dict[tuple, dict]
 
     @classmethod
     def from_dict(cls, nvars: int, mono: dict) -> "HypersurfaceForm":
@@ -88,10 +87,13 @@ class HypersurfaceForm:
                 raise ValueError("form is not homogeneous")
             if degree < 1 or min(exps) < 0:
                 raise ValueError("a hypersurface form needs degree >= 1 and exponents >= 0")
-            lc = {int(e): _cx(v) for e, v in coeff.items()} if isinstance(coeff, dict) else {0: _cx(coeff)}
-            pair = tuple(LaurentPoly({e: v[i] for e, v in lc.items()}) for i in (0, 1))
-            if pair[0].coef or pair[1].coef:
-                out[exps] = pair
+            if isinstance(coeff, dict):
+                lc = {int(e): _cx(v) for e, v in coeff.items()}
+            else:
+                lc = {0: _cx(coeff)}
+            lc = {e: v for e, v in lc.items() if any(v)}
+            if lc:
+                out[exps] = lc
         if not out:
             raise ValueError("zero form")
         return cls(nvars, out)
@@ -102,10 +104,13 @@ class HypersurfaceForm:
 
     def canonical_lift(self) -> "HypersurfaceForm":
         """Strip the common power of t from all coefficients."""
-        m = min(p.ord() for pair in self.monomials.values() for p in pair if p.coef)
+        m = min(min(lc) for lc in self.monomials.values())
         if m == 0:
             return self
-        return HypersurfaceForm(self.nvars, {e: tuple(p.shift(-m) for p in pair) for e, pair in self.monomials.items()})
+        return HypersurfaceForm(
+            self.nvars,
+            {exps: {e - m: v for e, v in lc.items()} for exps, lc in self.monomials.items()},
+        )
 
 
 def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
@@ -128,7 +133,7 @@ def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
     nu = min((p.ord() for p in nonzero), default=0)
     rows = [[p.shift(-nu) for p in row] for row in m.entries]
     p_deg = max((p.deg() for p in nonzero), default=nu) - nu
-    c_deg = max(p.deg() for pair in lifted.monomials.values() for p in pair if p.coef)
+    c_deg = max(max(lc) for lc in lifted.monomials.values())
     return lifted, rows, form.degree * nu, form.degree * p_deg + c_deg + 1, fac
 
 
@@ -169,10 +174,12 @@ def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
         for a, e in enumerate(exps):
             if e:
                 term = powers[a][e] if term is None else _mv_mul(term, powers[a][e], K)
-        pair = [p.truncate(K) for p in lc]
+        c_re = LaurentPoly({e: re for e, (re, _) in lc.items() if e < K})
+        c_im = LaurentPoly({e: im for e, (_, im) in lc.items() if e < K})
         for mono, ser in term.items():
-            for parts, c in zip(out.setdefault(mono, ([], [])), pair):
-                parts.append((c, ser))
+            re, im = out.setdefault(mono, ([], []))
+            re.append((c_re, ser))
+            im.append((c_im, ser))
     return {mono: (LaurentPoly.dot(re, K), LaurentPoly.dot(im, K)) for mono, (re, im) in out.items()}
 
 
@@ -188,8 +195,13 @@ def transformed_form(
     that of F(m y) plus d ord det g, and the order of F(g x) that of F(m y).
     """
     lifted, rows, shift, span, _ = _substitution(form, g, convention)
-    win = {mono: (re.shift(shift), im.shift(shift)) for mono, (re, im) in _window(lifted, rows, span).items()}
-    return HypersurfaceForm(form.nvars, {mono: pair for mono, pair in win.items() if pair[0].coef or pair[1].coef})
+    monomials = {}
+    for mono, (re, im) in _window(lifted, rows, span).items():
+        ts = sorted(re.coeffs.keys() | im.coeffs.keys())
+        lc = {e + shift: (re.coefficient(e), im.coefficient(e)) for e in ts}
+        if lc:
+            monomials[mono] = lc
+    return HypersurfaceForm(form.nvars, monomials)
 
 
 def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):

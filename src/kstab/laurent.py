@@ -19,11 +19,12 @@ FLINT's ``fmpq_poly``), the one exact polynomial format of the package:
 a product, or a sum of products (``dot``), optionally truncated below
 t^K, is accumulated in one integer list over one common denominator and
 reduced once, and ``Fraction`` appears only where coefficients are read
-out.  Determinants are Bareiss elimination over Z[t, 1/t] (each division
-by ``poly.divide``), checked at one point modulo a prime; the factorization
-reads its window K off the loop's local Smith exponents modulo that prime,
-runs its echelon on entries truncated modulo t^K, and checks its result
-exactly; the Chow order (``kstab.chow``) is read off the verified form.
+out.  Determinants are Bareiss elimination over Z[t, 1/t], checked
+at one point modulo a prime; the factorization reads its window K off the
+loop's local Smith exponents modulo that prime, runs its echelon on entries
+truncated modulo t^K, and checks its result exactly; the Chow order
+(``kstab.chow``) is read off that verified normal form.  Each Bareiss
+division is ``poly.divide``, which refuses a remainder.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class FactorizationError(ArithmeticError):
 
 
 # Largest exponent span (highest minus lowest exponent with a nonzero
-# coefficient) of a polynomial built from terms: coefficients are stored
+# coefficient) of a polynomial read from triples: coefficients are stored
 # densely, so the span, not the number of terms, sets time and memory.
 MAX_SPAN = 2 ** 20
 
@@ -93,8 +94,7 @@ class LaurentPoly:
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        items = [(int(e), v) for e, v in ((e, v if type(v) in (int, Fraction) else Fraction(v)) for e, v in items) if v]
-        _check_span([e for e, _ in items])
+        items = [(int(e), v) for e, v in ((e, v if type(v) is int else Fraction(v)) for e, v in items) if v]
         out = _gathered([(e, v.numerator, v.denominator) for e, v in items])
         self.low, self.coef, self.den = out.low, out.coef, out.den
 
@@ -328,10 +328,10 @@ class LaurentMatrix:
 def _bareiss(rows) -> LaurentPoly:
     """Determinant by fraction-free (Bareiss) elimination over Z[t, 1/t].
 
-    Each row is first multiplied by the lcm of its denominators; at step k
-    every entry becomes (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), an exact
-    division (``poly.divide`` refuses a remainder), and the product of the
-    row multipliers is divided back out at the end.
+    Each row is first multiplied by the least common multiple of its
+    denominators; at step k every entry becomes
+    (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), a division that is exact, and the
+    product of the row multipliers is divided back out at the end.
     """
     n, a, scale = len(rows), [], 1
     for row in rows:
@@ -351,7 +351,7 @@ def _bareiss(rows) -> LaurentPoly:
             neg_aik = -row[k]
             for j in range(k + 1, n):
                 num = LaurentPoly.dot(((akk, row[j]), (neg_aik, row_k[j])))
-                row[j] = _laurent(num.low - prev.low, divide(num.coef, prev.coef)) if k else num  # step 0: by 1
+                row[j] = _laurent(num.low - prev.low, divide(num.coef, prev.coef)) if k else num  # step 0 divides by 1
         prev = akk
     return _laurent(a[-1][-1].low, [sign * v for v in a[-1][-1].coef], scale) if n else LaurentPoly.one()
 
@@ -462,7 +462,7 @@ class LoopFactorization:
     weights: tuple
     right: LaurentMatrix
     order: tuple
-    rinv: LaurentMatrix = field(repr=False, compare=False)  # right's exact inverse, verified with it
+    rinv: LaurentMatrix = field(repr=False, compare=False)
 
     def exponent_vector(self):
         """Exponents placed on the original basis: e[order[k]] = weights[k]."""

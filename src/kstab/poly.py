@@ -1,18 +1,18 @@
 """Dense univariate polynomials as ascending coefficient lists (p[i] is the
 coefficient of x^i), exact over int or Fraction; zero is the empty list and
 every result is trimmed of trailing zeros.  ``add``, ``mul``, ``deriv`` and
-``divide`` keep integer lists integral (``divide`` refuses a remainder),
-``clear_denominators`` makes rational lists integral, and ``gcd`` runs on
-integer lists and returns its monic result over Fraction.
+``divide`` keep integer lists integral, ``clear_denominators`` makes
+rational lists integral, and ``gcd`` runs on integer lists and returns its
+monic result over Fraction.  ``divide`` refuses a remainder; the Bareiss
+determinant of ``kstab.laurent`` divides with it.
 
 This is the one coefficient format of the exact code: ``kstab.laurent``
 stores a Laurent polynomial as a power of t times such a list of integer
-numerators over one denominator (its products run in ``LaurentPoly.dot``,
-its Bareiss divisions in ``divide``), and ``kstab.weights`` and
-``kstab.bergman`` build their exact polynomials with ``mul`` and ``add``.
-``evaluate`` is Horner's rule and also takes float coefficients with a
-numpy array argument.  ``json_int``, ``json_number`` and ``json_list`` are
-how the JSON readers take an integer, a number and a list.
+numerators over one denominator (its products run in ``LaurentPoly.dot``),
+and ``kstab.weights`` and ``kstab.bergman`` build their exact polynomials
+with ``mul`` and ``add``.  ``evaluate`` is Horner's rule and also takes float
+coefficients with a numpy array argument.  ``json_int``, ``json_number`` and
+``json_list`` are how the JSON readers take an integer, a number and a list.
 """
 
 from __future__ import annotations

@@ -939,16 +939,6 @@ def test_wide_loop_exit_2(capped_python, tmp_path, command):
     )
 
 
-def test_wide_form_coefficient_exit_2(capped_python, tmp_path):
-    # a form coefficient 1 + t^(10^9) is refused as a loop entry is
-    form = tmp_path / "form.json"
-    form.write_text(json.dumps({"form": {"1,0,1": {"0": 1, "1000000000": 1}, "0,2,0": -1}}))
-    args = ["chow", "--input", str(form), "--loop", str(DATA / "conic_loop.json")]
-    proc = capped_python(f"import sys\nfrom kstab.cli import main\nsys.argv[1:] = {args!r}\nmain()\n")
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "error: bad form input: exponents 0..1000000000 span more than 2^20 = 1048576\n"
-
-
 @pytest.mark.parametrize("order", ["513", "20000"])
 @pytest.mark.parametrize(
     "args",
