@@ -16,10 +16,10 @@ so the order of F(adj(g) x) is d ord det g + ord F(m y), with
 ord det g = sum of the weights, and the lowest coefficients of F(m y) are
 the form of Y_0 = L(0)^(-1) X_0 up to a nonzero constant.  Only the order
 and the lowest coefficients of F(m y) are needed, so they are read off its
-expansion modulo t^K, after shifting m by the lowest order of its
-entries; K starts at 1 and doubles until some coefficient is nonzero, up
-to the full t-span of the form.  The full expansion (``transformed_form``)
-is the same computation at the full span.
+expansion modulo t^K (Horner's rule, one variable at a time) after
+shifting m by the lowest order of its entries; K doubles from 1 until
+some coefficient is nonzero, up to the full t-span of the form, at which
+``transformed_form`` computes the full expansion.
 
 Orientation is calibrated once and frozen: weights live on the section
 side, so the dual pairing generator of a cycle-side loop is MINUS its
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from kstab.laurent import FactorizationError, LaurentMatrix, LaurentPoly, factorize
+from kstab.laurent import FactorizationError, LaurentMatrix, LaurentPoly, _check_span, _gathered, factorize
 from kstab.poly import json_number
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_ONE = LaurentPoly.one()
 
 
 def _cx(value) -> Tuple[Fraction, Fraction]:
@@ -87,10 +88,7 @@ class HypersurfaceForm:
                 raise ValueError("form is not homogeneous")
             if degree < 1 or min(exps) < 0:
                 raise ValueError("a hypersurface form needs degree >= 1 and exponents >= 0")
-            if isinstance(coeff, dict):
-                lc = {int(e): _cx(v) for e, v in coeff.items()}
-            else:
-                lc = {0: _cx(coeff)}
+            lc = {int(e): _cx(v) for e, v in (coeff.items() if isinstance(coeff, dict) else [(0, coeff)])}
             lc = {e: v for e, v in lc.items() if any(v)}
             if lc:
                 out[exps] = lc
@@ -137,50 +135,49 @@ def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
     return lifted, rows, form.degree * nu, form.degree * p_deg + c_deg + 1, fac
 
 
-def _mv_mul(p: dict, q: dict, K: int) -> dict:
-    """Product modulo t^K of two forms in y with Laurent coefficients; the
-    products that land on one monomial are summed in one ``dot``."""
-    out: dict = {}
-    for e1, s1 in p.items():
-        for e2, s2 in q.items():
-            out.setdefault(tuple(a + b for a, b in zip(e1, e2)), []).append((s1, s2))
-    return {e: LaurentPoly.dot(pairs, K) for e, pairs in out.items()}
-
-
 def _window(lifted: HypersurfaceForm, rows, K: int) -> dict:
     """Coefficients of F(P y) modulo t^K: {y-exponents: (re, im)} with re and
     im Laurent polynomials.
 
-    The powers l_a^j of the linear forms l_a = sum_b P[a][b] y_b are real
-    rational and computed once for j up to the top exponent of x_a in F;
-    each monomial of F is a product of them, and F's complex coefficients
-    enter only when the products are summed.
+    Horner's rule in one variable at a time: with F = sum_j x_0^j F_j and
+    l_a = sum_b P[a][b] y_b, F(P y) = (...(G_d l_0 + G_(d-1)) l_0 + ...) + G_0
+    where G_j = F_j(l_1, ..., l_(n-1)) is expanded the same way, so every
+    product is a form times a linear form, summed in one ``dot`` per monomial.
+    The real and imaginary parts of the coefficient of y^e, read straight off
+    F's sparse coefficients, sit under the keys 2 sum_b e_b (d + 1)^b and
+    that plus 1, so a real form has no imaginary pass.
     """
-    n = lifted.nvars
-    powers = []
-    for a in range(n):
-        linear = {
-            tuple(int(i == b) for i in range(n)): p.truncate(K)
-            for b, p in enumerate(rows[a])
-            if not p.is_zero
-        }
-        pw = [None, linear]
-        for _ in range(2, max(e[a] for e in lifted.monomials) + 1):
-            pw.append(_mv_mul(pw[-1], linear, K))
-        powers.append(pw)
-    out: dict = {}
-    for exps, lc in lifted.monomials.items():
-        term = None
-        for a, e in enumerate(exps):
-            if e:
-                term = powers[a][e] if term is None else _mv_mul(term, powers[a][e], K)
-        c_re = LaurentPoly({e: re for e, (re, _) in lc.items() if e < K})
-        c_im = LaurentPoly({e: im for e, (_, im) in lc.items() if e < K})
-        for mono, ser in term.items():
-            re, im = out.setdefault(mono, ([], []))
-            re.append((c_re, ser))
-            im.append((c_im, ser))
-    return {mono: (LaurentPoly.dot(re, K), LaurentPoly.dot(im, K)) for mono, (re, im) in out.items()}
+    n, base = lifted.nvars, lifted.degree + 1
+    lines = [[(2 * base ** b, p.truncate(K)) for b, p in enumerate(row) if p.coef and p.low < K] for row in rows]
+
+    def expand(terms, a):
+        """G = F_a(l_a, ..., l_(n-1)) for terms of F that agree in x_0 .. x_(a-1)."""
+        if a == n:
+            ((_, lc),) = terms
+            parts = (_gathered([(e, c[i].numerator, c[i].denominator) for e, c in lc.items() if e < K and c[i]])
+                     for i in (0, 1))
+            return {i: c for i, c in enumerate(parts) if c.coef}
+        groups: dict = {}
+        for exps, lc in terms:
+            groups.setdefault(exps[a], []).append((exps, lc))
+        acc: dict = {}
+        for j in range(max(groups), -1, -1):  # acc * l_a + G_j
+            pairs: dict = {}
+            for key, c in acc.items():
+                for step, p in lines[a]:
+                    pairs.setdefault(key + step, []).append((c, p))
+            for key, c in (expand(groups[j], a + 1) if j in groups else {}).items():
+                pairs.setdefault(key, []).append((c, _ONE))
+            acc = {}
+            for key, t in pairs.items():
+                c = t[0][0] if len(t) == 1 and t[0][1] is _ONE else LaurentPoly.dot(t, K)
+                if c.coef:
+                    acc[key] = c
+        return acc
+
+    out, zero = expand(list(lifted.monomials.items()), 0), LaurentPoly()
+    return {tuple(key // 2 // base ** b % base for b in range(n)): (out.get(key & -2, zero), out.get(key | 1, zero))
+            for key in out}
 
 
 def transformed_form(
@@ -193,15 +190,13 @@ def transformed_form(
     ``flipped``: m = L t^A, and F(g x) = F(m R x).  L^(-1) and R^(-1) are
     invertible over the power series ring, so the order of F(adj(g) x) is
     that of F(m y) plus d ord det g, and the order of F(g x) that of F(m y).
+    A result spanning more than ``laurent.MAX_SPAN`` t-exponents is refused.
     """
     lifted, rows, shift, span, _ = _substitution(form, g, convention)
-    monomials = {}
-    for mono, (re, im) in _window(lifted, rows, span).items():
-        ts = sorted(re.coeffs.keys() | im.coeffs.keys())
-        lc = {e + shift: (re.coefficient(e), im.coefficient(e)) for e in ts}
-        if lc:
-            monomials[mono] = lc
-    return HypersurfaceForm(form.nvars, monomials)
+    _check_span([shift, shift + span - 1], "t-exponents of F(m y)")
+    return HypersurfaceForm(form.nvars, {
+        mono: {e + shift: (re.coefficient(e), im.coefficient(e)) for e in sorted(re.coeffs.keys() | im.coeffs.keys())}
+        for mono, (re, im) in _window(lifted, rows, span).items()})
 
 
 def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):

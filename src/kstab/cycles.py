@@ -423,12 +423,17 @@ def cycle_from_json(obj) -> ProjectiveCycle:
     if ambient < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {ambient}")
     comps = []
-    for c in json_list(obj["components"], "components"):
-        rows = [[complex(json_number(re, "cycle coefficient"), json_number(im, "cycle coefficient"))
-                 for re, im in coord] for coord in c["coeffs"]]
-        arr = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
-        for i, r in enumerate(rows):
-            arr[i, : len(r)] = r
+    for i, c in enumerate(json_list(obj["components"], "components")):
+        where = f"components[{i}] coeffs"
+        if type(c) is not dict:
+            raise ValueError(f"components[{i}] must be a JSON object, got {c!r:.40}")
+        coords = [json_list(coord, where) for coord in json_list(c["coeffs"], where)]
+        if any(type(p) is not list or len(p) != 2 for coord in coords for p in coord):
+            raise ValueError(f"{where} must list [re, im] pairs per coordinate")
+        arr = np.zeros((len(coords), max(map(len, coords), default=0)), dtype=complex)
+        for row, coord in zip(arr, coords):
+            row[:len(coord)] = [complex(json_number(re, "cycle coefficient"), json_number(im, "cycle coefficient"))
+                                for re, im in coord]
         comp = Component(arr, json_int(c.get("multiplicity", 1), "multiplicity"))
         if comp.degree < 1:
             raise ValueError("component of degree 0: a curve needs a nonconstant parametrization")

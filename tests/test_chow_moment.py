@@ -340,6 +340,61 @@ class TestWindowedOrder:
             for convention, m in (("calibrated", m_cal), ("flipped", fac.left.scale_columns(e))):
                 assert transformed_form(form, g, convention).monomials == _expand_reference(form.canonical_lift(), m)
 
+    @pytest.mark.parametrize("n, d, seed", [(4, 3, 0), (4, 4, 1), (5, 2, 2)])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_every_window_matches_plain_expansion(self, n, d, seed, real):
+        # the bench quartic's shape and a five-variable quadric, with the
+        # complex and Laurent coefficients of _random_form or their real parts
+        rng = random.Random(300 + seed)
+        g, form = _ldu_loop(rng, n), _random_form(rng, n, d)
+        coeffs = form.monomials.values()
+        assert any(c[1] for lc in coeffs for c in lc.values()) and any(len(lc) > 1 for lc in coeffs)
+        if real:
+            form = HypersurfaceForm.from_dict(n, {e: {t: c[0] for t, c in lc.items()}
+                                                  for e, lc in form.monomials.items()})
+        fac = factorize(g)
+        e = fac.exponent_vector()
+        for convention, m in (("calibrated", fac.rinv.scale_columns([-x for x in e])),
+                              ("flipped", fac.left.scale_columns(e))):
+            lifted, rows, shift, span, _ = chow_module._substitution(form, g, convention)
+            full = _expand_reference(lifted, m)
+            K = 1
+            while True:
+                K = min(K, span)
+                window = {
+                    mono: {t + shift: (re.coefficient(t), im.coefficient(t)) for t in set(re.coeffs) | set(im.coeffs)}
+                    for mono, (re, im) in chow_module._window(lifted, rows, K).items()
+                }
+                below = {mono: {t: c for t, c in lc.items() if t < K + shift} for mono, lc in full.items()}
+                assert {mono: lc for mono, lc in window.items() if lc} == {mono: lc for mono, lc in below.items() if lc}
+                if K == span:
+                    break
+                K *= 2
+            assert chow_weight(form, g, convention=convention) == _full_span_answer(form, g, convention)[0]
+
+    def test_window_dot_calls(self, monkeypatch):
+        # one K = 1 window of a dense quartic in four variables under a dense
+        # L t^D U loop: Horner's rule makes 69 dots, one per monomial of a
+        # step's result that takes a product; the products of powers
+        # l_a^j l_b^k ... made 669
+        rng = random.Random(7)
+        def entry():
+            return LaurentPoly({0: rng.choice([-3, -1, 2]), 1: rng.choice([-2, 1, 3])})
+
+        one, zero = LaurentPoly.one(), LaurentPoly()
+        low = LaurentMatrix([[LaurentPoly({0: (1, -1, 2, -2)[i]}) if i == j else entry() if i > j else zero
+                              for j in range(4)] for i in range(4)])
+        up = LaurentMatrix([[one if i == j else entry() if i < j else zero for j in range(4)] for i in range(4)])
+        g = low @ LaurentMatrix.exponent_diagonal([-2, -1, 0, 1]) @ up
+        form = HypersurfaceForm.from_dict(4, {e: rng.choice([-5, -2, 1, 3, 4])
+                                              for e in itertools.product(range(5), repeat=4) if sum(e) == 4})
+        lifted, rows, _, _, _ = chow_module._substitution(form, g, "calibrated")
+        calls, real_dot = [], LaurentPoly.dot
+        monkeypatch.setattr(LaurentPoly, "dot", staticmethod(lambda *a: calls.append(1) or real_dot(*a)))
+        window = chow_module._window(lifted, rows, 1)
+        assert 0 < len(calls) <= 100
+        assert any(not re.is_zero for re, _ in window.values())
+
     def test_cancellation_doubles_window(self, monkeypatch):
         # g = t^A R with A = (5, 0), so F = x0 - x1 goes under
         # t^5 R^(-1) t^(-A) = [[1, 0], [1, t^5]] = adj(g): F(adj(g) x) = -t^5 y1,
@@ -380,6 +435,34 @@ class TestWindowedOrder:
         assert proc.returncode == 0, proc.stderr
         form = HypersurfaceForm.from_dict(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
         assert proc.stdout.strip() == str(chow_weight(form, LaurentMatrix.exponent_diagonal([0, 1, 2])))
+
+    def test_sparse_form_full_expansion_refused(self, capped_python):
+        # the full expansion of the same form would span 10^9 t-exponents:
+        # one ValueError naming the span, not a MemoryError
+        proc = capped_python(
+            "from kstab.chow import HypersurfaceForm, transformed_form\n"
+            "from kstab.laurent import LaurentMatrix\n"
+            "f = HypersurfaceForm.from_dict(3, {(2, 0, 0): {0: 1, 10**9: 1}, (0, 2, 0): 1, (0, 0, 2): -1})\n"
+            "try:\n"
+            "    transformed_form(f, LaurentMatrix.exponent_diagonal([0, 1, 2]))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "t-exponents of F(m y) -4..1000000000 span more than 2^20 = 1048576\n"
+
+    def test_full_expansion_at_the_span_bound(self):
+        # under diag(1, t, t^2) the t-exponents of F(m y) run from -4 to the
+        # top exponent of the form: a span of exactly MAX_SPAN is expanded,
+        # one more is refused
+        g = LaurentMatrix.exponent_diagonal([0, 1, 2])
+        for top, ok in ((laurent_module.MAX_SPAN - 4, True), (laurent_module.MAX_SPAN - 3, False)):
+            form = HypersurfaceForm.from_dict(3, {(2, 0, 0): {0: 1, top: 1}, (0, 2, 0): 1, (0, 0, 2): -1})
+            if ok:
+                assert transformed_form(form, g).monomials[(2, 0, 0)] == {0: (1, 0), top: (1, 0)}
+            else:
+                with pytest.raises(ValueError, match="span more than 2\\^20"):
+                    transformed_form(form, g)
 
     def test_does_not_expand_the_full_form(self, monkeypatch):
         def refuse(*args, **kwargs):
