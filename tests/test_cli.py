@@ -820,6 +820,8 @@ def test_non_integer_field_exit_2(runner, tmp_path, command, doc, field):
          "bad weight system: generators must be a JSON list, got 5"),
         ("factorize", {"size": 2, "entries": 5}, "bad loop input: entries must be a JSON list, got 5"),
         ("moment", {"ambient": 2, "components": 5}, "bad cycle input: components must be a JSON list, got 5"),
+        ("bergman", _with("bump_metric.json", ("bump", "num"), 5),
+         "bad metric input: bump num must be a JSON list, got 5"),
         ("moment", {"ambient": 2, "components": [5]}, "bad cycle input: components[0] must be a JSON object, got 5"),
         ("moment", {"ambient": 2, "components": [{"coeffs": 5}]},
          "bad cycle input: components[0] coeffs must be a JSON list, got 5"),
@@ -827,8 +829,6 @@ def test_non_integer_field_exit_2(runner, tmp_path, command, doc, field):
          "bad cycle input: components[0] coeffs must list [re, im] pairs per coordinate"),
         ("balance", {"ambient": 2, "components": [{"coeffs": [[[1, 0]], [[0, 0]], [[0, 0], [1, 0]]]}, {"coeffs": [5]}]},
          "bad cycle input: components[1] coeffs must be a JSON list, got 5"),
-        ("bergman", _with("bump_metric.json", ("bump", "num"), 5),
-         "bad metric input: bump num must be a JSON list, got 5"),
     ],
 )
 def test_missing_or_non_list_field_names_itself(runner, tmp_path, command, doc, message):
