@@ -22,9 +22,11 @@ reduced once, and ``Fraction`` appears only where coefficients are read
 out.  Determinants are Bareiss elimination over Z[t, 1/t], checked
 at one point modulo a prime; the factorization reads its window K off the
 loop's local Smith exponents modulo that prime, runs its echelon on entries
-truncated modulo t^K, and checks its result exactly; the Chow order
-(``kstab.chow``) is read off that verified normal form.  Each Bareiss
-division is ``poly.divide``, which refuses a remainder.
+truncated modulo t^K, forms no product with a known zero (the pivot column,
+zero entries of the pivot row, of R and of R^-1), and checks its result
+exactly by (g R^-1) R = g; the Chow order (``kstab.chow``) is read off that
+verified normal form.  Each Bareiss division is ``poly.divide``, which
+refuses a remainder.
 """
 
 from __future__ import annotations
@@ -116,7 +118,9 @@ class LaurentPoly:
     def from_triples(cls, triples) -> "LaurentPoly":
         """Build from ``[[exp, num, den], ...]`` triples whose nonzero terms
         span at most ``MAX_SPAN`` exponents."""
-        triples = [(json_int(e, "exponent"), json_int(n, "numerator"), json_int(d, "denominator")) for e, n, d in triples]
+        if not all(type(x) is int for t in triples for x in t):  # json_int names the field
+            for e, n, d in triples:
+                json_int(e, "exponent"), json_int(n, "numerator"), json_int(d, "denominator")
         if any(d == 0 for _, _, d in triples):
             raise ValueError("coefficient with denominator 0")
         _check_span([e for e, n, _ in triples if n])
@@ -440,8 +444,8 @@ def multiply(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """Exact product of two loops of equal size."""
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    cols = list(zip(*b.entries))
-    return LaurentMatrix([[LaurentPoly.dot(zip(row, col)) for col in cols] for row in a.entries])
+    cols = [[(k, p) for k, p in enumerate(col) if p.coef] for col in zip(*b.entries)]
+    return LaurentMatrix([[LaurentPoly.dot((row[k], p) for k, p in col) for col in cols] for row in a.entries])
 
 
 @dataclass(frozen=True)
@@ -497,7 +501,7 @@ def _echelon(rows, size, K):
     exponents confined to [wts[k], wts[j]).  Returns None when the window
     t^K holds no pivot.
     """
-    active, one = list(range(size)), LaurentPoly.one()
+    active, one, zero = list(range(size)), LaurentPoly.one(), LaurentPoly.zero()
     sigma, wts, basis = [0] * size, [0] * size, [None] * size
 
     for pos in range(size - 1, -1, -1):
@@ -516,25 +520,34 @@ def _echelon(rows, size, K):
             piv_row = rows[istar] = [uinv.mul(p, K) for p in piv_row]
         piv_row[cstar] = LaurentPoly.t_power(m)
 
+        # each update zeroes column cstar exactly and changes only the pivot row's nonzero columns
+        cols = [c for c, q in enumerate(piv_row) if q.coef and c != cstar]
         for i in active:
-            ent = rows[i][cstar]
+            row, ent = rows[i], rows[i][cstar]
             if i == istar or ent.is_zero:
                 continue
-            neg_mu = -ent.shift(-m)  # ord(ent) >= m: exact division by t^m
-            rows[i] = [LaurentPoly.dot(((p, one), (neg_mu, q)), K) if q.coef else p for p, q in zip(rows[i], piv_row)]
+            neg_mu = _new(ent.low - m, [-v for v in ent.coef], ent.den)  # ord(ent) >= m: exact division by t^m
+            for c in cols:
+                row[c] = LaurentPoly.dot(((row[c], one), (neg_mu, piv_row[c])), K)
+            row[cstar] = zero
 
         sigma[pos] = cstar
         wts[pos] = m
         basis[pos] = piv_row
         active.remove(istar)
 
-    # second pass: reduce entries below each pivot exponent window
-    for k in range(1, size):
-        for j in range(k - 1, -1, -1):
-            beta = basis[k][sigma[j]]
-            neg_q = (beta.truncate(wts[j]) - beta).shift(-wts[j])
-            if not neg_q.is_zero:
-                basis[k] = [LaurentPoly.dot(((p, one), (neg_q, q)), K) for p, q in zip(basis[k], basis[j])]
+    # second pass: reduce entries below each pivot exponent window; neg_q is beta's
+    # terms at and above t^wts[j], negated and shifted down
+    support = []
+    for row in basis:
+        for j in range(len(support) - 1, -1, -1):
+            beta, w = row[sigma[j]], wts[j]
+            s = max(w - beta.low, 0)
+            if s < len(beta.coef):
+                neg_q = _laurent(beta.low + s - w, [-v for v in beta.coef[s:]], beta.den)
+                for c in support[j]:
+                    row[c] = LaurentPoly.dot(((row[c], one), (neg_q, basis[j][c])), K)
+        support.append([c for c, p in enumerate(row) if p.coef])
     return sigma, wts, basis
 
 
@@ -606,14 +619,15 @@ def _assemble(g, sigma, wts, basis, nu):
                 return None
     right = LaurentMatrix(right_entries)
     rinv = _invert_unitriangular(right, sigma)
-    left = multiply(g, rinv).scale_columns([-e for e in _on_basis(sigma, weights)])
+    x = multiply(g, rinv)  # = left * t^A, so x * right is fac.reassemble()
+    left = x.scale_columns([-e for e in _on_basis(sigma, weights)])
 
     # left is holomorphic and left(0) invertible, so, as det right = 1,
     # ord det g = sum(weights)
     if not left.is_holomorphic() or _is_singular([[p.truncate(1) for p in row] for row in left.entries]):
         return None
     fac = LoopFactorization(left=left, weights=weights, right=right, order=tuple(sigma), rinv=rinv)
-    return fac if fac.reassemble() == g else None
+    return fac if multiply(x, right) == g else None
 
 
 def _on_basis(order, weights):
@@ -628,10 +642,12 @@ def _invert_unitriangular(right: LaurentMatrix, sigma) -> LaurentMatrix:
     """Exact inverse of the unit-diagonal triangular factor: column by
     column, right x = e_col solved by substitution in sigma order."""
     cols, one = [], LaurentPoly.one()
+    # the nonzero entries below the diagonal in sigma order, negated once
+    neg = [[(c, -right.entries[s][c]) for c in sigma[:i] if right.entries[s][c].coef] for i, s in enumerate(sigma)]
     for col in range(right.size):
         x = [LaurentPoly.zero()] * right.size
         for i, s in enumerate(sigma):
-            pairs = [(-right.entries[s][sigma[j]], x[sigma[j]]) for j in range(i)]
+            pairs = [(p, x[c]) for c, p in neg[i] if x[c].coef]
             x[s] = LaurentPoly.dot(pairs + [(one, one)] * (s == col))
         cols.append(x)
     return LaurentMatrix(zip(*cols))

@@ -108,22 +108,26 @@ MAX_SUMS = 2 ** 21  # most partial sums the initial-weight check may form
 
 def _is_weight_sum(weights, d, lam):
     """Whether lam is a sum of d of the weights with repetition: less d times the
-    least weight, a sum of at most d shifted weights p > 0, searched breadth first
-    over the number of terms.  Each distinct partial sum that can still reach the
-    target is kept once; the search stops when a level adds none, and is refused
-    when it would form more than MAX_SUMS sums."""
+    least weight, a sum of at most d shifted weights p > 0.  A sum with the fewest
+    terms has fewer than top (the largest p) other terms: two of any top prefix
+    sums agree modulo top, and fewer top-steps replace the block between them.
+    So a breadth-first search over the other steps, keeping each distinct partial
+    sum that can still reach the target once, stops after min(d, top - 1) levels,
+    and is refused when it would form more than MAX_SUMS sums."""
     low, top = min(weights), max(weights) - min(weights)
-    steps, target = {w - low for w in weights} - {0}, lam - d * low
-    seen, level, formed = {0}, {0}, 0
-    for left in range(d - 1, -1, -1):  # terms still to come after this level
-        if target in seen or not level:
+    steps, target = {w - low for w in weights} - {0, top}, lam - d * low
+    if not top or not 0 <= target <= d * top:
+        return target == 0
+    level, seen, formed = {0}, {0}, 0
+    for left in range(d - 1, d - min(d, top - 1) - 1, -1):  # terms still to come after this level
+        if not level or any((target - s) % top == 0 for s in level):
             break
         formed += len(level) * len(steps)
         if formed > MAX_SUMS:
             raise ValueError(f"checking initial weight {lam} needs more than 2^21 = {MAX_SUMS} partial sums")
         level = {s + p for s in level for p in steps if 0 <= target - s - p <= left * top} - seen
         seen |= level
-    return target in seen
+    return any((target - s) % top == 0 for s in level)
 
 
 def _weight_distribution(weights, k):

@@ -122,8 +122,9 @@ class TestFutakiCommand:
         ([7**i for i in range(12)], 6, 343 * 6, 0),
         ([7**i for i in range(12)], 10, 343 * 10, 0),
         ([7**i for i in range(12)], 14, 343 * 14, 0),
-        ([0, 1, 2], 2 * 10**6, 2 * 10**6, 2),
-    ], ids=["d2000", "d20000", "d2e6", "powers-d6", "powers-d10", "powers-d14", "over-the-bound"])
+        ([0] + [7**i for i in range(12)], 30, 15 * 7**11 - 1, 2),
+        ([0, 1, 2], 2 * 10**6, 2 * 10**6, 0),
+    ], ids=["d2000", "d20000", "d2e6", "powers-d6", "powers-d10", "powers-d14", "over-the-bound", "d2e6-middle"])
     def test_initial_weight_check_is_bounded(self, capped_python, tmp_path, gens, degree, lam, code):
         # the check keeps the distinct partial sums that can still reach the
         # initial weight, not a count of every sum at every level, so a high

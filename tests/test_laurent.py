@@ -334,6 +334,28 @@ class TestMultiply:
             a, b, c = (random_loop(rng, 3) for _ in range(3))
             assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
+    def test_triangular_factor_pays_only_for_nonzero_pairs(self, monkeypatch):
+        # a dense loop times a unit-triangular factor: every product dot forms
+        # pairs two nonzero entries, one per nonzero entry of the column
+        n = 6
+        g, _ = ltdu_loop(random.Random("pairs"), n, 2)
+        up = LaurentMatrix(
+            [[lp({0: 1}) if i == j else (lp({0: i - j, 1: 1}) if i < j else lp({})) for j in range(n)] for i in range(n)]
+        )
+        want = LaurentMatrix(zip(*(g.apply(col) for col in zip(*up.entries))))
+        assert all(not p.is_zero for row in g.entries for p in row)
+        pairs, real = [], LaurentPoly.dot
+
+        def spy(ps, K=None):
+            ps = list(ps)
+            pairs.extend(ps)
+            return real(ps, K)
+
+        monkeypatch.setattr(LaurentPoly, "dot", staticmethod(spy))
+        assert multiply(g, up) == want
+        assert all(a.coef and b.coef for a, b in pairs)
+        assert len(pairs) == n * n * (n + 1) // 2
+
 
 class TestFactorize:
     def test_identity(self):
@@ -378,6 +400,41 @@ class TestFactorize:
         f = factorize(g)
         assert multiply(f.right, f.rinv) == LaurentMatrix.identity(4)
         assert len(calls) == 1
+
+    def test_dot_calls_of_one_factorization(self, monkeypatch):
+        # pins the products one factorization forms: 1215 when the echelon
+        # still recomputed the zero it writes into the pivot column and
+        # updated columns where the pivot row is zero, and the inverse of R
+        # and the check still formed products with zero entries of R
+        g, _ = ltdu_loop(random.Random("dots"), 10, 2)
+        calls, real = [], LaurentPoly.dot
+        monkeypatch.setattr(LaurentPoly, "dot", staticmethod(lambda pairs, K=None: calls.append(1) or real(pairs, K)))
+        factorize(g)
+        assert len(calls) == 798
+
+    def test_left_unit_factor_changes_only_left(self):
+        """factorize(U g), U polynomial with U(0) invertible, has the right
+        factor, order and weights of g and the left factor U left(g): the
+        echelon's result checked against a product, not against itself."""
+        for seed in range(12):
+            rng = random.Random(f"unit:{seed}")
+            n = 2 + seed % 7
+            g, _ = ltdu_loop(rng, n, 2)
+
+            def entry():
+                return lp({e: rng.choice([-2, -1, 1, 2]) for e in range(rng.randint(1, 3))})
+
+            low = LaurentMatrix(
+                [[lp({0: 1}) if i == j else (entry() if i > j else lp({})) for j in range(n)] for i in range(n)]
+            )
+            up = LaurentMatrix(
+                [[lp({0: rng.choice([1, -1, Fraction(2, 3)]), 1: rng.choice([0, 1, -3])}) if i == j
+                  else (entry() if i < j else lp({})) for j in range(n)] for i in range(n)]
+            )
+            u = multiply(low, up)
+            f, fu = factorize(g), factorize(multiply(u, g))
+            assert (fu.right, fu.order, fu.weights) == (f.right, f.order, f.weights)
+            assert fu.left == multiply(u, f.left)
 
     def test_singular_left_at_zero_fails_the_check(self, monkeypatch):
         """g = g * t^0 * I reassembles with a holomorphic left, but left(0)

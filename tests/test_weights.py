@@ -207,6 +207,48 @@ class TestInducedWeights:
                     with pytest.raises(ValueError, match="is not a sum of"):
                         WeightSystem(len(gens) - 2, gens, geometry)
 
+    def test_initial_weight_check_past_top_levels_matches_enumeration(self):
+        # with top the largest shifted weight, the search stops after top - 1
+        # levels; small weights and degrees past top put that stop to use
+        rng = random.Random(35)
+        for _ in range(300):
+            gens = [rng.randint(-2, 4) for _ in range(rng.randint(2, 5))]
+            d = rng.randint(0, 9)
+            sums = {sum(c) for c in itertools.combinations_with_replacement(gens, d)}
+            for lam in range(min(gens) * d - 2, max(gens) * d + 3):
+                assert kstab.weights._is_weight_sum(gens, d, lam) == (lam in sums), (gens, d, lam)
+
+    def test_initial_weight_check_refuses_nothing_the_level_search_answers(self, monkeypatch):
+        # the earlier search ran over every shifted weight and up to d levels;
+        # under the same small bound, whatever it answered is answered the same
+        cap = 2 ** 12
+        monkeypatch.setattr(kstab.weights, "MAX_SUMS", cap)
+
+        def level_search(weights, d, lam):
+            low, top = min(weights), max(weights) - min(weights)
+            steps, target = {w - low for w in weights} - {0}, lam - d * low
+            seen, level, formed = {0}, {0}, 0
+            for left in range(d - 1, -1, -1):
+                if target in seen or not level:
+                    break
+                formed += len(level) * len(steps)
+                if formed > cap:
+                    return None
+                level = {s + p for s in level for p in steps if 0 <= target - s - p <= left * top} - seen
+                seen |= level
+            return target in seen
+
+        rng, answered = random.Random(3535), 0
+        for _ in range(1500):
+            gens = [rng.randint(-50, 300) for _ in range(rng.randint(2, 6))]
+            d = rng.randint(0, 60)
+            lam = sum(rng.choice(gens) for _ in range(d)) + rng.choice([0, 0, 1, -1, 7])
+            want = level_search(gens, d, lam)
+            if want is not None:
+                answered += 1
+                assert kstab.weights._is_weight_sum(gens, d, lam) == want, (gens, d, lam)
+        assert answered > 900
+
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             induced_weights(conic(), 0)
