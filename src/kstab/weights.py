@@ -7,7 +7,9 @@ The weight-sum polynomial tau, its leading coefficient I, the Chow numbers
 Ch_k, and the Futaki invariant are all exact rationals.  tau_k and the
 section count N(k) + 1 are binomial polynomials in k, integer lists over m!
 (m generators) written down in closed form and evaluated by Horner's rule on
-integers: no monomial is listed and no level is sampled or fitted.
+integers: no monomial is listed and no level is sampled or fitted.  Below a
+hypersurface's degree nothing is dropped, so the levels there are counted by
+the ambient space's lists.
 
 Sign convention (calibrated, see README): tau_k is MINUS the sum of induced
 section weights, and "normalized" means the smallest generator weight is
@@ -56,6 +58,9 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in ("projective", "hypersurface"):
             raise ValueError(f"unsupported geometry {self.kind!r}")
+        stray = [f for f in ("degree", "initial_weight") if getattr(self, f) is not None]
+        if self.kind == "projective" and stray:
+            raise ValueError(f"projective geometry takes no {stray[0]}")
         if self.kind == "hypersurface":
             if self.degree is None or self.degree < 1:
                 raise ValueError("hypersurface geometry needs a degree >= 1")
@@ -209,8 +214,10 @@ class TauPolynomial:
             raise ValueError("hilbert polynomial must have degree dim")
         if self.volume <= 0:
             raise ValueError("leading Hilbert coefficient must be positive")
-        # integer numerators over one denominator: not a field, so == and repr are unchanged
+        # integer numerators over one denominator, and (degree, lists) that chow_k reads
+        # below that degree (tau_poly sets them): not fields, so == and repr are unchanged
         object.__setattr__(self, "_ints", poly.clear_denominators(self.coeffs, self.hilbert))
+        object.__setattr__(self, "_ambient", (0, None))
 
     @property
     def volume(self) -> Fraction:
@@ -221,16 +228,6 @@ class TauPolynomial:
         if self.dim == 0:
             return Fraction(0)
         return self.hilbert[-2] / self.volume
-
-    def _chow(self, k: int) -> Optional[Fraction]:
-        """Ch_k as one Fraction from the integer numerators; None where N(k) + 1 = 0."""
-        if k < 1:
-            raise ValueError("level k must be >= 1")
-        tau, hilbert = self._ints
-        sections = poly.evaluate(hilbert, k)
-        if not sections:
-            return None
-        return Fraction(poly.evaluate(tau, k) * hilbert[-1] - k * tau[-1] * sections, sections * hilbert[-1])
 
 
 def _falling(a: int, m: int):
@@ -251,13 +248,15 @@ def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN) -> TauPoly
     the same counts at k - d, with lambda times their number added to the
     total.  As binomial polynomials in k these equal the level sums at
     every k >= d - n - 1 (the dropped terms vanish at k = d - n - 1, ...,
-    d - 1, where nothing is dropped), so they are tau_k and N(k) + 1.
+    d - 1), so they are tau_k and N(k) + 1.  Below d nothing is dropped:
+    the unsubtracted lists, kept for chow_k, count those levels.
     """
     if sign_convention not in (1, -1):
         raise ValueError("sign convention must be +1 or -1")
     # numerators over m!, where m! C(k + m - 1, m - 1) = m (k + m - 1)...(k + 1)
     m, s = w.ambient_count, sum(w.generators)
     count, total = poly.mul([m], _falling(m - 1, m - 1)), poly.mul([s], _falling(m - 1, m))
+    ambient = (w.geometry.degree or 0, ([sign_convention * c for c in total], count))
     if w.geometry.kind == "hypersurface":
         a = m - 1 - w.geometry.degree
         sub = poly.mul([m], _falling(a, m - 1))
@@ -265,7 +264,9 @@ def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN) -> TauPoly
         total = poly.add(poly.add(total, _falling(a, m), -s), sub, -w.geometry.initial_weight)
     den = math.factorial(m)
     coeffs = [Fraction(sign_convention * c, den) for c in total] + [Fraction(0)] * (w.dim + 2 - len(total))
-    return TauPolynomial(dim=w.dim, coeffs=tuple(coeffs), hilbert=tuple(Fraction(c, den) for c in count))
+    tau = TauPolynomial(dim=w.dim, coeffs=tuple(coeffs), hilbert=tuple(Fraction(c, den) for c in count))
+    object.__setattr__(tau, "_ambient", ambient)
+    return tau
 
 
 def I_coefficient(tau: TauPolynomial) -> Fraction:
@@ -274,14 +275,16 @@ def I_coefficient(tau: TauPolynomial) -> Fraction:
 
 
 def chow_k(tau: TauPolynomial, k: int) -> Fraction:
-    """Chow number tau_k / (N(k)+1) - k I / V at level k.
-
-    Raises ValueError at a level where the Hilbert polynomial N(k)+1 is 0
-    (for example k = 1 on a plane quintic, N(k)+1 = 5k - 5)."""
-    ch = tau._chow(k)
-    if ch is None:
-        raise ValueError(f"the Hilbert polynomial vanishes at level {k}")
-    return ch
+    """Chow number tau_k / (N(k)+1) - k I / V at level k >= 1, as one Fraction
+    of integer Horner values.  tau_k and N(k) + 1 are the level's own: below a
+    hypersurface's degree those of its ambient space (a plane quintic has
+    N(1) + 1 = 3, where the Hilbert polynomial 5k - 5 vanishes)."""
+    if k < 1:
+        raise ValueError("level k must be >= 1")
+    (taus, hilbert), (degree, below) = tau._ints, tau._ambient
+    top, count = below if k < degree else (taus, hilbert)
+    sections = poly.evaluate(count, k)
+    return Fraction(poly.evaluate(top, k) * hilbert[-1] - k * taus[-1] * sections, sections * hilbert[-1])
 
 
 def futaki(tau: TauPolynomial) -> Fraction:
@@ -316,14 +319,10 @@ def frac_str(x: Fraction) -> str:
 def weight_report(
     w: WeightSystem, kmax: int = 10, sign_convention: int = CALIBRATED_SIGN, kmin: int = 1
 ) -> dict:
-    """Full exact report: tau coefficients, I, V, alpha_1, Ch_k table for
-    levels kmin..kmax, Futaki.
-
-    ``Ch_k`` is null at a level where the Hilbert polynomial vanishes, and
-    then a ``note`` names those levels."""
+    """Full exact report: tau coefficients, I, V, alpha_1, the chow_k table
+    for levels kmin..kmax, Futaki."""
     tau = tau_poly(w, sign_convention)
-    chow = {str(k): None if (ch := tau._chow(k)) is None else frac_str(ch) for k in range(kmin, kmax + 1)}
-    report = {
+    return {
         "dim": w.dim,
         "generators": list(w.generators),
         "geometry": {
@@ -337,12 +336,6 @@ def weight_report(
         "I": frac_str(I_coefficient(tau)),
         "V": frac_str(tau.volume),
         "alpha1": frac_str(tau.alpha1),
-        "chow": chow,
+        "chow": {str(k): frac_str(chow_k(tau, k)) for k in range(kmin, kmax + 1)},
         "futaki": frac_str(futaki(tau)),
     }
-    null = [k for k, v in chow.items() if v is None]
-    if null:
-        report["note"] = (
-            f"Ch_k is null at k = {', '.join(null)}: the Hilbert polynomial N(k) + 1 vanishes there"
-        )
-    return report

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from kstab.cli import main
 from kstab.laurent import FactorizationError
 from kstab.quadrature import QuadratureError
+from kstab.weights import frac_str
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -67,18 +69,24 @@ class TestFutakiCommand:
             res = run(runner, "futaki", "--input", str(DATA / "conic_weights.json"), "--k", krange)
             assert res.exit_code == 0 and len(json.loads(res.output)["chow"]) == 8192
 
-    def test_vanishing_hilbert_level_is_null(self, runner, tmp_path):
-        # plane quintic: N(k) + 1 = 5k - 5 vanishes at k = 1
-        path = tmp_path / "quintic.json"
-        path.write_text(json.dumps({"dim": 1, "generators": [0, 1, 2], "geometry": {
-            "type": "hypersurface", "degree": 5, "initial_weight": 0}}))
-        res = run(runner, "futaki", "--input", str(path), "--k", "1:3")
+    @pytest.mark.parametrize("sign, flip", [("calibrated", 1), ("flipped", -1)], ids=["calibrated", "flipped"])
+    @pytest.mark.parametrize("dim, gens, degree, lam, chow", [
+        # plane quintic: the Hilbert polynomial 5k - 5 vanishes at k = 1, where there are 3 sections
+        (1, [0, 1, 2], 5, 0, ["1/2", "1/1", "3/2"]),
+        # plane quartic: level 1 has sections of weights -1, 1 and 2, not the polynomial's 2
+        (1, [2, -1, 1], 4, 2, ["1/12", "1/6", "1/4"]),
+        # binary cubic: the polynomial counts 3 sections at k = 1, where there are 2
+        (0, [0, 1], 3, 1, ["1/6", "1/3", "1/3"]),
+    ], ids=["plane-quintic", "plane-quartic", "binary-cubic"])
+    def test_levels_below_degree_are_the_levels_own(self, runner, tmp_path, sign, flip, dim, gens, degree, lam, chow):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"dim": dim, "generators": gens, "geometry": {
+            "type": "hypersurface", "degree": degree, "initial_weight": lam}}))
+        res = run(runner, "futaki", "--input", str(path), "--k", "1:3", "--sign", sign)
         assert res.exit_code == 0
         rep = json.loads(res.output)
-        assert rep["chow"] == {"1": None, "2": "0/1", "3": "3/2"}
-        assert "k = 1" in rep["note"]
-        conic = json.loads(run(runner, "futaki", "--input", str(DATA / "conic_weights.json")).output)
-        assert "note" not in conic
+        assert rep["chow"] == {str(k): frac_str(flip * Fraction(ch)) for k, ch in enumerate(chow, 1)}
+        assert "note" not in rep
 
     @pytest.mark.parametrize("geometry", [
         {"type": "projective"},
@@ -107,7 +115,9 @@ class TestFutakiCommand:
         ({"dim": -1, "generators": [], "geometry": {"type": "projective"}}, "dim must be >= 0, got -1"),
         ({"dim": 1, "generators": [0, 1], "geometry": "projective"},
          "geometry must be a JSON object, got 'projective'"),
-    ], ids=["negative-dim", "geometry-string"])
+        ({"dim": 1, "generators": [0, 1], "geometry": {"type": "projective", "degree": 3, "initial_weight": 7}},
+         "projective geometry takes no degree"),
+    ], ids=["negative-dim", "geometry-string", "projective-stray-field"])
     def test_unreadable_weight_system_names_its_field(self, runner, tmp_path, doc, message):
         path = tmp_path / "w.json"
         path.write_text(json.dumps(doc))

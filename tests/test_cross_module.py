@@ -85,19 +85,21 @@ class TestPoleOrdersMatchWeightSums:
 
     def test_plane_quartic_geometric_level_one(self):
         """For degree > dim + 2 the Hilbert polynomial differs from the
-        actual section count at k = 1, so the pole route must be compared
-        with the level-1 Chow number built from actual level-1 data."""
+        actual section count at k = 1; chow_k reads the level's own count
+        there, so it agrees with the pole route and with the level-1 Chow
+        number built from the level-1 data by hand."""
         from kstab.weights import I_coefficient
 
-        quartic = HypersurfaceForm.from_dict(
-            3, {(3, 1, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
-        )
         gens = (0, 1, 3)
-        ws = weight_system(quartic, 1, gens)
-        tau = tau_poly(ws)
         loop = LaurentMatrix.exponent_diagonal([-w for w in gens])
-        geometric = Fraction(-sum(gens), 3) - I_coefficient(tau) / tau.volume
-        assert geometric == chow_weight(quartic, loop) == Fraction(13, 24)
+        for monomials, expected in [
+            ({(3, 1, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}, Fraction(13, 24)),
+            ({(4, 1, 0): 1, (0, 5, 0): 1, (0, 0, 5): 1}, Fraction(17, 30)),
+        ]:
+            form = HypersurfaceForm.from_dict(3, monomials)
+            tau = tau_poly(weight_system(form, 1, gens))
+            geometric = Fraction(-sum(gens), 3) - I_coefficient(tau) / tau.volume
+            assert chow_k(tau, 1) == geometric == chow_weight(form, loop) == expected
 
 
 class TestQuadratureClosesTheTriangle:

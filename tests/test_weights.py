@@ -123,7 +123,8 @@ def random_systems(seed):
 def integer_path_systems(seed):
     """Seeded systems of dimension 0..12 on both geometries: weights in -4..4
     (negative, with repeats), hypersurfaces of degree 1..9, so that plane
-    curves of odd degree 5, 7 and 9 have N(k) + 1 = 0 at k = 1, 2 and 3."""
+    curves of odd degree 5, 7 and 9 have levels below d - n - 1, where the
+    Hilbert polynomial (0 at k = 1, 2 and 3) is not the section count."""
     rng = random.Random(seed)
     for n in range(13):
         for d in (None, rng.randint(1, 4), rng.randint(5, 9)):
@@ -137,13 +138,13 @@ def integer_path_systems(seed):
         yield WeightSystem(1, gens, Geometry("hypersurface", d, d * gens[0]))
 
 
-def fraction_chow_table(tau, levels):
-    """Ch_k by Horner's rule on the Fraction fields ``coeffs`` and ``hilbert``."""
+def level_chow_table(ws, tau, sign, levels):
+    """Ch_k from ``level_sums``: the level's weight sum over its section
+    count, less k I / V from the Fraction fields."""
     table = {}
     for k in levels:
-        sections = poly.evaluate(tau.hilbert, Fraction(k))
-        table[str(k)] = None if sections == 0 else frac_str(
-            poly.evaluate(tau.coeffs, Fraction(k)) / sections - k * tau.coeffs[-1] / tau.hilbert[-1])
+        count, total = level_sums(ws, k)
+        table[str(k)] = frac_str(Fraction(sign * total, count) - k * tau.coeffs[-1] / tau.volume)
     return table
 
 
@@ -360,38 +361,58 @@ class TestTauPolynomial:
         assert len(weight_report(big)["tau_coefficients"]) == 32
 
     @pytest.mark.parametrize("sign", [CALIBRATED_SIGN, -CALIBRATED_SIGN])
-    def test_integer_horner_matches_fraction_horner(self, sign):
-        nulls = 0
+    def test_integer_horner_matches_level_sums(self, sign):
+        below = 0
         for ws in integer_path_systems(seed=32):
             tau = tau_poly(ws, sign)
+            degree = ws.geometry.degree or 0
+            for k in range(1, degree + 4):
+                weights = induced_weights(ws, k)
+                assert level_sums(ws, k) == (len(weights), sum(weights)), (ws, k)
             for kmin, kmax in ((1, 12), (8181, 8192)):
                 rep = weight_report(ws, kmax=kmax, sign_convention=sign, kmin=kmin)
-                expected = fraction_chow_table(tau, range(kmin, kmax + 1))
-                assert rep["chow"] == expected, ws
-                nulls += list(expected.values()).count(None)
-                assert ("note" in rep) == (None in expected.values())
+                assert rep["chow"] == level_chow_table(ws, tau, sign, range(kmin, kmax + 1)), ws
+                assert "note" not in rep
+            below += max(0, min(12, degree - ws.dim - 2))  # levels 1..12 below d - n - 1
             assert rep["futaki"] == frac_str((tau.coeffs[-2] - tau.coeffs[-1] * tau.alpha1) / tau.volume)
-            for k, ch in fraction_chow_table(tau, (1, 2, 8192)).items():
-                assert ch is None or frac_str(chow_k(tau, int(k))) == ch
-        assert nulls >= 3
+            for k, ch in level_chow_table(ws, tau, sign, (1, 2, 8192)).items():
+                assert frac_str(chow_k(tau, int(k))) == ch
+        assert below >= 3
+
+    @pytest.mark.parametrize("sign", [CALIBRATED_SIGN, -CALIBRATED_SIGN])
+    def test_chow_matches_enumeration_at_every_level(self, sign):
+        # d >= n + 3 puts level 1 below d - n - 1, where the Hilbert
+        # polynomial is not the section count
+        rng = random.Random(19)
+        for _ in range(80):
+            n = rng.randint(0, 3)
+            d = rng.randint(n + 3, n + 6)
+            gens = [rng.randint(-4, 4) for _ in range(n + 2)]
+            ws = WeightSystem(n, gens, Geometry("hypersurface", d, sum(rng.choice(gens) for _ in range(d))))
+            tau = tau_poly(ws, sign)
+            for k in range(1, d + 4):
+                weights = induced_weights(ws, k)
+                ch = Fraction(sign * sum(weights), len(weights)) - k * tau.coeffs[-1] / tau.volume
+                assert chow_k(tau, k) == ch, (ws, k)
 
     def test_report_evaluates_integers_once_per_level(self, monkeypatch):
         calls, evaluate = [], poly.evaluate
 
         def spy(a, x):
-            calls.append((tuple(a), x))
-            return evaluate(a, x)
+            calls.append((tuple(a), x, evaluate(a, x)))
+            return calls[-1][2]
 
         monkeypatch.setattr(poly, "evaluate", spy)
         for ws in integer_path_systems(seed=3):
             calls.clear()
-            rep = weight_report(ws, kmax=20)
-            assert calls and all(type(c) is int for a, x in calls for c in (*a, x)), ws
-            # N(k) + 1 once per level, and tau_k where N(k) + 1 is nonzero
-            hilbert = [x for a, x in calls if len(a) == ws.dim + 1]
-            tau = [x for a, x in calls if len(a) == ws.dim + 2]
-            assert hilbert == list(range(1, 21))
-            assert tau == [int(k) for k, v in rep["chow"].items() if v is not None]
+            weight_report(ws, kmax=20)
+            assert all(type(c) is int for a, x, _ in calls for c in (*a, x)), ws
+            # N(k) + 1 once and then tau_k once per level, the level's own
+            assert [x for _, x, _ in calls] == [k for k in range(1, 21) for _ in range(2)], ws
+            for k in range(1, 21):
+                (_, _, sections), (_, _, tau) = calls[2 * k - 2: 2 * k]
+                count, total = level_sums(ws, k)
+                assert Fraction(tau, sections) == Fraction(CALIBRATED_SIGN * total, count), (ws, k)
 
     def test_high_degree_window_shift(self):
         # section counts of a quartic curve are polynomial only from level
