@@ -118,6 +118,8 @@ def _substitution(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
     m = R^(-1) t^(-A) (calibrated) or L t^A (flipped)."""
     if g.size != form.nvars:
         raise ValueError("loop size does not match the number of variables")
+    if g.size < 2:
+        raise ValueError("ambient projective space must have dimension >= 1")
     if convention not in ("calibrated", "flipped"):
         raise ValueError("convention must be 'calibrated' or 'flipped'")
     fac = factorize(g)
@@ -228,8 +230,6 @@ def chow_weight(form: HypersurfaceForm, g: LaurentMatrix, convention: str = "cal
     """
     N = g.size - 1
     n = N - 1
-    if n < 0:
-        raise ValueError("ambient projective space must have dimension >= 1")
     d = form.degree
     o, _, fac = _lowest_terms(form, g, convention)
     det_ord = sum(fac.weights)  # checked against ord det g by factorize

@@ -9,7 +9,8 @@ section count N(k) + 1 are binomial polynomials in k, integer lists over m!
 (m generators) written down in closed form and evaluated by Horner's rule on
 integers: no monomial is listed and no level is sampled or fitted.  Below a
 hypersurface's degree nothing is dropped, so the levels there are counted by
-the ambient space's lists.
+the ambient space's lists.  tau_poly returns these lists, and every exact
+value (coefficients, I, V, Ch_k, Futaki) is read from them.
 
 Sign convention (calibrated, see README): tau_k is MINUS the sum of induced
 section weights, and "normalized" means the smallest generator weight is
@@ -33,7 +34,6 @@ __all__ = [
     "CALIBRATED_SIGN",
     "Geometry",
     "WeightSystem",
-    "TauPolynomial",
     "induced_weights",
     "gap",
     "tau_poly",
@@ -193,41 +193,35 @@ def fit_exact_polynomial(points, degree):
 
 @dataclass(frozen=True)
 class TauPolynomial:
-    """Exact total-weight polynomial with its Hilbert data.
-
-    ``coeffs`` are the ascending coefficients of the degree-(n+1)
-    polynomial k -> tau_k.  ``hilbert`` are the ascending coefficients of
-    the degree-n polynomial k -> N(k) + 1 = dim of the level-k section
-    space; its leading coefficient is the volume V.
+    """Exact total-weight polynomial with its Hilbert data, as tau_poly builds it:
+    ascending integer lists over ``den`` = m! (m generators).  ``tau`` (padded to
+    dim + 2 entries) is k -> tau_k and ``count`` k -> N(k) + 1, the dimension of
+    the level-k section space; ``below`` holds the ambient space's (tau, count),
+    which count the levels below ``degree`` (0 for projective space).
     """
 
     dim: int
-    coeffs: tuple
-    hilbert: tuple
+    den: int
+    tau: tuple
+    count: tuple
+    degree: int
+    below: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "hilbert", tuple(Fraction(c) for c in self.hilbert))
-        if len(self.coeffs) != self.dim + 2:
-            raise ValueError("tau must have degree <= dim + 1")
-        if len(self.hilbert) != self.dim + 1:
-            raise ValueError("hilbert polynomial must have degree dim")
-        if self.volume <= 0:
-            raise ValueError("leading Hilbert coefficient must be positive")
-        # integer numerators over one denominator, and (degree, lists) that chow_k reads
-        # below that degree (tau_poly sets them): not fields, so == and repr are unchanged
-        object.__setattr__(self, "_ints", poly.clear_denominators(self.coeffs, self.hilbert))
-        object.__setattr__(self, "_ambient", (0, None))
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.tau)
+
+    @property
+    def hilbert(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.count)
 
     @property
     def volume(self) -> Fraction:
-        return self.hilbert[-1]
+        return Fraction(self.count[-1], self.den)
 
     @property
     def alpha1(self) -> Fraction:
-        if self.dim == 0:
-            return Fraction(0)
-        return self.hilbert[-2] / self.volume
+        return Fraction(self.count[-2], self.count[-1]) if self.dim else Fraction(0)
 
 
 def _falling(a: int, m: int):
@@ -256,22 +250,19 @@ def tau_poly(w: WeightSystem, sign_convention: int = CALIBRATED_SIGN) -> TauPoly
     # numerators over m!, where m! C(k + m - 1, m - 1) = m (k + m - 1)...(k + 1)
     m, s = w.ambient_count, sum(w.generators)
     count, total = poly.mul([m], _falling(m - 1, m - 1)), poly.mul([s], _falling(m - 1, m))
-    ambient = (w.geometry.degree or 0, ([sign_convention * c for c in total], count))
+    below = (tuple(sign_convention * c for c in total), tuple(count))
     if w.geometry.kind == "hypersurface":
         a = m - 1 - w.geometry.degree
         sub = poly.mul([m], _falling(a, m - 1))
         count = poly.add(count, sub, -1)
         total = poly.add(poly.add(total, _falling(a, m), -s), sub, -w.geometry.initial_weight)
-    den = math.factorial(m)
-    coeffs = [Fraction(sign_convention * c, den) for c in total] + [Fraction(0)] * (w.dim + 2 - len(total))
-    tau = TauPolynomial(dim=w.dim, coeffs=tuple(coeffs), hilbert=tuple(Fraction(c, den) for c in count))
-    object.__setattr__(tau, "_ambient", ambient)
-    return tau
+    tau = tuple(sign_convention * c for c in total) + (0,) * (w.dim + 2 - len(total))
+    return TauPolynomial(w.dim, math.factorial(m), tau, tuple(count), w.geometry.degree or 0, below)
 
 
 def I_coefficient(tau: TauPolynomial) -> Fraction:
     """Leading (k^(n+1)) coefficient of tau."""
-    return tau.coeffs[-1]
+    return Fraction(tau.tau[-1], tau.den)
 
 
 def chow_k(tau: TauPolynomial, k: int) -> Fraction:
@@ -281,19 +272,19 @@ def chow_k(tau: TauPolynomial, k: int) -> Fraction:
     N(1) + 1 = 3, where the Hilbert polynomial 5k - 5 vanishes)."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    (taus, hilbert), (degree, below) = tau._ints, tau._ambient
-    top, count = below if k < degree else (taus, hilbert)
-    sections = poly.evaluate(count, k)
-    return Fraction(poly.evaluate(top, k) * hilbert[-1] - k * taus[-1] * sections, sections * hilbert[-1])
+    top, count = tau.below if k < tau.degree else (tau.tau, tau.count)
+    sections, v = poly.evaluate(count, k), tau.count[-1]
+    return Fraction(poly.evaluate(top, k) * v - k * tau.tau[-1] * sections, sections * v)
 
 
 def futaki(tau: TauPolynomial) -> Fraction:
     """Limit of the Chow numbers: (J - I * alpha_1) / V exactly.
 
     J is the k^n coefficient of tau and alpha_1 the subleading Hilbert
-    ratio.
+    ratio; over the lists' common denominator this is one Fraction.
     """
-    return (tau.coeffs[-2] - tau.coeffs[-1] * tau.alpha1) / tau.volume
+    n, v = tau.dim, tau.count[-1]
+    return Fraction(tau.tau[n] * v - tau.tau[n + 1] * (tau.count[n - 1] if n else 0), v * v)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,20 @@ class TestChowCommand:
         assert rep["chow_weight"] == "0/1"
         assert rep["note"].startswith("no central-fiber pairing: ")
 
+    @pytest.mark.parametrize("form, message", [
+        ({"2,0": 1, "0,2": 1}, "loop size does not match the number of variables"),
+        ({"2": 1}, "ambient projective space must have dimension >= 1"),
+    ], ids=["size-mismatch", "one-variable"])
+    def test_one_by_one_loop_names_its_fault(self, runner, tmp_path, form, message):
+        # the sizes are compared before the dimension, so a 2-variable form
+        # with a 1 x 1 loop is a size mismatch, not a too-small ambient space
+        form_path, loop_path = tmp_path / "form.json", tmp_path / "loop.json"
+        form_path.write_text(json.dumps({"form": form}))
+        loop_path.write_text(json.dumps({"size": 1, "entries": [[[0, 1, 1]]]}))
+        res = run(runner, "chow", "--input", str(form_path), "--loop", str(loop_path))
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
 
 class TestMomentCommand:
     def test_line(self, runner):

@@ -19,7 +19,6 @@ from kstab.weights import (
     CALIBRATED_SIGN,
     Geometry,
     I_coefficient,
-    TauPolynomial,
     WeightSystem,
     chow_k,
     fit_exact_polynomial,
@@ -93,15 +92,15 @@ def level_sums(ws, k):
 
 
 def multiset_tau(ws, sign):
-    """tau_poly by enumeration: fit the sums and the lengths of the level-k
-    weight multisets from ``induced_weights`` on the same window."""
+    """tau_poly's (coeffs, hilbert) by enumeration: fit the sums and the lengths
+    of the level-k weight multisets from ``induced_weights`` on the same window."""
     n = ws.dim
     k0 = max(1, ws.geometry.degree - n - 1) if ws.geometry.kind == "hypersurface" else 1
     levels = range(k0, k0 + n + 2)
     data = [induced_weights(ws, k) for k in levels]
     coeffs = fit_exact_polynomial([(k, sign * sum(d)) for k, d in zip(levels, data)], n + 1)
     hilbert = fit_exact_polynomial([(k, len(d)) for k, d in zip(levels, data)][: n + 1], n)
-    return TauPolynomial(n, coeffs, hilbert)
+    return tuple(coeffs), tuple(hilbert)
 
 
 def random_systems(seed):
@@ -140,7 +139,7 @@ def integer_path_systems(seed):
 
 def level_chow_table(ws, tau, sign, levels):
     """Ch_k from ``level_sums``: the level's weight sum over its section
-    count, less k I / V from the Fraction fields."""
+    count, less k I / V from the polynomial's coefficients."""
     table = {}
     for k in levels:
         count, total = level_sums(ws, k)
@@ -317,10 +316,11 @@ class TestTauPolynomial:
         sums = [(k, level_sums(ws, k)) for k in range(k0, k0 + n + 2)]
         tau_pts = [(k, CALIBRATED_SIGN * total) for k, (_, total) in sums]
         dim_pts = [(k, count) for k, (count, _) in sums][: n + 1]
-        lagrange = TauPolynomial(n, lagrange_fit(tau_pts, n + 1), lagrange_fit(dim_pts, n))
-        assert lagrange == tau_poly(ws)
-        assert fit_exact_polynomial(tau_pts, n + 1) == list(lagrange.coeffs)
-        assert fit_exact_polynomial(dim_pts, n) == list(lagrange.hilbert)
+        tau = tau_poly(ws)
+        lagrange = tuple(lagrange_fit(tau_pts, n + 1)), tuple(lagrange_fit(dim_pts, n))
+        assert lagrange == (tau.coeffs, tau.hilbert)
+        assert fit_exact_polynomial(tau_pts, n + 1) == list(lagrange[0])
+        assert fit_exact_polynomial(dim_pts, n) == list(lagrange[1])
 
     def test_newton_fit_matches_lagrange_on_random_points(self):
         rng = random.Random(8)
@@ -343,7 +343,7 @@ class TestTauPolynomial:
                    for ws in systems)
         for ws in systems:
             tau = tau_poly(ws, sign)
-            assert tau == multiset_tau(ws, sign), ws
+            assert (tau.coeffs, tau.hilbert) == multiset_tau(ws, sign), ws
 
     def test_no_enumeration(self, monkeypatch):
         def refuse(*args):
