@@ -53,6 +53,12 @@ class CriterionResult:
     expected_failure: bool = False
 
 
+def _check(ok, message):
+    """Fail the criterion with ``message``, also where ``python -O`` drops asserts."""
+    if not ok:
+        raise AssertionError(message)
+
+
 # ---------------------------------------------------------------------------
 # shared generators (deterministic)
 # ---------------------------------------------------------------------------
@@ -145,9 +151,9 @@ def shipped_weight_suite() -> List[wt.WeightSystem]:
         wt.WeightSystem(2, (0, 0, 1, 1), wt.Geometry("hypersurface", 2, 0)),
         wt.WeightSystem(2, (1, 0, 2, 1), wt.Geometry("hypersurface", 2, 1)),
     ]
-    assert len(systems) == 20
+    _check(len(systems) == 20, "the shipped suite holds twenty systems")
     for s in systems:
-        assert s.is_normalized and not s.is_trivial
+        _check(s.is_normalized and not s.is_trivial, f"{s.generators} is not a normalized nontrivial system")
     return systems
 
 
@@ -192,19 +198,19 @@ def c01_factorization_roundtrip() -> dict:
         size = rng.randint(1, 4)
         g = random_loop(rng, size) if trial % 2 else structured_loop(rng, size)
         fac = factorize(g)
-        assert fac.reassemble() == g, "round trip failed"
+        _check(fac.reassemble() == g, "round trip failed")
         ws = fac.weights
-        assert all(ws[k] >= ws[k + 1] for k in range(len(ws) - 1)), "weights unsorted"
+        _check(all(ws[k] >= ws[k + 1] for k in range(len(ws) - 1)), "weights unsorted")
         sig = fac.order
         for i in range(size):
             for j in range(size):
                 p = fac.right.entries[sig[i]][sig[j]]
                 if i < j:
-                    assert p.is_zero, "triangularity violated"
+                    _check(p.is_zero, "triangularity violated")
                 elif i == j:
-                    assert p == LaurentPoly({0: 1}), "diagonal not unit"
+                    _check(p == LaurentPoly({0: 1}), "diagonal not unit")
                 elif not p.is_zero:
-                    assert p.ord() >= 0 and p.deg() < ws[j] - ws[i], "degree bound"
+                    _check(p.ord() >= 0 and p.deg() < ws[j] - ws[i], "degree bound")
         checked += 1
     return {"detail": f"{checked} loops reassembled exactly with bounds"}
 
@@ -227,17 +233,17 @@ def c02_section_degree_bounds() -> dict:
         if all(p.is_zero or p.coefficient(0) == 0 for p in gamma):
             gamma[rng.randrange(size)] += LaurentPoly({0: 1})
         d = section_degree(g, gamma)
-        assert -lam0 <= d <= -lam_min, f"bound violated: {d} vs {(-lam0, -lam_min)}"
+        _check(-lam0 <= d <= -lam_min, f"bound violated: {d} vs {(-lam0, -lam_min)}")
         # extremal arcs from the factorization
         ones = [LaurentPoly({0: 1})] * size
         gamma_plus = fac.rinv.apply(ones)
-        assert section_degree(g, gamma_plus) == -lam_min, "gamma+ not extremal"
+        _check(section_degree(g, gamma_plus) == -lam_min, "gamma+ not extremal")
         e_top = [
             LaurentPoly({0: 1}) if i == fac.order[0] else LaurentPoly({})
             for i in range(size)
         ]
         gamma_minus = fac.rinv.apply(e_top)
-        assert section_degree(g, gamma_minus) == -lam0, "gamma- not extremal"
+        _check(section_degree(g, gamma_minus) == -lam0, "gamma- not extremal")
         checked += 1
     return {"detail": f"{checked} loops: bounds hold, both extremes attained"}
 
@@ -249,7 +255,7 @@ def c03_gap_scaling() -> dict:
         g1 = wt.gap(wt.induced_weights(ws, 1))
         for k in range(1, 11):
             gk = wt.gap(wt.induced_weights(ws, k))
-            assert gk == k * g1, f"gap scaling failed at k={k}"
+            _check(gk == k * g1, f"gap scaling failed at k={k}")
             count += 1
     return {"detail": f"{count} (system, level) pairs scale exactly"}
 
@@ -258,17 +264,17 @@ def c04_futaki_calibration() -> dict:
     proj1 = wt.Geometry("projective")
     trivial = wt.WeightSystem(2, (3, 3, 3), proj1)
     tau = wt.tau_poly(trivial)
-    assert wt.futaki(tau) == 0, "trivial configuration has nonzero futaki"
-    assert all(wt.chow_k(tau, k) == 0 for k in range(1, 11)), "Ch_k not identically 0"
+    _check(wt.futaki(tau) == 0, "trivial configuration has nonzero futaki")
+    _check(all(wt.chow_k(tau, k) == 0 for k in range(1, 11)), "Ch_k not identically 0")
     zero = wt.tau_poly(wt.WeightSystem(2, (0, 0, 0), proj1))
-    assert all(c == 0 for c in zero.coeffs), "zero weights give nonzero tau"
+    _check(all(c == 0 for c in zero.coeffs), "zero weights give nonzero tau")
     checked = 1
     for a in range(-4, 5):
         for b in range(-4, 5):
             ws = wt.WeightSystem(1, (a, b), proj1)
             tau = wt.tau_poly(ws)
-            assert tau.volume == 1 and tau.alpha1 == 1
-            assert wt.futaki(tau) == 0, f"nonzero futaki for diagonal ({a},{b})"
+            _check(tau.volume == 1 and tau.alpha1 == 1, f"volume or alpha1 not 1 for diagonal ({a},{b})")
+            _check(wt.futaki(tau) == 0, f"nonzero futaki for diagonal ({a},{b})")
             checked += 1
     return {"detail": f"{checked} configurations give exactly zero"}
 
@@ -278,7 +284,7 @@ def c05_leading_sign() -> dict:
     for ws in shipped_weight_suite():
         tau = wt.tau_poly(ws)
         i_val = wt.I_coefficient(tau)
-        assert i_val < 0, f"I = {i_val} not negative for {ws.generators}"
+        _check(i_val < 0, f"I = {i_val} not negative for {ws.generators}")
         values.append(i_val)
     return {"detail": f"20 systems, I in [{min(values)}, {max(values)}], all < 0"}
 
@@ -286,12 +292,12 @@ def c05_leading_sign() -> dict:
 def c06_equivariant_equality() -> dict:
     g = LaurentMatrix.exponent_diagonal([0, 0, 1])
     ch = cw.chow_weight(CONIC_FORM, g)
-    assert ch == Fraction(1, 12)
+    _check(ch == Fraction(1, 12), f"chow weight {ch}, not 1/12")
     fiber = cw.central_fiber_cycle(CONIC_FORM, g)
     chk = cw.check_chow_inequality(g, fiber, ch, order=64)
     diff = abs(chk.slack)
-    assert chk.quad_error <= 1e-8, f"quadrature error {chk.quad_error:g}"
-    assert diff <= 1e-6, f"equality violated by {diff:g}"
+    _check(chk.quad_error <= 1e-8, f"quadrature error {chk.quad_error:g}")
+    _check(diff <= 1e-6, f"equality violated by {diff:g}")
     return {"detail": f"chow = {ch}, pairing = {chk.pairing:.12f}, diff = {diff:.2e}"}
 
 
@@ -307,7 +313,7 @@ def c07_pairing_bound() -> dict:
         lhs = abs(cy.pairing(m, a))
         rhs = 2.0 * wt.gap(a.astype(int)) * cy.trace_norm(m)
         worst = max(worst, lhs - rhs)
-        assert lhs <= rhs + 1e-12, "pairing bound violated"
+        _check(lhs <= rhs + 1e-12, "pairing bound violated")
     return {"detail": f"200 pairs, max lhs-rhs = {worst:.3e}"}
 
 
@@ -320,9 +326,7 @@ def c08_chow_inequality_suite() -> dict:
         ch = cw.chow_weight(CONIC_FORM, g)
         fiber = cw.central_fiber_cycle(CONIC_FORM, g)
         chk = cw.check_chow_inequality(g, fiber, ch=ch, order=48, tol=1e-6)
-        assert chk.satisfied, (
-            f"inequality violated: chow {chk.chow} > pairing {chk.pairing}"
-        )
+        _check(chk.satisfied, f"inequality violated: chow {chk.chow} > pairing {chk.pairing}")
         worst = min(worst, chk.slack)
         if chk.slack > 1e-6:
             strict += 1
@@ -338,14 +342,14 @@ def c09_bergman_normalization() -> dict:
                 tol=1e-11,
             )
             diff = abs(val - (k + 1))
-            assert diff <= 1e-8, f"{name} k={k}: integral off by {diff:g}"
+            _check(diff <= 1e-8, f"{name} k={k}: integral off by {diff:g}")
             details.append(diff)
     grid = bg.default_grid(100)
     spread = 0.0
     for k in (8, 16, 32, 64):
         r = bg.rho(round_metric, k, grid)
         spread = max(spread, float(r.max() - r.min()))
-        assert spread <= 1e-9, f"round density not constant at k={k}: {spread:g}"
+        _check(spread <= 1e-9, f"round density not constant at k={k}: {spread:g}")
     return {"detail": f"max integral defect {max(details):.2e}, round spread {spread:.2e}"}
 
 
@@ -354,12 +358,12 @@ def c10_expansion_coefficient() -> dict:
     klist = [16, 24, 32, 48, 64]
     round_fit = bg.expansion_fit(bg.RadialMetric(0.0), klist, grid)
     err0 = float(np.max(np.abs(round_fit.a1 - 1.0)))  # S/2 = 1 for the round metric
-    assert err0 <= 0.02, f"round coefficient off by {err0:g}"
+    _check(err0 <= 0.02, f"round coefficient off by {err0:g}")
     pert = bg.RadialMetric(0.1)
     fit = bg.expansion_fit(pert, klist, grid)
     target = bg.scalar_curvature(pert, grid) / 2.0
     rel = float(np.max(np.abs(fit.a1 - target) / np.abs(target)))
-    assert rel <= 0.05, f"pointwise coefficient off by {rel:g}"
+    _check(rel <= 0.05, f"pointwise coefficient off by {rel:g}")
     return {
         "detail": (
             f"round |a1 - S/2| = {err0:.2e}; perturbed max rel err = {rel:.2%} "
@@ -372,15 +376,13 @@ def c11_theta_decay_window() -> dict:
     pert = bg.RadialMetric(0.1)
     ks = np.array([8.0, 16.0, 32.0, 64.0])
     tvs = np.array([bg.theta_total_variation(pert, int(k)) for k in ks])
-    assert np.all(np.diff(tvs) < 0), "total variation not strictly decreasing"
+    _check(np.all(np.diff(tvs) < 0), "total variation not strictly decreasing")
     slope = float(np.polyfit(np.log(ks), np.log(tvs), 1)[0])
     detail = (
         f"slope {slope:.3f} outside [-2.3, -1.7]: first-order density "
         "fluctuation forces 1/k decay for non-constant curvature"
     )
-    ok = -2.3 <= slope <= -1.7
-    if not ok:
-        raise AssertionError(detail)
+    _check(-2.3 <= slope <= -1.7, detail)
     return {"detail": f"slope {slope:.3f} within window"}
 
 
@@ -399,16 +401,16 @@ def c12_moment_cross_check() -> dict:
         )
         diff = float(np.max(np.abs(diag_cycle - diag_bergman)))
         worst = max(worst, diff)
-        assert diff <= 1e-6, f"k={k}: cross-module mismatch {diff:g}"
+        _check(diff <= 1e-6, f"k={k}: cross-module mismatch {diff:g}")
     return {"detail": f"k in 2..4, worst entrywise difference {worst:.2e}"}
 
 
 def c13_balanced_iteration() -> dict:
     distorted = rnc3_cycle(np.diag([2.0, 1.0, 1.0, 1.0]))
     res = cy.balance_iterate(distorted, max_steps=500, tol=1e-8, order=32)
-    assert res.converged, f"not converged: residual {res.residuals[-1]:g}"
+    _check(res.converged, f"not converged: residual {res.residuals[-1]:g}")
     logs = np.log(np.array(res.residuals[5:]))
-    assert np.all(np.diff(logs) < 0), "residual log not monotone after step 5"
+    _check(np.all(np.diff(logs) < 0), "residual log not monotone after step 5")
     return {
         "detail": (
             f"converged in {res.steps} steps to {res.residuals[-1]:.2e}, "

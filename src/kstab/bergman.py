@@ -10,8 +10,8 @@ by one gcd each and evaluated by Horner's rule; S only when
 orthogonal by circle invariance, with squared norms computed by radial
 quadrature once per metric and level, in blocks of rows j of at most 1 MB
 whatever k.  The metric keeps them, log s, u and w on each radial node set
-and rho_k per level on its last grid, read-only.  The discrepancy's rule
-breaks at its kinks, so its per-call segment nodes are kept nowhere.  The
+the norms are integrated over, and rho_k per level on its last grid,
+read-only; every other integrand forms log s, u and w on its own nodes.  The
 density of states
 
     rho_k(s) = sum_j |z^j|^2_h / ||z^j||^2
@@ -135,7 +135,7 @@ class RadialMetric:
         return _reval(self._w_f, np.asarray(s, dtype=float))
 
     def _on_nodes(self, s):
-        """log s, u and w, read-only, on a shared radial node set, evaluated
+        """log s, u and w, read-only, on one of ``gram``'s node sets, evaluated
         at the first call on it (the set is held and checked by identity)."""
         kept = self._nodes.get(len(s))
         if kept is None or kept[0] is not s:
@@ -210,8 +210,8 @@ def gram(metric: RadialMetric, k: int) -> np.ndarray:
 
 
 def _moment_kernel(norms: np.ndarray, *weights: np.ndarray):
-    """The moment sums as a function ``sums(s, log s)``, with the set-up (the
-    log norms, their increments and both matrices) done once per integral.
+    """The moment sums as a function ``sums(s)``, with the set-up (the log
+    norms, their increments and both matrices) done once per integral.
 
     T_p = sum_j j^p s^j / ||z^j||^2 for p = 0, 1, 2, then sum_j a_j s^j /
     ||z^j||^2 for each weight row a, at each s, from one exponential.
@@ -222,7 +222,7 @@ def _moment_kernel(norms: np.ndarray, *weights: np.ndarray):
     norms are, by Cauchy-Schwarz) it sits where the increments of c pass
     log s.  Exponents below -700 are raised to -700, as numpy's exp is over
     ten times slower below about -708; each sum moves by at most (k+1)
-    max|row| e^-700.  At s = 0 only j = 0 contributes.
+    max|row| e^-700.  At s = 0 only j = 0 contributes, log s a finite floor.
     """
     jf, c = np.arange(len(norms), dtype=float), np.log(norms)
     d = np.diff(c)
@@ -230,7 +230,8 @@ def _moment_kernel(norms: np.ndarray, *weights: np.ndarray):
     expo = np.column_stack([jf, -c, np.ones_like(c)])
     rows = np.vstack([jf ** np.arange(3)[:, None], *weights])
 
-    def sums(s, ls):
+    def sums(s):
+        ls = np.log(s, out=np.full(np.shape(s), -1e300), where=s != 0)
         if convex:
             top = np.searchsorted(d, ls)
             shift = top * ls - c[top]
@@ -242,12 +243,6 @@ def _moment_kernel(norms: np.ndarray, *weights: np.ndarray):
         return rows @ e, shift
 
     return sums
-
-
-def _moment_sums(norms: np.ndarray, s: np.ndarray, *weights: np.ndarray):
-    """The sums of ``_moment_kernel(norms, *weights)`` at s, log 0 a finite floor."""
-    ls = np.log(s, out=np.full(np.shape(s), -1e300), where=s != 0)
-    return _moment_kernel(norms, *weights)(s, ls)
 
 
 def _pullback(k, s, t):
@@ -270,7 +265,7 @@ def rho(metric: RadialMetric, k: int, grid: np.ndarray, norms: Optional[np.ndarr
             metric._rho[k] = (s, rho(metric, k, s, gram(metric, k)))
             metric._rho[k][1].flags.writeable = False
         return metric._rho[k][1]
-    t, shift = _moment_sums(norms, s)
+    t, shift = _moment_kernel(norms)(s)
     return np.exp(np.log(t[0]) + shift - k * metric.u(s))
 
 
@@ -282,7 +277,7 @@ def fs_pullback_form(metric: RadialMetric, k: int, grid: np.ndarray) -> np.ndarr
     nu_s(j) ~ s^j / ||z^j||^2.  Positive for every metric and level.
     """
     s = np.asarray(grid, dtype=float)
-    return _pullback(k, s, _moment_sums(gram(metric, k), s)[0])
+    return _pullback(k, s, _moment_kernel(gram(metric, k))(s)[0])
 
 
 def theta_total_variation(metric: RadialMetric, k: int) -> float:
@@ -299,16 +294,13 @@ def theta_total_variation(metric: RadialMetric, k: int) -> float:
     sums = _moment_kernel(gram(metric, k))
     p_k = (k + 1.0) / k
 
-    def ratio(s, log_s, u, w):  # D / w: one exponential serves both rho and the form
-        t, shift = sums(s, log_s)
-        return np.exp(np.log(t[0]) + shift - k * u) / p_k - _pullback(k, s, t) / w
-
-    def direct(s):  # on nodes that differ per call: u and w are kept nowhere
+    def direct(s):  # D / w and w from one exponential; u and w are kept nowhere
+        t, shift = sums(s)
         w = metric.density(s)
-        return ratio(s, np.log(s), metric.u(s), w), w
+        return np.exp(np.log(t[0]) + shift - k * metric.u(s)) / p_k - _pullback(k, s, t) / w, w
 
     def kinks(s):
-        x, d = s / (1.0 + s), ratio(s, *metric._on_nodes(s))
+        x, d = s / (1.0 + s), direct(s)[0]
         big = np.abs(d) > 64 * k * np.finfo(float).eps * (1.0 + s)
         i = np.flatnonzero((d[:-1] * d[1:] < 0) & (big[:-1] | big[1:]))
         xs, ds = np.stack([x[i], x[i + 1]]), np.stack([d[i], d[i + 1]])
@@ -360,7 +352,7 @@ def moment_from_bergman(metric: RadialMetric, k: int, a: Sequence[float]) -> flo
     sums = _moment_kernel(gram(metric, k), a)
 
     def f(s):  # H_A = (a @ E) / (1 @ E), signed
-        t, _ = sums(s, metric._on_nodes(s)[0])
+        t, _ = sums(s)
         return t[3] / t[0] * _pullback(k, s, t)
 
     val, _ = radial_integral(f, tol=1e-10)

@@ -118,9 +118,9 @@ _ORTHOGONAL = 1e-14
 _SQRT_MAX = float(np.sqrt(np.finfo(float).max))  # a larger modulus squares to inf
 
 
-def _check_modulus(value):
+def _check_modulus(value, what="coefficient modulus or its reciprocal"):
     if value > _SQRT_MAX:
-        raise QuadratureError(f"coefficient modulus or its reciprocal {value:.3g} above {_SQRT_MAX:.3g}, "
+        raise QuadratureError(f"{what} {value:.3g} above {_SQRT_MAX:.3g}, "
                               "the square root of the largest double: its square is out of range")
 
 
@@ -160,11 +160,13 @@ def _cycle_raw(cycle: ProjectiveCycle, order: int):
     n1 = cycle.ambient_dim + 1
     raw, mass, dense = np.zeros((n1, n1), dtype=complex), 0.0, []
     for comp in cycle.components:
-        _check_modulus(float(np.abs(comp.coeffs).max()))  # before any norm
+        top = float(np.abs(comp.coeffs).max())
+        _check_modulus(top)  # before any norm
         if np.count_nonzero(comp.coeffs, axis=1).max() <= 1:
             part_raw, part_mass = _monomial_raw(comp, order)
         else:
             c = comp.coeffs[:, :comp.degree + 1]
+            _check_modulus(top * float(np.linalg.norm(c / top, axis=0).max()), "column norm")  # before c^H c
             norms = np.linalg.norm(c, axis=0)
             if np.any(np.abs(np.triu(c.conj().T @ c, 1)) > _ORTHOGONAL * np.outer(norms, norms)):
                 dense.append((comp.multiplicity, c))

@@ -49,7 +49,6 @@ __all__ = [
     "multiply",
     "factorize",
     "normalize",
-    "pole_order_vector",
     "section_degree",
     "loop_from_json",
     "loop_to_json",
@@ -101,10 +100,6 @@ class LaurentPoly:
         self.low, self.coef, self.den = out.low, out.coef, out.den
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
     @classmethod
     def one(cls) -> "LaurentPoly":
         return _new(0, [1], 1)
@@ -276,7 +271,7 @@ class LaurentMatrix:
     @classmethod
     def exponent_diagonal(cls, exps) -> "LaurentMatrix":
         """diag(t^{e_0}, ..., t^{e_N})."""
-        zero = LaurentPoly.zero()
+        zero = LaurentPoly()
         return cls([[LaurentPoly.t_power(e) if i == j else zero for j in range(len(exps))] for i, e in enumerate(exps)])
 
     def __eq__(self, other) -> bool:
@@ -501,7 +496,7 @@ def _echelon(rows, size, K):
     exponents confined to [wts[k], wts[j]).  Returns None when the window
     t^K holds no pivot.
     """
-    active, one, zero = list(range(size)), LaurentPoly.one(), LaurentPoly.zero()
+    active, one, zero = list(range(size)), LaurentPoly.one(), LaurentPoly()
     sigma, wts, basis = [0] * size, [0] * size, [None] * size
 
     for pos in range(size - 1, -1, -1):
@@ -602,7 +597,7 @@ def _assemble(g, sigma, wts, basis, nu):
     if any(weights[k] < weights[k + 1] for k in range(n - 1)):
         return None
 
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    zero, one = LaurentPoly(), LaurentPoly.one()
     right_entries = [[zero] * n for _ in range(n)]
     for k in range(n):
         right_entries[sigma[k]][sigma[k]] = one
@@ -645,7 +640,7 @@ def _invert_unitriangular(right: LaurentMatrix, sigma) -> LaurentMatrix:
     # the nonzero entries below the diagonal in sigma order, negated once
     neg = [[(c, -right.entries[s][c]) for c in sigma[:i] if right.entries[s][c].coef] for i, s in enumerate(sigma)]
     for col in range(right.size):
-        x = [LaurentPoly.zero()] * right.size
+        x = [LaurentPoly()] * right.size
         for i, s in enumerate(sigma):
             pairs = [(p, x[c]) for c, p in neg[i] if x[c].coef]
             x[s] = LaurentPoly.dot(pairs + [(one, one)] * (s == col))
@@ -665,29 +660,21 @@ def normalize(g: LaurentMatrix) -> LaurentMatrix:
     return g.shift(-lam0)
 
 
-def pole_order_vector(v) -> int:
-    """Pole order at t = 0 of a vector of Laurent polynomials.
-
-    Positive means a pole, negative a zero of that order.
-    """
-    orders = [p.ord() for p in v if not p.is_zero]
-    if not orders:
-        raise ZeroLaurentError("pole order of the zero vector is undefined")
-    return -min(orders)
-
-
 def section_degree(g: LaurentMatrix, gamma) -> int:
     """Degree of the section associated with an arc gamma on the generic fiber.
 
     ``gamma`` is a vector of Laurent polynomials; a common power of t is
     cleared first so that gamma defines a point of projective space at
-    t = 0.  The result is the pole order of g(t) * gamma(t).
+    t = 0.  The result is the pole order at t = 0 of g(t) * gamma(t):
+    positive for a pole, negative for a zero of that order.
     """
     if all(p.is_zero for p in gamma):
         raise ZeroLaurentError("gamma is identically zero")
     common = min(p.ord() for p in gamma if not p.is_zero)
-    cleared = [p.shift(-common) for p in gamma]
-    return pole_order_vector(g.apply(cleared))
+    orders = [p.ord() for p in g.apply([p.shift(-common) for p in gamma]) if not p.is_zero]
+    if not orders:
+        raise ZeroLaurentError("pole order of the zero vector is undefined")
+    return -min(orders)
 
 
 # ---------------------------------------------------------------------------

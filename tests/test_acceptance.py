@@ -9,7 +9,12 @@ k^-2 log k window cannot be met by any nontrivial radial test metric
 (constant-curvature ones have identically zero discrepancy).
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +103,24 @@ def test_admissible_loop_needs_two_exponents(size):
     # t^A needs two distinct exponents, which fewer than two draws never give
     with pytest.raises(ValueError, match=f"needs size >= 2, got {size}"):
         acc.random_admissible_loop(random.Random(0), size)
+
+
+# Criteria 6 and 8 with the Chow weight replaced by 7/3, in a fresh interpreter
+_WRONG_CHOW = """
+import json
+from fractions import Fraction
+from kstab import acceptance, chow
+chow.chow_weight = lambda form, g: Fraction(7, 3)
+print(json.dumps([[r.number, r.passed, r.detail] for r in acceptance.run_all([6, 8])]))
+"""
+
+
+def test_criteria_fail_without_asserts():
+    # python -O drops assert statements: the criteria must fail all the same
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_CHOW], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    (six, passed6, detail6), (eight, passed8, detail8) = json.loads(proc.stdout)
+    assert (six, passed6, detail6) == (6, False, "chow weight 7/3, not 1/12")
+    assert (eight, passed8) == (8, False) and detail8.startswith("inequality violated: chow 7/3 > pairing ")

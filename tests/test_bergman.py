@@ -13,7 +13,7 @@ import pytest
 from kstab import bergman, poly, quadrature
 from kstab.bergman import (
     RadialMetric,
-    _moment_sums,
+    _moment_kernel,
     default_grid,
     expansion_fit,
     fs_pullback_form,
@@ -222,7 +222,7 @@ class TestLogSumExpOracle:
         norms = np.exp(rng.normal(scale=30.0, size=40))
         s = np.exp(rng.normal(size=7))
         b = rng.normal(size=40)
-        t, shift = _moment_sums(norms, s, b)
+        t, shift = _moment_kernel(norms, b)(s)
         base = self._exponents(norms, s)
         want, want_sign = oracle(base, axis=0, b=b[:, None], return_sign=True)
         assert np.array_equal(np.sign(t[3]), want_sign)
@@ -235,7 +235,7 @@ class TestLogSumExpOracle:
         # shift read off the increments would overflow exp by 843
         norms = np.exp([-744.0, 100.0, 99.0, 100.0])
         s = np.array([1.0, 0.5, 3.0])
-        t, shift = _moment_sums(norms, s, np.array([1.0, -1.0, 2.0, 0.5]))
+        t, shift = _moment_kernel(norms, np.array([1.0, -1.0, 2.0, 0.5]))(s)
         assert np.all(np.isfinite(t)) and np.all(np.isfinite(shift))
         base = self._exponents(norms, s)
         assert np.allclose(np.log(t[0]) + shift, oracle(base, axis=0), rtol=1e-15, atol=0.0)
@@ -244,7 +244,7 @@ class TestLogSumExpOracle:
         # the s = 0 column: s^j = 0 for every j >= 1, only j = 0 is left
         norms = np.array([np.e, np.exp(-2.0), np.exp(-3.0)])
         s = np.array([0.0, 1.0])
-        t, shift = _moment_sums(norms, s)
+        t, shift = _moment_kernel(norms)(s)
         base = self._exponents(norms, s)
         assert np.allclose(np.log(t[0]) + shift, oracle(base, axis=0), rtol=1e-15, atol=0.0)
         want = oracle(base[1:], axis=0, b=np.array([[1.0], [4.0]]))  # T_2: j^2 = 1, 4
@@ -257,7 +257,7 @@ class TestLogSumExpOracle:
         # moment_from_bergman's H_A = (a @ E) / (1 @ E) is 0 in the first column
         norms, s = np.ones(2), np.array([1.0, 2.0])
         a = np.array([1.0, -1.0])
-        t, shift = _moment_sums(norms, s, a)
+        t, shift = _moment_kernel(norms, a)(s)
         want, want_sign = oracle(self._exponents(norms, s), axis=0, b=a[:, None], return_sign=True)
         assert t[3, 0] / t[0, 0] == 0.0
         assert want_sign[0] == 0.0 and want[0] == -np.inf
@@ -479,11 +479,18 @@ class TestGramMemo:
 
 @pytest.fixture
 def moment_passes(monkeypatch):
-    """Levels k of the ``bergman._moment_sums`` calls, one entry per call."""
+    """Levels k of the ``bergman.rho`` calls that pass norms, one entry per
+    evaluation of rho; rho's own evaluation is such a call."""
     import kstab.bergman as bg
 
-    levels, real = [], bg._moment_sums
-    monkeypatch.setattr(bg, "_moment_sums", lambda norms, s, *w: levels.append(len(norms) - 1) or real(norms, s, *w))
+    levels, real = [], bg.rho
+
+    def spy(metric, k, grid, norms=None):
+        if norms is not None:
+            levels.append(len(norms) - 1)
+        return real(metric, k, grid, norms)
+
+    monkeypatch.setattr(bg, "rho", spy)
     return levels
 
 
@@ -501,7 +508,7 @@ class TestKeptRho:
         metric, grid = RadialMetric(0.1), default_grid(9)
         kept = rho(metric, 8, grid)
         entry, norms = metric._rho[8], gram(metric, 8)
-        first, second = rho(metric, 8, grid, norms), rho(metric, 8, grid, norms)
+        first, second = bergman.rho(metric, 8, grid, norms), bergman.rho(metric, 8, grid, norms)
         assert moment_passes == [8, 8, 8]
         assert first is not kept and second is not first and first.flags.writeable
         assert np.array_equal(first, kept) and np.array_equal(second, kept)
@@ -527,11 +534,12 @@ class TestKeptRho:
 
 class TestKeptNodeSets:
     def test_each_node_set_evaluated_once(self, monkeypatch):
-        # rho, gram, the discrepancy and the moment pairing at three levels
-        # evaluate u and w once per shared radial node set and build each panel
-        # rule once; rho evaluates u on the caller's grid at every call; the
-        # discrepancy's segment nodes differ per call, are evaluated directly
-        # and leave the kept sets alone
+        # gram, rho, the discrepancy and the moment pairing at three levels
+        # build each panel rule once; gram evaluates u and w once per node set
+        # it integrates over and keeps them; rho evaluates u on the caller's
+        # grid at every call; the discrepancy evaluates u and w directly on
+        # its first-level nodes and its segment nodes at every call; the
+        # moment pairing reads neither
         metric, grid = RadialMetric(0.04, bump=([0, 2, 3], [1, 3, 3, 1])), default_grid(100)
         calls, panels = {"u": [], "density": []}, []
         for name, seen in calls.items():
@@ -546,23 +554,31 @@ class TestKeptNodeSets:
 
         monkeypatch.setattr(quadrature, "panel_rule", shared_rule)
         quadrature._radial_nodes.cache_clear()
+        integrated = []  # the node sets gram evaluated u on
         try:
             for k in (16, 64, 256):
-                rho(metric, k, grid)
+                before = len(calls["u"])
                 gram(metric, k)
+                integrated += calls["u"][before:]
+                rho(metric, k, grid)
                 theta_total_variation(metric, k)
                 moment_from_bergman(metric, k, np.linspace(-1.0, 1.0, k + 1))
             shared = [quadrature._radial_nodes(n)[0] for n in panels]
+            first = quadrature._radial_nodes(2)[0]  # the discrepancy's first level
         finally:
             quadrature._radial_nodes.cache_clear()
         assert len(panels) == len(set(panels)) and 2 in panels and 8 in panels
+        assert len({id(a) for a in integrated}) == len(integrated) >= 2  # each set once
+        assert all(any(a is s for s in shared) for a in integrated)
+        want = [sum(a is s for a in integrated) + 3 * (s is first) for s in shared]
+        assert want.count(0) >= 1 and max(want) == 3  # sets only the moment pairing reads; the first level
         for seen in calls.values():
-            assert [sum(a is s for a in seen) for s in shared] == [1] * len(shared)
+            assert [sum(a is s for a in seen) for s in shared] == want
         assert sum(a is grid for a in calls["u"]) == 3
         segments = [a for a in calls["u"] if a is not grid and not any(a is s for s in shared)]
         assert len(segments) >= 3 * 3  # two root steps and the segments, per level
-        assert sorted(metric._nodes) == sorted(len(s) for s in shared)
-        assert all(metric._nodes[len(s)][0] is s for s in shared)
+        assert sorted(metric._nodes) == sorted(len(s) for s in integrated)
+        assert all(metric._nodes[len(s)][0] is s for s in integrated)
 
     def test_kept_arrays_are_read_only(self):
         metric = RadialMetric(0.1)

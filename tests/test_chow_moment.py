@@ -269,7 +269,7 @@ def cofactor_det(rows):
     return sum(
         ((p if j % 2 == 0 else -p) * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
          for j, p in enumerate(rows[0]) if not p.is_zero),
-        LaurentPoly.zero(),
+        LaurentPoly(),
     )
 
 
@@ -530,7 +530,7 @@ class TestFactorizationKept:
         assert len(calls) == 1
 
     def test_failures_are_not_kept(self, monkeypatch):
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        one, zero = LaurentPoly.one(), LaurentPoly()
         g = LaurentMatrix([[one, one, zero], [one, one, zero], [zero, zero, one]])
         for call in (factorize, lambda g: chow_weight(CONIC_FORM, g)) * 2:
             with pytest.raises(DegenerateLoopError):

@@ -318,6 +318,18 @@ def test_overflowing_dense_coefficient_names_its_limit(runner, tmp_path):
                           "the square root of the largest double: its square is out of range\n")
 
 
+def test_overflowing_column_norm_names_its_limit(runner, tmp_path):
+    # (1e154 + s, 1e154 + s, s^2): every coefficient is in range, but the first
+    # column's norm is not; refused on that norm, before it or c^H c overflows
+    cycle = {"ambient": 2, "components": [{"coeffs": [[[1e154, 0], [1, 0]], [[1e154, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]]}]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(cycle))
+    res = run(runner, "moment", "--input", str(path))
+    assert res.exit_code == 4 and res.stdout == ""
+    assert res.stderr == ("error: column norm 1.41e+154 above 1.34e+154, "
+                          "the square root of the largest double: its square is out of range\n")
+
+
 class TestBergmanCommand:
     def test_csv_columns(self, runner, tmp_path):
         out = tmp_path / "run.csv"

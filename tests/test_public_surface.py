@@ -1,6 +1,7 @@
 """Every public name of a kstab module, and every public method or property
-of a class it exports, has a user outside the tests, and every function
-the benchmark tracer wraps exists in ``src/``."""
+of a class it exports, has a user outside the tests, every function the
+benchmark tracer wraps exists in ``src/``, and no module in ``src/`` has an
+``assert`` statement."""
 
 import ast
 import importlib
@@ -89,3 +90,10 @@ def test_traced_targets_resolve_in_src(module, path):
     )
     source = Path(inspect.getsourcefile(target)).resolve()
     assert (ROOT / "src") in source.parents
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_assert_statements(module):
+    # python -O removes them, so a check written as one would pass unchecked
+    lines = [n.lineno for n in ast.walk(ast.parse(module.read_text())) if isinstance(n, ast.Assert)]
+    assert lines == [], f"{module.stem}: assert statements on lines {lines}"
