@@ -350,6 +350,13 @@ def check_chow_inequality(
 # ---------------------------------------------------------------------------
 
 
+def _key_int(text, key, what):
+    """An integer of a form ``key``: ASCII digits after an optional "-" (int() also reads " 1", "+1", "1_0")."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"form {what}, got {key!r:.40}")
+
+
 def form_from_json(obj) -> HypersurfaceForm:
     """Parse a form; its number of variables is the length of a key."""
     if "components" in obj and "form" not in obj:
@@ -363,11 +370,10 @@ def form_from_json(obj) -> HypersurfaceForm:
             raise ValueError("\"form\" must be a JSON object")
     mono, number = {}, functools.partial(json_number, field="form coefficient", exact=True)
     for key, val in obj.items():
-        exps = tuple(int(x) for x in key.split(","))
+        exps = tuple(_key_int(x, key, "monomial key must be comma-separated integers") for x in key.split(","))
         if isinstance(val, list) and len(val) == 2 and not isinstance(val[0], list):
             mono[exps] = tuple(number(x) for x in val)
         else:  # a number, or Laurent coefficients by exponent
-            mono[exps] = {e: number(v) for e, v in val.items()} if isinstance(val, dict) else number(val)
-    if not mono:
-        raise ValueError("zero form")
-    return HypersurfaceForm.from_dict(len(next(iter(mono))), mono)
+            mono[exps] = ({_key_int(e, e, "Laurent exponent key must be an integer"): number(v)
+                           for e, v in val.items()} if isinstance(val, dict) else number(val))
+    return HypersurfaceForm.from_dict(len(next(iter(mono), ())), mono)  # no monomial: "zero form"

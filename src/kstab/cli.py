@@ -265,7 +265,7 @@ def _parse_klist(text):
     """Parse k ranges: '8:64:double' doubles, 'a:b:step' steps, 'a,b,c' lists.
 
     Raises ValueError unless there are levels and they are distinct and in
-    1..8192 (a range is checked before it is listed)."""
+    1..8192 (a range is checked before it is listed), and a step is at least 1."""
     parts = text.split(":")
     if "," in text or len(parts) == 1:
         ks = [int(x) for x in text.split(",")]
@@ -276,6 +276,8 @@ def _parse_klist(text):
             k *= 2
     elif len(parts) <= 3:
         lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+        if step < 1:
+            raise ValueError(f"step must be a positive integer, got {step}")
         ks = range(lo, hi + 1, step) if 1 <= lo <= _MAX_LEVEL and 1 <= hi <= _MAX_LEVEL else []
     else:
         raise ValueError("expected lo:hi, lo:hi:step or lo:hi:double")

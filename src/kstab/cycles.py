@@ -11,6 +11,7 @@ moment matrix, driving stable cycles to the balanced locus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -115,13 +116,7 @@ _BLOCK = 1024
 # |c_i| |c_j|: then |U^H U - I| <= (deg + 1) _ORTHOGONAL, which moves |p|^2,
 # |p'|^2, <p', p> and the moments by that relative roundoff at most.
 _ORTHOGONAL = 1e-14
-_SQRT_MAX = float(np.sqrt(np.finfo(float).max))  # a larger modulus squares to inf
-
-
-def _check_modulus(value, what="coefficient modulus or its reciprocal"):
-    if value > _SQRT_MAX:
-        raise QuadratureError(f"{what} {value:.3g} above {_SQRT_MAX:.3g}, "
-                              "the square root of the largest double: its square is out of range")
+_RANGE = float(1 / np.sqrt(np.finfo(float).tiny))  # past this moduli ratio the smaller squares below any normal
 
 
 def _monomial_raw(comp: Component, order: int):
@@ -134,7 +129,6 @@ def _monomial_raw(comp: Component, order: int):
     rho, wrho, m = disc_radii(order)
     e = np.argmax(comp.coeffs != 0, axis=1)  # a zero row has e = 0 and c = 0
     c = comp.coeffs[np.arange(len(e)), e]
-    _check_modulus(max([1.0] + [y for x in np.abs(c) if x for y in (float(x), 1 / float(x))]))
     raw, mass = 0.0, 0.0
     for ex in (e, comp.degree - e):
         q = np.sqrt(rho)[:, None] ** ex  # |s^e| per radius and row
@@ -151,7 +145,10 @@ def _monomial_raw(comp: Component, order: int):
 
 
 def _cycle_raw(cycle: ProjectiveCycle, order: int):
-    """Raw second moments (Hermitian) and mass of a cycle: ``_monomial_raw``
+    """Raw second moments (Hermitian) and mass of a cycle.  Each component is
+    first scaled, exactly, by the power of two that brings its largest
+    coefficient modulus into [1, 2), which leaves its curve in P^N and so its
+    moments alone, or refused if its moduli span more than ``_RANGE``; then ``_monomial_raw``
     for each component whose rows hold at most one nonzero coefficient each
     and, via U M with U = c_j / |c_j| isometric and M = (|c_j| s^j), for one
     whose columns c_j are orthogonal (the same rule up to roundoff); for the
@@ -160,13 +157,19 @@ def _cycle_raw(cycle: ProjectiveCycle, order: int):
     n1 = cycle.ambient_dim + 1
     raw, mass, dense = np.zeros((n1, n1), dtype=complex), 0.0, []
     for comp in cycle.components:
-        top = float(np.abs(comp.coeffs).max())
-        _check_modulus(top)  # before any norm
+        mod = np.abs(comp.coeffs)
+        top, bottom = float(mod.max()), float(mod[mod > 0].min(initial=np.inf))  # all zero: fails on degree
+        if not top / bottom <= _RANGE:  # a modulus above the largest double reads inf, and is refused too
+            raise QuadratureError(f"coefficient moduli {top:.3g} and {bottom:.3g} of one component differ by more "
+                                  f"than {_RANGE:.3g}: scaled to the larger, the smaller squares below the least "
+                                  "normal double")
+        if n := 1 - math.frexp(top)[1]:  # 2^n brings the largest modulus into [1, 2), exactly
+            parts = np.ldexp(np.ascontiguousarray(comp.coeffs).view(float), n)  # real and imaginary parts
+            comp = Component(parts.view(complex), comp.multiplicity)
         if np.count_nonzero(comp.coeffs, axis=1).max() <= 1:
             part_raw, part_mass = _monomial_raw(comp, order)
         else:
             c = comp.coeffs[:, :comp.degree + 1]
-            _check_modulus(top * float(np.linalg.norm(c / top, axis=0).max()), "column norm")  # before c^H c
             norms = np.linalg.norm(c, axis=0)
             if np.any(np.abs(np.triu(c.conj().T @ c, 1)) > _ORTHOGONAL * np.outer(norms, norms)):
                 dense.append((comp.multiplicity, c))

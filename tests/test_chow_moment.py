@@ -1133,6 +1133,37 @@ class TestOrthogonalColumns:
         assert calls == []
 
 
+_SHIPPED_CYCLES = sorted(path.name for path in DATA.glob("*cycle.json"))
+
+
+class TestUnitScale:
+    """The moments depend only on the curves in P^N: a constant factor on a
+    component's coefficients changes nothing, however large or small."""
+
+    @pytest.mark.parametrize("name", _SHIPPED_CYCLES)
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600])
+    def test_power_of_two_changes_no_bit(self, name, factor):
+        cycle = cycle_from_json(json.loads((DATA / name).read_text()))
+        scaled = transform_cycle(cycle, factor * np.eye(cycle.ambient_dim + 1))
+        for order in (16, 48):  # crossing lines miss tol at order 16
+            m, s = (moment_matrix(c, order=order, tol=np.inf) for c in (cycle, scaled))
+            assert np.array_equal(m.matrix, s.matrix) and (m.volume, m.quad_error) == (s.volume, s.quad_error)
+        b, s = balance_iterate(cycle), balance_iterate(scaled)
+        assert (b.residuals, b.steps, b.converged, b.note) == (s.residuals, s.steps, s.converged, s.note)
+        assert np.array_equal(b.transform, s.transform)
+
+    @pytest.mark.parametrize("name", _SHIPPED_CYCLES)
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_any_factor_gives_the_same_matrix(self, name, factor):
+        cycle = cycle_from_json(json.loads((DATA / name).read_text()))
+        m = moment_matrix(transform_cycle(cycle, factor * np.eye(cycle.ambient_dim + 1))).matrix
+        assert np.max(np.abs(m - moment_matrix(cycle).matrix)) <= 1e-15
+
+    def test_zero_component_names_its_fault(self):
+        with pytest.raises(ValueError, match="^component has identically zero parametrization$"):
+            moment_matrix(ProjectiveCycle(2, [Component(np.zeros((3, 2)))]))
+
+
 class TestJsonInterfaces:
     def test_zero_padding_changes_nothing(self):
         # trailing zero coefficients, ragged or padded past the degree, are

@@ -292,8 +292,8 @@ class TestBalanceCommand:
 
 @pytest.mark.parametrize("command", ["moment", "balance"])
 def test_overflowing_coefficient_names_its_limit(runner, tmp_path, command):
-    # the line (1e200, 0, s): |1e200|^2 overflows, and balance's rescaled
-    # (1, 0, 1e-200 s) underflows to a false "cycle mass 0"
+    # the line (1e200, 0, s): its moduli differ by more than the range, so
+    # balance's rescaled (1, 0, 1e-200 s) would underflow to a false "cycle mass 0"
     cycle = json.loads((DATA / "line_cycle.json").read_text())
     cycle["components"][0]["coeffs"][0][0][0] = 1e200
     path = tmp_path / "cycle.json"
@@ -301,33 +301,76 @@ def test_overflowing_coefficient_names_its_limit(runner, tmp_path, command):
     res = run(runner, command, "--input", str(path))
     assert res.exit_code == 4 and "Warning" not in res.stderr
     assert len(res.stderr.splitlines()) == 1
-    assert res.stderr.endswith("coefficient modulus or its reciprocal 1e+200 above 1.34e+154, "
-                               "the square root of the largest double: its square is out of range\n")
+    moduli = "1e+200 and 1" if command == "moment" else "1 and 1e-200"
+    assert res.stderr.endswith(f"coefficient moduli {moduli} of one component differ by more than 6.7e+153: "
+                               "scaled to the larger, the smaller squares below the least normal double\n")
     assert res.stderr.startswith("error: " if command == "moment" else "non-convergence after 0 steps; ")
 
 
 def test_overflowing_dense_coefficient_names_its_limit(runner, tmp_path):
-    # (1e200 + s, s, s^2): refused on its coefficients, before a column norm
-    # or the orthogonality test overflows
+    # (1e200 + s, s, s^2): refused on the range of its coefficient moduli
     cycle = {"ambient": 2, "components": [{"coeffs": [[[1e200, 0], [1, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]]}]}
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(cycle))
     res = run(runner, "moment", "--input", str(path))
     assert res.exit_code == 4 and res.stdout == ""
-    assert res.stderr == ("error: coefficient modulus or its reciprocal 1e+200 above 1.34e+154, "
-                          "the square root of the largest double: its square is out of range\n")
+    assert res.stderr == ("error: coefficient moduli 1e+200 and 1 of one component differ by more than 6.7e+153: "
+                          "scaled to the larger, the smaller squares below the least normal double\n")
 
 
 def test_overflowing_column_norm_names_its_limit(runner, tmp_path):
-    # (1e154 + s, 1e154 + s, s^2): every coefficient is in range, but the first
-    # column's norm is not; refused on that norm, before it or c^H c overflows
+    # (1e154 + s, 1e154 + s, s^2): just past the range; unscaled, its first
+    # column's norm 1.41e154 would square past the largest double
     cycle = {"ambient": 2, "components": [{"coeffs": [[[1e154, 0], [1, 0]], [[1e154, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]]}]}
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(cycle))
     res = run(runner, "moment", "--input", str(path))
     assert res.exit_code == 4 and res.stdout == ""
-    assert res.stderr == ("error: column norm 1.41e+154 above 1.34e+154, "
-                          "the square root of the largest double: its square is out of range\n")
+    assert res.stderr == ("error: coefficient moduli 1e+154 and 1 of one component differ by more than 6.7e+153: "
+                          "scaled to the larger, the smaller squares below the least normal double\n")
+
+
+_RANGE_NOTE = "differ by more than 6.7e+153: scaled to the larger, the smaller squares below the least normal double"
+
+
+def _conic_file(tmp_path, first, second):
+    # the conic (first + s, second + s, s^2)
+    cycle = {"ambient": 2, "components": [{"coeffs": [[[first, 0], [1, 0]], [[second, 0], [1, 0]],
+                                                      [[0, 0], [0, 0], [1, 0]]]}]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(cycle))
+    return path
+
+
+def test_dense_chart_near_the_range_is_refused_in_one_line(runner, tmp_path):
+    # its largest column norm 1.339e154 once passed, and the chart arithmetic
+    # overflowed into RuntimeWarnings and "Eigenvalues did not converge"
+    res = run(runner, "moment", "--input", str(_conic_file(tmp_path, 9.47e153, 9.47e153)))
+    assert res.exit_code == 4 and res.stdout == "" and "Warning" not in res.stderr
+    assert res.stderr == f"error: coefficient moduli 9.47e+153 and 1 of one component {_RANGE_NOTE}\n"
+
+
+@pytest.mark.parametrize("first, second, moduli", [(1e200, 0, "1 and 1e-200"), (1e154, 1e154, "1 and 1e-154")])
+def test_balance_on_a_large_dense_coefficient_names_the_range(runner, tmp_path, first, second, moduli):
+    # not the false "cycle mass 1.26e-30 does not match degree 2" of an underflow
+    res = run(runner, "balance", "--input", str(_conic_file(tmp_path, first, second)))
+    assert res.exit_code == 4 and "Warning" not in res.stderr
+    note = json.loads(res.stdout)["note"]
+    assert note == f"iteration broke down: coefficient moduli {moduli} of one component {_RANGE_NOTE}"
+    assert res.stderr == f"non-convergence after 0 steps; {note}\n"
+
+
+def test_subnormal_line_gives_the_line_report(runner, tmp_path):
+    # every coefficient 5e-324, the least subnormal: scaled by 2^1074 exactly
+    cycle = json.loads((DATA / "line_cycle.json").read_text())
+    for row in cycle["components"][0]["coeffs"]:
+        for pair in row:
+            pair[:] = [5e-324 if x else 0.0 for x in pair]
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(cycle))
+    res = run(runner, "moment", "--input", str(path))
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout == run(runner, "moment", "--input", str(DATA / "line_cycle.json")).stdout
 
 
 class TestBergmanCommand:
@@ -456,6 +499,8 @@ def test_malformed_levels_exit_2(runner, command, value):
     assert "Traceback" not in res.output
     assert [line for line in res.stderr.splitlines() if line.startswith("error:")] == res.stderr.splitlines()
     assert len(res.stderr.splitlines()) == 1
+    if value == "4:16:0":  # not range()'s "arg 3 must not be zero"
+        assert res.stderr == "error: bad level range '4:16:0': step must be a positive integer, got 0\n"
 
 
 @pytest.mark.parametrize(
@@ -866,12 +911,21 @@ def test_non_integer_field_exit_2(runner, tmp_path, command, doc, field):
          "bad cycle input: components[0] coeffs must list [re, im] pairs per coordinate"),
         ("balance", {"ambient": 2, "components": [{"coeffs": [[[1, 0]], [[0, 0]], [[0, 0], [1, 0]]]}, {"coeffs": [5]}]},
          "bad cycle input: components[1] coeffs must be a JSON list, got 5"),
+        # int() would read "1_0" as 10, and name no key for "a"
+        ("chow", {"form": {"a,b,c": 1, "0,2,0": -1}},
+         "bad form input: form monomial key must be comma-separated integers, got 'a,b,c'"),
+        ("chow", {"form": {"": 1}}, "bad form input: form monomial key must be comma-separated integers, got ''"),
+        ("chow", {"form": {"1_0,0,1": 1}},
+         "bad form input: form monomial key must be comma-separated integers, got '1_0,0,1'"),
+        ("chow", _with("conic_form.json", ("form", "1,0,1"), {"x": 1}),
+         "bad form input: form Laurent exponent key must be an integer, got 'x'"),
     ],
 )
 def test_missing_or_non_list_field_names_itself(runner, tmp_path, command, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    res = runner.invoke(main, [command, "--input", str(path)])
+    loop = ["--loop", str(DATA / "conic_loop.json")] if command == "chow" else []
+    res = runner.invoke(main, [command, "--input", str(path), *loop])
     assert res.exit_code == 2 and res.stdout == ""
     assert res.stderr == f"error: {message}\n"
 
