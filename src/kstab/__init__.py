@@ -7,3 +7,10 @@ invariant metrics on the Riemann sphere.
 """
 
 __version__ = "0.1.0"
+
+
+def ascii_int(text, message=None):
+    """int(text) for ASCII digits after an optional "-" (int() also reads " 1", "+1", "1_0"), else ValueError."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(message or f"expected an integer, got {text!r:.40}")

@@ -31,7 +31,10 @@ the central-fiber pairing.  The mirrored convention (F(g x), all signs
 reversed) is available behind a flag; as R(0) is unit triangular, its
 order is that of F(m y) with m = L t^A.  The central fiber of a plane
 conic is decomposed exactly along the loop's torus in the frame of L(0),
-where its form is the lowest part of F(m y), and mapped back by L(0).
+where its form is the lowest part of F(m y), and mapped back by L(0).  The
+pairing is an exact rational when Y_0 is torus-invariant and L(0) diagonal;
+only the quadrature of the other cases loads numpy, so ``kstab chow`` runs
+on the standard library alone there, as ``factorize`` and ``futaki`` do.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from kstab import ascii_int
 from kstab.laurent import FactorizationError, LaurentMatrix, LaurentPoly, _check_span, _gathered, factorize
 from kstab.poly import json_number
 
@@ -50,6 +54,7 @@ __all__ = [
     "chow_weight",
     "transformed_form",
     "central_fiber_cycle",
+    "central_fiber_pairing",
     "ChowCheck",
     "check_chow_inequality",
     "form_from_json",
@@ -202,9 +207,10 @@ def transformed_form(
 
 
 def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
-    """t-order of the coefficients of F(m y), the coefficients at that order
-    and the factorization of g, from the first of the windows t^1, t^2,
-    t^4, ... (capped at the full span) that holds a nonzero coefficient."""
+    """Chow weight, read off the t-order o of F(m y) and ord det g (the sum of
+    the weights, checked by factorize), the coefficients at that order and the
+    factorization of g, from the first of the windows t^1, t^2, t^4, ...
+    (capped at the full span) that holds a nonzero coefficient."""
     lifted, rows, shift, span, fac = _substitution(form, g, convention)
     K = 1
     while True:
@@ -213,7 +219,10 @@ def _lowest_terms(form: HypersurfaceForm, g: LaurentMatrix, convention: str):
         o = min((p.ord() for pair in win.values() for p in pair if not p.is_zero), default=None)
         if o is not None:
             lowest = ((mono, (re.coefficient(o), im.coefficient(o))) for mono, (re, im) in win.items())
-            return o + shift, {mono: c for mono, c in lowest if any(c)}, fac
+            d, N, det = form.degree, g.size - 1, sum(fac.weights)
+            ch = (Fraction(det, N + 1) - Fraction(d * det + o + shift, d * N) if convention == "calibrated"
+                  else Fraction(o + shift, d * N) - Fraction(det, N + 1))
+            return ch, {mono: c for mono, c in lowest if any(c)}, fac
         if K == span:  # m is invertible, so only a wrong factorization gets here
             raise FactorizationError("F(m y) vanished identically")
         K *= 2
@@ -228,14 +237,7 @@ def chow_weight(form: HypersurfaceForm, g: LaurentMatrix, convention: str = "cal
     the volume is that of a degree-d hypersurface, deg(F) / n!, so neither
     is an argument.
     """
-    N = g.size - 1
-    n = N - 1
-    d = form.degree
-    o, _, fac = _lowest_terms(form, g, convention)
-    det_ord = sum(fac.weights)  # checked against ord det g by factorize
-    if convention == "calibrated":
-        return Fraction(det_ord, N + 1) - Fraction(d * det_ord + o, d * (n + 1))
-    return Fraction(o, d * (n + 1)) - Fraction(det_ord, N + 1)
+    return _lowest_terms(form, g, convention)[0]
 
 
 def _cmul(u, v):
@@ -243,54 +245,71 @@ def _cmul(u, v):
     return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> "ProjectiveCycle":
-    """Cycle of the flat limit X_0 = lim g(t) {F = 0} of a plane conic, in
-    the original coordinates, built exactly from the loop's torus.
+def _conic_fiber(form: HypersurfaceForm, g: LaurentMatrix):
+    """Chow weight of a plane conic's degeneration along g = L t^A R, the
+    factorization and the lattice data of Y_0 = L(0)^(-1) X_0, whose form,
+    the lowest part of F(R^(-1) t^(-A) y), lies on a segment with primitive
+    direction delta: Y_0 = y^mu prod_r (y^delta+ - r y^delta-) is the line
+    {y_a = 0} mu_a times and, for each root r of the edge polynomial (m + 1
+    coefficients ``edge``), the curve s -> (c_a s^p_a), c^delta = r, p >= 0
+    orthogonal to delta.  ValueError off a segment, as for equal weights
+    (g = t^c L(t), a change of frame) and a conic that is not toric."""
+    if form.nvars != 3 or form.degree != 2:
+        raise ValueError("central fiber cycles are implemented for plane conics")
+    ch, coeff, fac = _lowest_terms(form, g, "calibrated")
+    first, last = min(coeff), max(coeff)  # lexicographic order runs along a line
+    m = math.gcd(*(b - a for a, b in zip(first, last)))
+    delta = [(b - a) // (m or 1) for a, b in zip(first, last)]
+    edge = [coeff.get(tuple(a + k * d for a, d in zip(first, delta)), (_ZERO, _ZERO)) for k in range(m + 1)]
+    if sum(any(c) for c in edge) != len(coeff):
+        raise ValueError("the central fiber is not torus-invariant in the frame of L(0): its form is not supported "
+                         f"on a lattice segment (loop weights {list(fac.weights)})")
+    p = [delta[1] - delta[2], delta[2] - delta[0], delta[0] - delta[1]]
+    p = [x - min(p) for x in p]
+    p = [x // (math.gcd(*p) or 1) for x in p]
+    return ch, fac, edge, delta, p, [min(u, v) for u, v in zip(first, last)]
 
-    With g = L t^A R factored, the form of Y_0 = L(0)^(-1) X_0 is the
-    lowest part of F(R^(-1) t^(-A) y), up to a nonzero constant.  A limit
-    invariant under a nontrivial torus has its form supported on a lattice
-    segment with primitive direction delta, so that
-    Y_0 = y^mu prod_r (y^delta+ - r y^delta-): the coordinate line
-    {y_a = 0} with multiplicity mu_a and, for each root r of the edge
-    polynomial, the monomial curve s -> (c_a s^p_a) with p orthogonal to
-    delta and c^delta = r.  A double root is an exact zero discriminant
-    of the edge coefficients.  Each component is mapped back by L(0).
-    Raises ValueError when the form of Y_0 is not supported on a segment,
-    as for a loop whose weights are all equal (g = t^c L(t), a change of
-    frame) and a conic that is not toric.
-    """
+
+def central_fiber_pairing(form: HypersurfaceForm, g: LaurentMatrix):
+    """Chow weight of a plane conic's degeneration along g, the factorization
+    and, from the same window, the central-fiber pairing <M(X_0), -A> as an
+    exact Fraction when L(0) is diagonal (X_0 and Y_0 share torus data) and
+    <A, delta> = 0, else None.  Y_0 is then t^A-invariant, and by
+    Duistermaat-Heckman each component adds multiplicity x degree x (a = -A
+    at the midpoint of its exponent segment); over the mass, which must be
+    the degree, less the mean of a, that is the pairing."""
+    ch, fac, edge, delta, p, mu = _conic_fiber(form, g)
+    a, l0 = [-e for e in fac.exponent_vector()], fac.left.value_at_zero()
+    if any(l0[i][j] for i in range(3) for j in range(3) if i != j) or sum(x * y for x, y in zip(a, delta)):
+        return ch, fac, None
+    m, D = len(edge) - 1, max(p)  # m monomial curves of degree D; the line {y_i = 0} joins the other two points
+    total = sum(mult * Fraction(sum(a) - a[i], 2) for i, mult in enumerate(mu))
+    total += m * D * Fraction(a[p.index(0)] + a[p.index(D)], 2)
+    if sum(mu) + m * D != 2:
+        raise FactorizationError(f"central fiber of mass {sum(mu) + m * D}, not its degree 2")
+    return ch, fac, total / 2 - Fraction(sum(a), 3)
+
+
+def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> "ProjectiveCycle":
+    """Cycle of the flat limit X_0 = lim g(t) {F = 0} of a plane conic in the
+    original coordinates: the components of Y_0 (``_conic_fiber``), a double
+    root read off an exact zero discriminant, each mapped back by L(0)."""
     import numpy as np
 
     from kstab.cycles import Component, ProjectiveCycle
 
-    if form.nvars != 3 or form.degree != 2:
-        raise ValueError("central fiber cycles are implemented for plane conics")
-    _, coeff, fac = _lowest_terms(form, g, "calibrated")
-    support = sorted(coeff)
-    first, last = support[0], support[-1]  # lexicographic order runs along a line
-    m = math.gcd(*(b - a for a, b in zip(first, last)))
-    delta = [(b - a) // (m or 1) for a, b in zip(first, last)]
-    edge = [coeff.get(tuple(a + k * d for a, d in zip(first, delta)), (_ZERO, _ZERO)) for k in range(m + 1)]
-    if sum(any(c) for c in edge) != len(support):
-        raise ValueError(
-            "the central fiber is not torus-invariant in the frame of L(0): its form "
-            f"is not supported on a lattice segment (loop weights {list(fac.weights)})"
-        )
+    _, fac, edge, delta, p, mu = _conic_fiber(form, g)
     parts = []
-    for a, mult in enumerate(min(u, v) for u, v in zip(first, last)):
+    for a, mult in enumerate(mu):
         if mult:
             line = np.zeros((3, 2))
             line[[b for b in range(3) if b != a], [0, 1]] = 1.0
             parts.append((line, mult))
     z = [complex(float(re), float(im)) for re, im in edge]
-    if m == 2 and _cmul(edge[1], edge[1]) == tuple(4 * x for x in _cmul(edge[0], edge[2])):
+    if len(edge) == 3 and _cmul(edge[1], edge[1]) == tuple(4 * x for x in _cmul(edge[0], edge[2])):
         roots = [(-z[1] / (2 * z[2]), 2)]
     else:
         roots = [(r, 1) for r in np.roots(z[::-1])]
-    p = [delta[1] - delta[2], delta[2] - delta[0], delta[0] - delta[1]]
-    p = [x - min(p) for x in p]
-    p = [x // (math.gcd(*p) or 1) for x in p]
     for r, mult in roots:
         curve = np.zeros((3, max(p) + 1), dtype=complex)
         curve[range(3), p] = np.exp(np.log(r) * np.array(delta) / np.dot(delta, delta))
@@ -350,13 +369,6 @@ def check_chow_inequality(
 # ---------------------------------------------------------------------------
 
 
-def _key_int(text, key, what):
-    """An integer of a form ``key``: ASCII digits after an optional "-" (int() also reads " 1", "+1", "1_0")."""
-    if text.isascii() and text.removeprefix("-").isdigit():
-        return int(text)
-    raise ValueError(f"form {what}, got {key!r:.40}")
-
-
 def form_from_json(obj) -> HypersurfaceForm:
     """Parse a form; its number of variables is the length of a key."""
     if "components" in obj and "form" not in obj:
@@ -370,10 +382,11 @@ def form_from_json(obj) -> HypersurfaceForm:
             raise ValueError("\"form\" must be a JSON object")
     mono, number = {}, functools.partial(json_number, field="form coefficient", exact=True)
     for key, val in obj.items():
-        exps = tuple(_key_int(x, key, "monomial key must be comma-separated integers") for x in key.split(","))
+        what = f"form monomial key must be comma-separated integers, got {key!r:.40}"
+        exps = tuple(ascii_int(x, what) for x in key.split(","))
         if isinstance(val, list) and len(val) == 2 and not isinstance(val[0], list):
             mono[exps] = tuple(number(x) for x in val)
         else:  # a number, or Laurent coefficients by exponent
-            mono[exps] = ({_key_int(e, e, "Laurent exponent key must be an integer"): number(v)
+            mono[exps] = ({ascii_int(e, f"form Laurent exponent key must be an integer, got {e!r:.40}"): number(v)
                            for e, v in val.items()} if isinstance(val, dict) else number(val))
     return HypersurfaceForm.from_dict(len(next(iter(mono), ())), mono)  # no monomial: "zero form"

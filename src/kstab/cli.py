@@ -12,8 +12,8 @@ with shortest round-trip repr in JSON and 17 significant digits in CSV,
 and booleans and None as the JSON literals in both.  Each command imports
 the kstab modules it uses when it runs, so ``import kstab.cli``, ``--help``
 and a usage error load no other kstab module, and ``factorize``,
-``futaki`` and ``chow`` on a form that is not a plane conic run on the
-standard library alone.
+``futaki`` and ``chow`` run on the standard library alone, save where a
+plane conic's central-fiber pairing is not exact and takes quadrature.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import math
 import os
 import re
 import sys
+
+from kstab import ascii_int
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -84,7 +86,7 @@ def _criteria(text):
 
     known = {c[0] for c in CRITERIA}
     try:
-        numbers = [int(x) for x in text.split(",")]
+        numbers = [ascii_int(x) for x in text.split(",")]
         if not known.issuperset(numbers):
             raise ValueError
     except ValueError:
@@ -192,18 +194,22 @@ def cmd_chow(input_path, out, fmt, loop_path, convention, order, tol):
 
     form = _read_input(input_path, cw.form_from_json, "form input")
     g = _read_input(loop_path, lr.loop_from_json, "loop input")
-    ch = cw.chow_weight(form, g, convention=convention)
-    data = {"chow_weight": wt.frac_str(ch), "convention": convention}
-    if form.nvars == 3 and form.degree == 2 and convention == "calibrated":
+    data = {"convention": convention}
+    if form.nvars != 3 or form.degree != 2 or convention != "calibrated":
+        ch = cw.chow_weight(form, g, convention=convention)
+    else:
         try:
-            fiber = cw.central_fiber_cycle(form, g)
-        except ValueError as exc:  # no torus decomposition of the central fiber
-            data["note"] = f"no central-fiber pairing: {exc}"
+            ch, fac, exact = cw.central_fiber_pairing(form, g)
+        except ValueError as exc:  # no torus decomposition of the central fiber; chow_weight raises any other again
+            ch, data["note"] = cw.chow_weight(form, g), f"no central-fiber pairing: {exc}"
         else:
-            chk = cw.check_chow_inequality(g, fiber, ch=ch, order=order, tol=tol)
+            chk = (cw.check_chow_inequality(g, cw.central_fiber_cycle(form, g), ch=ch, order=order, tol=tol)
+                   if exact is None else cw.ChowCheck(ch, float(exact), float(exact - ch), 0.0, exact >= ch,
+                                                      fac.weights, tuple(-e for e in fac.exponent_vector())))
             data.update(pairing=chk.pairing, slack=chk.slack, quad_error=chk.quad_error,
                         inequality_satisfied=chk.satisfied, weights=list(chk.weights),
                         section_diagonal=list(chk.exponents))
+    data["chow_weight"] = wt.frac_str(ch)
     _emit(data, out, fmt)
 
 
@@ -251,7 +257,7 @@ def cmd_balance(input_path, out, fmt, tol, max_steps, order):
 def _parse_range_pair(text):
     """Parse 'lo:hi' or 'hi' (lo = 1) with 1 <= lo <= hi, at most 8192
     levels; ValueError otherwise."""
-    parts = [int(x) for x in text.split(":")]
+    parts = [ascii_int(x) for x in text.split(":")]
     if len(parts) == 1:
         parts.insert(0, 1)
     if len(parts) != 2 or not 1 <= parts[0] <= parts[1]:
@@ -268,14 +274,14 @@ def _parse_klist(text):
     1..8192 (a range is checked before it is listed), and a step is at least 1."""
     parts = text.split(":")
     if "," in text or len(parts) == 1:
-        ks = [int(x) for x in text.split(",")]
+        ks = [ascii_int(x) for x in text.split(",")]
     elif len(parts) == 3 and parts[2] == "double":
-        ks, k = [], int(parts[0])
-        while 0 < k <= int(parts[1]):
+        ks, k, hi = [], ascii_int(parts[0]), ascii_int(parts[1])
+        while 0 < k <= hi:
             ks.append(k)
             k *= 2
     elif len(parts) <= 3:
-        lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+        lo, hi, step = ascii_int(parts[0]), ascii_int(parts[1]), ascii_int(parts[2]) if len(parts) == 3 else 1
         if step < 1:
             raise ValueError(f"step must be a positive integer, got {step}")
         ks = range(lo, hi + 1, step) if 1 <= lo <= _MAX_LEVEL and 1 <= hi <= _MAX_LEVEL else []

@@ -126,11 +126,11 @@ def _monomial_raw(comp: Component, order: int):
     density sum_(a,b) |p_a p_b|^2 (e_a - e_b)^2 / (2 rho |p|^4) (Lagrange's
     identity) depend on rho = |s|^2 alone, and the mean of p_a conj(p_b) over
     the m angles is its modulus times [e_a = e_b mod m], aliasing included."""
-    rho, wrho, m = disc_radii(order)
+    (rho, wrho, m), d = disc_radii(order), comp.degree  # an all-zero component, empty or not, fails on its degree
     e = np.argmax(comp.coeffs != 0, axis=1)  # a zero row has e = 0 and c = 0
     c = comp.coeffs[np.arange(len(e)), e]
     raw, mass = 0.0, 0.0
-    for ex in (e, comp.degree - e):
+    for ex in (e, d - e):
         q = np.sqrt(rho)[:, None] ** ex  # |s^e| per radius and row
         norm2 = q**2 @ np.abs(c) ** 2
         if np.any(norm2 == 0.0):
@@ -142,6 +142,12 @@ def _monomial_raw(comp: Component, order: int):
         mass += csum(wk)
     raw = np.outer(c, c.conj()) * (0.5 * (raw + raw.T)) * ((e[:, None] - e) % m == 0)
     return comp.multiplicity * raw, comp.multiplicity * mass
+
+
+def _pow2_scaled(c: np.ndarray, top: float):
+    """c and ``top``, its largest modulus, times the power of two that brings ``top`` into [1, 2): exact."""
+    n = 1 - math.frexp(top)[1]
+    return np.ldexp(np.ascontiguousarray(c).view(float), n).view(complex), math.ldexp(top, n)
 
 
 def _cycle_raw(cycle: ProjectiveCycle, order: int):
@@ -158,14 +164,12 @@ def _cycle_raw(cycle: ProjectiveCycle, order: int):
     raw, mass, dense = np.zeros((n1, n1), dtype=complex), 0.0, []
     for comp in cycle.components:
         mod = np.abs(comp.coeffs)
-        top, bottom = float(mod.max()), float(mod[mod > 0].min(initial=np.inf))  # all zero: fails on degree
+        top, bottom = float(mod.max(initial=0.0)), float(mod[mod > 0].min(initial=np.inf))  # all zero: fails on degree
         if not top / bottom <= _RANGE:  # a modulus above the largest double reads inf, and is refused too
             raise QuadratureError(f"coefficient moduli {top:.3g} and {bottom:.3g} of one component differ by more "
                                   f"than {_RANGE:.3g}: scaled to the larger, the smaller squares below the least "
                                   "normal double")
-        if n := 1 - math.frexp(top)[1]:  # 2^n brings the largest modulus into [1, 2), exactly
-            parts = np.ldexp(np.ascontiguousarray(comp.coeffs).view(float), n)  # real and imaginary parts
-            comp = Component(parts.view(complex), comp.multiplicity)
+        comp = Component(_pow2_scaled(comp.coeffs, top)[0], comp.multiplicity)
         if np.count_nonzero(comp.coeffs, axis=1).max() <= 1:
             part_raw, part_mass = _monomial_raw(comp, order)
         else:
@@ -335,7 +339,8 @@ def balance_iterate(
         out = []
         for comp in cycle.components:
             c = half @ comp.coeffs
-            out.append(Component(c / np.max(np.abs(c)), comp.multiplicity))
+            c, top = _pow2_scaled(c, float(np.max(np.abs(c))))  # a subnormal modulus has no finite reciprocal
+            out.append(Component(c / top, comp.multiplicity))
         return out
 
     def evaluate(x):

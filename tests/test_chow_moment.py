@@ -18,6 +18,7 @@ from kstab.acceptance import CONIC_FORM, random_admissible_loop, rnc3_cycle
 from kstab.chow import (
     HypersurfaceForm,
     central_fiber_cycle,
+    central_fiber_pairing,
     check_chow_inequality,
     chow_weight,
     form_from_json,
@@ -611,8 +612,9 @@ class TestTorusFiber:
 
     def test_trivial_degeneration_of_a_non_toric_conic(self):
         form = HypersurfaceForm.from_dict(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): 1})
-        with pytest.raises(ValueError, match="not supported on a lattice segment"):
-            central_fiber_cycle(form, LaurentMatrix.identity(3))
+        for call in (central_fiber_cycle, central_fiber_pairing):
+            with pytest.raises(ValueError, match="not supported on a lattice segment"):
+                call(form, LaurentMatrix.identity(3))
 
     def test_draws_no_random_numbers(self, monkeypatch):
         class Refuse:
@@ -622,6 +624,70 @@ class TestTorusFiber:
         monkeypatch.setattr(np, "random", Refuse())
         for exps in ([0, 0, 0], [0, 0, 1], [0, 1, 0]):  # smooth conic, line pair, double line
             central_fiber_cycle(CONIC_FORM, LaurentMatrix.exponent_diagonal(exps))
+
+
+def _scaled_admissible_loop(rng):
+    """diag(c) t^A R: an admissible loop under a constant diagonal factor."""
+    c = [Fraction(rng.choice([1, -2, 3, 5]), rng.choice([1, 2])) for _ in range(3)]
+    scale = LaurentMatrix([[LaurentPoly({0: c[i]}) if i == j else LaurentPoly() for j in range(3)] for i in range(3)])
+    return scale @ random_admissible_loop(rng)[0]
+
+
+def _real_conic(rng):
+    """A plane conic with real rational coefficients on all six monomials."""
+    mono = {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for e in itertools.product(range(3), repeat=3) if sum(e) == 2}
+    mono[(0, 0, 2)] = 1
+    return HypersurfaceForm.from_dict(3, mono)
+
+
+# g = [[1, 0, 0], [1, 1, 0], [0, 0, t]]: its normal form keeps the shear in L(0)
+SHEAR_LOOP = LaurentMatrix([[LaurentPoly({0: 1}), LaurentPoly(), LaurentPoly()],
+                            [LaurentPoly({0: 1}), LaurentPoly({0: 1}), LaurentPoly()],
+                            [LaurentPoly(), LaurentPoly(), LaurentPoly({1: 1})]])
+# x0 x1 + t x1^2 under diag(1, t, 1): Y_0 = y1 (y0 + y1), with delta = (1, -1, 0) and <A, delta> = -1
+TILTED = (HypersurfaceForm.from_dict(3, {(1, 1, 0): 1, (0, 2, 0): {1: 1}}), LaurentMatrix.exponent_diagonal([0, 1, 0]))
+
+
+class TestExactPairing:
+    """central_fiber_pairing: the Duistermaat-Heckman pairing, exact, from
+    the window that gives the Chow weight."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("conic", [_real_conic, _complex_conic], ids=["real", "complex"])
+    @pytest.mark.parametrize("loop", [lambda rng: random_admissible_loop(rng)[0], _scaled_admissible_loop],
+                             ids=["admissible", "diagonal-times-admissible"])
+    def test_matches_quadrature(self, seed, conic, loop):
+        rng = random.Random(1500 + seed)
+        exact = 0
+        for _ in range(12):
+            form, g = conic(rng), loop(rng)
+            ch, fac, pair = central_fiber_pairing(form, g)
+            assert ch == chow_weight(form, g) and fac is factorize(g)
+            if pair is not None:
+                exact += 1
+                chk = check_chow_inequality(g, central_fiber_cycle(form, g), ch)
+                assert isinstance(pair, Fraction) and abs(float(pair) - chk.pairing) <= 1e-10
+        assert exact >= 9
+
+    def test_shipped_conic(self):
+        assert central_fiber_pairing(CONIC_FORM, conic_loop())[::2] == (Fraction(1, 12), Fraction(1, 12))
+
+    def test_non_diagonal_left_factor_has_no_exact_pairing(self):
+        l0 = factorize(SHEAR_LOOP).left.value_at_zero()
+        assert l0[1][0] != 0
+        assert central_fiber_pairing(CONIC_FORM, SHEAR_LOOP)[2] is None
+        rng = random.Random(1510)
+        for g in _torus_loops(rng, 6):
+            l0 = factorize(g).left.value_at_zero()
+            assert any(l0[i][j] for i in range(3) for j in range(3) if i != j)
+            assert central_fiber_pairing(_complex_conic(rng), g)[2] is None
+
+    def test_tilted_segment_has_no_exact_pairing(self):
+        form, g = TILTED
+        assert factorize(g).left.value_at_zero() == np.eye(3).tolist()
+        assert central_fiber_pairing(form, g) == (chow_weight(form, g), factorize(g), None)
+        assert check_chow_inequality(g, central_fiber_cycle(form, g), chow_weight(form, g)).quad_error <= 1e-8
 
 
 class TestCentralFiber:
@@ -1160,8 +1226,20 @@ class TestUnitScale:
         assert np.max(np.abs(m - moment_matrix(cycle).matrix)) <= 1e-15
 
     def test_zero_component_names_its_fault(self):
-        with pytest.raises(ValueError, match="^component has identically zero parametrization$"):
-            moment_matrix(ProjectiveCycle(2, [Component(np.zeros((3, 2)))]))
+        for columns in (2, 0):  # no columns: not numpy's "zero-size array to reduction operation maximum"
+            with pytest.raises(ValueError, match="^component has identically zero parametrization$"):
+                moment_matrix(ProjectiveCycle(2, [Component(np.zeros((3, columns)))]))
+
+    def test_balance_on_a_subnormal_component(self):
+        # 1 / 5e-324 overflows, so the iterates are scaled by a power of two
+        # before their largest modulus divides them; RuntimeWarnings fail here
+        line = cycle_from_json(json.loads((DATA / "line_cycle.json").read_text()))
+        tiny = transform_cycle(line, 5e-324 * np.eye(3))
+        assert np.all(np.abs(tiny.components[0].coeffs) <= 5e-324)
+        b, s = balance_iterate(line), balance_iterate(tiny)
+        assert (b.residuals, b.steps, b.converged, b.note) == (s.residuals, s.steps, s.converged, s.note)
+        assert np.array_equal(b.transform, s.transform)
+        assert np.array_equal(b.cycle.components[0].coeffs, s.cycle.components[0].coeffs)
 
 
 class TestJsonInterfaces:

@@ -23,6 +23,9 @@ from kstab.weights import frac_str
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
+# g = [[1, 0, 0], [1, 1, 0], [0, 0, t]]: L(0) of its normal form is not diagonal, so chow pairs by quadrature
+SHEAR_LOOP = {"size": 3, "entries": [[[0, 1, 1]], [], [], [[0, 1, 1]], [[0, 1, 1]], [], [], [], [[1, 1, 1]]]}
+
 
 def run(runner, *args):
     return runner.invoke(main, args)
@@ -189,6 +192,43 @@ class TestChowCommand:
         assert rep["chow_weight"] == "0/1"
         assert rep["note"].startswith("no central-fiber pairing: ")
 
+    def test_exact_pairing(self, runner):
+        # the central fiber x0 x2 = 0 is torus-invariant, so Duistermaat-Heckman gives the pairing exactly
+        res = run(runner, "chow", "--input", str(DATA / "conic_form.json"), "--loop", str(DATA / "conic_loop.json"))
+        assert res.exit_code == 0
+        assert '"pairing": 0.08333333333333333,' in res.stdout and '"slack": 0.0,' in res.stdout
+        assert json.loads(res.stdout)["quad_error"] == 0.0
+
+    @pytest.mark.parametrize("form, loop", [
+        ({"1,0,1": 1, "0,2,0": -1}, SHEAR_LOOP),
+        ({"1,1,0": 1, "0,2,0": {"1": 1}}, {"size": 3, "entries": [[[0, 1, 1]], [], [], [], [[1, 1, 1]], [], [], [],
+                                                                  [[0, 1, 1]]]}),
+    ], ids=["non-diagonal-left-factor", "tilted-segment"])
+    def test_quadrature_fallback_prints_the_quadrature_path(self, runner, tmp_path, form, loop):
+        from kstab import chow, laurent
+
+        form_path, loop_path = tmp_path / "form.json", tmp_path / "loop.json"
+        form_path.write_text(json.dumps({"form": form}))
+        loop_path.write_text(json.dumps(loop))
+        res = run(runner, "chow", "--input", str(form_path), "--loop", str(loop_path))
+        f, g = chow.form_from_json({"form": form}), laurent.loop_from_json(loop)
+        assert chow.central_fiber_pairing(f, g)[2] is None
+        ch = chow.chow_weight(f, g)
+        chk = chow.check_chow_inequality(g, chow.central_fiber_cycle(f, g), ch=ch)
+        want = {"chow_weight": frac_str(ch), "convention": "calibrated", "pairing": chk.pairing, "slack": chk.slack,
+                "quad_error": chk.quad_error, "inequality_satisfied": chk.satisfied, "weights": list(chk.weights),
+                "section_diagonal": list(chk.exponents)}
+        assert res.exit_code == 0 and res.stdout == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+    def test_one_window_per_exact_run(self, runner, monkeypatch):
+        import kstab.chow as chow
+
+        calls, real = [], chow._lowest_terms
+        monkeypatch.setattr(chow, "_lowest_terms", lambda *a: calls.append(1) or real(*a))
+        res = run(runner, "chow", "--input", str(DATA / "conic_form.json"), "--loop", str(DATA / "conic_loop.json"))
+        assert res.exit_code == 0 and json.loads(res.stdout)["quad_error"] == 0.0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("form, message", [
         ({"2,0": 1, "0,2": 1}, "loop size does not match the number of variables"),
         ({"2": 1}, "ambient projective space must have dimension >= 1"),
@@ -350,6 +390,18 @@ def test_dense_chart_near_the_range_is_refused_in_one_line(runner, tmp_path):
     assert res.stderr == f"error: coefficient moduli 9.47e+153 and 1 of one component {_RANGE_NOTE}\n"
 
 
+def test_balance_on_a_subnormal_line_ends_as_the_line(runner, tmp_path):
+    # every coefficient 5e-324: dividing by it once overflowed into RuntimeWarnings and "metric is not finite"
+    cycle = json.loads((DATA / "line_cycle.json").read_text())
+    for comp in cycle["components"]:
+        comp["coeffs"] = [[[5e-324 if x else 0.0 for x in pair] for pair in row] for row in comp["coeffs"]]
+    (tmp_path / "tiny.json").write_text(json.dumps(cycle))
+    tiny, line = (run(runner, "balance", "--input", str(path))
+                  for path in (tmp_path / "tiny.json", DATA / "line_cycle.json"))
+    assert "Warning" not in tiny.stderr
+    assert (tiny.exit_code, tiny.stdout, tiny.stderr) == (line.exit_code, line.stdout, line.stderr)
+
+
 @pytest.mark.parametrize("first, second, moduli", [(1e200, 0, "1 and 1e-200"), (1e154, 1e154, "1 and 1e-154")])
 def test_balance_on_a_large_dense_coefficient_names_the_range(runner, tmp_path, first, second, moduli):
     # not the false "cycle mass 1.26e-30 does not match degree 2" of an underflow
@@ -504,6 +556,38 @@ def test_malformed_levels_exit_2(runner, command, value):
 
 
 @pytest.mark.parametrize(
+    "command, value, token",
+    [
+        ("bergman", "1_6", "1_6"),
+        ("bergman", " 8", " 8"),
+        ("bergman", "\u0668", "\u0668"),
+        ("bergman", "foo", "foo"),
+        ("bergman", "+8,16", "+8"),
+        ("bergman", "8:1_6:double", "1_6"),
+        ("bergman", "4:16:\u0662", "\u0662"),
+        ("futaki", "1_6", "1_6"),
+        ("futaki", " 8", " 8"),
+        ("futaki", "\u0668", "\u0668"),
+        ("futaki", "foo", "foo"),
+        ("futaki", "1:1_0", "1_0"),
+    ],
+)
+def test_levels_read_ascii_integers_only(runner, command, value, token):
+    # int() reads "1_6" as 16, " 8" and Arabic-Indic eight as 8
+    inputs = {"futaki": "conic_weights.json", "bergman": "round_metric.json"}
+    res = runner.invoke(main, [command, "--input", str(DATA / inputs[command]), "--k", value])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"error: bad level range {value!r}: expected an integer, got {token!r}\n"
+
+
+@pytest.mark.parametrize("only", [" 3", "1_2", "+3", "\u0663"])
+def test_verify_only_reads_ascii_integers_only(runner, only):
+    res = runner.invoke(main, ["verify", "--only", only])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"error: argument --only: expected criterion numbers from 1..13, got {only!r}\n"
+
+
+@pytest.mark.parametrize(
     "command, value, reason",
     [
         ("bergman", "-4,8,16", "levels must be a nonempty set of distinct integers in 1..8192"),
@@ -606,8 +690,10 @@ def _loaded(argv, env=None):
     [
         (["factorize", "--input", "conic_loop.json"], ["numpy", "scipy", "sympy", "kstab.weights"]),
         (["futaki", "--input", "conic_weights.json", "--k", "1:10"], ["numpy", "scipy", "sympy", "kstab.laurent"]),
-        (["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"], ["scipy", "sympy"]),
+        (["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"],
+         ["numpy", "scipy", "sympy", "kstab.cycles", "kstab.quadrature"]),
         (["chow", "--input", "CUBIC", "--loop", "conic_loop.json"], ["numpy", "scipy", "sympy"]),
+        (["chow", "--input", "NOTE", "--loop", "IDENTITY"], ["numpy", "scipy", "sympy"]),
         (["moment", "--input", "line_cycle.json", "--order", "48"],
          ["scipy", "sympy", "kstab.laurent", "kstab.weights"]),
         (["balance", "--input", "rnc3_distorted_cycle.json", "--format", "csv"],
@@ -616,12 +702,15 @@ def _loaded(argv, env=None):
          ["scipy", "sympy", "kstab.laurent", "kstab.weights"]),
         (["verify"], ["scipy", "sympy"]),
     ],
-    ids=["factorize", "futaki", "chow", "chow-cubic", "moment", "balance", "bergman", "verify"],
+    ids=["factorize", "futaki", "chow", "chow-cubic", "chow-note", "moment", "balance", "bergman", "verify"],
 )
 def test_command_leaves_out_heavy_imports(args, absent, tmp_path):
-    cubic = tmp_path / "cubic.json"
-    cubic.write_text(json.dumps({"form": {"3,0,0": [1, 0], "0,3,0": [1, 0], "0,0,3": [1, 0]}}))
-    argv = [str(cubic) if a == "CUBIC" else str(DATA / a) if a.endswith(".json") else a for a in args]
+    inputs = {"CUBIC": {"form": {"3,0,0": [1, 0], "0,3,0": [1, 0], "0,0,3": [1, 0]}},
+              "NOTE": {"form": {"2,0,0": 1, "0,2,0": 1, "0,0,2": 1, "1,1,0": 1}},
+              "IDENTITY": {"size": 3, "entries": [[[0, 1, 1]], [], [], [], [[0, 1, 1]], [], [], [], [[0, 1, 1]]]}}
+    for name, obj in inputs.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = [str(tmp_path / a) if a in inputs else str(DATA / a) if a.endswith(".json") else a for a in args]
     code, loaded, _ = _loaded(argv)
     assert code == 0
     assert "kstab.cli" in loaded and not set(loaded) & set(absent)
@@ -1133,7 +1222,7 @@ def test_unreadable_input_or_unwritable_out_exit_2(runner, tmp_path, args):
 @pytest.mark.parametrize(
     "args, target, error, code",
     [
-        (["chow", "--input", "conic_form.json", "--loop", "conic_loop.json"], "kstab.chow.check_chow_inequality",
+        (["chow", "--input", "conic_form.json", "--loop", "SHEAR"], "kstab.chow.check_chow_inequality",
          QuadratureError, 4),
         (["bergman", "--input", "bump_metric.json", "--k", "4", "--grid", "3"], "kstab.bergman.theta_total_variation",
          QuadratureError, 4),
@@ -1143,13 +1232,16 @@ def test_unreadable_input_or_unwritable_out_exit_2(runner, tmp_path, args):
     ],
     ids=["chow", "bergman", "moment", "factorize", "futaki"],
 )
-def test_library_error_exit_code(runner, monkeypatch, args, target, error, code):
-    # main maps each library error to its exit code in one place
+def test_library_error_exit_code(runner, monkeypatch, tmp_path, args, target, error, code):
+    # main maps each library error to its exit code in one place; chow
+    # reaches the quadrature only where its pairing is not exact
     def fail(*args, **kwargs):
         raise error(f"{target} failed on purpose")
 
+    (tmp_path / "shear.json").write_text(json.dumps(SHEAR_LOOP))
     monkeypatch.setattr(target, fail)
-    res = runner.invoke(main, [str(DATA / a) if a.endswith(".json") else a for a in args])
+    res = runner.invoke(main, [str(tmp_path / "shear.json") if a == "SHEAR" else str(DATA / a) if a.endswith(".json")
+                               else a for a in args])
     assert res.exit_code == code
     assert res.stdout == "" and res.stderr == f"error: {target} failed on purpose\n"
 

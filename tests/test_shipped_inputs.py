@@ -1,13 +1,15 @@
 """Every shipped example input parses and runs through its command."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from kstab.cli import main
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
 
 RUNS = [
     ("conic_loop.json", ["factorize"]),
@@ -77,3 +79,29 @@ def test_double_encoded_input_exits_2(runner, tmp_path, fname):
     res = runner.invoke(main, READERS[fname] + [str(path)])
     assert res.exit_code == 2
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's generator and oracle modules, imported from ``bench/``
+    as they are, without writing bytecode there."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import gen
+    import oracle
+
+    return gen, oracle
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3, 4], ids=["factorize", "futaki", "chow", "moment-line", "moment-rnc3"])
+def test_shipped_command_matches_its_benchmark_reference(runner, monkeypatch, bench, index):
+    # an output change that the benchmark would refuse fails here first
+    gen, oracle = bench
+    command, argv = gen.SHIPPED[index]
+    case = {"id": f"{index:02d}-{command}", "command": command, "argv": argv}
+    monkeypatch.chdir(ROOT)
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, res.stderr
+    refs = json.loads((ROOT / "bench" / "refs" / "cli_shipped.json").read_text())
+    summary = oracle.cli_summary(case, res.stdout)
+    assert oracle.cli_invariants(case, res.stdout) + oracle.compare(summary, refs[case["id"]]) == []
