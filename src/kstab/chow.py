@@ -270,35 +270,34 @@ def _conic_fiber(form: HypersurfaceForm, g: LaurentMatrix):
     return ch, fac, edge, delta, p, [min(u, v) for u, v in zip(first, last)]
 
 
-def central_fiber_pairing(form: HypersurfaceForm, g: LaurentMatrix):
-    """Chow weight of a plane conic's degeneration along g, the factorization
-    and, from the same window, the central-fiber pairing <M(X_0), -A> as an
-    exact Fraction when L(0) is diagonal (X_0 and Y_0 share torus data) and
-    <A, delta> = 0, else None.  Y_0 is then t^A-invariant, and by
-    Duistermaat-Heckman each component adds multiplicity x degree x (a = -A
-    at the midpoint of its exponent segment); over the mass, which must be
-    the degree, less the mean of a, that is the pairing."""
-    ch, fac, edge, delta, p, mu = _conic_fiber(form, g)
+def central_fiber_pairing(form: HypersurfaceForm, g: LaurentMatrix, tol: float = 1e-6):
+    """Chow weight of a plane conic's degeneration along g, its ChowCheck, with the pairing <M(X_0), -A> exact,
+    when L(0) is diagonal (X_0 and Y_0 share torus data) and <A, delta> = 0, else None, and the fiber data for
+    ``central_fiber_cycle``, from one window.  Y_0 is then t^A-invariant, and by Duistermaat-Heckman each
+    component adds multiplicity x degree x (a = -A at the midpoint of its exponent segment); over the mass,
+    which must be the degree, less the mean of a, that is the pairing, checked as ``check_chow_inequality`` does."""
+    fiber = ch, fac, edge, delta, p, mu = _conic_fiber(form, g)
     a, l0 = [-e for e in fac.exponent_vector()], fac.left.value_at_zero()
     if any(l0[i][j] for i in range(3) for j in range(3) if i != j) or sum(x * y for x, y in zip(a, delta)):
-        return ch, fac, None
+        return ch, None, fiber
     m, D = len(edge) - 1, max(p)  # m monomial curves of degree D; the line {y_i = 0} joins the other two points
     total = sum(mult * Fraction(sum(a) - a[i], 2) for i, mult in enumerate(mu))
     total += m * D * Fraction(a[p.index(0)] + a[p.index(D)], 2)
     if sum(mu) + m * D != 2:
         raise FactorizationError(f"central fiber of mass {sum(mu) + m * D}, not its degree 2")
-    return ch, fac, total / 2 - Fraction(sum(a), 3)
+    pair = total / 2 - Fraction(sum(a), 3)
+    return ch, ChowCheck(ch, float(pair), float(pair - ch), 0.0, pair - ch >= -tol, fac.weights, tuple(a)), fiber
 
 
-def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix) -> "ProjectiveCycle":
+def central_fiber_cycle(form: HypersurfaceForm, g: LaurentMatrix, fiber=None) -> "ProjectiveCycle":
     """Cycle of the flat limit X_0 = lim g(t) {F = 0} of a plane conic in the
-    original coordinates: the components of Y_0 (``_conic_fiber``), a double
-    root read off an exact zero discriminant, each mapped back by L(0)."""
+    original coordinates: the components of Y_0 (``_conic_fiber``, or the ``fiber`` central_fiber_pairing
+    returned for form and g), a double root read off an exact zero discriminant, each mapped back by L(0)."""
     import numpy as np
 
     from kstab.cycles import Component, ProjectiveCycle
 
-    _, fac, edge, delta, p, mu = _conic_fiber(form, g)
+    _, fac, edge, delta, p, mu = fiber or _conic_fiber(form, g)
     parts = []
     for a, mult in enumerate(mu):
         if mult:

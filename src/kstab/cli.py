@@ -199,13 +199,12 @@ def cmd_chow(input_path, out, fmt, loop_path, convention, order, tol):
         ch = cw.chow_weight(form, g, convention=convention)
     else:
         try:
-            ch, fac, exact = cw.central_fiber_pairing(form, g)
+            ch, chk, fiber = cw.central_fiber_pairing(form, g, tol=tol)
         except ValueError as exc:  # no torus decomposition of the central fiber; chow_weight raises any other again
             ch, data["note"] = cw.chow_weight(form, g), f"no central-fiber pairing: {exc}"
         else:
-            chk = (cw.check_chow_inequality(g, cw.central_fiber_cycle(form, g), ch=ch, order=order, tol=tol)
-                   if exact is None else cw.ChowCheck(ch, float(exact), float(exact - ch), 0.0, exact >= ch,
-                                                      fac.weights, tuple(-e for e in fac.exponent_vector())))
+            if chk is None:  # the pairing needs quadrature
+                chk = cw.check_chow_inequality(g, cw.central_fiber_cycle(form, g, fiber), ch=ch, order=order, tol=tol)
             data.update(pairing=chk.pairing, slack=chk.slack, quad_error=chk.quad_error,
                         inequality_satisfied=chk.satisfied, weights=list(chk.weights),
                         section_diagonal=list(chk.exponents))
@@ -380,8 +379,8 @@ def main(argv=None):
     opt = command("chow", cmd_chow)
     opt("--loop", dest="loop_path", metavar="FILE", required=True, help="loop JSON file")
     opt("--sign", dest="convention", **signs)
-    opt("--order", default=48, type=order, help="quadrature order")
-    opt("--tol", default=1e-6, type=_bounded(float, math.isfinite, "a finite number"))
+    opt("--order", default=48, type=order, help="quadrature order, when the pairing is not exact")
+    opt("--tol", default=1e-6, type=_bounded(float, math.isfinite, "a finite number"), help="satisfied: slack >= -tol")
     opt = command("moment", cmd_moment)
     opt("--order", default=48, type=order, help="quadrature order")
     opt("--tol", default=1e-8, type=positive)

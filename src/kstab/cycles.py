@@ -116,7 +116,8 @@ _BLOCK = 1024
 # |c_i| |c_j|: then |U^H U - I| <= (deg + 1) _ORTHOGONAL, which moves |p|^2,
 # |p'|^2, <p', p> and the moments by that relative roundoff at most.
 _ORTHOGONAL = 1e-14
-_RANGE = float(1 / np.sqrt(np.finfo(float).tiny))  # past this moduli ratio the smaller squares below any normal
+_TINY = float(np.finfo(float).tiny)  # the least normal double
+_RANGE = float(1 / np.sqrt(_TINY))  # past this moduli ratio the smaller squares below any normal
 
 
 def _monomial_raw(comp: Component, order: int):
@@ -146,7 +147,8 @@ def _monomial_raw(comp: Component, order: int):
 
 def _pow2_scaled(c: np.ndarray, top: float):
     """c and ``top``, its largest modulus, times the power of two that brings ``top`` into [1, 2): exact."""
-    n = 1 - math.frexp(top)[1]
+    if not (n := 1 - math.frexp(top)[1]):
+        return c, top
     return np.ldexp(np.ascontiguousarray(c).view(float), n).view(complex), math.ldexp(top, n)
 
 
@@ -169,7 +171,8 @@ def _cycle_raw(cycle: ProjectiveCycle, order: int):
             raise QuadratureError(f"coefficient moduli {top:.3g} and {bottom:.3g} of one component differ by more "
                                   f"than {_RANGE:.3g}: scaled to the larger, the smaller squares below the least "
                                   "normal double")
-        comp = Component(_pow2_scaled(comp.coeffs, top)[0], comp.multiplicity)
+        if (c := _pow2_scaled(comp.coeffs, top)[0]) is not comp.coeffs:
+            comp = Component(c, comp.multiplicity)
         if np.count_nonzero(comp.coeffs, axis=1).max() <= 1:
             part_raw, part_mass = _monomial_raw(comp, order)
         else:
@@ -339,7 +342,8 @@ def balance_iterate(
         out = []
         for comp in cycle.components:
             c = half @ comp.coeffs
-            c, top = _pow2_scaled(c, float(np.max(np.abs(c))))  # a subnormal modulus has no finite reciprocal
+            if (top := np.max(np.abs(c))) < _TINY:  # no finite reciprocal: scale as _cycle_raw does first
+                c, top = _pow2_scaled(c, float(top))
             out.append(Component(c / top, comp.multiplicity))
         return out
 

@@ -662,32 +662,42 @@ class TestExactPairing:
         exact = 0
         for _ in range(12):
             form, g = conic(rng), loop(rng)
-            ch, fac, pair = central_fiber_pairing(form, g)
-            assert ch == chow_weight(form, g) and fac is factorize(g)
-            if pair is not None:
+            ch, exact_chk, fiber = central_fiber_pairing(form, g)
+            assert ch == chow_weight(form, g) and fiber[1] is factorize(g)
+            if exact_chk is not None:
                 exact += 1
                 chk = check_chow_inequality(g, central_fiber_cycle(form, g), ch)
-                assert isinstance(pair, Fraction) and abs(float(pair) - chk.pairing) <= 1e-10
+                assert abs(exact_chk.pairing - chk.pairing) <= 1e-10 and exact_chk.quad_error == 0.0
+                assert (exact_chk.chow, exact_chk.weights, exact_chk.exponents) == (ch, chk.weights, chk.exponents)
         assert exact >= 9
 
     def test_shipped_conic(self):
-        assert central_fiber_pairing(CONIC_FORM, conic_loop())[::2] == (Fraction(1, 12), Fraction(1, 12))
+        ch, chk, _ = central_fiber_pairing(CONIC_FORM, conic_loop())
+        assert ch == Fraction(1, 12) and (chk.pairing, chk.slack, chk.satisfied) == (1 / 12, 0.0, True)
+
+    @pytest.mark.parametrize("tol, satisfied", [(1e-6, True), (0.0, True), (-1e-6, False), (-1.0, False)])
+    def test_tol_reads_the_exact_slack(self, tol, satisfied):
+        # the same rule as check_chow_inequality, slack >= -tol, on the exact slack 0
+        assert central_fiber_pairing(CONIC_FORM, conic_loop(), tol=tol)[1].satisfied is satisfied
 
     def test_non_diagonal_left_factor_has_no_exact_pairing(self):
         l0 = factorize(SHEAR_LOOP).left.value_at_zero()
         assert l0[1][0] != 0
-        assert central_fiber_pairing(CONIC_FORM, SHEAR_LOOP)[2] is None
+        assert central_fiber_pairing(CONIC_FORM, SHEAR_LOOP)[1] is None
         rng = random.Random(1510)
         for g in _torus_loops(rng, 6):
             l0 = factorize(g).left.value_at_zero()
             assert any(l0[i][j] for i in range(3) for j in range(3) if i != j)
-            assert central_fiber_pairing(_complex_conic(rng), g)[2] is None
+            assert central_fiber_pairing(_complex_conic(rng), g)[1] is None
 
     def test_tilted_segment_has_no_exact_pairing(self):
         form, g = TILTED
         assert factorize(g).left.value_at_zero() == np.eye(3).tolist()
-        assert central_fiber_pairing(form, g) == (chow_weight(form, g), factorize(g), None)
-        assert check_chow_inequality(g, central_fiber_cycle(form, g), chow_weight(form, g)).quad_error <= 1e-8
+        ch, chk, fiber = central_fiber_pairing(form, g)
+        assert (ch, chk, fiber[1]) == (chow_weight(form, g), None, factorize(g))
+        cycle = central_fiber_cycle(form, g, fiber)
+        assert check_chow_inequality(g, cycle, ch) == check_chow_inequality(g, central_fiber_cycle(form, g), ch)
+        assert check_chow_inequality(g, cycle, ch).quad_error <= 1e-8
 
 
 class TestCentralFiber:

@@ -212,7 +212,7 @@ class TestChowCommand:
         loop_path.write_text(json.dumps(loop))
         res = run(runner, "chow", "--input", str(form_path), "--loop", str(loop_path))
         f, g = chow.form_from_json({"form": form}), laurent.loop_from_json(loop)
-        assert chow.central_fiber_pairing(f, g)[2] is None
+        assert chow.central_fiber_pairing(f, g)[1] is None
         ch = chow.chow_weight(f, g)
         chk = chow.check_chow_inequality(g, chow.central_fiber_cycle(f, g), ch=ch)
         want = {"chow_weight": frac_str(ch), "convention": "calibrated", "pairing": chk.pairing, "slack": chk.slack,
@@ -220,14 +220,25 @@ class TestChowCommand:
                 "section_diagonal": list(chk.exponents)}
         assert res.exit_code == 0 and res.stdout == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
-    def test_one_window_per_exact_run(self, runner, monkeypatch):
+    @pytest.mark.parametrize("loop", [None, SHEAR_LOOP], ids=["exact", "quadrature-fallback"])
+    def test_one_window_per_run(self, runner, monkeypatch, tmp_path, loop):
         import kstab.chow as chow
 
+        loop_path = DATA / "conic_loop.json"
+        if loop is not None:
+            loop_path = tmp_path / "loop.json"
+            loop_path.write_text(json.dumps(loop))
         calls, real = [], chow._lowest_terms
         monkeypatch.setattr(chow, "_lowest_terms", lambda *a: calls.append(1) or real(*a))
-        res = run(runner, "chow", "--input", str(DATA / "conic_form.json"), "--loop", str(DATA / "conic_loop.json"))
-        assert res.exit_code == 0 and json.loads(res.stdout)["quad_error"] == 0.0
+        res = run(runner, "chow", "--input", str(DATA / "conic_form.json"), "--loop", str(loop_path))
+        assert res.exit_code == 0 and (json.loads(res.stdout)["quad_error"] == 0.0) is (loop is None)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("tol, satisfied", [("1e-6", "true"), ("0", "true"), ("-1e-9", "false"), ("-1", "false")])
+    def test_tol_applies_to_the_exact_slack(self, runner, tol, satisfied):
+        res = run(runner, "chow", "--input", str(DATA / "conic_form.json"), "--loop", str(DATA / "conic_loop.json"),
+                  "--tol", tol)
+        assert res.exit_code == 0 and f'"inequality_satisfied": {satisfied},' in res.stdout
 
     @pytest.mark.parametrize("form, message", [
         ({"2,0": 1, "0,2": 1}, "loop size does not match the number of variables"),
